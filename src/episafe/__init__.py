@@ -4,7 +4,6 @@ measurement-delay compensation by forecast feedback."""
 
 from .delay import (
     IssfBound,
-    PredictionError,
     PredictorConfig,
     estimate_lipschitz,
     input_disturbance,
@@ -29,8 +28,6 @@ from .safety import (
     OUTLET,
     ControlDecision,
     SafetyConstraint,
-    SignAssumptionError,
-    SingularControlError,
     barrier_value,
     closed_form_death_control,
     closed_form_hospitalization_control,
@@ -40,7 +37,6 @@ from .safety import (
     multiplicative_control,
     outlet_control,
     qp_oracle,
-    sign_assumption_check,
     validate_initial_condition,
 )
 from .sim import (

@@ -7,8 +7,9 @@ Subcommands:
   ingest <cases.csv>                   validate (and scale) recorded cases
   presets list                         show bundled scenarios
 
-Exit codes: 0 success, 2 validation error, 3 safety violation detected in a
-guaranteed-mode run, 4 input clamping (infeasibility) occurred.
+Exit codes (runner.exit_code): 0 success, 2 validation error, 3 safety
+violation detected in a guaranteed-mode run, 4 the min-norm QP was
+infeasible at some step and the input was clamped.
 """
 
 from __future__ import annotations
@@ -21,24 +22,21 @@ from pathlib import Path
 
 from .cases import CaseDataError, ingest_cases, scale_cases
 from .runner import (
+    EXIT_OK,
+    EXIT_VALIDATION,
     SWEEP_PARAMETERS,
     TrajectoryFormatError,
+    exit_code,
     format_report,
     import_trajectory,
     run,
     sweep,
     write_long_table,
-    VIOLATION_TOL,
 )
 from .scenarios import ScenarioParseError, preset_names, preset_note, resolve_scenario
 from .sim import SimulationError, safety_audit
 
 __all__ = ["main", "entry"]
-
-EXIT_OK = 0
-EXIT_VALIDATION = 2
-EXIT_VIOLATION = 3
-EXIT_INFEASIBLE = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -119,13 +117,7 @@ def _cmd_audit(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         long_path = write_long_table(trajectory, out_dir / f"{name}_audit_long.csv")
         print(f"wrote long: {long_path}")
-    if scenario.guaranteed:
-        for c, audit_c in zip(scenario.constraints, audit.constraints):
-            if audit_c.min_margin < -VIOLATION_TOL * c.bound:
-                return EXIT_VIOLATION
-    if audit.infeasible_count > 0:
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+    return exit_code(scenario, audit)
 
 
 def _cmd_sweep(args) -> int:

@@ -23,7 +23,6 @@ from .safety import MULTIPLICATIVE, SafetyConstraint, barrier_value
 __all__ = [
     "PredictorConfig",
     "IssfBound",
-    "PredictionError",
     "predict_state",
     "prediction_error",
     "input_disturbance",
@@ -32,14 +31,6 @@ __all__ = [
 ]
 
 _DIV_TOL = 1e-9
-
-
-class PredictionError(RuntimeError):
-    """Forecasting failed; carries the rollout time at which it did."""
-
-    def __init__(self, message: str, at_time: float | None = None):
-        super().__init__(message)
-        self.at_time = at_time
 
 
 @dataclass(frozen=True)
@@ -122,12 +113,9 @@ def predict_state(
     if config.n_steps == 0:
         return measured
     input_fn = engine.make_input_fn(spec, config.constraints, config.control_start)
-    try:
-        x = engine.closed_loop_rollout(
-            spec, list(measured.x), t_measured, config.n_steps, config.dt_pred, input_fn
-        )
-    except engine.RolloutSingularity as exc:
-        raise PredictionError(str(exc), at_time=exc.time) from exc
+    x = engine.closed_loop_rollout(
+        spec, measured.x.tolist(), t_measured, config.n_steps, config.dt_pred, input_fn
+    )
     return spec.state(x)
 
 

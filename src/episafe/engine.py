@@ -12,20 +12,11 @@ import math
 from typing import Callable, Sequence
 
 from .models import ModelSpec
-from .safety import SafetyConstraint, SignAssumptionError, SingularControlError, _terms_t
+from .safety import SafetyConstraint, _clamp01, _solver
 
-__all__ = ["rk4_flat", "make_input_fn", "closed_loop_rollout", "RolloutSingularity"]
+__all__ = ["rk4_flat", "make_input_fn", "closed_loop_rollout"]
 
 InputFn = Callable[[float, Sequence[float]], float]
-
-
-class RolloutSingularity(RuntimeError):
-    """Controller singularity (or sign violation) hit mid-rollout."""
-
-    def __init__(self, time: float, cause: Exception):
-        super().__init__(f"controller unavailable at t={time:g}: {cause}")
-        self.time = time
-        self.cause = cause
 
 
 def rk4_flat(
@@ -35,10 +26,11 @@ def rk4_flat(
     dt: float,
 ) -> list[float]:
     """One classical 4th-order Runge-Kutta step with u held constant."""
+    half = 0.5 * dt
     k1 = deriv(x, u)
-    y = [xi + 0.5 * dt * ki for xi, ki in zip(x, k1)]
+    y = [xi + half * ki for xi, ki in zip(x, k1)]
     k2 = deriv(y, u)
-    y = [xi + 0.5 * dt * ki for xi, ki in zip(x, k2)]
+    y = [xi + half * ki for xi, ki in zip(x, k2)]
     k3 = deriv(y, u)
     y = [xi + dt * ki for xi, ki in zip(x, k3)]
     k4 = deriv(y, u)
@@ -55,36 +47,16 @@ def make_input_fn(
     control_start: float | None = None,
 ) -> InputFn:
     """Scalar feedback law u(t, x): zero before control_start, afterwards the
-    clamped maximum of the individual min-norm laws.  Mirrors exactly what
-    the simulator applies, so predictions replay the plant's behaviour."""
-    cons = tuple(constraints)
+    min-norm QP solution clamped to [0, 1].  Mirrors exactly what the
+    simulator applies, so predictions replay the plant's behaviour."""
     n = spec.n
-    gate = -math.inf if control_start is None else control_start
+    gate = -math.inf if control_start is None else control_start - 1e-12
+    solve = _solver(spec, constraints) if constraints else None
 
     def input_fn(t: float, x: Sequence[float]) -> float:
-        if t < gate - 1e-12 or not cons:
+        if t < gate or solve is None:
             return 0.0
-        w = tuple(x[:n])
-        z = tuple(x[n:])
-        best = 0.0
-        for c in cons:
-            drift, authority = _terms_t(spec, c, w, z)
-            if not authority < 0.0:
-                raise SignAssumptionError(
-                    f"control coefficient {authority:.3e} not negative for "
-                    f"{c.kind} constraint on index {c.index}"
-                )
-            mag = abs(authority)
-            if mag < spec.g_tol:
-                raise SingularControlError(
-                    f"control coefficient {authority:.3e} below tolerance "
-                    f"{spec.g_tol:.3e} for {c.kind} constraint on index {c.index}"
-                )
-            ratio = drift / mag
-            u_c = ratio if ratio > 0.0 else 0.0
-            if u_c > best:
-                best = u_c
-        return best if best < 1.0 else 1.0
+        return _clamp01(solve(x[:n], x[n:])[0])
 
     return input_fn
 
@@ -102,10 +74,5 @@ def closed_loop_rollout(
     x = list(x0)
     deriv = spec.derivative_t
     for k in range(n_steps):
-        t = t0 + k * dt
-        try:
-            u = input_fn(t, x)
-        except (SingularControlError, SignAssumptionError) as exc:
-            raise RolloutSingularity(t, exc) from exc
-        x = rk4_flat(deriv, x, u, dt)
+        x = rk4_flat(deriv, x, input_fn(t0 + k * dt, x), dt)
     return x

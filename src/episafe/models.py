@@ -192,13 +192,6 @@ class ModelSpec:
             raise ValueError(f"expected {self.n + self.m} entries, got {arr.shape}")
         return ModelState(w=arr[: self.n], z=arr[self.n :], labels=self.labels)
 
-    def state_from_labels(self, **values: float) -> ModelState:
-        missing = set(self.labels) - set(values)
-        extra = set(values) - set(self.labels)
-        if missing or extra:
-            raise ValueError(f"missing={sorted(missing)} unknown={sorted(extra)}")
-        return self.state([values[lbl] for lbl in self.labels])
-
 
 def _wrap_tuple_fn(fn: Callable[[Vector], Vector]) -> Callable[[np.ndarray], np.ndarray]:
     def wrapped(v: np.ndarray) -> np.ndarray:

@@ -22,9 +22,14 @@ from .safety import OUTLET, ControlDecision, InitialConditionReport, _extended_m
 from .sim import AuditReport, Scenario, Trajectory, safety_audit, simulate
 
 __all__ = [
+    "EXIT_OK",
+    "EXIT_VALIDATION",
+    "EXIT_VIOLATION",
+    "EXIT_INFEASIBLE",
     "RunReport",
     "TrajectoryFormatError",
     "SWEEP_PARAMETERS",
+    "exit_code",
     "run",
     "sweep",
     "export_trajectory",
@@ -38,6 +43,12 @@ SWEEP_PARAMETERS = ("tau", "dt", "seed", "delta", "t_end", "control_start")
 # Margin dips beyond this fraction of the bound count as real violations for
 # exit-code purposes; smaller dips are integration dust.
 VIOLATION_TOL = 1e-6
+
+# Process exit codes of every command that runs or audits a trajectory.
+EXIT_OK = 0
+EXIT_VALIDATION = 2
+EXIT_VIOLATION = 3
+EXIT_INFEASIBLE = 4
 
 
 class TrajectoryFormatError(ValueError):
@@ -62,14 +73,17 @@ class RunReport:
     exit_code: int
 
 
-def _exit_code(scenario: Scenario, audit: AuditReport) -> int:
+def exit_code(scenario: Scenario, audit: AuditReport) -> int:
+    """EXIT_VIOLATION when a guaranteed-mode run dips below a bound by more
+    than VIOLATION_TOL of it, else EXIT_INFEASIBLE when any step's QP was
+    infeasible, else EXIT_OK."""
     if scenario.guaranteed:
         for c, audit_c in zip(scenario.constraints, audit.constraints):
             if audit_c.min_margin < -VIOLATION_TOL * c.bound:
-                return 3
+                return EXIT_VIOLATION
     if audit.infeasible_count > 0:
-        return 4
-    return 0
+        return EXIT_INFEASIBLE
+    return EXIT_OK
 
 
 def run(
@@ -98,7 +112,7 @@ def run(
         initial=trajectory.initial_report,
         peaks=peaks,
         outputs=outputs,
-        exit_code=_exit_code(scenario, audit),
+        exit_code=exit_code(scenario, audit),
     )
 
 
@@ -162,7 +176,10 @@ def import_trajectory(path: str | Path, scenario: Scenario) -> Trajectory:
 
     Controller decisions are reconstructed from the u_raw/u columns; the
     per-decision margin details and the active-constraint marker are not
-    part of the file format and come back empty.
+    part of the file format and come back empty.  feasible is rebuilt as
+    u_raw <= 1.  That is exact while no constraint bounds u from above
+    (such as a floor on I or a cap on S); the file does not record other
+    infeasible steps.
     """
     path = Path(path)
     try:

@@ -2,18 +2,26 @@
 
 Each controller renders a population bound forward invariant by enforcing a
 minimum decay condition on the safety margin h: along solutions, dh/dt must
-stay above -alpha*h.  Solving "smallest u**2 subject to that condition" in
-closed form yields a rectified-linear law: zero intervention while the open
-loop already satisfies the condition, and the exact boundary-preserving
-input once it would be violated.
+stay above -alpha*h.  For a scalar input that condition reads
+-drift - authority*u >= 0, a half-line in u: a negative authority bounds u
+from below, a positive one from above, and a vanishing one (|authority| <
+g_tol) either holds for every u (drift <= 0) or for none.
 
 Multiplicative compartments (the input appears directly in their dynamics)
 use the margin h itself.  Outlet compartments see the input only through
 the inflow from the multiplicative block, so their controller works on the
 once-differentiated margin h_e = dh/dt + alpha*h, with its own decay gain
-alpha_e.  Bounds on several compartments at once combine by taking the
-pointwise maximum of the individual laws, valid whenever every constraint
-pushes the input in the same direction (negative control coefficients).
+alpha_e.
+
+The intervention is the exact solution of the pointwise QP "smallest u**2
+on [0, 1] subject to every constraint's condition": the largest of 0 and
+the lower bounds.  It is feasible when that value is at most 1 and at most
+every upper bound, and no zero-authority condition fails.  With one
+constraint, or with every authority negative (the paper's case), this is
+the rectified-linear law, and several bounds combine by the pointwise
+maximum of the individual laws.  When the QP is infeasible the applied
+input is clamp(u_raw, 0, 1): every lower bound up to 1 is honoured and the
+upper bounds give way; the decision is flagged infeasible.
 
 All controllers are pure functions of (model, constraint, state) and are
 safe to evaluate concurrently.
@@ -22,6 +30,7 @@ safe to evaluate concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, mul
 from typing import Sequence
 
 import numpy as np
@@ -33,8 +42,6 @@ __all__ = [
     "OUTLET",
     "SafetyConstraint",
     "ControlDecision",
-    "SingularControlError",
-    "SignAssumptionError",
     "ConstraintCheck",
     "InitialConditionReport",
     "barrier_value",
@@ -42,7 +49,6 @@ __all__ = [
     "multiplicative_control",
     "outlet_control",
     "combined_control",
-    "sign_assumption_check",
     "validate_initial_condition",
     "qp_oracle",
     "closed_form_infection_control",
@@ -52,19 +58,6 @@ __all__ = [
 
 MULTIPLICATIVE = "multiplicative"
 OUTLET = "outlet"
-
-
-class SingularControlError(RuntimeError):
-    """The control coefficient vanished; the state offers no authority over
-    the constrained compartment and the caller must decide a fallback."""
-
-
-class SignAssumptionError(RuntimeError):
-    """The combined controller requires every constraint's control
-    coefficient to be negative at the query state; here they were not, so
-    the max composition is not the minimum-norm solution.  A numeric QP
-    with relaxation would be needed; this library reports the case as
-    infeasible-by-this-method instead."""
 
 
 @dataclass(frozen=True)
@@ -125,11 +118,14 @@ class SafetyConstraint:
 class ControlDecision:
     """Audit record of one controller evaluation.
 
-    u_raw is the unclamped law output, u its clamp to the admissible
-    interval [0, 1].  feasible is False exactly when u_raw exceeded 1, i.e.
-    the admissible set could not realize the safety condition.  For a
-    combined evaluation, active_constraint is the position of the
-    constraint attaining the maximum (ties to the lowest index).
+    u_raw is the unclamped law output (the largest of 0 and the lower
+    bounds on u), u its clamp to the admissible interval [0, 1].  feasible
+    is False exactly when no u in [0, 1] meets every safety condition:
+    u_raw exceeds 1 or an upper bound, or a condition the input has no
+    authority over fails.  u is then still clamp(u_raw, 0, 1), and a run
+    containing such a step exits with code 4.  For a combined evaluation,
+    active_constraint is the position of the constraint setting u_raw
+    (ties, and u_raw = 0, to the lowest index).
     barrier_values holds the margin h per constraint at the evaluated
     state; extended_values holds the differentiated margin h_e for outlet
     constraints and None elsewhere.
@@ -152,22 +148,6 @@ def _clamp01(v: float) -> float:
     return 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)
 
 
-def _decision(
-    u_raw: float,
-    active: int | None,
-    h_values: tuple[float, ...],
-    he_values: tuple[float | None, ...],
-) -> ControlDecision:
-    return ControlDecision(
-        u_raw=u_raw,
-        u=_clamp01(u_raw),
-        feasible=u_raw <= 1.0,
-        active_constraint=active,
-        barrier_values=h_values,
-        extended_values=he_values,
-    )
-
-
 # -- scalar core -------------------------------------------------------------
 #
 # Everything below works on plain float tuples so the same code path serves
@@ -187,52 +167,88 @@ def _extended_margin_t(spec: ModelSpec, c: SafetyConstraint, w: tuple, z: tuple)
     return c.sign * (-(q[j] + r[j]) + c.alpha * (c.bound - z[j]))
 
 
-def _terms_t(
-    spec: ModelSpec, c: SafetyConstraint, w: tuple, z: tuple
-) -> tuple[float, float]:
-    """Return (drift, authority) of the safety condition at the state.
+def _terms_fn(spec: ModelSpec, constraints: Sequence[SafetyConstraint]):
+    """Return terms(w, z): the (drift, authority) of each constraint's safety
+    condition at the state, in constraint order.
 
     The condition on the input reads  -drift - authority * u >= 0.  For a
-    lower bound both pieces flip sign together with the margin.
+    lower bound both pieces flip sign together with the margin.  The model
+    is evaluated once per state and shared by every constraint; the
+    constants are folded once here, in the same grouping as the formulas,
+    so the results do not depend on how the constraints are batched.
     """
-    s = c.sign
-    if c.kind == MULTIPLICATIVE:
-        i = c.index
-        fi = spec.f_t(w)[i]
-        gi = spec.g_t(w)[i]
-        h = s * (c.bound - w[i])
-        return s * fi - c.alpha * h, s * gi
-    j = c.index
-    f = spec.f_t(w)
-    g = spec.g_t(w)
-    q = spec.q_t(w)
-    r = spec.r_t(z)
-    jq_row = spec.dq_dw_t(w)[j]
-    jr_row = spec.dr_dz_t(z)[j]
-    jq_f = sum(a * b for a, b in zip(jq_row, f))
-    jq_g = sum(a * b for a, b in zip(jq_row, g))
-    jr_flow = sum(a * (qb + rb) for a, qb, rb in zip(jr_row, q, r))
-    outflow = q[j] + r[j]
-    drift = (
-        jq_f
-        + jr_flow
-        + (c.alpha + c.alpha_e) * outflow
-        - c.alpha_e * c.alpha * (c.bound - z[j])
-    )
-    return s * drift, s * jq_g
-
-
-def _u_raw_t(spec: ModelSpec, c: SafetyConstraint, w: tuple, z: tuple) -> float:
-    drift, authority = _terms_t(spec, c, w, z)
-    mag = abs(authority)
-    if mag < spec.g_tol:
-        raise SingularControlError(
-            f"control coefficient {authority:.3e} below tolerance {spec.g_tol:.3e} "
-            f"for {c.kind} constraint on index {c.index}"
+    plan = tuple(
+        (
+            c.kind == OUTLET,
+            c.index,
+            c.sign,
+            c.alpha,
+            c.bound,
+            c.alpha + c.alpha_e if c.kind == OUTLET else 0.0,
+            c.alpha_e * c.alpha if c.kind == OUTLET else 0.0,
         )
-    ratio = drift / mag
-    relu = ratio if ratio > 0.0 else 0.0
-    return relu if authority < 0.0 else -relu
+        for c in constraints
+    )
+    outlets = any(p[0] for p in plan)
+    f_t, g_t, q_t, r_t = spec.f_t, spec.g_t, spec.q_t, spec.r_t
+    dq_dw_t, dr_dz_t = spec.dq_dw_t, spec.dr_dz_t
+
+    def terms(w: Sequence[float], z: Sequence[float]) -> list[tuple[float, float]]:
+        f = f_t(w)
+        g = g_t(w)
+        if outlets:
+            outflow = tuple(map(add, q_t(w), r_t(z)))
+            jq = dq_dw_t(w)
+            jr = dr_dz_t(z)
+        out = []
+        for outlet, j, s, alpha, bound, alpha_sum, alpha_prod in plan:
+            if outlet:
+                row = jq[j]
+                drift = (
+                    sum(map(mul, row, f))
+                    + sum(map(mul, jr[j], outflow))
+                    + alpha_sum * outflow[j]
+                    - alpha_prod * (bound - z[j])
+                )
+                out.append((s * drift, s * sum(map(mul, row, g))))
+            else:
+                out.append((s * f[j] - alpha * (s * (bound - w[j])), s * g[j]))
+        return out
+
+    return terms
+
+
+def _solver(spec: ModelSpec, constraints: Sequence[SafetyConstraint]):
+    """Return solve(w, z), the exact min-norm solution of the scalar-input
+    QP at one state.
+
+    Each condition -drift - a*u >= 0 bounds u from below by drift / -a when
+    a <= -g_tol, from above by -drift / a when a >= g_tol, and otherwise
+    holds for every u iff drift <= 0.  solve returns (u_raw, active,
+    feasible): u_raw is the largest of 0 and the lower bounds, active the
+    position of the constraint setting it (ties, and u_raw = 0, to the
+    lowest index), and feasible whether u_raw is at most 1 and every upper
+    bound and no zero-authority condition fails.
+    """
+    terms = _terms_fn(spec, constraints)
+    g_tol = spec.g_tol
+
+    def solve(w: Sequence[float], z: Sequence[float]) -> tuple[float, int, bool]:
+        u_raw, active, ceiling, holds = 0.0, 0, 1.0, True
+        for k, (drift, authority) in enumerate(terms(w, z)):
+            if authority <= -g_tol:
+                lower = drift / -authority
+                if lower > u_raw:
+                    u_raw, active = lower, k
+            elif authority >= g_tol:
+                upper = -drift / authority
+                if upper < ceiling:
+                    ceiling = upper
+            elif drift > 0.0:
+                holds = False
+        return u_raw, active, holds and u_raw <= ceiling
+
+    return solve
 
 
 def _state_tuples(spec: ModelSpec, state: ModelState) -> tuple[tuple, tuple]:
@@ -241,7 +257,30 @@ def _state_tuples(spec: ModelSpec, state: ModelState) -> tuple[tuple, tuple]:
             f"state dimensions ({state.n}, {state.m}) do not match model "
             f"({spec.n}, {spec.m})"
         )
-    return tuple(state.w), tuple(state.z)
+    return tuple(state.w.tolist()), tuple(state.z.tolist())
+
+
+def _decide(
+    spec: ModelSpec,
+    constraints: tuple[SafetyConstraint, ...],
+    state: ModelState,
+    combined: bool,
+) -> ControlDecision:
+    w, z = _state_tuples(spec, state)
+    for c in constraints:
+        c.check_against(spec)
+    u_raw, active, feasible = _solver(spec, constraints)(w, z)
+    return ControlDecision(
+        u_raw=u_raw,
+        u=_clamp01(u_raw),
+        feasible=feasible,
+        active_constraint=active if combined else None,
+        barrier_values=tuple(_margin_t(c, w, z) for c in constraints),
+        extended_values=tuple(
+            _extended_margin_t(spec, c, w, z) if c.kind == OUTLET else None
+            for c in constraints
+        ),
+    )
 
 
 # -- public operations -------------------------------------------------------
@@ -273,14 +312,12 @@ def multiplicative_control(
     spec: ModelSpec, constraint: SafetyConstraint, state: ModelState
 ) -> ControlDecision:
     """Min-norm intervention keeping a multiplicative compartment inside its
-    bound.  Raises SingularControlError when the input has no effect on the
-    compartment at this state."""
+    bound.  Where the input has no authority over the compartment the
+    decision rests at 0, feasible iff the open loop already meets the
+    condition."""
     if constraint.kind != MULTIPLICATIVE:
         raise ValueError("constraint is not multiplicative")
-    constraint.check_against(spec)
-    w, z = _state_tuples(spec, state)
-    u_raw = _u_raw_t(spec, constraint, w, z)
-    return _decision(u_raw, None, (_margin_t(constraint, w, z),), (None,))
+    return _decide(spec, (constraint,), state, combined=False)
 
 
 def outlet_control(
@@ -291,29 +328,7 @@ def outlet_control(
     checking the starting condition (see validate_initial_condition)."""
     if constraint.kind != OUTLET:
         raise ValueError("constraint is not an outlet constraint")
-    constraint.check_against(spec)
-    w, z = _state_tuples(spec, state)
-    u_raw = _u_raw_t(spec, constraint, w, z)
-    h = _margin_t(constraint, w, z)
-    he = _extended_margin_t(spec, constraint, w, z)
-    return _decision(u_raw, None, (h,), (he,))
-
-
-def sign_assumption_check(
-    spec: ModelSpec,
-    constraints: Sequence[SafetyConstraint],
-    state: ModelState,
-) -> bool:
-    """True iff every constraint's control coefficient is strictly negative
-    at the state (lower bounds enter with their flipped sign), which is what
-    makes the max composition below exact."""
-    w, z = _state_tuples(spec, state)
-    for c in constraints:
-        c.check_against(spec)
-        _, authority = _terms_t(spec, c, w, z)
-        if not authority < 0.0:
-            return False
-    return True
+    return _decide(spec, (constraint,), state, combined=False)
 
 
 def combined_control(
@@ -321,35 +336,19 @@ def combined_control(
     constraints: Sequence[SafetyConstraint],
     state: ModelState,
 ) -> ControlDecision:
-    """Enforce several bounds at once by taking the largest individual law.
+    """Enforce several bounds at once: the exact min-norm solution of the
+    jointly constrained scalar-input QP (see the module docstring).
 
-    Exact minimum-norm solution of the jointly constrained problem whenever
-    all control coefficients share a negative sign; otherwise raises
-    SignAssumptionError.  Ties in the maximum resolve to the lowest
-    constraint index for reproducible audits.
+    Constraints of either sign and states without control authority are
+    all handled; an infeasible QP is reported through feasible = False.
+    When every control coefficient is negative this is the pointwise
+    maximum of the individual laws.  Ties resolve to the lowest constraint
+    index for reproducible audits.
     """
-    constraints = list(constraints)
+    constraints = tuple(constraints)
     if not constraints:
         return ControlDecision.rest()
-    w, z = _state_tuples(spec, state)
-    if not sign_assumption_check(spec, constraints, state):
-        raise SignAssumptionError(
-            "control coefficients do not share a negative sign at this state; "
-            "max composition is not applicable"
-        )
-    best = -np.inf
-    active = 0
-    h_values: list[float] = []
-    he_values: list[float | None] = []
-    for k, c in enumerate(constraints):
-        u_k = _u_raw_t(spec, c, w, z)
-        if u_k > best:
-            best, active = u_k, k
-        h_values.append(_margin_t(c, w, z))
-        he_values.append(
-            _extended_margin_t(spec, c, w, z) if c.kind == OUTLET else None
-        )
-    return _decision(best, active, tuple(h_values), tuple(he_values))
+    return _decide(spec, constraints, state, combined=True)
 
 
 @dataclass(frozen=True)
@@ -430,7 +429,7 @@ def qp_oracle(
     feasible = np.ones_like(grid, dtype=bool)
     for c in constraints:
         c.check_against(spec)
-        drift, authority = _terms_t(spec, c, w, z)
+    for drift, authority in _terms_fn(spec, constraints)(w, z):
         feasible &= (-drift - authority * grid) >= 0.0
     idx = int(np.argmax(feasible))
     if not feasible[idx]:

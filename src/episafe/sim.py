@@ -25,6 +25,7 @@ from .safety import (
     ControlDecision,
     InitialConditionReport,
     SafetyConstraint,
+    _clamp01,
     _extended_margin_t,
     _margin_t,
     combined_control,
@@ -104,6 +105,9 @@ class Scenario:
         object.__setattr__(self, "constraints", tuple(self.constraints))
         if self.control_start is None:
             object.__setattr__(self, "control_start", self.t_start)
+        for name in ("t_start", "t_end", "dt", "tau", "control_start"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
         if self.t_end < self.t_start:
@@ -247,14 +251,10 @@ def rk4_step(spec: ModelSpec, state: ModelState, u: float, dt: float) -> ModelSt
         raise ValueError("dt must be positive")
     if state.n != spec.n or state.m != spec.m:
         raise ValueError("state does not match the model dimensions")
-    x = engine.rk4_flat(spec.derivative_t, list(state.x), float(u), dt)
+    x = engine.rk4_flat(spec.derivative_t, state.x.tolist(), float(u), dt)
     if not all(math.isfinite(v) for v in x):
         raise IntegrationError(f"non-finite state after step from {state.x}")
     return spec.state(x)
-
-
-def _clamp01(v: float) -> float:
-    return 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)
 
 
 def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> Trajectory:
@@ -328,14 +328,9 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
                 else:
                     start = max(t_meas, scenario.t_start)
                     span = int(round((t - start) / dt))
-                    try:
-                        feedback = engine.closed_loop_rollout(
-                            spec, measured, start, span, dt, input_fn
-                        )
-                    except engine.RolloutSingularity as exc:
-                        raise SimulationError(
-                            f"forecast failed at t={t:g}: {exc}"
-                        ) from exc
+                    feedback = engine.closed_loop_rollout(
+                        spec, measured, start, span, dt, input_fn
+                    )
             decision = combined_control(spec, cons, spec.state(feedback))
             d = float(rng.uniform(-delta, delta)) if rng is not None else 0.0
             applied = _clamp01(decision.u + d)

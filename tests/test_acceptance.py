@@ -117,19 +117,38 @@ def test_criterion_1_controller_identity(sir_spec, sihrd_spec):
 
 
 def _qp_agrees(spec, constraints, state) -> tuple[bool, float]:
+    """The grid finds no feasible point exactly when the decision is
+    infeasible, and otherwise lies within one grid step of u_raw."""
     decision = combined_control(spec, constraints, state)
     u_star = qp_oracle(spec, constraints, state, GRID_STEP)
-    if decision.feasible:
-        if u_star is None:
-            return False, np.inf
-        return abs(u_star - decision.u_raw) <= GRID_STEP + 1e-12, abs(
-            u_star - decision.u_raw
-        )
-    # demand exceeds the admissible interval: the grid sees no feasible point
-    # (or only the right endpoint when the demand sits within one step of 1)
-    if u_star is None:
-        return True, 0.0
-    return abs(u_star - 1.0) <= GRID_STEP, abs(u_star - 1.0)
+    if u_star is None or not decision.feasible:
+        return (u_star is None) == (not decision.feasible), 0.0
+    gap = abs(u_star - decision.u_raw)
+    return gap <= GRID_STEP + 1e-12, gap
+
+
+def _mixed_sir_constraints(rng, row, k):
+    """Caps and floors on S and I near the state.  Caps on I and floors on
+    S bound u from below, floors on I and caps on S bound it from above."""
+    S, I = row[0], max(row[1], 1e3)
+    cap_i = SafetyConstraint(
+        MULTIPLICATIVE, 1, I * float(rng.uniform(0.8, 3.0)),
+        float(rng.uniform(1e-3, 1.0)), name="I",
+    )
+    floor_i = SafetyConstraint(
+        MULTIPLICATIVE, 1, I * float(rng.uniform(0.3, 1.2)),
+        float(rng.uniform(1e-3, 1.0)), direction="lower", name="I_floor",
+    )
+    cap_s = SafetyConstraint(
+        MULTIPLICATIVE, 0, S * float(rng.uniform(0.9, 2.0)),
+        float(rng.uniform(1e-3, 1.0)), name="S",
+    )
+    floor_s = SafetyConstraint(
+        MULTIPLICATIVE, 0, S * float(rng.uniform(0.5, 1.1)),
+        float(rng.uniform(1e-3, 1.0)), direction="lower", name="S_floor",
+    )
+    sets = ([cap_i, floor_i], [cap_i, cap_s], [floor_s, cap_i], [floor_i, floor_s])
+    return sets[k % 4]
 
 
 def test_criterion_2_qp_oracle_equivalence(sir_spec, sihrd_spec):
@@ -180,12 +199,33 @@ def test_criterion_2_qp_oracle_equivalence(sir_spec, sihrd_spec):
         worst = max(worst, gap)
         checked += 1
 
+    # mixed-sign sets, and every fifth state with I = 0 (no authority)
+    infeasible = 0
+    for k, row in enumerate(_sane_sir_states(sir_spec, 2000, seed=205)):
+        if k % 5 == 0:
+            row[1] = 0.0
+        state = sir_spec.state(row)
+        cons = _mixed_sir_constraints(rng, row, k)
+        ok, gap = _qp_agrees(sir_spec, cons, state)
+        assert ok, (row, cons, gap)
+        worst = max(worst, gap)
+        infeasible += not combined_control(sir_spec, cons, state).feasible
+        checked += 1
+    for k, row in enumerate(_sane_sihrd_states(sihrd_spec, 500, seed=206)):
+        row[1] = 0.0
+        if k % 2:
+            row[2] = 0.0  # an empty ward: the outlet conditions hold at u = 0
+        ok, gap = _qp_agrees(sihrd_spec, [h_con, d_con, i_con], sihrd_spec.state(row))
+        assert ok, (row, gap)
+        checked += 1
+
     elapsed = time.perf_counter() - t0
     _report(
         2,
         "qp-oracle-equivalence",
-        checked == 10_000 and elapsed < 60.0,
-        f"{checked} cases, worst gap {worst:.2e}, {elapsed:.2f}s",
+        checked == 12_500 and elapsed < 60.0,
+        f"{checked} cases ({infeasible} mixed-sign infeasible), "
+        f"worst gap {worst:.2e}, {elapsed:.2f}s",
     )
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from episafe.delay import (
     IssfBound,
-    PredictionError,
     PredictorConfig,
     estimate_lipschitz,
     input_disturbance,
@@ -17,6 +16,7 @@ from episafe.safety import (
     MULTIPLICATIVE,
     SafetyConstraint,
     multiplicative_control,
+    qp_oracle,
 )
 from episafe.sim import Scenario, simulate
 
@@ -79,12 +79,14 @@ class TestPredictState:
         two = predict_state(sir_spec, mid, half_cfg, t_measured=4.0)
         assert prediction_error(two, full) <= 1e-5 * SIR_US.N
 
-    def test_singularity_reports_failing_time(self, sir_spec):
-        state = sir_spec.state([33e6, 0.0, 0.0])  # no infected: no authority
+    def test_singular_start_rests_like_oracle(self, sir_spec):
+        # no infected: no authority, and the oracle's answer is u = 0, so
+        # the forecast is the open loop, which stays put
+        state = sir_spec.state([33e6, 0.0, 0.0])
+        assert qp_oracle(sir_spec, [I_CON], state) == 0.0
         cfg = PredictorConfig(tau=1.0, dt_pred=0.1, constraints=(I_CON,))
-        with pytest.raises(PredictionError) as err:
-            predict_state(sir_spec, state, cfg, t_measured=5.0)
-        assert err.value.at_time == 5.0
+        pred = predict_state(sir_spec, state, cfg, t_measured=5.0)
+        np.testing.assert_array_equal(pred.x, state.x)
 
 
 class TestPredictionError:

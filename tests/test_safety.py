@@ -10,8 +10,6 @@ from episafe.safety import (
     OUTLET,
     ControlDecision,
     SafetyConstraint,
-    SignAssumptionError,
-    SingularControlError,
     barrier_value,
     closed_form_death_control,
     closed_form_hospitalization_control,
@@ -21,7 +19,6 @@ from episafe.safety import (
     multiplicative_control,
     outlet_control,
     qp_oracle,
-    sign_assumption_check,
     validate_initial_condition,
 )
 
@@ -42,6 +39,17 @@ def h_bound(bound=4e4):
 
 def d_bound(bound=4e5):
     return SafetyConstraint(OUTLET, 2, bound, ALPHA_HD, alpha_e=ALPHA_HD, name="D")
+
+
+def assert_oracle_agrees(spec, constraints, state):
+    """The decision is the grid QP's answer: infeasible exactly when the
+    oracle finds no grid point, otherwise within one grid step of it."""
+    dec = combined_control(spec, constraints, state)
+    u_star = qp_oracle(spec, constraints, state)
+    assert (u_star is None) == (not dec.feasible), (u_star, dec)
+    if u_star is not None:
+        assert abs(u_star - dec.u_raw) <= 1e-4 + 1e-12, (u_star, dec)
+    return dec
 
 
 def rel_close(a, b, tol=1e-12):
@@ -106,9 +114,21 @@ class TestMultiplicativeControl:
         assert dec.u_raw == 0.0
 
     def test_singular_when_no_infected(self, sir_spec):
+        # no authority, and the open loop already meets the condition
         state = sir_spec.state([33e6, 0.0, 0.0])
-        with pytest.raises(SingularControlError):
-            multiplicative_control(sir_spec, i_bound(), state)
+        dec = multiplicative_control(sir_spec, i_bound(), state)
+        assert qp_oracle(sir_spec, [i_bound()], state) == 0.0
+        assert dec.u_raw == 0.0 and dec.u == 0.0 and dec.feasible
+
+    def test_single_floor_infeasible(self, sir_spec):
+        # a floor on I bounds u from above; here even u = 0 lets I fall
+        # faster than the margin may decay, so no u in [0, 1] is safe
+        floor = i_bound(bound=5e4, direction="lower")
+        state = sir_spec.state([5e6, 5.1e4, 0.0])
+        dec = multiplicative_control(sir_spec, floor, state)
+        assert qp_oracle(sir_spec, [floor], state) is None
+        assert not dec.feasible
+        assert dec.u_raw == 0.0 and dec.u == 0.0
 
     def test_matches_closed_form_on_random_states(self, sir_spec):
         for state in sample_sir_states(sir_spec, 1000, seed=42):
@@ -152,9 +172,12 @@ class TestOutletControl:
             assert rel_close(dec.u_raw, oracle)
 
     def test_singular_without_infected(self, sihrd_spec):
+        # no authority, and the draining ward shrinks h_e faster than its
+        # decay bound allows: infeasible for every u
         state = sihrd_spec.state([15e6, 0.0, 1e4, 0.0, 0.0])
-        with pytest.raises(SingularControlError):
-            outlet_control(sihrd_spec, h_bound(), state)
+        dec = outlet_control(sihrd_spec, h_bound(), state)
+        assert qp_oracle(sihrd_spec, [h_bound()], state) is None
+        assert not dec.feasible and dec.u_raw == 0.0
 
     def test_decision_records_both_margins(self, sihrd_spec):
         state = sihrd_spec.state([14e6, 1e5, 1e4, 0.0, 0.0])
@@ -205,21 +228,36 @@ class TestValidateInitialCondition:
 
 
 class TestSignAssumption:
+    """The paper's max composition assumes every control coefficient is
+    negative.  The QP kernel is exact whether that holds or fails."""
+
     def test_holds_for_infection_bound(self, sir_spec):
-        assert sign_assumption_check(sir_spec, [i_bound()], sir_spec.state([1e6, 1e3, 0]))
+        state = sir_spec.state([1e6, 1e3, 0])
+        assert float(sir_spec.g(state.w)[1]) < 0.0
+        dec = assert_oracle_agrees(sir_spec, [i_bound()], state)
+        assert dec.u_raw == multiplicative_control(sir_spec, i_bound(), state).u_raw
 
     def test_holds_for_outlet_bounds(self, sihrd_spec):
         state = sihrd_spec.state([1e6, 1e3, 10.0, 0.0, 0.0])
-        assert sign_assumption_check(sihrd_spec, [h_bound(), d_bound()], state)
+        dec = assert_oracle_agrees(sihrd_spec, [h_bound(), d_bound()], state)
+        assert dec.u_raw == max(
+            outlet_control(sihrd_spec, h_bound(), state).u_raw,
+            outlet_control(sihrd_spec, d_bound(), state).u_raw,
+        )
 
     def test_degenerate_zero_is_false(self, sir_spec):
         state = sir_spec.state([1e6, 0.0, 0.0])
-        assert not sign_assumption_check(sir_spec, [i_bound()], state)
+        assert float(sir_spec.g(state.w)[1]) == 0.0
+        dec = assert_oracle_agrees(sir_spec, [i_bound()], state)
+        assert dec.u_raw == 0.0
 
     def test_upper_bound_on_susceptibles_fails(self, sir_spec):
+        # a cap on S: the input raises S, so it bounds u from above
         c = SafetyConstraint(MULTIPLICATIVE, 0, 30e6, 0.02)
         state = sir_spec.state([1e6, 1e3, 0.0])
-        assert not sign_assumption_check(sir_spec, [c], state)
+        assert float(sir_spec.g(state.w)[0]) > 0.0
+        dec = assert_oracle_agrees(sir_spec, [c], state)
+        assert dec.u_raw == 0.0
 
 
 class TestCombinedControl:
@@ -241,11 +279,29 @@ class TestCombinedControl:
         dec = combined_control(sihrd_spec, [], sihrd_spec.state([1, 1, 1, 1, 1]))
         assert dec == ControlDecision.rest()
 
-    def test_assumption_violation_raises(self, sir_spec):
+    def test_assumption_violation_matches_oracle(self, sir_spec):
         c_up_s = SafetyConstraint(MULTIPLICATIVE, 0, 30e6, 0.02)
         state = sir_spec.state([1e6, 1e3, 0.0])
-        with pytest.raises(SignAssumptionError):
-            combined_control(sir_spec, [i_bound(), c_up_s], state)
+        dec = assert_oracle_agrees(sir_spec, [i_bound(), c_up_s], state)
+        assert dec.feasible
+
+    def test_cap_and_floor_on_infected(self, sir_spec):
+        # the cap demands u >= 0.3313 (see test_frozen_value), the floor
+        # allows u <= 13900/32900: the cap's law is the min-norm answer
+        state = sir_spec.state([32.9e6, 1e5, 0.0])
+        cons = [i_bound(), i_bound(bound=5e4, direction="lower")]
+        dec = assert_oracle_agrees(sir_spec, cons, state)
+        assert dec.u_raw == multiplicative_control(sir_spec, i_bound(), state).u_raw
+        assert dec.active_constraint == 0 and dec.feasible
+
+    def test_floor_below_cap_demand_is_infeasible(self, sir_spec):
+        # I sits above its cap: the cap needs I to fall faster than the
+        # floor's slow margin decay allows, so no u meets both
+        state = sir_spec.state([32.9e6, 2.5e5, 0.0])
+        cons = [i_bound(), i_bound(bound=1e5, alpha=1e-3, direction="lower")]
+        dec = assert_oracle_agrees(sir_spec, cons, state)
+        assert not dec.feasible
+        assert dec.u == dec.u_raw  # the lower bound is honoured
 
     def test_records_margins_for_all(self, sihrd_spec):
         state = sihrd_spec.state([14e6, 2e5, 3.5e4, 1e5, 1e3])

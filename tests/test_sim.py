@@ -1,9 +1,13 @@
 """Closed-loop simulation: integrator accuracy, invariance, audits."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from episafe.safety import MULTIPLICATIVE, OUTLET, SafetyConstraint
+from episafe.scenarios import load_preset
 from episafe.sim import (
     InitialConditionError,
     MeasurementBuffer,
@@ -51,6 +55,14 @@ class TestScenarioValidation:
     def test_negative_delta_rejected(self, sir_spec):
         with pytest.raises(ValueError, match="disturbance"):
             sir_scenario(sir_spec, disturbance_delta=-0.1)
+
+    @pytest.mark.parametrize(
+        "field", ["t_start", "t_end", "dt", "tau", "control_start"]
+    )
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_times_rejected(self, sir_spec, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            sir_scenario(sir_spec, **{field: value})
 
     def test_guaranteed_flag(self, sir_spec):
         assert sir_scenario(sir_spec).guaranteed
@@ -307,6 +319,21 @@ class TestOtherConstraintFamilies:
         assert traj.states[:, 0].min() >= floor * (1.0 - 1e-6)
         assert traj.barriers.min() >= -1e-6 * floor
         assert traj.u.max() > 0.0  # the floor actually required intervention
+
+
+    def test_long_horizon_runs_through_vanishing_authority(self):
+        # the epidemic dies out until I, and with it the input's authority,
+        # falls below g_tol; the law then rests instead of failing the run
+        sc = dataclasses.replace(
+            load_preset("sir_fig2"), t_end=4000.0, feedback_mode="instantaneous"
+        )
+        traj = simulate(sc)
+        spec = sc.spec
+        final = traj.state_at(len(traj) - 1)
+        assert abs(float(spec.g(final.w)[1])) < spec.g_tol
+        assert all(d.feasible for d in traj.inputs)
+        assert traj.u[-1] == 0.0
+        assert safety_audit(traj).ok
 
 
 class TestPrehistoryOverride:
