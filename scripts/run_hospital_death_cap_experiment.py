@@ -39,9 +39,9 @@ def main() -> None:
             f"{peak_u:>9,.0f} (day {t_u:.0f})"
         )
 
-    active = [d.active_constraint for d in controlled.trajectory.inputs]
+    active = controlled.trajectory.active
     u = controlled.trajectory.u
-    share_h = float(np.mean([a == 0 and v > 0 for a, v in zip(active, u)]))
+    share_h = float(np.mean((active == 0) & (u > 0)))
     print(f"hospital cap drives the input for {share_h:.0%} of controlled samples")
     print(f"final intervention level u = {u[-1]:.3f}")
 

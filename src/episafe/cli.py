@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes (runner.exit_code): 0 success, 2 validation error, 3 safety
 violation detected in a guaranteed-mode run, 4 the min-norm QP was
-infeasible at some step and the input was clamped.
+infeasible at some step and the input was clamped.  A sweep exits with the
+most severe code of its runs (runner.worst_exit_code: 3, then 4, then 0).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .runner import (
     import_trajectory,
     run,
     sweep,
+    worst_exit_code,
     write_long_table,
 )
 from .scenarios import ScenarioParseError, preset_names, preset_note, resolve_scenario
@@ -132,7 +134,7 @@ def _cmd_sweep(args) -> int:
     for report in reports:
         print(format_report(report))
         print()
-    return max((r.exit_code for r in reports), default=EXIT_OK)
+    return worst_exit_code(r.exit_code for r in reports)
 
 
 def _cmd_ingest(args) -> int:

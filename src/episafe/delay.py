@@ -189,5 +189,5 @@ def issf_inflated_barrier(
         raise ValueError("inflated margin is defined for multiplicative constraints")
     constraint.check_against(spec)
     h = barrier_value(constraint, state)
-    authority = abs(float(spec.g(state.w)[constraint.index]))
+    authority = abs(spec.g_t(state.w.tolist())[constraint.index])
     return h + (bound.delta / constraint.alpha) * authority

@@ -2,8 +2,10 @@
 
 States travel as plain float lists here: the closed-loop rollouts evaluate
 the dynamics and the feedback law up to a million times per run, and numpy
-call overhead on length-5 vectors would dominate the cost.  The public
-modules wrap these helpers with ModelState/ndarray interfaces.
+call overhead on length-5 vectors would dominate the cost.  The plant loop
+in sim.simulate steps the same lists with rk4_flat and evaluates the same
+law (safety._solver, built once per run) on them; delay.predict_state and
+sim.rk4_step wrap these helpers with a ModelState interface.
 """
 
 from __future__ import annotations

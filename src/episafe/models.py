@@ -42,6 +42,16 @@ Vector = tuple[float, ...]
 Matrix = tuple[tuple[float, ...], ...]
 
 
+def _check_population(x: Sequence[float]) -> None:
+    """Reject a state with a compartment below the integration-drift floor,
+    -_NEGATIVITY_TOL times the total population (at least one person)."""
+    low = min(x)
+    if low < 0.0:
+        floor = -_NEGATIVITY_TOL * max(1.0, sum(map(abs, x)))
+        if low < floor:
+            raise ValueError(f"negative population {low:g} in state (floor {floor:g})")
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
@@ -74,11 +84,7 @@ class ModelState:
             )
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("compartment labels must be unique")
-        total = float(np.abs(self.w).sum() + np.abs(self.z).sum())
-        floor = -_NEGATIVITY_TOL * max(1.0, total)
-        low = min(self.w.min(), self.z.min())
-        if low < floor:
-            raise ValueError(f"negative population {low:g} in state (floor {floor:g})")
+        _check_population(self.w.tolist() + self.z.tolist())
 
     @property
     def n(self) -> int:
@@ -157,10 +163,12 @@ class SihrdParams:
 class ModelSpec:
     """A concrete compartmental model: evaluators plus metadata.
 
-    The public evaluators take and return numpy arrays.  The ``*_t``
-    fields are scalar-tuple twins of the same formulas used by the
-    fixed-step integrator, where numpy call overhead would dominate;
-    ``derivative_t`` fuses f + g*u and q + r into one call.
+    The evaluators take and return plain float sequences: f_t, g_t and
+    dq_dw_t act on the multiplicative block w, r_t and dr_dz_t on the
+    outlet block z, q_t on w.  They serve the fixed-step integrator and
+    the control law, where numpy call overhead on vectors this short would
+    dominate; ``derivative_t`` fuses f + g*u and q + r into one call.
+    eval_dynamics and eval_jacobians give the same values as arrays.
     """
 
     kind: str
@@ -168,22 +176,14 @@ class ModelSpec:
     m: int
     labels: tuple[str, ...]
     params: object
-    f: Callable[[np.ndarray], np.ndarray]
-    g: Callable[[np.ndarray], np.ndarray]
-    q: Callable[[np.ndarray], np.ndarray]
-    r: Callable[[np.ndarray], np.ndarray]
-    dq_dw: Callable[[np.ndarray], np.ndarray]
-    dr_dz: Callable[[np.ndarray], np.ndarray]
     g_tol: float
-    f_t: Callable[[Vector], Vector] = field(repr=False, default=None)
-    g_t: Callable[[Vector], Vector] = field(repr=False, default=None)
-    q_t: Callable[[Vector], Vector] = field(repr=False, default=None)
-    r_t: Callable[[Vector], Vector] = field(repr=False, default=None)
-    dq_dw_t: Callable[[Vector], Matrix] = field(repr=False, default=None)
-    dr_dz_t: Callable[[Vector], Matrix] = field(repr=False, default=None)
-    derivative_t: Callable[[Sequence[float], float], list[float]] = field(
-        repr=False, default=None
-    )
+    f_t: Callable[[Vector], Vector] = field(repr=False)
+    g_t: Callable[[Vector], Vector] = field(repr=False)
+    q_t: Callable[[Vector], Vector] = field(repr=False)
+    r_t: Callable[[Vector], Vector] = field(repr=False)
+    dq_dw_t: Callable[[Vector], Matrix] = field(repr=False)
+    dr_dz_t: Callable[[Vector], Matrix] = field(repr=False)
+    derivative_t: Callable[[Sequence[float], float], list[float]] = field(repr=False)
 
     def state(self, values: Sequence[float] | np.ndarray) -> ModelState:
         """Build a ModelState from a concatenated [w; z] vector."""
@@ -191,51 +191,6 @@ class ModelSpec:
         if arr.shape != (self.n + self.m,):
             raise ValueError(f"expected {self.n + self.m} entries, got {arr.shape}")
         return ModelState(w=arr[: self.n], z=arr[self.n :], labels=self.labels)
-
-
-def _wrap_tuple_fn(fn: Callable[[Vector], Vector]) -> Callable[[np.ndarray], np.ndarray]:
-    def wrapped(v: np.ndarray) -> np.ndarray:
-        return np.asarray(fn(tuple(np.asarray(v, dtype=float))), dtype=float)
-
-    return wrapped
-
-
-def _spec_from_scalars(
-    kind: str,
-    n: int,
-    m: int,
-    labels: tuple[str, ...],
-    params: object,
-    f_t: Callable[[Vector], Vector],
-    g_t: Callable[[Vector], Vector],
-    q_t: Callable[[Vector], Vector],
-    r_t: Callable[[Vector], Vector],
-    dq_dw_t: Callable[[Vector], Matrix],
-    dr_dz_t: Callable[[Vector], Matrix],
-    derivative_t: Callable[[Sequence[float], float], list[float]],
-    g_tol: float,
-) -> ModelSpec:
-    return ModelSpec(
-        kind=kind,
-        n=n,
-        m=m,
-        labels=labels,
-        params=params,
-        f=_wrap_tuple_fn(f_t),
-        g=_wrap_tuple_fn(g_t),
-        q=_wrap_tuple_fn(q_t),
-        r=_wrap_tuple_fn(r_t),
-        dq_dw=_wrap_tuple_fn(dq_dw_t),
-        dr_dz=_wrap_tuple_fn(dr_dz_t),
-        g_tol=g_tol,
-        f_t=f_t,
-        g_t=g_t,
-        q_t=q_t,
-        r_t=r_t,
-        dq_dw_t=dq_dw_t,
-        dr_dz_t=dr_dz_t,
-        derivative_t=derivative_t,
-    )
 
 
 def build_sir(params: SirParams) -> ModelSpec:
@@ -273,10 +228,10 @@ def build_sir(params: SirParams) -> ModelSpec:
         inflow = beta0 * S * I / N * (1.0 - u)
         return [-inflow, inflow - gamma * I, gamma * I]
 
-    return _spec_from_scalars(
-        "sir", 2, 1, ("S", "I", "R"), params,
-        f_t, g_t, q_t, r_t, dq_dw_t, dr_dz_t, derivative_t,
-        g_tol=1e-12 * beta0,
+    return ModelSpec(
+        kind="sir", n=2, m=1, labels=("S", "I", "R"), params=params,
+        g_tol=1e-12 * beta0, f_t=f_t, g_t=g_t, q_t=q_t, r_t=r_t,
+        dq_dw_t=dq_dw_t, dr_dz_t=dr_dz_t, derivative_t=derivative_t,
     )
 
 
@@ -316,10 +271,10 @@ def build_seir(params: SeirParams) -> ModelSpec:
         inflow = beta0 * S * I / N * (1.0 - u)
         return [-inflow, inflow - sigma * E, sigma * E - gamma * I, gamma * I]
 
-    return _spec_from_scalars(
-        "seir", 3, 1, ("S", "E", "I", "R"), params,
-        f_t, g_t, q_t, r_t, dq_dw_t, dr_dz_t, derivative_t,
-        g_tol=1e-12 * beta0,
+    return ModelSpec(
+        kind="seir", n=3, m=1, labels=("S", "E", "I", "R"), params=params,
+        g_tol=1e-12 * beta0, f_t=f_t, g_t=g_t, q_t=q_t, r_t=r_t,
+        dq_dw_t=dq_dw_t, dr_dz_t=dr_dz_t, derivative_t=derivative_t,
     )
 
 
@@ -369,10 +324,10 @@ def build_sihrd(params: SihrdParams) -> ModelSpec:
             mu * I,
         ]
 
-    return _spec_from_scalars(
-        "sihrd", 2, 3, ("S", "I", "H", "R", "D"), params,
-        f_t, g_t, q_t, r_t, dq_dw_t, dr_dz_t, derivative_t,
-        g_tol=1e-12 * beta0,
+    return ModelSpec(
+        kind="sihrd", n=2, m=3, labels=("S", "I", "H", "R", "D"), params=params,
+        g_tol=1e-12 * beta0, f_t=f_t, g_t=g_t, q_t=q_t, r_t=r_t,
+        dq_dw_t=dq_dw_t, dr_dz_t=dr_dz_t, derivative_t=derivative_t,
     )
 
 
@@ -385,8 +340,9 @@ def eval_dynamics(
             f"state dimensions ({state.n}, {state.m}) do not match "
             f"model ({spec.n}, {spec.m})"
         )
-    wdot = spec.f(state.w) + spec.g(state.w) * u
-    zdot = spec.q(state.w) + spec.r(state.z)
+    w, z = state.w.tolist(), state.z.tolist()
+    wdot = np.asarray(spec.f_t(w), dtype=float) + np.asarray(spec.g_t(w), dtype=float) * u
+    zdot = np.asarray(spec.q_t(w), dtype=float) + np.asarray(spec.r_t(z), dtype=float)
     return wdot, zdot
 
 
@@ -397,4 +353,7 @@ def eval_jacobians(spec: ModelSpec, state: ModelState) -> tuple[np.ndarray, np.n
             f"state dimensions ({state.n}, {state.m}) do not match "
             f"model ({spec.n}, {spec.m})"
         )
-    return spec.dq_dw(state.w), spec.dr_dz(state.z)
+    return (
+        np.asarray(spec.dq_dw_t(state.w.tolist()), dtype=float),
+        np.asarray(spec.dr_dz_t(state.z.tolist()), dtype=float),
+    )

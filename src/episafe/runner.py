@@ -14,11 +14,11 @@ import dataclasses
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .safety import OUTLET, ControlDecision, InitialConditionReport, _extended_margin_t
+from .safety import OUTLET, InitialConditionReport, _extended_margin_t
 from .sim import AuditReport, Scenario, Trajectory, safety_audit, simulate
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "TrajectoryFormatError",
     "SWEEP_PARAMETERS",
     "exit_code",
+    "worst_exit_code",
     "run",
     "sweep",
     "export_trajectory",
@@ -49,6 +50,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_VIOLATION = 3
 EXIT_INFEASIBLE = 4
+
+# Outcomes of a run, most severe first: a cap violation outranks a clamped
+# (infeasible) step, within one run and across the runs of a sweep.
+_SEVERITY = (EXIT_VIOLATION, EXIT_INFEASIBLE, EXIT_OK)
 
 
 class TrajectoryFormatError(ValueError):
@@ -73,17 +78,25 @@ class RunReport:
     exit_code: int
 
 
+def worst_exit_code(codes: Iterable[int]) -> int:
+    """The most severe of several run outcomes: EXIT_VIOLATION, then
+    EXIT_INFEASIBLE, then EXIT_OK (also for no codes at all)."""
+    return min(codes, key=_SEVERITY.index, default=EXIT_OK)
+
+
 def exit_code(scenario: Scenario, audit: AuditReport) -> int:
     """EXIT_VIOLATION when a guaranteed-mode run dips below a bound by more
-    than VIOLATION_TOL of it, else EXIT_INFEASIBLE when any step's QP was
-    infeasible, else EXIT_OK."""
-    if scenario.guaranteed:
-        for c, audit_c in zip(scenario.constraints, audit.constraints):
-            if audit_c.min_margin < -VIOLATION_TOL * c.bound:
-                return EXIT_VIOLATION
-    if audit.infeasible_count > 0:
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+    than VIOLATION_TOL of it, EXIT_INFEASIBLE when any step's QP was
+    infeasible, the more severe of the two when both apply (see
+    worst_exit_code), else EXIT_OK."""
+    violated = scenario.guaranteed and any(
+        audit_c.min_margin < -VIOLATION_TOL * c.bound
+        for c, audit_c in zip(scenario.constraints, audit.constraints)
+    )
+    return worst_exit_code((
+        EXIT_VIOLATION if violated else EXIT_OK,
+        EXIT_INFEASIBLE if audit.infeasible_count > 0 else EXIT_OK,
+    ))
 
 
 def run(
@@ -160,8 +173,8 @@ def export_trajectory(trajectory: Trajectory, path: str | Path) -> Path:
         row = [
             _fmt(trajectory.times[k]),
             *(_fmt(v) for v in trajectory.states[k]),
-            _fmt(trajectory.inputs[k].u_raw),
-            _fmt(trajectory.inputs[k].u),
+            _fmt(trajectory.u_raw[k]),
+            _fmt(trajectory.u[k]),
             *(_fmt(v) for v in trajectory.barriers[k]),
             _fmt(trajectory.disturbances[k]),
         ]
@@ -174,12 +187,11 @@ def export_trajectory(trajectory: Trajectory, path: str | Path) -> Path:
 def import_trajectory(path: str | Path, scenario: Scenario) -> Trajectory:
     """Rebuild a Trajectory from an exported CSV and its scenario.
 
-    Controller decisions are reconstructed from the u_raw/u columns; the
-    per-decision margin details and the active-constraint marker are not
-    part of the file format and come back empty.  feasible is rebuilt as
-    u_raw <= 1.  That is exact while no constraint bounds u from above
-    (such as a floor on I or a cap on S); the file does not record other
-    infeasible steps.
+    u_raw and u come from their columns; the active constraint is not part
+    of the file format and comes back as -1 at every step.  feasible is
+    rebuilt as u_raw <= 1.  That is exact while no constraint bounds u from
+    above (such as a floor on I or a cap on S); the file does not record
+    other infeasible steps.  extended is recomputed from the states.
     """
     path = Path(path)
     try:
@@ -215,17 +227,6 @@ def import_trajectory(path: str | Path, scenario: Scenario) -> Trajectory:
     u = data[:, 2 + n_state]
     barriers = data[:, 3 + n_state : 3 + n_state + n_c]
     dists = data[:, -1]
-    decisions = tuple(
-        ControlDecision(
-            u_raw=float(u_raw[k]),
-            u=float(u[k]),
-            feasible=bool(u_raw[k] <= 1.0),
-            active_constraint=None,
-            barrier_values=(),
-            extended_values=(),
-        )
-        for k in range(data.shape[0])
-    )
     spec = scenario.spec
     extended = np.full((data.shape[0], n_c), np.nan)
     for j, c in enumerate(scenario.constraints):
@@ -238,7 +239,10 @@ def import_trajectory(path: str | Path, scenario: Scenario) -> Trajectory:
         scenario=scenario,
         times=times,
         states=states,
-        inputs=decisions,
+        u_raw=u_raw,
+        u=u,
+        active=np.full(data.shape[0], -1),
+        feasible=u_raw <= 1.0,
         barriers=barriers,
         extended=extended,
         disturbances=dists,
@@ -281,13 +285,7 @@ def format_report(report: RunReport) -> str:
     if report.initial is not None:
         status = "pass" if report.initial.ok else "FAIL"
         lines.append(f"initial-condition checks: {status}")
-        for check in report.initial.checks:
-            extra = (
-                ""
-                if check.extended_margin is None
-                else f", h_e={check.extended_margin:.6g}"
-            )
-            lines.append(f"  {check.label}: h={check.margin:.6g}{extra}")
+        lines.extend(f"  {line}" for line in report.initial.describe().splitlines())
     lines.append("peaks (clamped at zero):")
     for lbl, (value, t) in report.peaks.items():
         lines.append(f"  {lbl}: {value:.6g} at t={t:g}")

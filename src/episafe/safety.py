@@ -116,7 +116,7 @@ class SafetyConstraint:
 
 @dataclass(frozen=True)
 class ControlDecision:
-    """Audit record of one controller evaluation.
+    """Result of one evaluation of a public control function.
 
     u_raw is the unclamped law output (the largest of 0 and the lower
     bounds on u), u its clamp to the admissible interval [0, 1].  feasible
@@ -125,23 +125,20 @@ class ControlDecision:
     authority over fails.  u is then still clamp(u_raw, 0, 1), and a run
     containing such a step exits with code 4.  For a combined evaluation,
     active_constraint is the position of the constraint setting u_raw
-    (ties, and u_raw = 0, to the lowest index).
-    barrier_values holds the margin h per constraint at the evaluated
-    state; extended_values holds the differentiated margin h_e for outlet
-    constraints and None elsewhere.
+    (ties, and u_raw = 0, to the lowest index).  simulate records the same
+    four values per step as arrays (see Trajectory); the margins at a
+    state come from barrier_value and extended_barrier_value.
     """
 
     u_raw: float
     u: float
     feasible: bool
     active_constraint: int | None
-    barrier_values: tuple[float, ...]
-    extended_values: tuple[float | None, ...]
 
     @classmethod
     def rest(cls) -> "ControlDecision":
         """No-intervention decision (controller off or no constraints)."""
-        return cls(0.0, 0.0, True, None, (), ())
+        return cls(0.0, 0.0, True, None)
 
 
 def _clamp01(v: float) -> float:
@@ -275,11 +272,6 @@ def _decide(
         u=_clamp01(u_raw),
         feasible=feasible,
         active_constraint=active if combined else None,
-        barrier_values=tuple(_margin_t(c, w, z) for c in constraints),
-        extended_values=tuple(
-            _extended_margin_t(spec, c, w, z) if c.kind == OUTLET else None
-            for c in constraints
-        ),
     )
 
 

@@ -18,17 +18,17 @@ from typing import Sequence
 import numpy as np
 
 from . import engine
-from .models import ModelSpec, ModelState
+from .models import ModelSpec, ModelState, _check_population
 from .safety import (
     MULTIPLICATIVE,
     OUTLET,
-    ControlDecision,
     InitialConditionReport,
     SafetyConstraint,
     _clamp01,
     _extended_margin_t,
     _margin_t,
-    combined_control,
+    _solver,
+    combined_control,  # noqa: F401  (bench/tests/test_bench_tracer.py patches sim.combined_control)
     validate_initial_condition,
 )
 
@@ -153,12 +153,14 @@ class Scenario:
 
 
 class MeasurementBuffer:
-    """Ring buffer of timestamped states serving delayed lookups.
+    """Ring buffer of states, one per time step, serving delayed lookups.
 
-    Holds exactly the delay window.  Lookups before the recorded history
-    return the prehistory state (the initial state unless an explicit
-    prehistory was supplied), matching the convention that the system sat
-    at its initial state before the run began.
+    Holds exactly the delay window.  A time maps to its step number
+    round((t - t_start) / dt); measurements are pushed once per step, in
+    order.  Lookups before the recorded history return the prehistory
+    state (the initial state unless an explicit prehistory was supplied),
+    matching the convention that the system sat at its initial state
+    before the run began.
     """
 
     def __init__(
@@ -170,20 +172,25 @@ class MeasurementBuffer:
     ):
         self._t_start = t_start
         self._dt = dt
-        self._entries: deque[tuple[float, list[float]]] = deque(
+        self._entries: deque[tuple[int, list[float]]] = deque(
             maxlen=int(round(tau / dt)) + 1 if tau > 0 else 1
         )
         self._prehistory = list(prehistory)
 
+    def _step(self, t: float) -> int:
+        return round((t - self._t_start) / self._dt)
+
     def push(self, t: float, x: Sequence[float]) -> None:
-        self._entries.append((t, list(x)))
+        self._entries.append((self._step(t), list(x)))
 
     def lookup(self, t: float) -> list[float]:
-        if t < self._t_start - _GRID_TOL * self._dt:
+        k = self._step(t)
+        if k < 0:
             return list(self._prehistory)
-        for entry_t, x in self._entries:
-            if abs(entry_t - t) <= _GRID_TOL * max(1.0, abs(t)):
-                return list(x)
+        if self._entries:
+            i = k - self._entries[0][0]
+            if 0 <= i < len(self._entries) and self._entries[i][0] == k:
+                return list(self._entries[i][1])
         raise LookupError(f"no buffered measurement at t={t:g}")
 
 
@@ -191,16 +198,23 @@ class MeasurementBuffer:
 class Trajectory:
     """Recorded closed-loop run: the unit of audit and output.
 
-    All series share one length; barriers/extended hold the per-constraint
-    margins evaluated at the true state (extended is NaN for multiplicative
-    constraints).  inputs holds the controller decisions as evaluated on the
-    feedback state; disturbances the sampled input offsets.
+    All series share one length, one entry per sample, and are read-only.
+    barriers/extended hold the per-constraint margins evaluated at the true
+    state (extended is NaN for multiplicative constraints).  u_raw, u,
+    active and feasible record the control law as evaluated on the
+    feedback state: the unclamped output, its clamp to [0, 1], the
+    position of the constraint setting it (-1 while the controller is
+    off) and whether the QP was feasible.  disturbances holds the sampled
+    input offsets.
     """
 
     scenario: Scenario
     times: np.ndarray
     states: np.ndarray
-    inputs: tuple[ControlDecision, ...]
+    u_raw: np.ndarray
+    u: np.ndarray
+    active: np.ndarray
+    feasible: np.ndarray
     barriers: np.ndarray
     extended: np.ndarray
     disturbances: np.ndarray
@@ -208,15 +222,13 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         k = self.times.size
-        if not (
-            len(self.inputs) == k
-            and self.states.shape[0] == k
-            and self.disturbances.size == k
-            and self.barriers.shape[0] == k
-            and self.extended.shape[0] == k
-        ):
+        series = (
+            self.times, self.states, self.u_raw, self.u, self.active,
+            self.feasible, self.barriers, self.extended, self.disturbances,
+        )
+        if any(arr.shape[0] != k for arr in series):
             raise ValueError("trajectory series lengths differ")
-        for arr in (self.times, self.states, self.barriers, self.extended, self.disturbances):
+        for arr in series:
             arr.setflags(write=False)
 
     def __len__(self) -> int:
@@ -228,14 +240,6 @@ class Trajectory:
 
     def state_at(self, k: int) -> ModelState:
         return self.scenario.spec.state(self.states[k])
-
-    @property
-    def u_raw(self) -> np.ndarray:
-        return np.array([d.u_raw for d in self.inputs])
-
-    @property
-    def u(self) -> np.ndarray:
-        return np.array([d.u for d in self.inputs])
 
     def peak(self, label: str) -> tuple[float, float]:
         """(max value, time of max) for a compartment, clamped at zero."""
@@ -264,25 +268,34 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
     one, whose decision is recorded but not integrated) and the applied
     input clamp(u + d) is held constant across each step.  In guaranteed
     mode the run refuses to start if the initial controlled state violates
-    the controller hypotheses.
+    the controller hypotheses.  Every state the law sees is checked for
+    negative populations (ValueError).
 
     prehistory optionally overrides the state reported for measurement
-    times before t_start (defaults to the initial state).
+    times before t_start (defaults to the initial state); it must have one
+    entry per compartment and pass the same population check.
     """
     spec = scenario.spec
     cons = scenario.constraints
     n_steps = scenario.n_steps
     dt = scenario.dt
+    n = spec.n
     n_c = len(cons)
     delayed = scenario.feedback_mode in ("delayed", "predictor")
 
-    x = [float(v) for v in scenario.state0.x]
+    x = scenario.state0.x.tolist()
+    if prehistory is not None:
+        prehistory = spec.state(prehistory).x.tolist()
     times = scenario.times()
     states = np.empty((n_steps + 1, spec.n + spec.m))
     barriers = np.empty((n_steps + 1, n_c))
     extended = np.full((n_steps + 1, n_c), np.nan)
     dists = np.zeros(n_steps + 1)
-    decisions: list[ControlDecision] = []
+    u_raw = np.zeros(n_steps + 1)
+    u = np.zeros(n_steps + 1)
+    active = np.full(n_steps + 1, -1)
+    feasible = np.ones(n_steps + 1, dtype=bool)
+    solve = _solver(spec, cons)
 
     buffer = None
     input_fn = None
@@ -306,15 +319,15 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
     for k in range(n_steps + 1):
         t = float(times[k])
         states[k] = x
-        w = tuple(x[: spec.n])
-        z = tuple(x[spec.n :])
+        w = tuple(x[:n])
+        z = tuple(x[n:])
         for j, c in enumerate(cons):
             barriers[k, j] = _margin_t(c, w, z)
             if c.kind == OUTLET:
                 extended[k, j] = _extended_margin_t(spec, c, w, z)
 
-        controlled = bool(cons) and t >= scenario.control_start - _GRID_TOL * dt
-        if controlled:
+        applied = 0.0
+        if cons and t >= scenario.control_start - _GRID_TOL * dt:
             if report is None:
                 report = validate_initial_condition(spec, cons, spec.state(x))
                 if not report.ok and scenario.guaranteed:
@@ -331,15 +344,13 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
                     feedback = engine.closed_loop_rollout(
                         spec, measured, start, span, dt, input_fn
                     )
-            decision = combined_control(spec, cons, spec.state(feedback))
+            _check_population(feedback)
+            raw, active[k], feasible[k] = solve(feedback[:n], feedback[n:])
+            u_k = _clamp01(raw)
+            u_raw[k], u[k] = raw, u_k
             d = float(rng.uniform(-delta, delta)) if rng is not None else 0.0
-            applied = _clamp01(decision.u + d)
-        else:
-            decision = ControlDecision.rest()
-            d = 0.0
-            applied = 0.0
-        decisions.append(decision)
-        dists[k] = d
+            dists[k] = d
+            applied = _clamp01(u_k + d)
 
         if k < n_steps:
             x = engine.rk4_flat(spec.derivative_t, x, applied, dt)
@@ -354,7 +365,10 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
         scenario=scenario,
         times=times,
         states=states,
-        inputs=tuple(decisions),
+        u_raw=u_raw,
+        u=u,
+        active=active,
+        feasible=feasible,
         barriers=barriers,
         extended=extended,
         disturbances=dists,
@@ -455,7 +469,7 @@ def safety_audit(
                 decay_tolerance=tol,
             )
         )
-    infeasible = np.flatnonzero([not d.feasible for d in trajectory.inputs])
+    infeasible = np.flatnonzero(~trajectory.feasible)
     return AuditReport(
         constraints=tuple(audits),
         infeasible_count=int(infeasible.size),

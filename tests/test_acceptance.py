@@ -407,8 +407,11 @@ def test_criterion_7_conservation_and_jacobians(sir_spec, sihrd_spec):
         for _ in range(100):
             w = rng.uniform(0.0, N, spec.n)
             z = rng.uniform(0.0, N, spec.m)
-            for fn, analytic in ((spec.q, spec.dq_dw(w)), (spec.r, spec.dr_dz(z))):
-                v = w if fn is spec.q else z
+            for fn, analytic in (
+                (spec.q_t, np.asarray(spec.dq_dw_t(w))),
+                (spec.r_t, np.asarray(spec.dr_dz_t(z))),
+            ):
+                v = w if fn is spec.q_t else z
                 fd = central_difference_jacobian(fn, v)
                 scale = max(1.0, float(np.abs(analytic).max()))
                 err = float(np.abs(fd - analytic).max() / scale)

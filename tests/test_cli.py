@@ -212,6 +212,19 @@ class TestSweep:
         assert code == 0
         assert out.count("run: sir_delay_danger_tau_") == 2
 
+    def test_violation_outranks_infeasible_run(self, tmp_path, capsys):
+        # delta = 0: a guaranteed run falls through a floor on I (code 3);
+        # delta > 0 claims no guarantee and only the clamped steps count (4)
+        path = tmp_path / "floor.scenario"
+        path.write_text(sir_doc(
+            (5e6, 1.2e5, 27.88e6), "mode = instantaneous",
+            ["compartment = I\nbound = 1e5\ndirection = lower\n"], t_end=10,
+        ))
+        sweep = ["sweep", str(path), "--param", "delta", "--values"]
+        assert main(sweep + ["0"]) == 3
+        assert main(sweep + ["0.01"]) == 4
+        assert main(sweep + ["0,0.01"]) == 3
+
     def test_bad_values_list(self, capsys):
         assert main([
             "sweep", "sir_delay_danger", "--param", "tau", "--values", "a,b",

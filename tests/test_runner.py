@@ -38,6 +38,8 @@ class TestRun:
         assert report.outputs == {}
         text = format_report(report)
         assert "peaks" in text and "audit" in text
+        for line in report.initial.describe().splitlines():
+            assert f"  {line}" in text
 
     def test_exit_code_zero_for_clean_guaranteed_run(self, danger):
         sc = dataclasses.replace(danger, feedback_mode="predictor")
