@@ -42,16 +42,6 @@ Vector = tuple[float, ...]
 Matrix = tuple[tuple[float, ...], ...]
 
 
-def _check_population(x: Sequence[float]) -> None:
-    """Reject a state with a compartment below the integration-drift floor,
-    -_NEGATIVITY_TOL times the total population (at least one person)."""
-    low = min(x)
-    if low < 0.0:
-        floor = -_NEGATIVITY_TOL * max(1.0, sum(map(abs, x)))
-        if low < floor:
-            raise ValueError(f"negative population {low:g} in state (floor {floor:g})")
-
-
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
@@ -84,7 +74,14 @@ class ModelState:
             )
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("compartment labels must be unique")
-        _check_population(self.w.tolist() + self.z.tolist())
+        # integration drift may leave tiny negatives: the floor is
+        # -_NEGATIVITY_TOL times the total population (at least one person)
+        x = self.w.tolist() + self.z.tolist()
+        low = min(x)
+        if low < 0.0:
+            floor = -_NEGATIVITY_TOL * max(1.0, sum(map(abs, x)))
+            if low < floor:
+                raise ValueError(f"negative population {low:g} in state (floor {floor:g})")
 
     @property
     def n(self) -> int:

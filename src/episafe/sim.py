@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import engine
-from .models import ModelSpec, ModelState, _check_population
+from .models import ModelSpec, ModelState
 from .safety import (
     MULTIPLICATIVE,
     OUTLET,
@@ -27,8 +27,7 @@ from .safety import (
     _clamp01,
     _extended_margin_t,
     _margin_t,
-    _solver,
-    combined_control,  # noqa: F401  (bench/tests/test_bench_tracer.py patches sim.combined_control)
+    combined_control,
     validate_initial_condition,
 )
 
@@ -272,8 +271,9 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
     negative populations (ValueError).
 
     prehistory optionally overrides the state reported for measurement
-    times before t_start (defaults to the initial state); it must have one
-    entry per compartment and pass the same population check.
+    times before t_start (defaults to the initial state).  In the delayed
+    and predictor modes, which read it, it must have one entry per
+    compartment and pass the same population check (ValueError).
     """
     spec = scenario.spec
     cons = scenario.constraints
@@ -284,8 +284,6 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
     delayed = scenario.feedback_mode in ("delayed", "predictor")
 
     x = scenario.state0.x.tolist()
-    if prehistory is not None:
-        prehistory = spec.state(prehistory).x.tolist()
     times = scenario.times()
     states = np.empty((n_steps + 1, spec.n + spec.m))
     barriers = np.empty((n_steps + 1, n_c))
@@ -295,11 +293,12 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
     u = np.zeros(n_steps + 1)
     active = np.full(n_steps + 1, -1)
     feasible = np.ones(n_steps + 1, dtype=bool)
-    solve = _solver(spec, cons)
 
     buffer = None
     input_fn = None
     if delayed:
+        if prehistory is not None:
+            prehistory = spec.state(prehistory).x.tolist()
         buffer = MeasurementBuffer(
             scenario.t_start, dt, scenario.tau,
             prehistory if prehistory is not None else x,
@@ -344,13 +343,12 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
                     feedback = engine.closed_loop_rollout(
                         spec, measured, start, span, dt, input_fn
                     )
-            _check_population(feedback)
-            raw, active[k], feasible[k] = solve(feedback[:n], feedback[n:])
-            u_k = _clamp01(raw)
-            u_raw[k], u[k] = raw, u_k
+            decision = combined_control(spec, cons, spec.state(feedback))
+            u_raw[k], u[k] = decision.u_raw, decision.u
+            active[k], feasible[k] = decision.active_constraint, decision.feasible
             d = float(rng.uniform(-delta, delta)) if rng is not None else 0.0
             dists[k] = d
-            applied = _clamp01(u_k + d)
+            applied = _clamp01(decision.u + d)
 
         if k < n_steps:
             x = engine.rk4_flat(spec.derivative_t, x, applied, dt)

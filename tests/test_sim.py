@@ -366,8 +366,8 @@ class TestPrehistoryOverride:
 class TestLawPaths:
     @pytest.mark.parametrize("preset", preset_names())
     def test_recorded_law_matches_combined_control(self, preset):
-        # simulate evaluates the law through its own solver; every 50th
-        # sample must equal the public control function at the same state
+        # every 50th recorded sample must equal the public control
+        # function at the same state
         sc = dataclasses.replace(load_preset(preset), feedback_mode="instantaneous")
         traj = simulate(sc)
         for k in range(0, len(traj), 50):
