@@ -4,8 +4,10 @@ States travel as plain float lists here: the closed-loop rollouts evaluate
 the dynamics and the feedback law up to a million times per run, and numpy
 call overhead on length-5 vectors would dominate the cost.  The plant loop
 in sim.simulate steps the same lists with rk4_flat and evaluates the same
-law (safety._solver, built once per run) on them; delay.predict_state and
-sim.rk4_step wrap these helpers with a ModelState interface.
+law through safety.combined_control.  Both reach the solver of a
+constraint set through safety._solver's memo, so it is built once however
+often either evaluates it; delay.predict_state and sim.rk4_step wrap these
+helpers with a ModelState interface.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ def make_input_fn(
     simulator applies, so predictions replay the plant's behaviour."""
     n = spec.n
     gate = -math.inf if control_start is None else control_start - 1e-12
+    constraints = tuple(constraints)
     solve = _solver(spec, constraints) if constraints else None
 
     def input_fn(t: float, x: Sequence[float]) -> float:

@@ -42,10 +42,23 @@ Vector = tuple[float, ...]
 Matrix = tuple[tuple[float, ...], ...]
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
+def _sealed(a: np.ndarray) -> bool:
+    """True when a and every array its memory comes from are read-only and
+    the chain ends in memory numpy owns, so no caller can write through."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None
+
+
+def _readonly(values) -> np.ndarray:
+    """values as a read-only float64 array, copied unless already sealed."""
+    a = np.atleast_1d(values)
+    if a.dtype != np.float64 or not _sealed(a):
+        a = np.array(a, dtype=float)
+        a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -53,7 +66,8 @@ class ModelState:
     """Partitioned population state: multiplicative block w, outlet block z.
 
     Entries are persons per compartment.  Labels name each entry of the
-    concatenated vector [w; z] and must be unique.
+    concatenated vector [w; z] and must be unique.  w and z are read-only
+    float64 arrays; an input a caller could still write to is copied.
     """
 
     w: np.ndarray
@@ -61,22 +75,22 @@ class ModelState:
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "w", _readonly(np.atleast_1d(self.w)))
-        object.__setattr__(self, "z", _readonly(np.atleast_1d(self.z)))
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if self.w.ndim != 1 or self.z.ndim != 1:
+        w, z, labels = _readonly(self.w), _readonly(self.z), tuple(self.labels)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "labels", labels)
+        if w.ndim != 1 or z.ndim != 1:
             raise ValueError("state blocks must be one-dimensional")
-        if self.w.size < 1 or self.z.size < 1:
+        size = w.size + z.size
+        if not w.size or not z.size:
             raise ValueError("need at least one multiplicative and one outlet compartment")
-        if len(self.labels) != self.w.size + self.z.size:
-            raise ValueError(
-                f"expected {self.w.size + self.z.size} labels, got {len(self.labels)}"
-            )
-        if len(set(self.labels)) != len(self.labels):
+        if len(labels) != size:
+            raise ValueError(f"expected {size} labels, got {len(labels)}")
+        if len(set(labels)) != size:
             raise ValueError("compartment labels must be unique")
         # integration drift may leave tiny negatives: the floor is
         # -_NEGATIVITY_TOL times the total population (at least one person)
-        x = self.w.tolist() + self.z.tolist()
+        x = w.tolist() + z.tolist()
         low = min(x)
         if low < 0.0:
             floor = -_NEGATIVITY_TOL * max(1.0, sum(map(abs, x)))
@@ -183,10 +197,14 @@ class ModelSpec:
     derivative_t: Callable[[Sequence[float], float], list[float]] = field(repr=False)
 
     def state(self, values: Sequence[float] | np.ndarray) -> ModelState:
-        """Build a ModelState from a concatenated [w; z] vector."""
-        arr = np.asarray(values, dtype=float)
+        """Build a ModelState from a concatenated [w; z] vector.
+
+        The values are copied once into a read-only array; the state's w
+        and z are views of it."""
+        arr = np.array(values, dtype=float)
         if arr.shape != (self.n + self.m,):
             raise ValueError(f"expected {self.n + self.m} entries, got {arr.shape}")
+        arr.setflags(write=False)
         return ModelState(w=arr[: self.n], z=arr[self.n :], labels=self.labels)
 
 

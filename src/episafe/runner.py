@@ -18,8 +18,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .safety import OUTLET, InitialConditionReport, _extended_margin_t
-from .sim import AuditReport, Scenario, Trajectory, safety_audit, simulate
+from .safety import InitialConditionReport
+from .sim import (
+    AuditReport,
+    Scenario,
+    Trajectory,
+    _margin_series,
+    safety_audit,
+    simulate,
+)
 
 __all__ = [
     "EXIT_OK",
@@ -60,8 +67,7 @@ class TrajectoryFormatError(ValueError):
     pass
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".15g")
+_fmt = "{:.15g}".format
 
 
 @dataclass(frozen=True)
@@ -155,30 +161,32 @@ def sweep(
     return reports
 
 
-def _constraint_columns(scenario: Scenario) -> list[str]:
-    return [f"h_{c.label(k)}" for k, c in enumerate(scenario.constraints)]
+def _columns(scenario: Scenario) -> list[str]:
+    """Trajectory CSV header: t, then the series of the rows _rows gives."""
+    return [
+        "t",
+        *scenario.spec.labels,
+        "u_raw",
+        "u",
+        *(f"h_{c.label(k)}" for k, c in enumerate(scenario.constraints)),
+        "d",
+    ]
+
+
+def _rows(trajectory: Trajectory) -> list[list[float]]:
+    """One list of floats per sample, in _columns order."""
+    return np.column_stack((
+        trajectory.times, trajectory.states, trajectory.u_raw, trajectory.u,
+        trajectory.barriers, trajectory.disturbances,
+    )).tolist()
 
 
 def export_trajectory(trajectory: Trajectory, path: str | Path) -> Path:
     """Write the trajectory CSV (see module docstring for the schema)."""
-    scenario = trajectory.scenario
-    header = (
-        ["t", *scenario.spec.labels, "u_raw", "u"]
-        + _constraint_columns(scenario)
-        + ["d"]
-    )
     buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for k in range(len(trajectory)):
-        row = [
-            _fmt(trajectory.times[k]),
-            *(_fmt(v) for v in trajectory.states[k]),
-            _fmt(trajectory.u_raw[k]),
-            _fmt(trajectory.u[k]),
-            *(_fmt(v) for v in trajectory.barriers[k]),
-            _fmt(trajectory.disturbances[k]),
-        ]
-        buf.write(",".join(row) + "\n")
+    buf.write(",".join(_columns(trajectory.scenario)) + "\n")
+    for row in _rows(trajectory):
+        buf.write(",".join(map(_fmt, row)) + "\n")
     path = Path(path)
     path.write_text(buf.getvalue())
     return path
@@ -200,11 +208,7 @@ def import_trajectory(path: str | Path, scenario: Scenario) -> Trajectory:
         raise TrajectoryFormatError(f"cannot read trajectory: {exc}") from exc
     if not lines:
         raise TrajectoryFormatError(f"{path}: empty trajectory file")
-    expected = (
-        ["t", *scenario.spec.labels, "u_raw", "u"]
-        + _constraint_columns(scenario)
-        + ["d"]
-    )
+    expected = _columns(scenario)
     header = lines[0].split(",")
     if header != expected:
         raise TrajectoryFormatError(
@@ -213,7 +217,7 @@ def import_trajectory(path: str | Path, scenario: Scenario) -> Trajectory:
         )
     try:
         data = np.array(
-            [[float(cell) for cell in line.split(",")] for line in lines[1:] if line],
+            [list(map(float, line.split(","))) for line in lines[1:] if line],
         )
     except ValueError as exc:
         raise TrajectoryFormatError(f"{path}: bad numeric cell: {exc}") from exc
@@ -227,14 +231,7 @@ def import_trajectory(path: str | Path, scenario: Scenario) -> Trajectory:
     u = data[:, 2 + n_state]
     barriers = data[:, 3 + n_state : 3 + n_state + n_c]
     dists = data[:, -1]
-    spec = scenario.spec
-    extended = np.full((data.shape[0], n_c), np.nan)
-    for j, c in enumerate(scenario.constraints):
-        if c.kind == OUTLET:
-            for k in range(data.shape[0]):
-                w = tuple(states[k, : spec.n])
-                z = tuple(states[k, spec.n :])
-                extended[k, j] = _extended_margin_t(spec, c, w, z)
+    _, extended = _margin_series(scenario.spec, scenario.constraints, states)
     return Trajectory(
         scenario=scenario,
         times=times,
@@ -253,21 +250,13 @@ def import_trajectory(path: str | Path, scenario: Scenario) -> Trajectory:
 def write_long_table(trajectory: Trajectory, path: str | Path) -> Path:
     """Plot-ready long-format table: one (t, series, value) row per sample
     and series."""
-    scenario = trajectory.scenario
-    series: list[tuple[str, np.ndarray]] = [
-        (lbl, trajectory.states[:, i]) for i, lbl in enumerate(scenario.spec.labels)
-    ]
-    series.append(("u_raw", trajectory.u_raw))
-    series.append(("u", trajectory.u))
-    for j, name in enumerate(_constraint_columns(scenario)):
-        series.append((name, trajectory.barriers[:, j]))
-    series.append(("d", trajectory.disturbances))
+    names = _columns(trajectory.scenario)[1:]
     buf = io.StringIO()
     buf.write("t,series,value\n")
-    for k in range(len(trajectory)):
-        t = _fmt(trajectory.times[k])
-        for name, values in series:
-            buf.write(f"{t},{name},{_fmt(values[k])}\n")
+    for t, *values in _rows(trajectory):
+        t = _fmt(t)
+        for name, value in zip(names, values):
+            buf.write(f"{t},{name},{_fmt(value)}\n")
     path = Path(path)
     path.write_text(buf.getvalue())
     return path

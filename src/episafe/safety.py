@@ -147,17 +147,18 @@ def _clamp01(v: float) -> float:
 
 # -- scalar core -------------------------------------------------------------
 #
-# Everything below works on plain float tuples so the same code path serves
+# Everything below works on plain float lists so the same code path serves
 # both the public API and the inner loop of the fixed-step simulator and
-# predictor, where call rates reach ~1e6 evaluations per run.
+# predictor, where call rates reach ~1e6 evaluations per run.  The margins
+# also accept numpy columns, one entry per sample, and then return arrays.
 
 
-def _margin_t(c: SafetyConstraint, w: tuple, z: tuple) -> float:
+def _margin_t(c: SafetyConstraint, w: Sequence, z: Sequence) -> float:
     value = w[c.index] if c.kind == MULTIPLICATIVE else z[c.index]
     return c.sign * (c.bound - value)
 
 
-def _extended_margin_t(spec: ModelSpec, c: SafetyConstraint, w: tuple, z: tuple) -> float:
+def _extended_margin_t(spec: ModelSpec, c: SafetyConstraint, w: Sequence, z: Sequence) -> float:
     q = spec.q_t(w)
     r = spec.r_t(z)
     j = c.index
@@ -215,7 +216,33 @@ def _terms_fn(spec: ModelSpec, constraints: Sequence[SafetyConstraint]):
     return terms
 
 
-def _solver(spec: ModelSpec, constraints: Sequence[SafetyConstraint]):
+# Solvers built lately, keyed by (id(spec), constraints); each entry also
+# holds its spec, so the id cannot be reused while the entry lives.  The
+# memo is emptied when it reaches _SOLVERS_KEPT entries.  Concurrent callers
+# may build the same solver twice; either copy gives the same results.
+_SOLVERS: dict = {}
+_SOLVERS_KEPT = 16
+
+
+def _solver(spec: ModelSpec, constraints: tuple[SafetyConstraint, ...]):
+    """Return solve(w, z) for the constraint set, building it (and checking
+    the constraints against the model) only on the first request.
+
+    Every caller of the law shares the memo, so a run builds its solver once
+    however many times it evaluates the law.
+    """
+    key = (id(spec), constraints)
+    entry = _SOLVERS.get(key)
+    if entry is None:
+        for c in constraints:
+            c.check_against(spec)
+        if len(_SOLVERS) >= _SOLVERS_KEPT:
+            _SOLVERS.clear()
+        entry = _SOLVERS[key] = (spec, _build_solver(spec, constraints))
+    return entry[1]
+
+
+def _build_solver(spec: ModelSpec, constraints: Sequence[SafetyConstraint]):
     """Return solve(w, z), the exact min-norm solution of the scalar-input
     QP at one state.
 
@@ -248,13 +275,13 @@ def _solver(spec: ModelSpec, constraints: Sequence[SafetyConstraint]):
     return solve
 
 
-def _state_tuples(spec: ModelSpec, state: ModelState) -> tuple[tuple, tuple]:
+def _state_lists(spec: ModelSpec, state: ModelState) -> tuple[list, list]:
     if state.n != spec.n or state.m != spec.m:
         raise ValueError(
             f"state dimensions ({state.n}, {state.m}) do not match model "
             f"({spec.n}, {spec.m})"
         )
-    return tuple(state.w.tolist()), tuple(state.z.tolist())
+    return state.w.tolist(), state.z.tolist()
 
 
 def _decide(
@@ -263,9 +290,7 @@ def _decide(
     state: ModelState,
     combined: bool,
 ) -> ControlDecision:
-    w, z = _state_tuples(spec, state)
-    for c in constraints:
-        c.check_against(spec)
+    w, z = _state_lists(spec, state)
     u_raw, active, feasible = _solver(spec, constraints)(w, z)
     return ControlDecision(
         u_raw=u_raw,
@@ -286,7 +311,7 @@ def barrier_value(constraint: SafetyConstraint, state: ModelState) -> float:
             f"{constraint.kind} index {constraint.index} out of range "
             f"for state with ({state.n}, {state.m}) compartments"
         )
-    return _margin_t(constraint, tuple(state.w), tuple(state.z))
+    return _margin_t(constraint, state.w.tolist(), state.z.tolist())
 
 
 def extended_barrier_value(
@@ -296,7 +321,7 @@ def extended_barrier_value(
     if constraint.kind != OUTLET:
         raise ValueError("extended margin is defined for outlet constraints only")
     constraint.check_against(spec)
-    w, z = _state_tuples(spec, state)
+    w, z = _state_lists(spec, state)
     return _extended_margin_t(spec, constraint, w, z)
 
 
@@ -415,7 +440,7 @@ def qp_oracle(
     """
     if not grid_resolution > 0.0:
         raise ValueError("grid_resolution must be positive")
-    w, z = _state_tuples(spec, state)
+    w, z = _state_lists(spec, state)
     steps = int(round(1.0 / grid_resolution))
     grid = np.linspace(0.0, 1.0, steps + 1)
     feasible = np.ones_like(grid, dtype=bool)

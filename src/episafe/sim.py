@@ -255,9 +255,27 @@ def rk4_step(spec: ModelSpec, state: ModelState, u: float, dt: float) -> ModelSt
     if state.n != spec.n or state.m != spec.m:
         raise ValueError("state does not match the model dimensions")
     x = engine.rk4_flat(spec.derivative_t, state.x.tolist(), float(u), dt)
-    if not all(math.isfinite(v) for v in x):
+    if not all(map(math.isfinite, x)):
         raise IntegrationError(f"non-finite state after step from {state.x}")
     return spec.state(x)
+
+
+def _margin_series(
+    spec: ModelSpec, constraints: Sequence[SafetyConstraint], states: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Margins of each constraint at every row of states, as (barriers,
+    extended): h for every constraint, h_e for outlet constraints and NaN
+    for multiplicative ones.  The scalar margin formulas run once per
+    constraint on whole state columns."""
+    columns = list(states.T)
+    w, z = columns[: spec.n], columns[spec.n :]
+    barriers = np.empty((states.shape[0], len(constraints)))
+    extended = np.full_like(barriers, np.nan)
+    for j, c in enumerate(constraints):
+        barriers[:, j] = _margin_t(c, w, z)
+        if c.kind == OUTLET:
+            extended[:, j] = _extended_margin_t(spec, c, w, z)
+    return barriers, extended
 
 
 def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> Trajectory:
@@ -279,20 +297,25 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
     cons = scenario.constraints
     n_steps = scenario.n_steps
     dt = scenario.dt
-    n = spec.n
-    n_c = len(cons)
     delayed = scenario.feedback_mode in ("delayed", "predictor")
 
     x = scenario.state0.x.tolist()
     times = scenario.times()
-    states = np.empty((n_steps + 1, spec.n + spec.m))
-    barriers = np.empty((n_steps + 1, n_c))
-    extended = np.full((n_steps + 1, n_c), np.nan)
+    # the law runs on every sample from the first one at control_start on
+    first = (
+        int(np.searchsorted(times, scenario.control_start - _GRID_TOL * dt))
+        if cons
+        else n_steps + 1
+    )
     dists = np.zeros(n_steps + 1)
-    u_raw = np.zeros(n_steps + 1)
-    u = np.zeros(n_steps + 1)
-    active = np.full(n_steps + 1, -1)
-    feasible = np.ones(n_steps + 1, dtype=bool)
+    if scenario.disturbance_delta > 0.0:
+        delta = scenario.disturbance_delta
+        dists[first:] = np.random.default_rng(scenario.seed).uniform(
+            -delta, delta, size=n_steps + 1 - first
+        )
+    offsets = dists[first:].tolist()
+    rows = []
+    decisions = []
 
     buffer = None
     input_fn = None
@@ -307,26 +330,12 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
     if scenario.feedback_mode == "predictor":
         input_fn = engine.make_input_fn(spec, cons, scenario.control_start)
 
-    rng = (
-        np.random.default_rng(scenario.seed)
-        if scenario.disturbance_delta > 0.0
-        else None
-    )
-    delta = scenario.disturbance_delta
     report: InitialConditionReport | None = None
-
-    for k in range(n_steps + 1):
-        t = float(times[k])
-        states[k] = x
-        w = tuple(x[:n])
-        z = tuple(x[n:])
-        for j, c in enumerate(cons):
-            barriers[k, j] = _margin_t(c, w, z)
-            if c.kind == OUTLET:
-                extended[k, j] = _extended_margin_t(spec, c, w, z)
-
+    ts = times.tolist()
+    for k, t in enumerate(ts):
+        rows.append(x)
         applied = 0.0
-        if cons and t >= scenario.control_start - _GRID_TOL * dt:
+        if k >= first:
             if report is None:
                 report = validate_initial_condition(spec, cons, spec.state(x))
                 if not report.ok and scenario.guaranteed:
@@ -344,21 +353,28 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
                         spec, measured, start, span, dt, input_fn
                     )
             decision = combined_control(spec, cons, spec.state(feedback))
-            u_raw[k], u[k] = decision.u_raw, decision.u
-            active[k], feasible[k] = decision.active_constraint, decision.feasible
-            d = float(rng.uniform(-delta, delta)) if rng is not None else 0.0
-            dists[k] = d
-            applied = _clamp01(decision.u + d)
+            decisions.append(decision)
+            applied = _clamp01(decision.u + offsets[k - first])
 
         if k < n_steps:
             x = engine.rk4_flat(spec.derivative_t, x, applied, dt)
-            if not all(math.isfinite(v) for v in x):
+            if not all(map(math.isfinite, x)):
                 raise IntegrationError(
                     f"non-finite state after step {k} (t={t:g}): {x}"
                 )
             if buffer is not None:
-                buffer.push(float(times[k + 1]), x)
+                buffer.push(ts[k + 1], x)
 
+    states = np.array(rows, dtype=float)
+    u_raw = np.zeros(n_steps + 1)
+    u = np.zeros(n_steps + 1)
+    active = np.full(n_steps + 1, -1)
+    feasible = np.ones(n_steps + 1, dtype=bool)
+    u_raw[first:] = [d.u_raw for d in decisions]
+    u[first:] = [d.u for d in decisions]
+    active[first:] = [d.active_constraint for d in decisions]
+    feasible[first:] = [d.feasible for d in decisions]
+    barriers, extended = _margin_series(spec, cons, states)
     return Trajectory(
         scenario=scenario,
         times=times,

@@ -62,6 +62,42 @@ class TestModelState:
         with pytest.raises(ValueError):
             s.w[0] = 9.0
 
+    def test_does_not_alias_writable_input(self):
+        w, z = np.array([30e6, 3e6]), np.array([0.0])
+        s = ModelState(w=w, z=z, labels=("S", "I", "R"))
+        w[0], z[0] = 1.0, 5.0
+        np.testing.assert_array_equal(s.x, [30e6, 3e6, 0.0])
+
+    def test_does_not_alias_read_only_view_of_writable_array(self):
+        # the view itself refuses writes, but its base does not
+        base = np.array([30e6, 3e6, 0.0])
+        w, z = base[:2], base[2:]
+        w.setflags(write=False)
+        z.setflags(write=False)
+        s = ModelState(w=w, z=z, labels=("S", "I", "R"))
+        base[:] = [1.0, 2.0, 3.0]
+        np.testing.assert_array_equal(s.x, [30e6, 3e6, 0.0])
+
+
+class TestSpecState:
+    def test_does_not_alias_caller_array(self, sir_spec):
+        values = np.array([30e6, 3e6, 0.0])
+        state = sir_spec.state(values)
+        values[:] = [1.0, 2.0, 3.0]
+        np.testing.assert_array_equal(state.x, [30e6, 3e6, 0.0])
+
+    def test_blocks_are_read_only(self, sir_spec):
+        state = sir_spec.state([30e6, 3e6, 0.0])
+        assert not state.w.flags.writeable and not state.z.flags.writeable
+        with pytest.raises(ValueError):
+            state.w[0] = 9.0
+        with pytest.raises(ValueError):
+            state.z[0] = 9.0
+
+    def test_rejects_negative_population(self, sir_spec):
+        with pytest.raises(ValueError, match="negative"):
+            sir_spec.state([32.9e6, -5e3, 97998.0])
+
 
 class TestBuildSir:
     def test_us_fit_parameters_accepted(self):

@@ -97,6 +97,11 @@ class TestBarrierValue:
         with pytest.raises(ValueError, match="out of range"):
             barrier_value(c, sir_spec.state([1.0, 1.0, 1.0]))
 
+    def test_margins_are_python_floats(self, sihrd_spec):
+        state = sihrd_spec.state([13e6, 1e6, 1e5, 0.0, 0.0])
+        assert type(barrier_value(h_bound(), state)) is float
+        assert type(extended_barrier_value(sihrd_spec, h_bound(), state)) is float
+
 
 class TestMultiplicativeControl:
     def test_frozen_value(self, sir_spec):

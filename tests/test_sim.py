@@ -6,7 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from episafe.safety import MULTIPLICATIVE, OUTLET, SafetyConstraint, combined_control
+from episafe.safety import (
+    MULTIPLICATIVE,
+    OUTLET,
+    SafetyConstraint,
+    barrier_value,
+    combined_control,
+    extended_barrier_value,
+)
 from episafe.scenarios import load_preset, preset_names
 from episafe.sim import (
     InitialConditionError,
@@ -378,3 +385,19 @@ class TestLawPaths:
             dec = combined_control(sc.spec, sc.constraints, traj.state_at(k))
             active = -1 if dec.active_constraint is None else dec.active_constraint
             assert recorded == (dec.u_raw, dec.u, dec.feasible, active), k
+
+    @pytest.mark.parametrize("preset", preset_names())
+    def test_recorded_margins_match_barrier_functions(self, preset):
+        # the margins simulate computes after the run must equal the public
+        # margin functions at every 50th recorded state
+        sc = dataclasses.replace(load_preset(preset), feedback_mode="instantaneous")
+        traj = simulate(sc)
+        for k in range(0, len(traj), 50):
+            state = traj.state_at(k)
+            for j, c in enumerate(sc.constraints):
+                assert traj.barriers[k, j] == barrier_value(c, state), (k, j)
+                if c.kind == OUTLET:
+                    he = extended_barrier_value(sc.spec, c, state)
+                    assert traj.extended[k, j] == he, (k, j)
+                else:
+                    assert math.isnan(traj.extended[k, j]), (k, j)
