@@ -29,9 +29,6 @@ from .safety import (
     ControlDecision,
     SafetyConstraint,
     barrier_value,
-    closed_form_death_control,
-    closed_form_hospitalization_control,
-    closed_form_infection_control,
     combined_control,
     extended_barrier_value,
     multiplicative_control,

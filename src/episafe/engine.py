@@ -8,6 +8,14 @@ law through safety.combined_control.  Both reach the solver of a
 constraint set through safety._solver's memo, so it is built once however
 often either evaluates it; delay.predict_state and sim.rk4_step wrap these
 helpers with a ModelState interface.
+
+rk4_flat runs a straight-line kernel generated from one source template
+the first time a state length is seen and kept for that length: the
+elementwise loops cost several times the model derivative on vectors this
+short.  It still makes one call per step and four calls of the derivative,
+because the benchmark in bench/ counts rollout steps and derivative
+evaluations at those calls; a batched predictor that advances every
+in-flight rollout at once waits on a change to those counts.
 """
 
 from __future__ import annotations
@@ -23,26 +31,56 @@ __all__ = ["rk4_flat", "make_input_fn", "closed_loop_rollout"]
 InputFn = Callable[[float, Sequence[float]], float]
 
 
+# One straight-line RK4 kernel per state length, generated on first use.
+# Each element is computed with the operations, and in the order, of the
+# elementwise formulas
+#   y = x + half*k1, x + half*k2, x + dt*k3;  x + s*(k1 + 2*(k2 + k3) + k4)
+# so a kernel's results are bit-identical to a loop over the elements.
+_RK4_TEMPLATE = """\
+def rk4(deriv, x, u, dt):
+    half = 0.5 * dt
+    [{x}] = x
+    [{a}] = deriv(x, u)
+    [{b}] = deriv([{xa}], u)
+    [{c}] = deriv([{xb}], u)
+    [{d}] = deriv([{xc}], u)
+    s = dt / 6.0
+    return [{out}]
+"""
+_RK4_KERNELS: dict[int, Callable] = {}
+
+
+def _rk4_kernel(n: int) -> Callable:
+    def each(expr: str) -> str:
+        return ", ".join(expr.format(i=i) for i in range(n))
+
+    source = _RK4_TEMPLATE.format(
+        x=each("x{i}"), a=each("a{i}"), b=each("b{i}"), c=each("c{i}"), d=each("d{i}"),
+        xa=each("x{i} + half * a{i}"),
+        xb=each("x{i} + half * b{i}"),
+        xc=each("x{i} + dt * c{i}"),
+        out=each("x{i} + s * (a{i} + 2.0 * (b{i} + c{i}) + d{i})"),
+    )
+    namespace: dict = {}
+    exec(compile(source, f"<rk4 kernel, {n} states>", "exec"), namespace)
+    return namespace["rk4"]
+
+
 def rk4_flat(
     deriv: Callable[[Sequence[float], float], list[float]],
     x: Sequence[float],
     u: float,
     dt: float,
 ) -> list[float]:
-    """One classical 4th-order Runge-Kutta step with u held constant."""
-    half = 0.5 * dt
-    k1 = deriv(x, u)
-    y = [xi + half * ki for xi, ki in zip(x, k1)]
-    k2 = deriv(y, u)
-    y = [xi + half * ki for xi, ki in zip(x, k2)]
-    k3 = deriv(y, u)
-    y = [xi + dt * ki for xi, ki in zip(x, k3)]
-    k4 = deriv(y, u)
-    s = dt / 6.0
-    return [
-        xi + s * (a + 2.0 * (b + c) + d)
-        for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
-    ]
+    """One classical 4th-order Runge-Kutta step with u held constant.
+
+    Calls deriv exactly four times, through the kernel for len(x)."""
+    n = len(x)
+    kernel = _RK4_KERNELS.get(n)
+    if kernel is None:
+        # Concurrent first calls may build it twice; both copies are equal.
+        kernel = _RK4_KERNELS[n] = _rk4_kernel(n)
+    return kernel(deriv, x, u, dt)
 
 
 def make_input_fn(

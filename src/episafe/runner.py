@@ -250,13 +250,15 @@ def import_trajectory(path: str | Path, scenario: Scenario) -> Trajectory:
 def write_long_table(trajectory: Trajectory, path: str | Path) -> Path:
     """Plot-ready long-format table: one (t, series, value) row per sample
     and series."""
-    names = _columns(trajectory.scenario)[1:]
+    # One template fills a sample's rows: "{0},S,{1}\n{0},I,{2}\n..."
+    fill = "".join(
+        f"{{0}},{name.replace('{', '{{').replace('}', '}}')},{{{k}}}\n"
+        for k, name in enumerate(_columns(trajectory.scenario)[1:], 1)
+    ).format
     buf = io.StringIO()
     buf.write("t,series,value\n")
-    for t, *values in _rows(trajectory):
-        t = _fmt(t)
-        for name, value in zip(names, values):
-            buf.write(f"{t},{name},{_fmt(value)}\n")
+    for row in _rows(trajectory):
+        buf.write(fill(*map(_fmt, row)))
     path = Path(path)
     path.write_text(buf.getvalue())
     return path

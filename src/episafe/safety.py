@@ -30,12 +30,13 @@ safe to evaluate concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, mul
+from functools import cache
+from operator import add
 from typing import Sequence
 
 import numpy as np
 
-from .models import ModelSpec, ModelState, SihrdParams, SirParams
+from .models import ModelSpec, ModelState
 
 __all__ = [
     "MULTIPLICATIVE",
@@ -51,9 +52,6 @@ __all__ = [
     "combined_control",
     "validate_initial_condition",
     "qp_oracle",
-    "closed_form_infection_control",
-    "closed_form_hospitalization_control",
-    "closed_form_death_control",
 ]
 
 MULTIPLICATIVE = "multiplicative"
@@ -165,6 +163,21 @@ def _extended_margin_t(spec: ModelSpec, c: SafetyConstraint, w: Sequence, z: Seq
     return c.sign * (-(q[j] + r[j]) + c.alpha * (c.bound - z[j]))
 
 
+@cache
+def _dot_fn(n: int):
+    """Return dot(a, b) for length-n vectors, unrolled to
+    0.0 + a0*b0 + a1*b1 + ...: the left-to-right float sum that
+    sum(map(mul, a, b)) computes on CPython up to 3.11, without its per-call
+    iterator cost."""
+    a = ", ".join(f"a{i}" for i in range(n))
+    b = ", ".join(f"b{i}" for i in range(n))
+    terms = "".join(f" + a{i} * b{i}" for i in range(n))
+    source = f"def dot(a, b):\n    [{a}] = a\n    [{b}] = b\n    return 0.0{terms}\n"
+    namespace: dict = {}
+    exec(compile(source, f"<dot, length {n}>", "exec"), namespace)
+    return namespace["dot"]
+
+
 def _terms_fn(spec: ModelSpec, constraints: Sequence[SafetyConstraint]):
     """Return terms(w, z): the (drift, authority) of each constraint's safety
     condition at the state, in constraint order.
@@ -188,6 +201,8 @@ def _terms_fn(spec: ModelSpec, constraints: Sequence[SafetyConstraint]):
         for c in constraints
     )
     outlets = any(p[0] for p in plan)
+    if outlets:
+        dot_n, dot_m = _dot_fn(spec.n), _dot_fn(spec.m)
     f_t, g_t, q_t, r_t = spec.f_t, spec.g_t, spec.q_t, spec.r_t
     dq_dw_t, dr_dz_t = spec.dq_dw_t, spec.dr_dz_t
 
@@ -203,12 +218,12 @@ def _terms_fn(spec: ModelSpec, constraints: Sequence[SafetyConstraint]):
             if outlet:
                 row = jq[j]
                 drift = (
-                    sum(map(mul, row, f))
-                    + sum(map(mul, jr[j], outflow))
+                    dot_n(row, f)
+                    + dot_m(jr[j], outflow)
                     + alpha_sum * outflow[j]
                     - alpha_prod * (bound - z[j])
                 )
-                out.append((s * drift, s * sum(map(mul, row, g))))
+                out.append((s * drift, s * dot_n(row, g)))
             else:
                 out.append((s * f[j] - alpha * (s * (bound - w[j])), s * g[j]))
         return out
@@ -436,7 +451,7 @@ def qp_oracle(
     Minimizes u**2 over a uniform grid on [0, 1] subject to the exact
     safety conditions of every constraint; returns the smallest feasible
     grid value, or None when no grid point is feasible.  Independent of the
-    closed forms: used to cross-check them.
+    solve: the tests use it, and the closed forms, to cross-check the law.
     """
     if not grid_resolution > 0.0:
         raise ValueError("grid_resolution must be positive")
@@ -452,70 +467,3 @@ def qp_oracle(
     if not feasible[idx]:
         return None
     return float(grid[idx])
-
-
-# -- closed-form specializations ---------------------------------------------
-#
-# Direct transcriptions of the per-model laws, written out in their own
-# algebraic grouping.  They deliberately do not reuse the generic machinery
-# above: the test suite holds both paths against each other.
-
-
-def closed_form_infection_control(
-    params: SirParams | SihrdParams,
-    S: float,
-    I: float,
-    i_max: float,
-    alpha: float,
-) -> float:
-    """Infection cap for SIR-type dynamics: ReLU(1 - (a*(Imax-I) + out*I) / T)
-    with T the transmission flow and out the total outflow rate of I."""
-    if isinstance(params, SihrdParams):
-        out = params.gamma + params.lam + params.mu
-    else:
-        out = params.gamma
-    transmission = params.beta0 * S * I / params.N
-    val = 1.0 - (alpha * (i_max - I) + out * I) / transmission
-    return val if val > 0.0 else 0.0
-
-
-def closed_form_hospitalization_control(
-    params: SihrdParams,
-    S: float,
-    I: float,
-    H: float,
-    h_max: float,
-    alpha: float,
-    alpha_e: float,
-) -> float:
-    """Hospitalization cap for SIHRD dynamics."""
-    lam, nu = params.lam, params.nu
-    out = params.gamma + params.lam + params.mu
-    denom = lam * params.beta0 * S * I / params.N
-    val = (
-        1.0
-        - alpha_e * alpha * (h_max - H) / denom
-        - ((nu - alpha - alpha_e) * (lam * I - nu * H) + out * lam * I) / denom
-    )
-    return val if val > 0.0 else 0.0
-
-
-def closed_form_death_control(
-    params: SihrdParams,
-    S: float,
-    I: float,
-    D: float,
-    d_max: float,
-    alpha: float,
-    alpha_e: float,
-) -> float:
-    """Death-toll cap for SIHRD dynamics."""
-    mu = params.mu
-    out = params.gamma + params.lam + params.mu
-    denom = mu * params.beta0 * S * I / params.N
-    val = (
-        1.0
-        - alpha_e * alpha * (d_max - D) / denom
-        - (out - alpha - alpha_e) * mu * I / denom
-    )
-    return val if val > 0.0 else 0.0

@@ -1,0 +1,142 @@
+"""Reference implementations the tests hold the library against.
+
+They are kept apart from src/ on purpose: each one is written
+independently of (or is an earlier, plainer form of) the library kernel it
+checks, so a change to the kernel cannot change its own oracle.
+"""
+
+from __future__ import annotations
+
+from operator import add, mul
+
+from episafe.models import SihrdParams, SirParams
+from episafe.safety import OUTLET
+
+
+def rk4_reference(deriv, x, u, dt):
+    """One classical RK4 step written as elementwise list comprehensions;
+    engine.rk4_flat must give the same bits."""
+    half = 0.5 * dt
+    k1 = deriv(x, u)
+    y = [xi + half * ki for xi, ki in zip(x, k1)]
+    k2 = deriv(y, u)
+    y = [xi + half * ki for xi, ki in zip(x, k2)]
+    k3 = deriv(y, u)
+    y = [xi + dt * ki for xi, ki in zip(x, k3)]
+    k4 = deriv(y, u)
+    s = dt / 6.0
+    return [
+        xi + s * (a + 2.0 * (b + c) + d)
+        for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
+    ]
+
+
+def reference_solver(spec, constraints):
+    """solve(w, z) -> (u_raw, active, feasible) with every outlet dot
+    product taken as sum(map(mul, ...)); safety._solver must give the same
+    bits."""
+    f_t, g_t, q_t, r_t = spec.f_t, spec.g_t, spec.q_t, spec.r_t
+
+    def terms(w, z):
+        f, g = f_t(w), g_t(w)
+        outflow = tuple(map(add, q_t(w), r_t(z)))
+        jq, jr = spec.dq_dw_t(w), spec.dr_dz_t(z)
+        out = []
+        for c in constraints:
+            j, s = c.index, c.sign
+            if c.kind == OUTLET:
+                row = jq[j]
+                drift = (
+                    sum(map(mul, row, f))
+                    + sum(map(mul, jr[j], outflow))
+                    + (c.alpha + c.alpha_e) * outflow[j]
+                    - c.alpha_e * c.alpha * (c.bound - z[j])
+                )
+                out.append((s * drift, s * sum(map(mul, row, g))))
+            else:
+                out.append((s * f[j] - c.alpha * (s * (c.bound - w[j])), s * g[j]))
+        return out
+
+    def solve(w, z):
+        u_raw, active, ceiling, holds = 0.0, 0, 1.0, True
+        for k, (drift, authority) in enumerate(terms(w, z)):
+            if authority <= -spec.g_tol:
+                lower = drift / -authority
+                if lower > u_raw:
+                    u_raw, active = lower, k
+            elif authority >= spec.g_tol:
+                upper = -drift / authority
+                if upper < ceiling:
+                    ceiling = upper
+            elif drift > 0.0:
+                holds = False
+        return u_raw, active, holds and u_raw <= ceiling
+
+    return solve
+
+
+# -- closed-form specializations ---------------------------------------------
+#
+# Direct transcriptions of the per-model laws, written out in their own
+# algebraic grouping.  They deliberately do not reuse the generic machinery
+# of episafe.safety: the test suite holds both paths against each other.
+
+
+def closed_form_infection_control(
+    params: SirParams | SihrdParams,
+    S: float,
+    I: float,
+    i_max: float,
+    alpha: float,
+) -> float:
+    """Infection cap for SIR-type dynamics: ReLU(1 - (a*(Imax-I) + out*I) / T)
+    with T the transmission flow and out the total outflow rate of I."""
+    if isinstance(params, SihrdParams):
+        out = params.gamma + params.lam + params.mu
+    else:
+        out = params.gamma
+    transmission = params.beta0 * S * I / params.N
+    val = 1.0 - (alpha * (i_max - I) + out * I) / transmission
+    return val if val > 0.0 else 0.0
+
+
+def closed_form_hospitalization_control(
+    params: SihrdParams,
+    S: float,
+    I: float,
+    H: float,
+    h_max: float,
+    alpha: float,
+    alpha_e: float,
+) -> float:
+    """Hospitalization cap for SIHRD dynamics."""
+    lam, nu = params.lam, params.nu
+    out = params.gamma + params.lam + params.mu
+    denom = lam * params.beta0 * S * I / params.N
+    val = (
+        1.0
+        - alpha_e * alpha * (h_max - H) / denom
+        - ((nu - alpha - alpha_e) * (lam * I - nu * H) + out * lam * I) / denom
+    )
+    return val if val > 0.0 else 0.0
+
+
+def closed_form_death_control(
+    params: SihrdParams,
+    S: float,
+    I: float,
+    D: float,
+    d_max: float,
+    alpha: float,
+    alpha_e: float,
+) -> float:
+    """Death-toll cap for SIHRD dynamics."""
+    mu = params.mu
+    out = params.gamma + params.lam + params.mu
+    denom = mu * params.beta0 * S * I / params.N
+    val = (
+        1.0
+        - alpha_e * alpha * (d_max - D) / denom
+        - (out - alpha - alpha_e) * mu * I / denom
+    )
+    return val if val > 0.0 else 0.0

@@ -17,9 +17,6 @@ from episafe.safety import (
     MULTIPLICATIVE,
     OUTLET,
     SafetyConstraint,
-    closed_form_death_control,
-    closed_form_hospitalization_control,
-    closed_form_infection_control,
     combined_control,
     multiplicative_control,
     outlet_control,
@@ -29,6 +26,11 @@ from episafe.scenarios import load_preset, parse_scenario, write_scenario
 from episafe.sim import Scenario, simulate
 
 from conftest import SIHRD_US, SIR_US, central_difference_jacobian
+from oracles import (
+    closed_form_death_control,
+    closed_form_hospitalization_control,
+    closed_form_infection_control,
+)
 
 GRID_STEP = 1e-4
 

@@ -139,3 +139,21 @@ class TestTrajectoryCsv:
         series = {line.split(",")[1] for line in lines[1:]}
         assert series == {"S", "I", "R", "u_raw", "u", "h_I", "d"}
         assert len(lines) == 1 + len(short_run) * 7
+
+    def test_long_table_reshapes_trajectory_csv(self, danger, tmp_path):
+        # a constraint name with braces must come through the row template
+        # verbatim
+        cap = dataclasses.replace(danger.constraints[0], name="{I} cap {0}")
+        sc = dataclasses.replace(
+            danger, t_end=5.0, feedback_mode="instantaneous", tau=0.0, constraints=(cap,)
+        )
+        traj = simulate(sc)
+        header, *rows = export_trajectory(traj, tmp_path / "t.csv").read_text().splitlines()
+        names = header.split(",")[1:]
+        assert "h_{I} cap {0}" in names
+        want = ["t,series,value"]
+        for row in rows:
+            t, *values = row.split(",")
+            want += [f"{t},{name},{value}" for name, value in zip(names, values)]
+        got = write_long_table(traj, tmp_path / "long.csv").read_text()
+        assert got == "\n".join(want) + "\n"

@@ -1,20 +1,20 @@
 """Controller correctness: closed-form identities, QP cross-checks, margins."""
 
+from operator import add, mul
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from episafe.models import build_sihrd, build_sir
+from episafe import safety
+from episafe.models import ModelSpec, SeirParams, build_seir, build_sihrd, build_sir
 from episafe.safety import (
     MULTIPLICATIVE,
     OUTLET,
     ControlDecision,
     SafetyConstraint,
     barrier_value,
-    closed_form_death_control,
-    closed_form_hospitalization_control,
-    closed_form_infection_control,
     combined_control,
     extended_barrier_value,
     multiplicative_control,
@@ -24,6 +24,12 @@ from episafe.safety import (
 )
 
 from conftest import SIHRD_US, SIR_US, sample_sihrd_states, sample_sir_states
+from oracles import (
+    closed_form_death_control,
+    closed_form_hospitalization_control,
+    closed_form_infection_control,
+    reference_solver,
+)
 
 ALPHA_I = 0.02  # gamma/10 for the SIR fit
 ALPHA_HD = (0.14 + 0.03 + 0.01) / 10.0  # shared outlet margin gain
@@ -337,6 +343,90 @@ class TestQpOracle:
         dec = multiplicative_control(sir_spec, c, state)
         assert not dec.feasible and dec.u == 1.0
         assert qp_oracle(sir_spec, [c], state) is None
+
+
+def dense_linear_spec(rng, n=3, m=4):
+    """A linear model whose Jacobians have no zero entries, so the order of
+    every outlet dot product shows in the bits.  Authority scales with I."""
+    F, Q, R = (rng.uniform(-1.0, 1.0, size=shape).tolist() for shape in ((n, n), (m, n), (m, m)))
+    G = rng.uniform(-100.0, 100.0, size=n).tolist()
+
+    def times(A, v):
+        return tuple(sum(map(mul, row, v)) for row in A)
+
+    def f_t(w):
+        return times(F, w)
+
+    def g_t(w):
+        return tuple(gk * w[1] for gk in G)
+
+    def q_t(w):
+        return times(Q, w)
+
+    def r_t(z):
+        return times(R, z)
+
+    def derivative_t(x, u):
+        w, z = x[:n], x[n:]
+        return [a + b * u for a, b in zip(f_t(w), g_t(w))] + list(map(add, q_t(w), r_t(z)))
+
+    return ModelSpec(
+        kind="dense", n=n, m=m, labels=("S", "I", *(f"x{k}" for k in range(2, n + m))),
+        params=SIR_US, g_tol=1e-12, f_t=f_t, g_t=g_t, q_t=q_t, r_t=r_t,
+        dq_dw_t=lambda w: Q, dr_dz_t=lambda z: R, derivative_t=derivative_t,
+    )
+
+
+class TestUnrolledOutletTerms:
+    """safety._solver takes its outlet dot products unrolled; they must give
+    the bits of the sum(map(mul, ...)) form in oracles.reference_solver."""
+
+    @staticmethod
+    def random_case(rng, spec, k):
+        """A state (I = 0 at every seventh k) and a random subset of caps
+        and floors on every outlet compartment, sometimes with a cap on I."""
+        N = spec.params.N
+        x = [float(rng.uniform(0.05, 1.0)) * N]
+        x += rng.uniform(0.0, 0.01 * N, size=spec.n + spec.m - 1).tolist()
+        i = spec.labels.index("I")
+        if k % 7 == 0:
+            x[i] = 0.0
+        w, z = x[: spec.n], x[spec.n :]
+        cons = []
+        for j in range(spec.m):
+            upper = bool(rng.integers(2))
+            scale = rng.uniform(1.0, 3.0) if upper else rng.uniform(0.3, 1.0)
+            cons.append(SafetyConstraint(
+                OUTLET, j, z[j] * float(scale) + 1.0, float(rng.uniform(1e-3, 0.5)),
+                alpha_e=float(rng.uniform(1e-3, 0.5)), direction="upper" if upper else "lower",
+            ))
+        if k % 3 == 0:
+            cons.append(SafetyConstraint(
+                MULTIPLICATIVE, i, max(w[i], 1.0) * float(rng.uniform(0.8, 3.0)),
+                float(rng.uniform(1e-3, 1.0)),
+            ))
+        rng.shuffle(cons)
+        return w, z, tuple(cons[: rng.integers(1, len(cons) + 1)])
+
+    def test_solver_matches_sum_reference(self, sihrd_spec):
+        rng = np.random.default_rng(515)
+        specs = (
+            build_seir(SeirParams(beta0=0.33, gamma=0.2, N=33e6, sigma=0.2)),
+            sihrd_spec,
+            dense_linear_spec(rng),
+        )
+        outcomes = set()
+        for k in range(3000):
+            spec = specs[k % 3]
+            w, z, cons = self.random_case(rng, spec, k)
+            got = safety._solver(spec, cons)(w, z)
+            want = reference_solver(spec, cons)(w, z)
+            assert (got[0].hex(), got[1:]) == (want[0].hex(), want[1:]), (spec.kind, w, z, cons)
+            outcomes.add((spec.kind, got[0] > 0.0, got[2]))
+        # raised, resting and infeasible decisions all occur on both models
+        # that have authority over an outlet
+        for kind in ("sihrd", "dense"):
+            assert {(kind, True, True), (kind, False, True), (kind, True, False)} <= outcomes
 
 
 # -- property-based invariants ------------------------------------------------
