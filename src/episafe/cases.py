@@ -43,14 +43,12 @@ class CaseRecord:
 
     cumulative_confirmed counts everyone confirmed infected up to the date
     (actively infected plus recovered); positivity_rate is positives per
-    total tests in (0, 1]; mobility_index is a dimensionless activity
-    fraction.  The optional fields are None when the source lacks them.
+    total tests in (0, 1], or None when the source lacks it.
     """
 
     date: dt.date
     cumulative_confirmed: float
     positivity_rate: float | None = None
-    mobility_index: float | None = None
 
     def __post_init__(self) -> None:
         if self.cumulative_confirmed < 0.0:
@@ -64,7 +62,8 @@ def ingest_cases(path: str | Path) -> list[CaseRecord]:
 
     Expected header: date,cumulative_confirmed[,positivity_rate]
     [,mobility_index].  Dates must be ISO-8601 and strictly increasing;
-    cumulative counts must be non-decreasing.  Offending rows are reported
+    cumulative counts must be non-decreasing.  A mobility_index cell must
+    be numeric when present, but is not kept.  Offending rows are reported
     by line number.
     """
     path = Path(path)
@@ -106,15 +105,12 @@ def ingest_cases(path: str | Path) -> list[CaseRecord]:
                 if cells.get("positivity_rate") not in (None, "")
                 else None
             )
-            mobility = (
+            if cells.get("mobility_index"):
                 float(cells["mobility_index"])
-                if cells.get("mobility_index") not in (None, "")
-                else None
-            )
         except ValueError as exc:
             raise CaseDataError(f"bad numeric field: {exc}", origin, lineno) from None
         try:
-            record = CaseRecord(date, cumulative, positivity, mobility)
+            record = CaseRecord(date, cumulative, positivity)
         except ValueError as exc:
             raise CaseDataError(str(exc), origin, lineno) from exc
         if records:

@@ -21,12 +21,11 @@ import json
 import sys
 from pathlib import Path
 
-from .cases import CaseDataError, ingest_cases, scale_cases
+from .cases import ingest_cases, scale_cases
 from .runner import (
     EXIT_OK,
     EXIT_VALIDATION,
     SWEEP_PARAMETERS,
-    TrajectoryFormatError,
     exit_code,
     format_report,
     import_trajectory,
@@ -35,7 +34,7 @@ from .runner import (
     worst_exit_code,
     write_long_table,
 )
-from .scenarios import ScenarioParseError, preset_names, preset_note, resolve_scenario
+from .scenarios import preset_names, preset_note, resolve_scenario
 from .sim import SimulationError, safety_audit
 
 __all__ = ["main", "entry"]
@@ -193,13 +192,8 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (
-        ScenarioParseError,
-        CaseDataError,
-        TrajectoryFormatError,
-        ValueError,
-        SimulationError,
-    ) as exc:
+    # scenario, case-data and trajectory-file errors are ValueErrors
+    except (ValueError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -19,6 +19,7 @@ import numpy as np
 from . import engine
 from .models import ModelSpec, ModelState
 from .safety import MULTIPLICATIVE, SafetyConstraint, barrier_value
+from .sim import grid_steps
 
 __all__ = [
     "PredictorConfig",
@@ -30,18 +31,16 @@ __all__ = [
     "issf_inflated_barrier",
 ]
 
-_DIV_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class PredictorConfig:
     """How to forecast across the measurement delay.
 
-    tau is the delay (days, a multiple of dt_pred); dt_pred the internal
-    integration step, normally equal to the simulation step so predictions
-    replay the plant exactly.  constraints/control_start describe the same
-    feedback law that runs in the loop; control_start None means the
-    controller is always on.
+    tau is the delay (days, a multiple of dt_pred by sim.grid_steps); dt_pred
+    the internal integration step, normally equal to the simulation step so
+    predictions replay the plant exactly.  constraints/control_start describe
+    the same feedback law that runs in the loop; control_start None means
+    the controller is always on.
     """
 
     tau: float
@@ -51,20 +50,16 @@ class PredictorConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "constraints", tuple(self.constraints))
-        if self.tau < 0.0:
-            raise ValueError("tau must be non-negative")
         if not self.dt_pred > 0.0:
             raise ValueError("dt_pred must be positive")
-        if self.tau > 0.0:
-            steps = self.tau / self.dt_pred
-            if abs(steps - round(steps)) > _DIV_TOL * max(1.0, steps):
-                raise ValueError(
-                    f"tau={self.tau} is not an integer multiple of dt_pred={self.dt_pred}"
-                )
+        if grid_steps(self.tau, self.dt_pred) is None:
+            raise ValueError(
+                f"tau={self.tau} is not a non-negative multiple of dt_pred={self.dt_pred}"
+            )
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.tau / self.dt_pred)) if self.tau > 0.0 else 0
+        return grid_steps(self.tau, self.dt_pred)
 
 
 @dataclass(frozen=True)
@@ -106,15 +101,22 @@ def predict_state(
 
     Integrates the delay-free closed loop (same integrator, step and
     feedback law as the simulator) forward from the measured state.
-    t_measured anchors a control_start gate when the config carries one.
+    t_measured anchors a control_start gate when the config carries one:
+    a control_start after t_measured must lie a whole number of dt_pred
+    steps later (ValueError otherwise), and the law is off for those steps.
     """
     if measured.n != spec.n or measured.m != spec.m:
         raise ValueError("measured state does not match the model dimensions")
     if config.n_steps == 0:
         return measured
-    input_fn = engine.make_input_fn(spec, config.constraints, config.control_start)
+    first_step = 0
+    if config.control_start is not None and config.control_start > t_measured:
+        first_step = grid_steps(config.control_start - t_measured, config.dt_pred)
+        if first_step is None:
+            raise ValueError("control_start must lie on the dt_pred grid from t_measured")
+    input_fn = engine.make_input_fn(spec, config.constraints, first_step)
     x = engine.closed_loop_rollout(
-        spec, measured.x.tolist(), t_measured, config.n_steps, config.dt_pred, input_fn
+        spec, measured.x.tolist(), 0, config.n_steps, config.dt_pred, input_fn
     )
     return spec.state(x)
 

@@ -7,7 +7,8 @@ in sim.simulate steps the same lists with rk4_flat and evaluates the same
 law through safety.combined_control.  Both reach the solver of a
 constraint set through safety._solver's memo, so it is built once however
 often either evaluates it; delay.predict_state and sim.rk4_step wrap these
-helpers with a ModelState interface.
+helpers with a ModelState interface.  Inputs are gated by step number, not
+by time; sim.grid_steps is where times become step numbers.
 
 rk4_flat runs a straight-line kernel generated from one source template
 the first time a state length is seen and kept for that length: the
@@ -20,7 +21,6 @@ in-flight rollout at once waits on a change to those counts.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 from .models import ModelSpec
@@ -28,7 +28,7 @@ from .safety import SafetyConstraint, _clamp01, _solver
 
 __all__ = ["rk4_flat", "make_input_fn", "closed_loop_rollout"]
 
-InputFn = Callable[[float, Sequence[float]], float]
+InputFn = Callable[[int, Sequence[float]], float]
 
 
 # One straight-line RK4 kernel per state length, generated on first use.
@@ -86,18 +86,17 @@ def rk4_flat(
 def make_input_fn(
     spec: ModelSpec,
     constraints: Sequence[SafetyConstraint],
-    control_start: float | None = None,
+    first_step: int = 0,
 ) -> InputFn:
-    """Scalar feedback law u(t, x): zero before control_start, afterwards the
-    min-norm QP solution clamped to [0, 1].  Mirrors exactly what the
-    simulator applies, so predictions replay the plant's behaviour."""
+    """Scalar feedback law u(k, x) at step number k: zero before first_step,
+    afterwards the min-norm QP solution clamped to [0, 1].  Mirrors exactly
+    what the simulator applies, so predictions replay the plant's behaviour."""
     n = spec.n
-    gate = -math.inf if control_start is None else control_start - 1e-12
     constraints = tuple(constraints)
     solve = _solver(spec, constraints) if constraints else None
 
-    def input_fn(t: float, x: Sequence[float]) -> float:
-        if t < gate or solve is None:
+    def input_fn(k: int, x: Sequence[float]) -> float:
+        if k < first_step or solve is None:
             return 0.0
         return _clamp01(solve(x[:n], x[n:])[0])
 
@@ -107,15 +106,16 @@ def make_input_fn(
 def closed_loop_rollout(
     spec: ModelSpec,
     x0: Sequence[float],
-    t0: float,
+    k0: int,
     n_steps: int,
     dt: float,
     input_fn: InputFn,
 ) -> list[float]:
-    """Integrate the closed loop for n_steps of size dt; returns the final
-    state.  The input is re-evaluated once per step and held constant."""
+    """Integrate the closed loop for n_steps of size dt from step number k0;
+    returns the final state.  The input is re-evaluated once per step, as
+    input_fn(k0 + j, x) on step j, and held constant across it."""
     x = list(x0)
     deriv = spec.derivative_t
-    for k in range(n_steps):
-        x = rk4_flat(deriv, x, input_fn(t0 + k * dt, x), dt)
+    for k in range(k0, k0 + n_steps):
+        x = rk4_flat(deriv, x, input_fn(k, x), dt)
     return x

@@ -20,7 +20,6 @@ import numpy as np
 from . import engine
 from .models import ModelSpec, ModelState
 from .safety import (
-    MULTIPLICATIVE,
     OUTLET,
     InitialConditionReport,
     SafetyConstraint,
@@ -39,6 +38,7 @@ __all__ = [
     "InitialConditionError",
     "IntegrationError",
     "MODES",
+    "grid_steps",
     "rk4_step",
     "simulate",
     "safety_audit",
@@ -47,8 +47,6 @@ __all__ = [
 ]
 
 MODES = ("instantaneous", "delayed", "predictor")
-
-_GRID_TOL = 1e-9
 
 
 class SimulationError(RuntimeError):
@@ -70,11 +68,15 @@ class IntegrationError(SimulationError):
     pass
 
 
-def _is_multiple(value: float, step: float) -> bool:
-    if value < 0.0:
-        return False
-    k = value / step
-    return abs(k - round(k)) <= _GRID_TOL * max(1.0, abs(k))
+def grid_steps(span: float, dt: float) -> int | None:
+    """Number of dt steps in span, or None when span is negative or not a
+    whole number of steps to a relative tolerance of 1e-9: the one rule
+    that maps times to step numbers."""
+    if span < 0.0:
+        return None
+    k = span / dt
+    steps = round(k)
+    return steps if abs(k - steps) <= 1e-9 * max(1.0, k) else None
 
 
 @dataclass(frozen=True)
@@ -82,10 +84,12 @@ class Scenario:
     """One closed-loop experiment, fully specified and validated.
 
     feedback_mode is one of "instantaneous", "delayed", "predictor"; tau is
-    the measurement delay used by the latter two and must be an integer
-    multiple of dt.  disturbance_delta bounds the per-step uniform input
-    disturbance (0 disables it; draws use seed).  The controller is off
-    (u = 0) before control_start.
+    the measurement delay used by the latter two.  disturbance_delta bounds
+    the per-step uniform input disturbance (0 disables it; draws use seed).
+    The controller is off (u = 0) before sample control_step.  The horizon,
+    tau and control_start - t_start map to the step counts n_steps,
+    delay_steps and control_step through grid_steps, and must each be a
+    whole number of dt steps to its relative tolerance of 1e-9.
     """
 
     spec: ModelSpec
@@ -109,22 +113,23 @@ class Scenario:
                 raise ValueError(f"{name} must be finite")
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
-        if self.t_end < self.t_start:
-            raise ValueError("t_end must not precede t_start")
-        if not _is_multiple(self.t_end - self.t_start, self.dt):
-            raise ValueError("horizon t_end - t_start must be a multiple of dt")
+        if grid_steps(self.t_end - self.t_start, self.dt) is None:
+            raise ValueError(
+                "horizon t_end - t_start must be a non-negative multiple of dt"
+            )
         if self.feedback_mode not in MODES:
             raise ValueError(f"feedback_mode must be one of {MODES}")
-        if self.tau < 0.0:
-            raise ValueError("tau must be non-negative")
-        if self.tau > 0.0 and not _is_multiple(self.tau, self.dt):
-            raise ValueError("tau must be an integer multiple of dt")
+        if grid_steps(self.tau, self.dt) is None:
+            raise ValueError("tau must be a non-negative multiple of dt")
         if self.disturbance_delta < 0.0:
             raise ValueError("disturbance_delta must be non-negative")
-        if not (self.t_start <= self.control_start <= self.t_end):
-            raise ValueError("control_start must lie within [t_start, t_end]")
-        if not _is_multiple(self.control_start - self.t_start, self.dt):
-            raise ValueError("control_start must fall on the dt grid")
+        if (
+            grid_steps(self.control_start - self.t_start, self.dt) is None
+            or self.control_start > self.t_end
+        ):
+            raise ValueError(
+                "control_start must fall on the dt grid within [t_start, t_end]"
+            )
         if self.state0.labels != self.spec.labels:
             raise ValueError("initial state labels do not match the model")
         for c in self.constraints:
@@ -132,11 +137,15 @@ class Scenario:
 
     @property
     def n_steps(self) -> int:
-        return int(round((self.t_end - self.t_start) / self.dt))
+        return grid_steps(self.t_end - self.t_start, self.dt)
 
     @property
     def delay_steps(self) -> int:
-        return int(round(self.tau / self.dt)) if self.tau > 0.0 else 0
+        return grid_steps(self.tau, self.dt)
+
+    @property
+    def control_step(self) -> int:
+        return grid_steps(self.control_start - self.t_start, self.dt)
 
     @property
     def guaranteed(self) -> bool:
@@ -172,7 +181,7 @@ class MeasurementBuffer:
         self._t_start = t_start
         self._dt = dt
         self._entries: deque[tuple[int, list[float]]] = deque(
-            maxlen=int(round(tau / dt)) + 1 if tau > 0 else 1
+            maxlen=round(tau / dt) + 1
         )
         self._prehistory = list(prehistory)
 
@@ -296,17 +305,14 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
     spec = scenario.spec
     cons = scenario.constraints
     n_steps = scenario.n_steps
+    delay_steps = scenario.delay_steps
     dt = scenario.dt
     delayed = scenario.feedback_mode in ("delayed", "predictor")
 
     x = scenario.state0.x.tolist()
     times = scenario.times()
-    # the law runs on every sample from the first one at control_start on
-    first = (
-        int(np.searchsorted(times, scenario.control_start - _GRID_TOL * dt))
-        if cons
-        else n_steps + 1
-    )
+    # the law runs on every sample from control_step on
+    first = scenario.control_step if cons else n_steps + 1
     dists = np.zeros(n_steps + 1)
     if scenario.disturbance_delta > 0.0:
         delta = scenario.disturbance_delta
@@ -328,7 +334,7 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
         )
         buffer.push(scenario.t_start, x)
     if scenario.feedback_mode == "predictor":
-        input_fn = engine.make_input_fn(spec, cons, scenario.control_start)
+        input_fn = engine.make_input_fn(spec, cons, first)
 
     report: InitialConditionReport | None = None
     ts = times.tolist()
@@ -342,15 +348,14 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
                     raise InitialConditionError(report)
             feedback = x
             if delayed:
-                t_meas = t - scenario.tau
-                measured = buffer.lookup(t_meas)
+                measured = buffer.lookup(t - scenario.tau)
                 if scenario.feedback_mode == "delayed":
                     feedback = measured
                 else:
-                    start = max(t_meas, scenario.t_start)
-                    span = int(round((t - start) / dt))
+                    # from the measurement, or from the start of the run
+                    span = min(k, delay_steps)
                     feedback = engine.closed_loop_rollout(
-                        spec, measured, start, span, dt, input_fn
+                        spec, measured, k - span, span, dt, input_fn
                     )
             decision = combined_control(spec, cons, spec.state(feedback))
             decisions.append(decision)
@@ -454,11 +459,12 @@ def safety_audit(
     spec = scenario.spec
     cons = tuple(constraints) if constraints is not None else scenario.constraints
     dt = scenario.dt
+    columns = list(trajectory.states.T)
+    w, z = columns[: spec.n], columns[spec.n :]
     audits = []
     for c in cons:
         c.check_against(spec)
-        col = c.index if c.kind == MULTIPLICATIVE else spec.n + c.index
-        series = c.sign * (c.bound - trajectory.states[:, col])
+        series = _margin_t(c, w, z)
         k_min = int(np.argmin(series))
         viol = np.flatnonzero(series < 0.0)
         tol = 1e-6 * c.alpha * c.bound

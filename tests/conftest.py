@@ -17,6 +17,17 @@ settings.load_profile("ci")
 SIR_US = SirParams(beta0=0.33, gamma=0.2, N=33e6)
 SIHRD_US = SihrdParams(beta0=0.53, gamma=0.14, N=15e6, lam=0.03, nu=0.14, mu=0.01)
 
+# (tau, dt, whether tau is a whole number of dt steps): Scenario and
+# PredictorConfig must accept and reject the same pairs.
+TAU_GRID_CASES = [
+    (1.05, 0.1, False),
+    (0.55, 0.1, False),
+    (11.0, 0.02, True),
+    (9.0, 0.07, False),
+    (0.3, 0.1, True),
+    (11.0, 0.1, True),
+]
+
 
 @pytest.fixture(scope="session")
 def sir_spec():

@@ -39,15 +39,15 @@ class TestIngest:
         text = "date,cumulative_confirmed\n2020-06-01,100\n2020-06-02,130\n"
         records = ingest_cases(write(tmp_path, text))
         assert records[0].positivity_rate is None
-        assert records[0].mobility_index is None
 
     def test_mobility_column(self, tmp_path):
-        text = (
-            "date,cumulative_confirmed,positivity_rate,mobility_index\n"
-            "2020-06-01,100,0.1,0.8\n"
-        )
-        records = ingest_cases(write(tmp_path, text))
-        assert records[0].mobility_index == pytest.approx(0.8)
+        # accepted and checked as a number, but not kept
+        header = "date,cumulative_confirmed,positivity_rate,mobility_index\n"
+        records = ingest_cases(write(tmp_path, header + "2020-06-01,100,0.1,0.8\n"))
+        assert len(records) == 1
+        assert records[0].positivity_rate == pytest.approx(0.1)
+        with pytest.raises(CaseDataError, match=r":2: bad numeric field"):
+            ingest_cases(write(tmp_path, header + "2020-06-01,100,0.1,high\n"))
 
     def test_decreasing_count_names_row(self, tmp_path):
         text = WELL_FORMED + "2020-03-28,77000,0.17\n"

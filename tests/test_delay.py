@@ -20,7 +20,7 @@ from episafe.safety import (
 )
 from episafe.sim import Scenario, simulate
 
-from conftest import SIR_US
+from conftest import SIR_US, TAU_GRID_CASES
 
 I_CON = SafetyConstraint(MULTIPLICATIVE, 1, 2e5, 0.02, name="I")
 
@@ -32,6 +32,14 @@ class TestPredictorConfig:
 
     def test_zero_tau_ok(self):
         assert PredictorConfig(tau=0.0, dt_pred=0.1).n_steps == 0
+
+    @pytest.mark.parametrize("tau, dt, on_grid", TAU_GRID_CASES)
+    def test_tau_grid_cases(self, tau, dt, on_grid):
+        if on_grid:
+            assert PredictorConfig(tau=tau, dt_pred=dt).n_steps == round(tau / dt)
+        else:
+            with pytest.raises(ValueError, match="multiple"):
+                PredictorConfig(tau=tau, dt_pred=dt)
 
 
 class TestPredictState:
@@ -78,6 +86,34 @@ class TestPredictState:
         mid = predict_state(sir_spec, state, half_cfg, t_measured=0.0)
         two = predict_state(sir_spec, mid, half_cfg, t_measured=4.0)
         assert prediction_error(two, full) <= 1e-5 * SIR_US.N
+
+    def test_control_start_gate_matches_plant(self, sir_spec):
+        # the law is off for the whole steps before control_start, as in the
+        # plant loop, so the forecast lands bit for bit on the plant's state
+        sc = Scenario(
+            spec=sir_spec,
+            state0=sir_spec.state([26e6, 1e5, 6.9e6]),
+            t_start=2.0, t_end=3.0, dt=0.1,
+            constraints=(I_CON,), control_start=2.5,
+        )
+        traj = simulate(sc)
+        assert traj.u[4] == 0.0 and traj.u[5] > 0.0
+        cfg = PredictorConfig(1.0, 0.1, constraints=(I_CON,), control_start=2.5)
+        pred = predict_state(sir_spec, sc.state0, cfg, t_measured=2.0)
+        np.testing.assert_array_equal(pred.x, traj.states[-1])
+
+    def test_control_start_ahead_must_be_on_grid(self, sir_spec):
+        state = sir_spec.state([26e6, 1e5, 6.9e6])
+        cfg = PredictorConfig(1.0, 0.1, constraints=(I_CON,), control_start=2.55)
+        with pytest.raises(ValueError, match="control_start"):
+            predict_state(sir_spec, state, cfg, t_measured=2.0)
+        # a control_start already passed engages the law from the first step
+        on = PredictorConfig(1.0, 0.1, constraints=(I_CON,), control_start=1.95)
+        always = PredictorConfig(1.0, 0.1, constraints=(I_CON,))
+        np.testing.assert_array_equal(
+            predict_state(sir_spec, state, on, t_measured=2.0).x,
+            predict_state(sir_spec, state, always, t_measured=2.0).x,
+        )
 
     def test_singular_start_rests_like_oracle(self, sir_spec):
         # no infected: no authority, and the oracle's answer is u = 0, so

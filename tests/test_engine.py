@@ -1,13 +1,15 @@
 """engine.rk4_flat: the generated per-length kernel against the elementwise
-RK4 it replaced."""
+RK4 it replaced; the step-numbered law gate of make_input_fn and
+closed_loop_rollout."""
 
 from operator import mul
 
 import numpy as np
 import pytest
 
-from episafe.engine import rk4_flat
+from episafe.engine import closed_loop_rollout, make_input_fn, rk4_flat
 from episafe.models import SeirParams, build_seir, build_sihrd, build_sir
+from episafe.safety import MULTIPLICATIVE, SafetyConstraint
 
 from conftest import SIHRD_US, SIR_US
 from oracles import rk4_reference
@@ -76,3 +78,28 @@ def test_tuple_state_accepted():
     assert bits(rk4_flat(spec.derivative_t, x, 0.25, 0.1)) == bits(
         rk4_reference(spec.derivative_t, x, 0.25, 0.1)
     )
+
+
+I_CAP = SafetyConstraint(MULTIPLICATIVE, 1, 2e5, 0.02, name="I")
+
+
+def test_input_fn_on_from_first_step():
+    spec = build_sir(SIR_US)
+    x = [26e6, 1e5, 6.9e6]
+    gated = make_input_fn(spec, (I_CAP,), first_step=5)
+    assert gated(4, x) == 0.0
+    assert gated(5, x) > 0.0
+    assert gated(5, x) == make_input_fn(spec, (I_CAP,))(0, x)
+    assert make_input_fn(spec, ())(5, x) == 0.0
+
+
+def test_rollout_numbers_steps_from_k0():
+    spec = build_sir(SIR_US)
+    seen = []
+
+    def input_fn(k, x):
+        seen.append(k)
+        return 0.0
+
+    closed_loop_rollout(spec, [26e6, 1e5, 6.9e6], 7, 4, 0.1, input_fn)
+    assert seen == [7, 8, 9, 10]

@@ -19,12 +19,13 @@ from episafe.sim import (
     InitialConditionError,
     MeasurementBuffer,
     Scenario,
+    grid_steps,
     rk4_step,
     safety_audit,
     simulate,
 )
 
-from conftest import SIHRD_US, SIR_US
+from conftest import SIHRD_US, SIR_US, TAU_GRID_CASES
 
 
 def sir_scenario(sir_spec, **kw):
@@ -46,6 +47,19 @@ class TestScenarioValidation:
     def test_tau_must_align_with_dt(self, sir_spec):
         with pytest.raises(ValueError, match="tau"):
             sir_scenario(sir_spec, feedback_mode="delayed", tau=0.55)
+
+    @pytest.mark.parametrize("tau, dt, on_grid", TAU_GRID_CASES)
+    def test_tau_grid_cases(self, sir_spec, tau, dt, on_grid):
+        def make():
+            return sir_scenario(
+                sir_spec, feedback_mode="delayed", tau=tau, dt=dt, t_end=1000 * dt
+            )
+
+        if on_grid:
+            assert make().delay_steps == round(tau / dt)
+        else:
+            with pytest.raises(ValueError, match="tau"):
+                make()
 
     def test_horizon_must_align_with_dt(self, sir_spec):
         with pytest.raises(ValueError, match="horizon"):
@@ -76,6 +90,48 @@ class TestScenarioValidation:
         assert sir_scenario(sir_spec, feedback_mode="predictor", tau=1.0).guaranteed
         assert not sir_scenario(sir_spec, feedback_mode="delayed", tau=1.0).guaranteed
         assert not sir_scenario(sir_spec, disturbance_delta=0.1, seed=1).guaranteed
+
+
+class TestGridSteps:
+    def test_whole_steps(self):
+        assert grid_steps(0.0, 0.1) == 0
+        assert grid_steps(11.0, 0.1) == 110
+        assert grid_steps(0.3, 0.1) == 3  # 2.9999999999999996 steps
+
+    def test_within_relative_tolerance(self):
+        assert grid_steps(10.0 + 1e-10, 0.1) == 100
+        assert grid_steps(10.0 + 1e-6, 0.1) is None
+
+    def test_negative_or_off_grid_is_none(self):
+        assert grid_steps(-0.1, 0.1) is None
+        assert grid_steps(0.55, 0.1) is None
+
+    def test_control_step(self, sir_spec):
+        assert sir_scenario(sir_spec).control_step == 0
+        assert sir_scenario(sir_spec, t_start=5.0, control_start=7.5).control_step == 25
+
+
+class TestControlStartOnGrid:
+    """control_start within the grid tolerance of a sample engages the
+    controller at that sample, in the plant loop and in every forecast."""
+
+    @staticmethod
+    def fig2(control_start, mode):
+        base = load_preset("sir_fig2")
+        return dataclasses.replace(
+            base, t_end=40.0, control_start=control_start, feedback_mode=mode
+        )
+
+    def test_nominal_predictor_equals_instantaneous(self):
+        pred = simulate(self.fig2(10.00000000005, "predictor"))
+        inst = simulate(self.fig2(10.00000000005, "instantaneous"))
+        np.testing.assert_array_equal(pred.states, inst.states)
+
+    def test_controller_engages_at_rounded_step(self):
+        traj = simulate(self.fig2(10.0000000005, "predictor"))
+        assert traj.active[99] == -1
+        assert traj.active[100] >= 0
+        assert np.count_nonzero(traj.active >= 0) == traj.scenario.n_steps + 1 - 100
 
 
 class TestMeasurementBuffer:
