@@ -4,9 +4,11 @@ States travel as plain float lists here: the closed-loop rollouts evaluate
 the dynamics and the feedback law up to a million times per run, and numpy
 call overhead on length-5 vectors would dominate the cost.  The plant loop
 in sim.simulate steps the same lists with rk4_flat and evaluates the same
-law through safety.combined_control.  Both reach the solver of a
-constraint set through safety._solver's memo, so it is built once however
-often either evaluates it; delay.predict_state and sim.rk4_step wrap these
+law through safety.combined_control.  The law is straight-line code that
+safety generates and compiles once per shape of constraint set; safety's
+memo holds, per constraint set, both of its entry points: solve, behind
+combined_control, and the flat law(x) -> u that make_input_fn gates by step
+number for the rollouts.  delay.predict_state and sim.rk4_step wrap these
 helpers with a ModelState interface.  Inputs are gated by step number, not
 by time; sim.grid_steps is where times become step numbers.
 
@@ -16,7 +18,8 @@ elementwise loops cost several times the model derivative on vectors this
 short.  It still makes one call per step and four calls of the derivative,
 because the benchmark in bench/ counts rollout steps and derivative
 evaluations at those calls; a batched predictor that advances every
-in-flight rollout at once waits on a change to those counts.
+in-flight rollout at once waits on a change to those counts.  A rollout
+evaluates the law once per step.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .models import ModelSpec
-from .safety import SafetyConstraint, _clamp01, _solver
+from .safety import SafetyConstraint, _solver
 
 __all__ = ["rk4_flat", "make_input_fn", "closed_loop_rollout"]
 
@@ -89,18 +92,23 @@ def make_input_fn(
     first_step: int = 0,
 ) -> InputFn:
     """Scalar feedback law u(k, x) at step number k: zero before first_step,
-    afterwards the min-norm QP solution clamped to [0, 1].  Mirrors exactly
-    what the simulator applies, so predictions replay the plant's behaviour."""
-    n = spec.n
+    afterwards the min-norm QP solution clamped to [0, 1], from the flat law
+    generated for the constraint set (constant zero without constraints).
+    It gives the bits of the u the simulator applies at the same state, so
+    predictions replay the plant's behaviour."""
     constraints = tuple(constraints)
-    solve = _solver(spec, constraints) if constraints else None
+    if not constraints:
+        return _rest
+    law = _solver(spec, constraints)[1]
 
     def input_fn(k: int, x: Sequence[float]) -> float:
-        if k < first_step or solve is None:
-            return 0.0
-        return _clamp01(solve(x[:n], x[n:])[0])
+        return law(x) if k >= first_step else 0.0
 
     return input_fn
+
+
+def _rest(k: int, x: Sequence[float]) -> float:
+    return 0.0
 
 
 def closed_loop_rollout(

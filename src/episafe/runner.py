@@ -199,7 +199,10 @@ def import_trajectory(path: str | Path, scenario: Scenario) -> Trajectory:
     of the file format and comes back as -1 at every step.  feasible is
     rebuilt as u_raw <= 1.  That is exact while no constraint bounds u from
     above (such as a floor on I or a cap on S); the file does not record
-    other infeasible steps.  extended is recomputed from the states.
+    other infeasible steps.  extended is recomputed from the states.  The
+    file must hold one row per sample of the scenario's time grid, each t
+    within grid_steps's tolerance of its sample time (TrajectoryFormatError
+    otherwise), so that the audit's decay check uses the file's own step.
     """
     path = Path(path)
     try:
@@ -223,6 +226,23 @@ def import_trajectory(path: str | Path, scenario: Scenario) -> Trajectory:
         raise TrajectoryFormatError(f"{path}: bad numeric cell: {exc}") from exc
     if data.ndim != 2 or data.shape[1] != len(expected):
         raise TrajectoryFormatError(f"{path}: malformed data block {data.shape}")
+    n_rows = scenario.n_steps + 1
+    if data.shape[0] != n_rows:
+        raise TrajectoryFormatError(
+            f"{path}: {data.shape[0]} samples, but the scenario's time grid "
+            f"(t_start {scenario.t_start:g}, t_end {scenario.t_end:g}, dt "
+            f"{scenario.dt:g}) has {n_rows}"
+        )
+    # grid_steps's rule for every row at once: sample k lies k steps after
+    # t_start, to a relative tolerance of 1e-9, and never before it
+    steps = (data[:, 0] - scenario.t_start) / scenario.dt
+    off = ~((steps >= 0.0) & (np.abs(steps - np.arange(n_rows)) <= 1e-9 * np.maximum(1.0, steps)))
+    if off.any():
+        k = int(np.argmax(off))
+        raise TrajectoryFormatError(
+            f"{path}: sample {k} has t = {data[k, 0]!r}, off the scenario's "
+            f"time grid (t_start {scenario.t_start:g}, dt {scenario.dt:g})"
+        )
     n_state = len(scenario.spec.labels)
     n_c = len(scenario.constraints)
     times = data[:, 0]

@@ -30,8 +30,7 @@ safe to evaluate concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from operator import add
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -145,10 +144,20 @@ def _clamp01(v: float) -> float:
 
 # -- scalar core -------------------------------------------------------------
 #
-# Everything below works on plain float lists so the same code path serves
-# both the public API and the inner loop of the fixed-step simulator and
-# predictor, where call rates reach ~1e6 evaluations per run.  The margins
-# also accept numpy columns, one entry per sample, and then return arrays.
+# The law works on plain float lists: the fixed-step simulator and the
+# predictor evaluate it up to ~1e6 times per run.  It runs as straight-line
+# code generated from one source template per shape of constraint set (the
+# model's n and m and each constraint's kind and index), compiled the first
+# time the shape is seen.  Each compiled shape is a factory; called with a
+# spec and constraints it binds the spec's evaluators and every constraint
+# constant and returns two entry points:
+#   solve(w, z) -> (u_raw, active, feasible), behind every public control
+#                  function;
+#   law(x) -> u, the clamped input at the concatenated state, for rollouts;
+#                it skips the upper-bound and zero-authority bookkeeping,
+#                which only decide feasible.
+# The margins below also accept numpy columns, one entry per sample, and
+# then return arrays.
 
 
 def _margin_t(c: SafetyConstraint, w: Sequence, z: Sequence) -> float:
@@ -163,131 +172,155 @@ def _extended_margin_t(spec: ModelSpec, c: SafetyConstraint, w: Sequence, z: Seq
     return c.sign * (-(q[j] + r[j]) + c.alpha * (c.bound - z[j]))
 
 
-@cache
-def _dot_fn(n: int):
-    """Return dot(a, b) for length-n vectors, unrolled to
-    0.0 + a0*b0 + a1*b1 + ...: the left-to-right float sum that
-    sum(map(mul, a, b)) computes on CPython up to 3.11, without its per-call
-    iterator cost."""
-    a = ", ".join(f"a{i}" for i in range(n))
-    b = ", ".join(f"b{i}" for i in range(n))
-    terms = "".join(f" + a{i} * b{i}" for i in range(n))
-    source = f"def dot(a, b):\n    [{a}] = a\n    [{b}] = b\n    return 0.0{terms}\n"
-    namespace: dict = {}
-    exec(compile(source, f"<dot, length {n}>", "exec"), namespace)
-    return namespace["dot"]
-
-
-def _terms_fn(spec: ModelSpec, constraints: Sequence[SafetyConstraint]):
-    """Return terms(w, z): the (drift, authority) of each constraint's safety
-    condition at the state, in constraint order.
-
-    The condition on the input reads  -drift - authority * u >= 0.  For a
-    lower bound both pieces flip sign together with the margin.  The model
-    is evaluated once per state and shared by every constraint; the
-    constants are folded once here, in the same grouping as the formulas,
-    so the results do not depend on how the constraints are batched.
-    """
-    plan = tuple(
-        (
-            c.kind == OUTLET,
-            c.index,
-            c.sign,
-            c.alpha,
-            c.bound,
-            c.alpha + c.alpha_e if c.kind == OUTLET else 0.0,
-            c.alpha_e * c.alpha if c.kind == OUTLET else 0.0,
-        )
-        for c in constraints
-    )
-    outlets = any(p[0] for p in plan)
-    if outlets:
-        dot_n, dot_m = _dot_fn(spec.n), _dot_fn(spec.m)
+# Constraint k's condition on the input reads -d{k} - a{k} * u >= 0, with
+# drift d{k} and authority a{k} in the grouping of the formulas
+#   multiplicative j:  d = s*f_j - alpha*(s*(bound - w_j)),  a = s*g_j
+#   outlet j:          d = s*(dq_j.f + dr_j.o + (alpha + alpha_e)*o_j
+#                             - alpha_e*alpha*(bound - z_j)),  a = s*(dq_j.g)
+# where o = q + r is the outflow, dq_j and dr_j are row j of the outflow
+# Jacobians and each dot product is summed left to right from 0.0.  For a
+# lower bound (s = -1) both pieces flip sign with the margin.  A condition
+# bounds u from below by d / -a when a <= -g_tol, from above by -d / a when
+# a >= g_tol, and otherwise holds for every u iff d <= 0.  u_raw is the
+# largest of 0 and the lower bounds, active the position of the constraint
+# setting it (ties, and u_raw = 0, to the lowest index), and feasible
+# whether u_raw is at most 1 and every upper bound and no zero-authority
+# condition fails.  The constants are bound as values when the factory is
+# called, never written into the source: a bound may be inf.
+_LAW_TEMPLATE = """\
+def factory(spec, constraints):
     f_t, g_t, q_t, r_t = spec.f_t, spec.g_t, spec.q_t, spec.r_t
     dq_dw_t, dr_dz_t = spec.dq_dw_t, spec.dr_dz_t
+    g_tol = spec.g_tol
+    [{names}] = constraints
+{constants}
+    def solve(w, z):
+{evaluate}
+        u_raw, active, ceiling, holds = 0.0, 0, 1.0, True
+{solve_steps}
+        return u_raw, active, holds and u_raw <= ceiling
 
-    def terms(w: Sequence[float], z: Sequence[float]) -> list[tuple[float, float]]:
-        f = f_t(w)
-        g = g_t(w)
-        if outlets:
-            outflow = tuple(map(add, q_t(w), r_t(z)))
-            jq = dq_dw_t(w)
-            jr = dr_dz_t(z)
-        out = []
-        for outlet, j, s, alpha, bound, alpha_sum, alpha_prod in plan:
-            if outlet:
-                row = jq[j]
-                drift = (
-                    dot_n(row, f)
-                    + dot_m(jr[j], outflow)
-                    + alpha_sum * outflow[j]
-                    - alpha_prod * (bound - z[j])
-                )
-                out.append((s * drift, s * dot_n(row, g)))
-            else:
-                out.append((s * f[j] - alpha * (s * (bound - w[j])), s * g[j]))
-        return out
+    def law(x):
+{split}
+{evaluate}
+        u_raw = 0.0
+{law_steps}
+        # u_raw starts at 0.0 and only rises, so only the cap at 1 can bind
+        return 1.0 if u_raw > 1.0 else u_raw
 
-    return terms
+    return solve, law
+"""
+_SOLVE_STEP = """\
+        d{k} = {drift}
+        a{k} = {authority}
+        if a{k} <= -g_tol:
+            lower = d{k} / -a{k}
+            if lower > u_raw:
+                u_raw = lower
+                active = {k}
+        elif a{k} >= g_tol:
+            upper = -d{k} / a{k}
+            if upper < ceiling:
+                ceiling = upper
+        elif d{k} > 0.0:
+            holds = False"""
+_LAW_STEP = """\
+        a{k} = {authority}
+        if a{k} <= -g_tol:
+            lower = ({drift}) / -a{k}
+            if lower > u_raw:
+                u_raw = lower"""
 
 
-# Solvers built lately, keyed by (id(spec), constraints); each entry also
+@lru_cache(maxsize=64)
+def _law_factory(n: int, m: int, shape: tuple[tuple[str, int], ...]):
+    """Compile the law template for one shape: model sizes (n, m) and the
+    (kind, index) of each constraint, in order."""
+
+    def each(expr: str, size: int) -> str:
+        return ", ".join(expr.format(i=i) for i in range(size))
+
+    def dot(row: str, vec: str, size: int) -> str:
+        return "(0.0" + "".join(f" + {row}{i} * {vec}{i}" for i in range(size)) + ")"
+
+    outlets = any(kind == OUTLET for kind, _ in shape)
+    evaluate = [f"[{each('f{i}', n)}] = f_t(w)", f"[{each('g{i}', n)}] = g_t(w)"]
+    split = [f"w = x[:{n}]"]
+    if outlets:
+        split.append(f"z = x[{n}:]")
+        evaluate += [f"[{each('q{i}', m)}] = q_t(w)", f"[{each('r{i}', m)}] = r_t(z)"]
+        evaluate += [f"o{i} = q{i} + r{i}" for i in range(m)]
+        evaluate += ["jq = dq_dw_t(w)", "jr = dr_dz_t(z)"]
+    constants, solve_steps, law_steps = [], [], []
+    for k, (kind, j) in enumerate(shape):
+        if kind == OUTLET:
+            constants.append(
+                f"s{k}, bound{k}, sum{k}, prod{k} = c{k}.sign, c{k}.bound, "
+                f"c{k}.alpha + c{k}.alpha_e, c{k}.alpha_e * c{k}.alpha"
+            )
+            rows = (
+                f"        [{each(f'p{k}_{{i}}', n)}] = jq[{j}]\n"
+                f"        [{each(f'e{k}_{{i}}', m)}] = jr[{j}]\n"
+            )
+            drift = (
+                f"s{k} * ({dot(f'p{k}_', 'f', n)} + {dot(f'e{k}_', 'o', m)}"
+                f" + sum{k} * o{j} - prod{k} * (bound{k} - z[{j}]))"
+            )
+            authority = f"s{k} * {dot(f'p{k}_', 'g', n)}"
+        else:
+            constants.append(f"s{k}, alpha{k}, bound{k} = c{k}.sign, c{k}.alpha, c{k}.bound")
+            rows = ""
+            drift = f"s{k} * f{j} - alpha{k} * (s{k} * (bound{k} - w[{j}]))"
+            authority = f"s{k} * g{j}"
+        fill = dict(k=k, drift=drift, authority=authority)
+        solve_steps.append(rows + _SOLVE_STEP.format(**fill))
+        law_steps.append(rows + _LAW_STEP.format(**fill))
+
+    def block(lines: list[str], indent: str) -> str:
+        return "\n".join(indent + line for line in lines)
+
+    source = _LAW_TEMPLATE.format(
+        names=", ".join(f"c{k}" for k in range(len(shape))),
+        constants=block(constants, "    "),
+        evaluate=block(evaluate, "        "),
+        split=block(split, "        "),
+        solve_steps="\n".join(solve_steps),
+        law_steps="\n".join(law_steps),
+    )
+    namespace: dict = {}
+    exec(compile(source, f"<law kernel, {n}+{m} states, {shape}>", "exec"), namespace)
+    return namespace["factory"]
+
+
+# Kernels built lately, keyed by (id(spec), constraints); each entry also
 # holds its spec, so the id cannot be reused while the entry lives.  The
-# memo is emptied when it reaches _SOLVERS_KEPT entries.  Concurrent callers
-# may build the same solver twice; either copy gives the same results.
-_SOLVERS: dict = {}
-_SOLVERS_KEPT = 16
+# memo is emptied when it reaches _KERNELS_KEPT entries.  Concurrent callers
+# may build the same kernels twice; either copy gives the same results.
+_KERNELS: dict = {}
+_KERNELS_KEPT = 16
 
 
 def _solver(spec: ModelSpec, constraints: tuple[SafetyConstraint, ...]):
-    """Return solve(w, z) for the constraint set, building it (and checking
-    the constraints against the model) only on the first request.
+    """Return (solve, law) for the constraint set: the two entry points that
+    the factory compiled for its shape binds to the spec and constraints
+    (see the scalar core notes above).  The memo entry holds both; they are
+    built, and the constraints checked against the model, only on the first
+    request.
 
-    Every caller of the law shares the memo, so a run builds its solver once
-    however many times it evaluates the law.
+    Every caller of the law shares the memo, so a run builds its kernels
+    once however many times it evaluates them.
     """
     key = (id(spec), constraints)
-    entry = _SOLVERS.get(key)
+    entry = _KERNELS.get(key)
     if entry is None:
         for c in constraints:
             c.check_against(spec)
-        if len(_SOLVERS) >= _SOLVERS_KEPT:
-            _SOLVERS.clear()
-        entry = _SOLVERS[key] = (spec, _build_solver(spec, constraints))
+        shape = tuple((c.kind, c.index) for c in constraints)
+        factory = _law_factory(spec.n, spec.m, shape)
+        if len(_KERNELS) >= _KERNELS_KEPT:
+            _KERNELS.clear()
+        entry = _KERNELS[key] = (spec, factory(spec, constraints))
     return entry[1]
-
-
-def _build_solver(spec: ModelSpec, constraints: Sequence[SafetyConstraint]):
-    """Return solve(w, z), the exact min-norm solution of the scalar-input
-    QP at one state.
-
-    Each condition -drift - a*u >= 0 bounds u from below by drift / -a when
-    a <= -g_tol, from above by -drift / a when a >= g_tol, and otherwise
-    holds for every u iff drift <= 0.  solve returns (u_raw, active,
-    feasible): u_raw is the largest of 0 and the lower bounds, active the
-    position of the constraint setting it (ties, and u_raw = 0, to the
-    lowest index), and feasible whether u_raw is at most 1 and every upper
-    bound and no zero-authority condition fails.
-    """
-    terms = _terms_fn(spec, constraints)
-    g_tol = spec.g_tol
-
-    def solve(w: Sequence[float], z: Sequence[float]) -> tuple[float, int, bool]:
-        u_raw, active, ceiling, holds = 0.0, 0, 1.0, True
-        for k, (drift, authority) in enumerate(terms(w, z)):
-            if authority <= -g_tol:
-                lower = drift / -authority
-                if lower > u_raw:
-                    u_raw, active = lower, k
-            elif authority >= g_tol:
-                upper = -drift / authority
-                if upper < ceiling:
-                    ceiling = upper
-            elif drift > 0.0:
-                holds = False
-        return u_raw, active, holds and u_raw <= ceiling
-
-    return solve
 
 
 def _state_lists(spec: ModelSpec, state: ModelState) -> tuple[list, list]:
@@ -306,7 +339,7 @@ def _decide(
     combined: bool,
 ) -> ControlDecision:
     w, z = _state_lists(spec, state)
-    u_raw, active, feasible = _solver(spec, constraints)(w, z)
+    u_raw, active, feasible = _solver(spec, constraints)[0](w, z)
     return ControlDecision(
         u_raw=u_raw,
         u=_clamp01(u_raw),
@@ -450,8 +483,10 @@ def qp_oracle(
 
     Minimizes u**2 over a uniform grid on [0, 1] subject to the exact
     safety conditions of every constraint; returns the smallest feasible
-    grid value, or None when no grid point is feasible.  Independent of the
-    solve: the tests use it, and the closed forms, to cross-check the law.
+    grid value, or None when no grid point is feasible.  It shares no code
+    with the generated law: the tests use it, and the closed forms, to
+    cross-check the law.  Each condition is -drift - authority*u >= 0 with
+    the drift and authority of the formulas in the scalar core notes.
     """
     if not grid_resolution > 0.0:
         raise ValueError("grid_resolution must be positive")
@@ -461,7 +496,22 @@ def qp_oracle(
     feasible = np.ones_like(grid, dtype=bool)
     for c in constraints:
         c.check_against(spec)
-    for drift, authority in _terms_fn(spec, constraints)(w, z):
+    f, g = spec.f_t(w), spec.g_t(w)
+    for c in constraints:
+        j, s = c.index, c.sign
+        if c.kind == OUTLET:
+            outflow = [a + b for a, b in zip(spec.q_t(w), spec.r_t(z))]
+            dq_row, dr_row = spec.dq_dw_t(w)[j], spec.dr_dz_t(z)[j]
+            drift = s * (
+                sum(a * b for a, b in zip(dq_row, f))
+                + sum(a * b for a, b in zip(dr_row, outflow))
+                + (c.alpha + c.alpha_e) * outflow[j]
+                - c.alpha_e * c.alpha * (c.bound - z[j])
+            )
+            authority = s * sum(a * b for a, b in zip(dq_row, g))
+        else:
+            drift = s * f[j] - c.alpha * (s * (c.bound - w[j]))
+            authority = s * g[j]
         feasible &= (-drift - authority * grid) >= 0.0
     idx = int(np.argmax(feasible))
     if not feasible[idx]:

@@ -7,7 +7,7 @@ checks, so a change to the kernel cannot change its own oracle.
 
 from __future__ import annotations
 
-from operator import add, mul
+from operator import add
 
 from episafe.models import SihrdParams, SirParams
 from episafe.safety import OUTLET
@@ -31,10 +31,20 @@ def rk4_reference(deriv, x, u, dt):
     ]
 
 
+def dot(a, b):
+    """a . b summed left to right from 0.0, one term at a time.  An explicit
+    loop, not sum(): from CPython 3.12 sum() of floats is compensated and
+    gives other bits."""
+    total = 0.0
+    for x, y in zip(a, b):
+        total = total + x * y
+    return total
+
+
 def reference_solver(spec, constraints):
-    """solve(w, z) -> (u_raw, active, feasible) with every outlet dot
-    product taken as sum(map(mul, ...)); safety._solver must give the same
-    bits."""
+    """solve(w, z) -> (u_raw, active, feasible) from a loop over the
+    constraints, with every outlet dot product taken by dot; both entry
+    points of the law safety generates must give the same bits."""
     f_t, g_t, q_t, r_t = spec.f_t, spec.g_t, spec.q_t, spec.r_t
 
     def terms(w, z):
@@ -47,12 +57,12 @@ def reference_solver(spec, constraints):
             if c.kind == OUTLET:
                 row = jq[j]
                 drift = (
-                    sum(map(mul, row, f))
-                    + sum(map(mul, jr[j], outflow))
+                    dot(row, f)
+                    + dot(jr[j], outflow)
                     + (c.alpha + c.alpha_e) * outflow[j]
                     - c.alpha_e * c.alpha * (c.bound - z[j])
                 )
-                out.append((s * drift, s * sum(map(mul, row, g))))
+                out.append((s * drift, s * dot(row, g)))
             else:
                 out.append((s * f[j] - c.alpha * (s * (c.bound - w[j])), s * g[j]))
         return out

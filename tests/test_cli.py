@@ -9,7 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from episafe.cli import main
+from episafe.runner import exit_code
 from episafe.scenarios import load_preset, write_scenario
+from episafe.sim import safety_audit, simulate
 
 CASES_CSV = """\
 date,cumulative_confirmed,positivity_rate
@@ -201,6 +203,28 @@ class TestAudit:
 
     def test_missing_file_is_validation_error(self, capsys):
         assert main(["audit", "/nonexistent.csv", "sir_delay_danger"]) == 2
+
+    def test_other_time_step_is_validation_error(self, tmp_path, capsys):
+        # a file sampled at dt 0.1 audited at dt 0.05 would run the decay
+        # check with the wrong step; its time column gives it away
+        assert main(["simulate", "sir_delay_danger", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        traj = tmp_path / "sir_delay_danger_trajectory.csv"
+        assert main(["audit", str(traj), "sir_delay_danger", "--dt", "0.05"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "time grid" in err
+
+    def test_matching_time_step_audit_unchanged(self, tmp_path, capsys):
+        assert main(["simulate", "sir_delay_danger", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        traj = tmp_path / "sir_delay_danger_trajectory.csv"
+        code = main(["audit", str(traj), "sir_delay_danger", "--dt", "0.1"])
+        out = capsys.readouterr().out
+        scenario = load_preset("sir_delay_danger")
+        report = safety_audit(simulate(scenario))
+        assert code == exit_code(scenario, report)
+        assert report.describe() in out
+        assert "decay check failures 410 (worst -11887.7," in out
 
 
 class TestSweep:

@@ -15,7 +15,7 @@ from episafe.runner import (
     write_long_table,
 )
 from episafe.scenarios import load_preset
-from episafe.sim import simulate
+from episafe.sim import grid_steps, simulate
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +132,43 @@ class TestTrajectoryCsv:
         other = dataclasses.replace(danger, constraints=())
         with pytest.raises(TrajectoryFormatError, match="header"):
             import_trajectory(path, other)
+
+    def test_import_rejects_times_off_the_grid(self, short_run, tmp_path):
+        path = export_trajectory(short_run, tmp_path / "t.csv")
+        lines = path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[0] = repr(float(cells[0]) + 1e-6)
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TrajectoryFormatError, match="sample 2 .* off the scenario's time grid"):
+            import_trajectory(path, short_run.scenario)
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(TrajectoryFormatError, match="samples, but the scenario's time grid"):
+            import_trajectory(path, short_run.scenario)
+
+    def test_import_time_check_matches_grid_steps(self, short_run, tmp_path):
+        # the importer checks every row at once; grid_steps, row by row, is
+        # the reference
+        sc = short_run.scenario
+        path = export_trajectory(short_run, tmp_path / "t.csv")
+        lines = path.read_text().splitlines()
+        rng = np.random.default_rng(44)
+        outcomes = set()
+        for _ in range(40):
+            k = int(rng.integers(len(short_run)))
+            cells = lines[1 + k].split(",")
+            t = float(cells[0]) + float(rng.uniform(-2.0, 2.0)) * 1e-9 * max(1, k) * sc.dt
+            cells[0] = repr(t)
+            path.write_text("\n".join(lines[: 1 + k] + [",".join(cells)] + lines[2 + k :]) + "\n")
+            on_grid = grid_steps(t - sc.t_start, sc.dt) == k
+            try:
+                import_trajectory(path, sc)
+                accepted = True
+            except TrajectoryFormatError:
+                accepted = False
+            assert accepted == on_grid, (k, t)
+            outcomes.add(on_grid)
+        assert outcomes == {True, False}
 
     def test_long_table_series_complete(self, short_run, tmp_path):
         path = write_long_table(short_run, tmp_path / "long.csv")

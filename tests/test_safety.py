@@ -1,5 +1,7 @@
 """Controller correctness: closed-form identities, QP cross-checks, margins."""
 
+import dataclasses
+import math
 from operator import add, mul
 
 import numpy as np
@@ -8,7 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from episafe import safety
-from episafe.models import ModelSpec, SeirParams, build_seir, build_sihrd, build_sir
+from episafe.engine import make_input_fn
+from episafe.models import ModelSpec, SeirParams, SirParams, build_seir, build_sihrd, build_sir
 from episafe.safety import (
     MULTIPLICATIVE,
     OUTLET,
@@ -378,8 +381,9 @@ def dense_linear_spec(rng, n=3, m=4):
 
 
 class TestUnrolledOutletTerms:
-    """safety._solver takes its outlet dot products unrolled; they must give
-    the bits of the sum(map(mul, ...)) form in oracles.reference_solver."""
+    """The solve of safety._solver takes its outlet dot products unrolled;
+    they must give the bits of the left-to-right loop in
+    oracles.reference_solver."""
 
     @staticmethod
     def random_case(rng, spec, k):
@@ -419,7 +423,7 @@ class TestUnrolledOutletTerms:
         for k in range(3000):
             spec = specs[k % 3]
             w, z, cons = self.random_case(rng, spec, k)
-            got = safety._solver(spec, cons)(w, z)
+            got = safety._solver(spec, cons)[0](w, z)
             want = reference_solver(spec, cons)(w, z)
             assert (got[0].hex(), got[1:]) == (want[0].hex(), want[1:]), (spec.kind, w, z, cons)
             outcomes.add((spec.kind, got[0] > 0.0, got[2]))
@@ -427,6 +431,100 @@ class TestUnrolledOutletTerms:
         # that have authority over an outlet
         for kind in ("sihrd", "dense"):
             assert {(kind, True, True), (kind, False, True), (kind, True, False)} <= outcomes
+
+
+class TestGeneratedKernels:
+    """Both entry points of the law that safety generates per shape of
+    constraint set, bit for bit against oracles.reference_solver: solve
+    behind the public control functions, and the flat rollout law behind
+    engine.make_input_fn."""
+
+    @staticmethod
+    def cases(count, seed):
+        """(spec, x, constraints) over SIR, SEIR, SIHRD and the dense model:
+        I = 0 at every seventh state and a NaN compartment at every
+        thirteenth; random caps and floors on both blocks, a duplicated
+        first constraint (an exact tie) at every fifth case and a bound of
+        inf at every eleventh."""
+        rng = np.random.default_rng(seed)
+        specs = (
+            build_sir(SIR_US),
+            build_seir(SeirParams(beta0=0.33, gamma=0.2, N=33e6, sigma=0.2)),
+            build_sihrd(SIHRD_US),
+            dense_linear_spec(rng),
+        )
+        for k in range(count):
+            spec = specs[k % 4]
+            N = spec.params.N
+            x = [float(rng.uniform(0.05, 1.0)) * N]
+            x += rng.uniform(0.0, 0.01 * N, size=spec.n + spec.m - 1).tolist()
+            if k % 7 == 0:
+                x[spec.labels.index("I")] = 0.0
+            cons = []
+            blocks = ((MULTIPLICATIVE, spec.n, x[: spec.n]), (OUTLET, spec.m, x[spec.n :]))
+            for kind, size, block in blocks:
+                for j in range(size):
+                    if rng.integers(3) == 0:
+                        continue
+                    upper = bool(rng.integers(2))
+                    scale = rng.uniform(1.0, 3.0) if upper else rng.uniform(0.3, 1.0)
+                    cons.append(SafetyConstraint(
+                        kind, j, max(block[j], 1.0) * float(scale),
+                        float(rng.uniform(1e-3, 0.5)),
+                        alpha_e=float(rng.uniform(1e-3, 0.5)) if kind == OUTLET else None,
+                        direction="upper" if upper else "lower",
+                    ))
+            if not cons:
+                cons.append(SafetyConstraint(MULTIPLICATIVE, 1, x[1] + 1.0, 0.02))
+            rng.shuffle(cons)
+            cons = cons[: rng.integers(1, len(cons) + 1)]
+            if k % 5 == 0:
+                cons.append(cons[0])
+            if k % 11 == 0:
+                cons[-1] = dataclasses.replace(cons[-1], bound=math.inf)
+            if k % 13 == 0:
+                x[int(rng.integers(len(x)))] = math.nan
+            yield spec, x, tuple(cons)
+
+    def test_solve_matches_reference(self):
+        outcomes = set()
+        for spec, x, cons in self.cases(1500, 616):
+            w, z = x[: spec.n], x[spec.n :]
+            got = safety._solver(spec, cons)[0](w, z)
+            want = reference_solver(spec, cons)(w, z)
+            assert (got[0].hex(), got[1:]) == (want[0].hex(), want[1:]), (spec.kind, x, cons)
+            outcomes.add((spec.kind, got[0] > 0.0, got[2]))
+            if len(cons) > 1 and cons[-1] == cons[0] and got[0] > 0.0:
+                outcomes.add((spec.kind, "tie", got[1]))
+        # raised, resting and infeasible decisions on every model
+        for kind in ("sir", "seir", "sihrd", "dense"):
+            assert {(kind, True, True), (kind, False, True), (kind, True, False)} <= outcomes
+        assert ("sihrd", "tie", 0) in outcomes and ("dense", "tie", 0) in outcomes
+
+    def test_rollout_law_matches_reference(self):
+        for spec, x, cons in self.cases(1500, 617):
+            got = make_input_fn(spec, cons)(0, x)
+            want = safety._clamp01(reference_solver(spec, cons)(x[: spec.n], x[spec.n :])[0])
+            assert got.hex() == want.hex(), (spec.kind, x, cons)
+
+    def test_same_shape_shares_one_factory(self, sir_spec):
+        other = build_sir(SirParams(beta0=0.4, gamma=0.1, N=1e6))
+        s_floor = SafetyConstraint(MULTIPLICATIVE, 0, 1e5, 0.3, direction="lower")
+        a = (i_bound(), s_floor)
+        b = (
+            i_bound(bound=5e3, alpha=0.5, direction="lower"),
+            dataclasses.replace(s_floor, bound=math.inf),
+        )
+        solve_a, law_a = safety._solver(sir_spec, a)
+        solve_b, law_b = safety._solver(other, b)
+        assert solve_a.__code__ is solve_b.__code__ and law_a.__code__ is law_b.__code__
+        # each factory call binds its own spec and constants
+        x = [4e5, 2e5, 4e5]
+        assert solve_a(x[:2], x[2:]) == reference_solver(sir_spec, a)(x[:2], x[2:])
+        assert solve_b(x[:2], x[2:]) == reference_solver(other, b)(x[:2], x[2:])
+        assert solve_a(x[:2], x[2:]) != solve_b(x[:2], x[2:])
+        # another order of the same constraints is another shape
+        assert safety._solver(sir_spec, a[::-1])[0].__code__ is not solve_a.__code__
 
 
 # -- property-based invariants ------------------------------------------------
