@@ -12,6 +12,7 @@ from .delay import (
     prediction_error,
 )
 from .models import (
+    FormulaTable,
     ModelSpec,
     ModelState,
     SeirParams,

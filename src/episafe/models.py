@@ -12,17 +12,25 @@ scales the transmission term:
 u = 0 means no intervention, u = 1 means total isolation of infected
 individuals.  Time is measured in days, populations in persons, rates in
 1/day.
+
+Each model writes its formulas once, as source lines in a FormulaTable:
+f, g, q, r, the outflow Jacobians and the fused derivative.  A ModelSpec
+binds parameter values to a table and holds the evaluators compiled from
+it; safety writes the same lines into the control law it generates.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from functools import lru_cache
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
     "ModelState",
+    "FormulaTable",
     "SirParams",
     "SeirParams",
     "SihrdParams",
@@ -170,31 +178,182 @@ class SihrdParams:
         )
 
 
+# -- formula tables ----------------------------------------------------------
+
+
+class FormulaTable(NamedTuple):
+    """A model's formulas as source lines, the only copy of them.
+
+    w and z name the compartments of each block, params the values a spec
+    binds, in that order.  Each entry is a Python expression:
+      f, g        one per w compartment, over w, the parameters and terms;
+      q           one per z compartment, over w and the parameters;
+      r           one per z compartment, over z and the parameters;
+      dq_dw       rows over z, columns over w, and dr_dz (z by z), over the
+                  parameters only: the outflows are linear, so their
+                  Jacobians are constants;
+      derivative  one per compartment of [w; z], over the whole state, the
+                  parameters, derivative_terms and the input u.
+    constants, terms and derivative_terms are "name = expression" lines,
+    each defining one more name: constants over the parameters, computed
+    once per spec; terms over w, shared by f and g; derivative_terms over
+    the state and u.  The parameters include the constants.  Generated code
+    refers to every name the table defines through local, so a table may
+    use any name but u.  Sizes and names are checked when the first spec
+    compiles the table.
+    """
+
+    w: tuple[str, ...]
+    z: tuple[str, ...]
+    params: tuple[str, ...]
+    f: tuple[str, ...]
+    g: tuple[str, ...]
+    q: tuple[str, ...]
+    r: tuple[str, ...]
+    dq_dw: tuple[tuple[str, ...], ...]
+    dr_dz: tuple[tuple[str, ...], ...]
+    derivative: tuple[str, ...]
+    constants: tuple[str, ...] = ()
+    terms: tuple[str, ...] = ()
+    derivative_terms: tuple[str, ...] = ()
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        """Every name the table defines: compartments, parameters, and the
+        left-hand sides of its lines."""
+        lines = self.constants + self.terms + self.derivative_terms
+        return self.w + self.z + self.params + tuple(s.split("=")[0].strip() for s in lines)
+
+    def local(self, source: str) -> str:
+        """source with each name the table defines prefixed by m_, the
+        prefix no other name in generated code has."""
+        names = self.names
+        parts = re.split(r"(\W+)", source)
+        return "".join("m_" + part if part in names else part for part in parts)
+
+
+# bind(values) returns the evaluators of ModelSpec by name, with the
+# parameter values bound.
+_MODEL_TEMPLATE = """\
+def bind(values):
+    [{params}] = values
+{constants}
+    jq = {dq_dw}
+    jr = {dr_dz}
+
+    def derivative_t(x, u):
+        [{x}] = x
+{derivative_terms}
+        return [{derivative}]
+
+    def f_t(w):
+        [{w}] = w
+{terms}
+        return ({f},)
+
+    def g_t(w):
+        [{w}] = w
+{terms}
+        return ({g},)
+
+    def q_t(w):
+        [{w}] = w
+        return ({q},)
+
+    def r_t(z):
+        [{z}] = z
+        return ({r},)
+
+    def dq_dw_t(w):
+        return jq
+
+    def dr_dz_t(z):
+        return jr
+
+    return dict(
+        derivative_t=derivative_t, f_t=f_t, g_t=g_t, q_t=q_t, r_t=r_t,
+        dq_dw_t=dq_dw_t, dr_dz_t=dr_dz_t,
+    )
+"""
+
+
+@lru_cache(maxsize=32)
+def _binder(table: FormulaTable) -> Callable:
+    """Compile the evaluators of one table, the first time a spec uses it."""
+    n, m = len(table.w), len(table.z)
+    sizes = (len(table.f), len(table.g), len(table.q), len(table.r), len(table.derivative))
+    rows = [len(row) for row in table.dq_dw + table.dr_dz]
+    if not n or not m or sizes != (n, n, m, m, n + m) or rows != [n] * m + [m] * m:
+        raise ValueError("formula table entries do not match its compartments")
+    names = table.names
+    if len(set(names)) != len(names) or "u" in names or not all(map(str.isidentifier, names)):
+        raise ValueError("formula table names must be distinct identifiers other than u")
+
+    def each(entries: Sequence[str]) -> str:
+        return ", ".join(map(table.local, entries))
+
+    def lines(statements: Sequence[str], indent: str) -> str:
+        return "\n".join(indent + table.local(s) for s in statements)
+
+    def matrix(rows: Sequence[Sequence[str]]) -> str:
+        return "(" + "".join(f"({each(row)},), " for row in rows) + ")"
+
+    source = _MODEL_TEMPLATE.format(
+        params=each(table.params), constants=lines(table.constants, "    "),
+        dq_dw=matrix(table.dq_dw), dr_dz=matrix(table.dr_dz),
+        x=each(table.w + table.z), w=each(table.w), z=each(table.z),
+        derivative_terms=lines(table.derivative_terms, "        "),
+        derivative=each(table.derivative), terms=lines(table.terms, "        "),
+        f=each(table.f), g=each(table.g), q=each(table.q), r=each(table.r),
+    )
+    namespace: dict = {}
+    exec(compile(source, f"<model evaluators, {table.w + table.z}>", "exec"), namespace)
+    return namespace["bind"]
+
+
 @dataclass(frozen=True)
 class ModelSpec:
-    """A concrete compartmental model: evaluators plus metadata.
+    """A concrete compartmental model: its formula table, the values bound
+    to the table's params (in order), and the evaluators compiled from the
+    two.  params is the rate object the spec was built from.
 
-    The evaluators take and return plain float sequences: f_t, g_t and
+    The evaluators take and return plain float sequences: f_t, g_t, q_t and
     dq_dw_t act on the multiplicative block w, r_t and dr_dz_t on the
-    outlet block z, q_t on w.  They serve the fixed-step integrator and
-    the control law, where numpy call overhead on vectors this short would
-    dominate; ``derivative_t`` fuses f + g*u and q + r into one call.
-    eval_dynamics and eval_jacobians give the same values as arrays.
+    outlet block z.  They serve the fixed-step integrator, where numpy call
+    overhead on vectors this short would dominate; ``derivative_t`` fuses
+    f + g*u and q + r into one call.  Given numpy columns, one entry per
+    sample, they return arrays (a constant entry stays a float).  The
+    control law that safety generates writes the table's formulas into its
+    own code and calls none of them.  eval_dynamics and eval_jacobians give
+    the same values as arrays.
     """
 
     kind: str
-    n: int
-    m: int
-    labels: tuple[str, ...]
+    formulas: FormulaTable = field(repr=False)
+    values: tuple[float, ...]
     params: object
     g_tol: float
-    f_t: Callable[[Vector], Vector] = field(repr=False)
-    g_t: Callable[[Vector], Vector] = field(repr=False)
-    q_t: Callable[[Vector], Vector] = field(repr=False)
-    r_t: Callable[[Vector], Vector] = field(repr=False)
-    dq_dw_t: Callable[[Vector], Matrix] = field(repr=False)
-    dr_dz_t: Callable[[Vector], Matrix] = field(repr=False)
-    derivative_t: Callable[[Sequence[float], float], list[float]] = field(repr=False)
+    n: int = field(init=False, compare=False)
+    m: int = field(init=False, compare=False)
+    labels: tuple[str, ...] = field(init=False, compare=False)
+    derivative_t: Callable[[Sequence[float], float], list[float]] = field(
+        init=False, repr=False, compare=False
+    )
+    f_t: Callable[[Vector], Vector] = field(init=False, repr=False, compare=False)
+    g_t: Callable[[Vector], Vector] = field(init=False, repr=False, compare=False)
+    q_t: Callable[[Vector], Vector] = field(init=False, repr=False, compare=False)
+    r_t: Callable[[Vector], Vector] = field(init=False, repr=False, compare=False)
+    dq_dw_t: Callable[[Vector], Matrix] = field(init=False, repr=False, compare=False)
+    dr_dz_t: Callable[[Vector], Matrix] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        table, values = self.formulas, tuple(self.values)
+        if len(values) != len(table.params):
+            raise ValueError(f"expected {len(table.params)} parameter values, got {len(values)}")
+        derived = _binder(table)(values)
+        derived.update(values=values, n=len(table.w), m=len(table.z), labels=table.w + table.z)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def state(self, values: Sequence[float] | np.ndarray) -> ModelState:
         """Build a ModelState from a concatenated [w; z] vector.
@@ -208,46 +367,46 @@ class ModelSpec:
         return ModelState(w=arr[: self.n], z=arr[self.n :], labels=self.labels)
 
 
+def _build(kind: str, table: FormulaTable, params) -> ModelSpec:
+    values = tuple(getattr(params, name) for name in table.params)
+    return ModelSpec(kind, table, values, params, g_tol=1e-12 * params.beta0)
+
+
+_SIR = FormulaTable(
+    w=("S", "I"), z=("R",), params=("beta0", "gamma", "N"),
+    terms=("t = beta0 * S * I / N",),
+    f=("-t", "t - gamma * I"),
+    g=("t", "-t"),
+    q=("gamma * I",),
+    r=("0.0",),
+    dq_dw=(("0.0", "gamma"),),
+    dr_dz=(("0.0",),),
+    derivative_terms=("inflow = beta0 * S * I / N * (1.0 - u)",),
+    derivative=("-inflow", "inflow - gamma * I", "gamma * I"),
+)
+
+
 def build_sir(params: SirParams) -> ModelSpec:
     """SIR with intervention: w = (S, I), z = (R,).
 
     Transmission beta0*S*I/N is scaled by (1 - u); recovery drains I into R
     at rate gamma.
     """
-    beta0, gamma, N = params.beta0, params.gamma, params.N
+    return _build("sir", _SIR, params)
 
-    def f_t(w: Vector) -> Vector:
-        S, I = w
-        t = beta0 * S * I / N
-        return (-t, t - gamma * I)
 
-    def g_t(w: Vector) -> Vector:
-        S, I = w
-        t = beta0 * S * I / N
-        return (t, -t)
-
-    def q_t(w: Vector) -> Vector:
-        return (gamma * w[1],)
-
-    def r_t(z: Vector) -> Vector:
-        return (0.0,)
-
-    def dq_dw_t(w: Vector) -> Matrix:
-        return ((0.0, gamma),)
-
-    def dr_dz_t(z: Vector) -> Matrix:
-        return ((0.0,),)
-
-    def derivative_t(x: Sequence[float], u: float) -> list[float]:
-        S, I, _ = x
-        inflow = beta0 * S * I / N * (1.0 - u)
-        return [-inflow, inflow - gamma * I, gamma * I]
-
-    return ModelSpec(
-        kind="sir", n=2, m=1, labels=("S", "I", "R"), params=params,
-        g_tol=1e-12 * beta0, f_t=f_t, g_t=g_t, q_t=q_t, r_t=r_t,
-        dq_dw_t=dq_dw_t, dr_dz_t=dr_dz_t, derivative_t=derivative_t,
-    )
+_SEIR = FormulaTable(
+    w=("S", "E", "I"), z=("R",), params=("beta0", "gamma", "N", "sigma"),
+    terms=("t = beta0 * S * I / N",),
+    f=("-t", "t - sigma * E", "sigma * E - gamma * I"),
+    g=("t", "-t", "0.0"),
+    q=("gamma * I",),
+    r=("0.0",),
+    dq_dw=(("0.0", "0.0", "gamma"),),
+    dr_dz=(("0.0",),),
+    derivative_terms=("inflow = beta0 * S * I / N * (1.0 - u)",),
+    derivative=("-inflow", "inflow - sigma * E", "sigma * E - gamma * I", "gamma * I"),
+)
 
 
 def build_seir(params: SeirParams) -> ModelSpec:
@@ -257,40 +416,22 @@ def build_seir(params: SeirParams) -> ModelSpec:
     sigma.  The input has no direct effect on the I row, so only S and E
     admit the first-order safety controller.
     """
-    beta0, gamma, N, sigma = params.beta0, params.gamma, params.N, params.sigma
+    return _build("seir", _SEIR, params)
 
-    def f_t(w: Vector) -> Vector:
-        S, E, I = w
-        t = beta0 * S * I / N
-        return (-t, t - sigma * E, sigma * E - gamma * I)
 
-    def g_t(w: Vector) -> Vector:
-        S, E, I = w
-        t = beta0 * S * I / N
-        return (t, -t, 0.0)
-
-    def q_t(w: Vector) -> Vector:
-        return (gamma * w[2],)
-
-    def r_t(z: Vector) -> Vector:
-        return (0.0,)
-
-    def dq_dw_t(w: Vector) -> Matrix:
-        return ((0.0, 0.0, gamma),)
-
-    def dr_dz_t(z: Vector) -> Matrix:
-        return ((0.0,),)
-
-    def derivative_t(x: Sequence[float], u: float) -> list[float]:
-        S, E, I, _ = x
-        inflow = beta0 * S * I / N * (1.0 - u)
-        return [-inflow, inflow - sigma * E, sigma * E - gamma * I, gamma * I]
-
-    return ModelSpec(
-        kind="seir", n=3, m=1, labels=("S", "E", "I", "R"), params=params,
-        g_tol=1e-12 * beta0, f_t=f_t, g_t=g_t, q_t=q_t, r_t=r_t,
-        dq_dw_t=dq_dw_t, dr_dz_t=dr_dz_t, derivative_t=derivative_t,
-    )
+_SIHRD = FormulaTable(
+    w=("S", "I"), z=("H", "R", "D"), params=("beta0", "gamma", "N", "lam", "nu", "mu"),
+    constants=("out = gamma + lam + mu",),
+    terms=("t = beta0 * S * I / N",),
+    f=("-t", "t - out * I"),
+    g=("t", "-t"),
+    q=("lam * I", "gamma * I", "mu * I"),
+    r=("-nu * H", "nu * H", "0.0"),
+    dq_dw=(("0.0", "lam"), ("0.0", "gamma"), ("0.0", "mu")),
+    dr_dz=(("-nu", "0.0", "0.0"), ("nu", "0.0", "0.0"), ("0.0", "0.0", "0.0")),
+    derivative_terms=("inflow = beta0 * S * I / N * (1.0 - u)",),
+    derivative=("-inflow", "inflow - out * I", "lam * I - nu * H", "gamma * I + nu * H", "mu * I"),
+)
 
 
 def build_sihrd(params: SihrdParams) -> ModelSpec:
@@ -300,50 +441,7 @@ def build_sihrd(params: SihrdParams) -> ModelSpec:
     hospitalization (lam), direct recovery (gamma) and death (mu); the
     hospitalized recover at rate nu.
     """
-    beta0, gamma, N = params.beta0, params.gamma, params.N
-    lam, nu, mu = params.lam, params.nu, params.mu
-    out = gamma + lam + mu
-
-    def f_t(w: Vector) -> Vector:
-        S, I = w
-        t = beta0 * S * I / N
-        return (-t, t - out * I)
-
-    def g_t(w: Vector) -> Vector:
-        S, I = w
-        t = beta0 * S * I / N
-        return (t, -t)
-
-    def q_t(w: Vector) -> Vector:
-        I = w[1]
-        return (lam * I, gamma * I, mu * I)
-
-    def r_t(z: Vector) -> Vector:
-        H = z[0]
-        return (-nu * H, nu * H, 0.0)
-
-    def dq_dw_t(w: Vector) -> Matrix:
-        return ((0.0, lam), (0.0, gamma), (0.0, mu))
-
-    def dr_dz_t(z: Vector) -> Matrix:
-        return ((-nu, 0.0, 0.0), (nu, 0.0, 0.0), (0.0, 0.0, 0.0))
-
-    def derivative_t(x: Sequence[float], u: float) -> list[float]:
-        S, I, H, _, _ = x
-        inflow = beta0 * S * I / N * (1.0 - u)
-        return [
-            -inflow,
-            inflow - out * I,
-            lam * I - nu * H,
-            gamma * I + nu * H,
-            mu * I,
-        ]
-
-    return ModelSpec(
-        kind="sihrd", n=2, m=3, labels=("S", "I", "H", "R", "D"), params=params,
-        g_tol=1e-12 * beta0, f_t=f_t, g_t=g_t, q_t=q_t, r_t=r_t,
-        dq_dw_t=dq_dw_t, dr_dz_t=dr_dz_t, derivative_t=derivative_t,
-    )
+    return _build("sihrd", _SIHRD, params)
 
 
 def eval_dynamics(

@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .models import ModelSpec, ModelState
+from .models import FormulaTable, ModelSpec, ModelState
 
 __all__ = [
     "MULTIPLICATIVE",
@@ -146,11 +146,14 @@ def _clamp01(v: float) -> float:
 #
 # The law works on plain float lists: the fixed-step simulator and the
 # predictor evaluate it up to ~1e6 times per run.  It runs as straight-line
-# code generated from one source template per shape of constraint set (the
-# model's n and m and each constraint's kind and index), compiled the first
-# time the shape is seen.  Each compiled shape is a factory; called with a
-# spec and constraints it binds the spec's evaluators and every constraint
-# constant and returns two entry points:
+# code generated from one source template per model formula table and
+# shape of constraint set (each constraint's kind and index), compiled the
+# first time the pair is seen.  The table's lines for f, g, q and r are
+# written into the code itself (the evaluate block below), so an
+# evaluation calls no model evaluator, slices no state and builds no
+# Jacobian tuple.  Each compiled pair is a factory; called with a spec and
+# constraints it binds the spec's parameter values, the Jacobian entries
+# and every constraint constant, and returns two entry points:
 #   solve(w, z) -> (u_raw, active, feasible), behind every public control
 #                  function;
 #   law(x) -> u, the clamped input at the concatenated state, for rollouts;
@@ -178,30 +181,33 @@ def _extended_margin_t(spec: ModelSpec, c: SafetyConstraint, w: Sequence, z: Seq
 #   outlet j:          d = s*(dq_j.f + dr_j.o + (alpha + alpha_e)*o_j
 #                             - alpha_e*alpha*(bound - z_j)),  a = s*(dq_j.g)
 # where o = q + r is the outflow, dq_j and dr_j are row j of the outflow
-# Jacobians and each dot product is summed left to right from 0.0.  For a
-# lower bound (s = -1) both pieces flip sign with the margin.  A condition
-# bounds u from below by d / -a when a <= -g_tol, from above by -d / a when
-# a >= g_tol, and otherwise holds for every u iff d <= 0.  u_raw is the
-# largest of 0 and the lower bounds, active the position of the constraint
-# setting it (ties, and u_raw = 0, to the lowest index), and feasible
-# whether u_raw is at most 1 and every upper bound and no zero-authority
-# condition fails.  The constants are bound as values when the factory is
-# called, never written into the source: a bound may be inf.
+# Jacobians and each dot product is summed left to right from 0.0.  Every
+# product of a dot product is kept, one with a 0.0 Jacobian entry too:
+# 0.0 * inf is NaN.  For a lower bound (s = -1) both pieces flip sign with
+# the margin.  A condition bounds u from below by d / -a when a <= -g_tol,
+# from above by -d / a when a >= g_tol, and otherwise holds for every u iff
+# d <= 0.  u_raw is the largest of 0 and the lower bounds, active the
+# position of the constraint setting it (ties, and u_raw = 0, to the
+# lowest index), and feasible whether u_raw is at most 1 and every upper
+# bound and no zero-authority condition fails.  The parameter values,
+# Jacobian entries and constraint constants are bound as values when the
+# factory is called, never written into the source: a bound may be inf.
 _LAW_TEMPLATE = """\
 def factory(spec, constraints):
-    f_t, g_t, q_t, r_t = spec.f_t, spec.g_t, spec.q_t, spec.r_t
-    dq_dw_t, dr_dz_t = spec.dq_dw_t, spec.dr_dz_t
+    [{params}] = spec.values
+{model_constants}
     g_tol = spec.g_tol
     [{names}] = constraints
 {constants}
     def solve(w, z):
+{unpack}
 {evaluate}
         u_raw, active, ceiling, holds = 0.0, 0, 1.0, True
 {solve_steps}
         return u_raw, active, holds and u_raw <= ceiling
 
     def law(x):
-{split}
+        [{x}] = x
 {evaluate}
         u_raw = 0.0
 {law_steps}
@@ -233,24 +239,29 @@ _LAW_STEP = """\
 
 
 @lru_cache(maxsize=64)
-def _law_factory(n: int, m: int, shape: tuple[tuple[str, int], ...]):
-    """Compile the law template for one shape: model sizes (n, m) and the
+def _law_factory(table: FormulaTable, shape: tuple[tuple[str, int], ...]):
+    """Compile the law template for one formula table and shape: the
     (kind, index) of each constraint, in order."""
+    local = table.local
+    n, m = len(table.w), len(table.z)
 
-    def each(expr: str, size: int) -> str:
-        return ", ".join(expr.format(i=i) for i in range(size))
+    def each(names: Sequence[str]) -> str:
+        return ", ".join(map(local, names))
 
     def dot(row: str, vec: str, size: int) -> str:
         return "(0.0" + "".join(f" + {row}{i} * {vec}{i}" for i in range(size)) + ")"
 
+    # the outlet dot products take every entry of f, g and o; a
+    # multiplicative condition only its own entries of f and g
     outlets = any(kind == OUTLET for kind, _ in shape)
-    evaluate = [f"[{each('f{i}', n)}] = f_t(w)", f"[{each('g{i}', n)}] = g_t(w)"]
-    split = [f"w = x[:{n}]"]
+    used = range(n) if outlets else sorted({j for _, j in shape})
+    evaluate = [local(line) for line in table.terms]
+    evaluate += [f"f{i} = {local(table.f[i])}" for i in used]
+    evaluate += [f"g{i} = {local(table.g[i])}" for i in used]
     if outlets:
-        split.append(f"z = x[{n}:]")
-        evaluate += [f"[{each('q{i}', m)}] = q_t(w)", f"[{each('r{i}', m)}] = r_t(z)"]
-        evaluate += [f"o{i} = q{i} + r{i}" for i in range(m)]
-        evaluate += ["jq = dq_dw_t(w)", "jr = dr_dz_t(z)"]
+        outflows = zip(table.q, table.r)
+        evaluate += [f"o{i} = ({local(q)}) + ({local(r)})" for i, (q, r) in enumerate(outflows)]
+    unpack = [f"[{each(table.w)}] = w"] + ([f"[{each(table.z)}] = z"] if outlets else [])
     constants, solve_steps, law_steps = [], [], []
     for k, (kind, j) in enumerate(shape):
         if kind == OUTLET:
@@ -258,37 +269,37 @@ def _law_factory(n: int, m: int, shape: tuple[tuple[str, int], ...]):
                 f"s{k}, bound{k}, sum{k}, prod{k} = c{k}.sign, c{k}.bound, "
                 f"c{k}.alpha + c{k}.alpha_e, c{k}.alpha_e * c{k}.alpha"
             )
-            rows = (
-                f"        [{each(f'p{k}_{{i}}', n)}] = jq[{j}]\n"
-                f"        [{each(f'e{k}_{{i}}', m)}] = jr[{j}]\n"
-            )
+            constants += [f"p{k}_{i} = {local(e)}" for i, e in enumerate(table.dq_dw[j])]
+            constants += [f"e{k}_{i} = {local(e)}" for i, e in enumerate(table.dr_dz[j])]
             drift = (
                 f"s{k} * ({dot(f'p{k}_', 'f', n)} + {dot(f'e{k}_', 'o', m)}"
-                f" + sum{k} * o{j} - prod{k} * (bound{k} - z[{j}]))"
+                f" + sum{k} * o{j} - prod{k} * (bound{k} - {local(table.z[j])}))"
             )
             authority = f"s{k} * {dot(f'p{k}_', 'g', n)}"
         else:
             constants.append(f"s{k}, alpha{k}, bound{k} = c{k}.sign, c{k}.alpha, c{k}.bound")
-            rows = ""
-            drift = f"s{k} * f{j} - alpha{k} * (s{k} * (bound{k} - w[{j}]))"
+            drift = f"s{k} * f{j} - alpha{k} * (s{k} * (bound{k} - {local(table.w[j])}))"
             authority = f"s{k} * g{j}"
         fill = dict(k=k, drift=drift, authority=authority)
-        solve_steps.append(rows + _SOLVE_STEP.format(**fill))
-        law_steps.append(rows + _LAW_STEP.format(**fill))
+        solve_steps.append(_SOLVE_STEP.format(**fill))
+        law_steps.append(_LAW_STEP.format(**fill))
 
     def block(lines: list[str], indent: str) -> str:
         return "\n".join(indent + line for line in lines)
 
     source = _LAW_TEMPLATE.format(
+        params=each(table.params),
+        model_constants=block([local(line) for line in table.constants], "    "),
         names=", ".join(f"c{k}" for k in range(len(shape))),
         constants=block(constants, "    "),
+        unpack=block(unpack, "        "),
+        x=each(table.w + table.z),
         evaluate=block(evaluate, "        "),
-        split=block(split, "        "),
         solve_steps="\n".join(solve_steps),
         law_steps="\n".join(law_steps),
     )
     namespace: dict = {}
-    exec(compile(source, f"<law kernel, {n}+{m} states, {shape}>", "exec"), namespace)
+    exec(compile(source, f"<law kernel, {table.w + table.z}, {shape}>", "exec"), namespace)
     return namespace["factory"]
 
 
@@ -302,10 +313,11 @@ _KERNELS_KEPT = 16
 
 def _solver(spec: ModelSpec, constraints: tuple[SafetyConstraint, ...]):
     """Return (solve, law) for the constraint set: the two entry points that
-    the factory compiled for its shape binds to the spec and constraints
-    (see the scalar core notes above).  The memo entry holds both; they are
-    built, and the constraints checked against the model, only on the first
-    request.
+    the factory compiled for the spec's formula table and the constraints'
+    shape binds to the spec's values and the constraints (see the scalar
+    core notes above).  Both evaluate the model's formulas inline.  The memo
+    entry holds both; they are built, and the constraints checked against
+    the model, only on the first request.
 
     Every caller of the law shares the memo, so a run builds its kernels
     once however many times it evaluates them.
@@ -316,7 +328,7 @@ def _solver(spec: ModelSpec, constraints: tuple[SafetyConstraint, ...]):
         for c in constraints:
             c.check_against(spec)
         shape = tuple((c.kind, c.index) for c in constraints)
-        factory = _law_factory(spec.n, spec.m, shape)
+        factory = _law_factory(spec.formulas, shape)
         if len(_KERNELS) >= _KERNELS_KEPT:
             _KERNELS.clear()
         entry = _KERNELS[key] = (spec, factory(spec, constraints))

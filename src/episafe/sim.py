@@ -69,12 +69,15 @@ class IntegrationError(SimulationError):
 
 
 def grid_steps(span: float, dt: float) -> int | None:
-    """Number of dt steps in span, or None when span is negative or not a
-    whole number of steps to a relative tolerance of 1e-9: the one rule
-    that maps times to step numbers."""
-    if span < 0.0:
+    """Number of dt steps in span, or None unless span is finite and
+    non-negative, dt finite and positive, and span a whole number of steps
+    to a relative tolerance of 1e-9: the one rule that maps times to step
+    numbers."""
+    if not (0.0 <= span < math.inf and 0.0 < dt < math.inf):
         return None
     k = span / dt
+    if k == math.inf:  # the quotient overflowed
+        return None
     steps = round(k)
     return steps if abs(k - steps) <= 1e-9 * max(1.0, k) else None
 

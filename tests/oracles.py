@@ -8,9 +8,13 @@ checks, so a change to the kernel cannot change its own oracle.
 from __future__ import annotations
 
 from operator import add
+from typing import Sequence
 
-from episafe.models import SihrdParams, SirParams
+from episafe.models import SeirParams, SihrdParams, SirParams
 from episafe.safety import OUTLET
+
+Vector = tuple[float, ...]
+Matrix = tuple[tuple[float, ...], ...]
 
 
 def rk4_reference(deriv, x, u, dt):
@@ -83,6 +87,149 @@ def reference_solver(spec, constraints):
         return u_raw, active, holds and u_raw <= ceiling
 
     return solve
+
+
+# -- reference models --------------------------------------------------------
+#
+# The SIR, SEIR and SIHRD evaluators written out by hand as closures, apart
+# from the formula tables of episafe.models.  Each returns the seven
+# evaluators of a ModelSpec by name; the ones compiled from the tables must
+# give the same bits.
+
+
+def reference_sir(params: SirParams) -> dict:
+    """SIR with intervention: w = (S, I), z = (R,).
+
+    Transmission beta0*S*I/N is scaled by (1 - u); recovery drains I into R
+    at rate gamma.
+    """
+    beta0, gamma, N = params.beta0, params.gamma, params.N
+
+    def f_t(w: Vector) -> Vector:
+        S, I = w
+        t = beta0 * S * I / N
+        return (-t, t - gamma * I)
+
+    def g_t(w: Vector) -> Vector:
+        S, I = w
+        t = beta0 * S * I / N
+        return (t, -t)
+
+    def q_t(w: Vector) -> Vector:
+        return (gamma * w[1],)
+
+    def r_t(z: Vector) -> Vector:
+        return (0.0,)
+
+    def dq_dw_t(w: Vector) -> Matrix:
+        return ((0.0, gamma),)
+
+    def dr_dz_t(z: Vector) -> Matrix:
+        return ((0.0,),)
+
+    def derivative_t(x: Sequence[float], u: float) -> list[float]:
+        S, I, _ = x
+        inflow = beta0 * S * I / N * (1.0 - u)
+        return [-inflow, inflow - gamma * I, gamma * I]
+
+    return dict(
+        f_t=f_t, g_t=g_t, q_t=q_t, r_t=r_t,
+        dq_dw_t=dq_dw_t, dr_dz_t=dr_dz_t, derivative_t=derivative_t,
+    )
+
+
+def reference_seir(params: SeirParams) -> dict:
+    """SEIR with intervention: w = (S, E, I), z = (R,).
+
+    New infections enter the exposed pool E and become infectious at rate
+    sigma.  The input has no direct effect on the I row, so only S and E
+    admit the first-order safety controller.
+    """
+    beta0, gamma, N, sigma = params.beta0, params.gamma, params.N, params.sigma
+
+    def f_t(w: Vector) -> Vector:
+        S, E, I = w
+        t = beta0 * S * I / N
+        return (-t, t - sigma * E, sigma * E - gamma * I)
+
+    def g_t(w: Vector) -> Vector:
+        S, E, I = w
+        t = beta0 * S * I / N
+        return (t, -t, 0.0)
+
+    def q_t(w: Vector) -> Vector:
+        return (gamma * w[2],)
+
+    def r_t(z: Vector) -> Vector:
+        return (0.0,)
+
+    def dq_dw_t(w: Vector) -> Matrix:
+        return ((0.0, 0.0, gamma),)
+
+    def dr_dz_t(z: Vector) -> Matrix:
+        return ((0.0,),)
+
+    def derivative_t(x: Sequence[float], u: float) -> list[float]:
+        S, E, I, _ = x
+        inflow = beta0 * S * I / N * (1.0 - u)
+        return [-inflow, inflow - sigma * E, sigma * E - gamma * I, gamma * I]
+
+    return dict(
+        f_t=f_t, g_t=g_t, q_t=q_t, r_t=r_t,
+        dq_dw_t=dq_dw_t, dr_dz_t=dr_dz_t, derivative_t=derivative_t,
+    )
+
+
+def reference_sihrd(params: SihrdParams) -> dict:
+    """SIHRD with intervention: w = (S, I), z = (H, R, D).
+
+    Infected individuals leave I at total rate gamma + lam + mu, split into
+    hospitalization (lam), direct recovery (gamma) and death (mu); the
+    hospitalized recover at rate nu.
+    """
+    beta0, gamma, N = params.beta0, params.gamma, params.N
+    lam, nu, mu = params.lam, params.nu, params.mu
+    out = gamma + lam + mu
+
+    def f_t(w: Vector) -> Vector:
+        S, I = w
+        t = beta0 * S * I / N
+        return (-t, t - out * I)
+
+    def g_t(w: Vector) -> Vector:
+        S, I = w
+        t = beta0 * S * I / N
+        return (t, -t)
+
+    def q_t(w: Vector) -> Vector:
+        I = w[1]
+        return (lam * I, gamma * I, mu * I)
+
+    def r_t(z: Vector) -> Vector:
+        H = z[0]
+        return (-nu * H, nu * H, 0.0)
+
+    def dq_dw_t(w: Vector) -> Matrix:
+        return ((0.0, lam), (0.0, gamma), (0.0, mu))
+
+    def dr_dz_t(z: Vector) -> Matrix:
+        return ((-nu, 0.0, 0.0), (nu, 0.0, 0.0), (0.0, 0.0, 0.0))
+
+    def derivative_t(x: Sequence[float], u: float) -> list[float]:
+        S, I, H, _, _ = x
+        inflow = beta0 * S * I / N * (1.0 - u)
+        return [
+            -inflow,
+            inflow - out * I,
+            lam * I - nu * H,
+            gamma * I + nu * H,
+            mu * I,
+        ]
+
+    return dict(
+        f_t=f_t, g_t=g_t, q_t=q_t, r_t=r_t,
+        dq_dw_t=dq_dw_t, dr_dz_t=dr_dz_t, derivative_t=derivative_t,
+    )
 
 
 # -- closed-form specializations ---------------------------------------------

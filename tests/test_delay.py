@@ -1,5 +1,7 @@
 """Forecast feedback, prediction-error bookkeeping, robustness margins."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,14 @@ class TestPredictorConfig:
 
     def test_zero_tau_ok(self):
         assert PredictorConfig(tau=0.0, dt_pred=0.1).n_steps == 0
+
+    @pytest.mark.parametrize(
+        "tau, dt_pred",
+        [(math.inf, 0.1), (math.nan, 0.1), (1.0, math.inf), (1.0, math.nan), (math.inf, math.inf)],
+    )
+    def test_rejects_non_finite_tau_or_step(self, tau, dt_pred):
+        with pytest.raises(ValueError):
+            PredictorConfig(tau=tau, dt_pred=dt_pred)
 
     @pytest.mark.parametrize("tau, dt, on_grid", TAU_GRID_CASES)
     def test_tau_grid_cases(self, tau, dt, on_grid):
@@ -114,6 +124,12 @@ class TestPredictState:
             predict_state(sir_spec, state, on, t_measured=2.0).x,
             predict_state(sir_spec, state, always, t_measured=2.0).x,
         )
+
+    def test_infinite_control_start_is_rejected(self, sir_spec):
+        state = sir_spec.state([26e6, 1e5, 6.9e6])
+        cfg = PredictorConfig(1.0, 0.1, constraints=(I_CON,), control_start=math.inf)
+        with pytest.raises(ValueError, match="control_start"):
+            predict_state(sir_spec, state, cfg, t_measured=2.0)
 
     def test_singular_start_rests_like_oracle(self, sir_spec):
         # no infected: no authority, and the oracle's answer is u = 0, so

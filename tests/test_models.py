@@ -1,11 +1,15 @@
 """Model construction, dynamics evaluation and Jacobian correctness."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from episafe.models import (
+    FormulaTable,
     ModelState,
     SeirParams,
     SirParams,
@@ -23,6 +27,7 @@ from conftest import (
     sample_sihrd_states,
     sample_sir_states,
 )
+from oracles import reference_seir, reference_sihrd, reference_sir
 
 
 def all_specs():
@@ -255,6 +260,121 @@ class TestJacobians:
             scale_r = max(1.0, np.abs(dr).max())
             assert np.abs(dq_fd - dq).max() / scale_q < 1e-6
             assert np.abs(dr_fd - dr).max() / scale_r < 1e-6
+
+
+REFERENCE_MODELS = {"sir": reference_sir, "seir": reference_seir, "sihrd": reference_sihrd}
+EVALUATORS = (
+    ("f_t", "w"), ("g_t", "w"), ("q_t", "w"), ("r_t", "z"), ("dq_dw_t", "w"), ("dr_dz_t", "z"),
+)
+
+
+def bits(value):
+    """value with every float as its hex string, arrays entry by entry, and
+    every container and number tagged with its type."""
+    if isinstance(value, (tuple, list)):
+        return type(value).__name__, [bits(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return "ndarray", value.shape, [float(v).hex() for v in value.ravel()]
+    return type(value).__name__, float(value).hex()
+
+
+class TestFormulaTables:
+    """The evaluators each builder compiles from its model's formula table,
+    bit for bit against the hand-written reference models in oracles."""
+
+    @staticmethod
+    def states(spec, seed):
+        """Random states, then each compartment in turn NaN and inf, each
+        with I random and with I = 0."""
+        rng = np.random.default_rng(seed)
+        size, i = spec.n + spec.m, spec.labels.index("I")
+        N = spec.params.N
+        out = [rng.uniform(0.0, N, size).tolist() for _ in range(60)]
+        for k in range(size):
+            for bad in (math.nan, math.inf):
+                for no_infected in (False, True):
+                    x = rng.uniform(0.0, N, size).tolist()
+                    if no_infected:
+                        x[i] = 0.0
+                    x[k] = bad
+                    out.append(x)
+        return out
+
+    @pytest.mark.parametrize("model", ["sir", "seir", "sihrd"])
+    def test_scalar_evaluators_match_reference(self, model):
+        spec = {s.kind: s for s in all_specs()}[model]
+        ref = REFERENCE_MODELS[model](spec.params)
+        for x in self.states(spec, 31):
+            blocks = {"w": x[: spec.n], "z": x[spec.n :]}
+            for u in (0.0, 0.3, 1.0):
+                got, want = spec.derivative_t(x, u), ref["derivative_t"](x, u)
+                assert bits(got) == bits(want), (x, u)
+            for name, block in EVALUATORS:
+                got, want = getattr(spec, name)(blocks[block]), ref[name](blocks[block])
+                assert bits(got) == bits(want), (name, x)
+
+    @pytest.mark.parametrize("model", ["sir", "seir", "sihrd"])
+    def test_column_evaluators_match_reference(self, model):
+        # the margin series evaluate whole state columns, one entry per sample
+        spec = {s.kind: s for s in all_specs()}[model]
+        ref = REFERENCE_MODELS[model](spec.params)
+        columns = list(np.array(self.states(spec, 32)).T)
+        blocks = {"w": columns[: spec.n], "z": columns[spec.n :]}
+        with np.errstate(invalid="ignore"):  # the NaN and inf rows
+            for u in (0.0, 0.3, 1.0):
+                got, want = spec.derivative_t(columns, u), ref["derivative_t"](columns, u)
+                assert bits(got) == bits(want), u
+            for name, block in EVALUATORS:
+                got, want = getattr(spec, name)(blocks[block]), ref[name](blocks[block])
+                assert bits(got) == bits(want), name
+
+    def test_compiled_once_per_table(self):
+        a = build_sir(SIR_US)
+        b = build_sir(SirParams(beta0=0.4, gamma=0.1, N=1e6))
+        for name, _ in EVALUATORS + (("derivative_t", "x"),):
+            assert getattr(a, name).__code__ is getattr(b, name).__code__
+        # each spec binds its own values
+        assert a.f_t([5e5, 1e4]) != b.f_t([5e5, 1e4])
+        assert b.dq_dw_t([0.0, 0.0]) == ((0.0, 0.1),)
+
+    def test_spec_follows_its_table(self, sihrd_spec):
+        assert sihrd_spec.labels == sihrd_spec.formulas.w + sihrd_spec.formulas.z
+        assert (sihrd_spec.n, sihrd_spec.m) == (2, 3)
+        with pytest.raises(ValueError, match="parameter values"):
+            dataclasses.replace(sihrd_spec, values=sihrd_spec.values[:-1])
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(q=("gamma * I", "0.0")), "do not match"),
+            (dict(dq_dw=(("0.0",),)), "do not match"),
+            (dict(w=("S", "u")), "names"),
+            (dict(params=("beta0", "gamma", "S")), "names"),
+        ],
+    )
+    def test_table_checks_sizes_and_names(self, sir_spec, change, message):
+        table = sir_spec.formulas._replace(**change)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(sir_spec, formulas=table)
+
+    def test_generated_code_keeps_its_own_names(self):
+        # compartment and parameter names that are also names of the
+        # generated code still mean the table's values
+        table = FormulaTable(
+            w=("x", "w"), z=("z",), params=("values", "jq"),
+            terms=("f_t = values * x * w",),
+            f=("-f_t", "f_t - jq * w"), g=("f_t", "-f_t"),
+            q=("jq * w",), r=("0.0",), dq_dw=(("0.0", "jq"),), dr_dz=(("0.0",),),
+            derivative_terms=("inflow = values * x * w * (1.0 - u)",),
+            derivative=("-inflow", "inflow - jq * w", "jq * w"),
+        )
+        spec = build_sir(SirParams(beta0=0.5, gamma=0.25, N=1.0))
+        ref = REFERENCE_MODELS["sir"](spec.params)
+        renamed = dataclasses.replace(spec, formulas=table, values=(0.5, 0.25))
+        x = [0.75, 0.125, 0.5]
+        assert renamed.derivative_t(x, 0.3) == ref["derivative_t"](x, 0.3)
+        assert renamed.f_t(x[:2]) == ref["f_t"](x[:2])
+        assert renamed.dq_dw_t(x[:2]) == ref["dq_dw_t"](x[:2])
 
 
 def test_sampler_helpers_produce_valid_states(sir_spec, sihrd_spec):

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-from operator import add, mul
 
 import numpy as np
 import pytest
@@ -11,7 +10,15 @@ from hypothesis import strategies as st
 
 from episafe import safety
 from episafe.engine import make_input_fn
-from episafe.models import ModelSpec, SeirParams, SirParams, build_seir, build_sihrd, build_sir
+from episafe.models import (
+    FormulaTable,
+    ModelSpec,
+    SeirParams,
+    SirParams,
+    build_seir,
+    build_sihrd,
+    build_sir,
+)
 from episafe.safety import (
     MULTIPLICATIVE,
     OUTLET,
@@ -350,34 +357,33 @@ class TestQpOracle:
 
 def dense_linear_spec(rng, n=3, m=4):
     """A linear model whose Jacobians have no zero entries, so the order of
-    every outlet dot product shows in the bits.  Authority scales with I."""
+    every outlet dot product shows in the bits.  Authority scales with I.
+    Its formula table names every matrix entry as a parameter."""
     F, Q, R = (rng.uniform(-1.0, 1.0, size=shape).tolist() for shape in ((n, n), (m, n), (m, m)))
     G = rng.uniform(-100.0, 100.0, size=n).tolist()
+    w = ("S", "I", *(f"x{k}" for k in range(2, n)))
+    z = tuple(f"x{k}" for k in range(n, n + m))
 
-    def times(A, v):
-        return tuple(sum(map(mul, row, v)) for row in A)
+    def names(A, rows, cols):
+        return tuple(tuple(f"{A}{i}_{j}" for j in range(cols)) for i in range(rows))
 
-    def f_t(w):
-        return times(F, w)
+    def times(A, v, rows):
+        return tuple(
+            "0.0" + "".join(f" + {A}{i}_{j} * {x}" for j, x in enumerate(v)) for i in range(rows)
+        )
 
-    def g_t(w):
-        return tuple(gk * w[1] for gk in G)
-
-    def q_t(w):
-        return times(Q, w)
-
-    def r_t(z):
-        return times(R, z)
-
-    def derivative_t(x, u):
-        w, z = x[:n], x[n:]
-        return [a + b * u for a, b in zip(f_t(w), g_t(w))] + list(map(add, q_t(w), r_t(z)))
-
-    return ModelSpec(
-        kind="dense", n=n, m=m, labels=("S", "I", *(f"x{k}" for k in range(2, n + m))),
-        params=SIR_US, g_tol=1e-12, f_t=f_t, g_t=g_t, q_t=q_t, r_t=r_t,
-        dq_dw_t=lambda w: Q, dr_dz_t=lambda z: R, derivative_t=derivative_t,
+    f, g = times("F", w, n), tuple(f"G{k} * I" for k in range(n))
+    q, r = times("Q", w, m), times("R", z, m)
+    table = FormulaTable(
+        w=w, z=z,
+        params=sum(names("F", n, n) + names("Q", m, n) + names("R", m, m), ())
+        + tuple(f"G{k}" for k in range(n)),
+        f=f, g=g, q=q, r=r, dq_dw=names("Q", m, n), dr_dz=names("R", m, m),
+        derivative=tuple(f"({a}) + ({b}) * u" for a, b in zip(f, g))
+        + tuple(f"({a}) + ({b})" for a, b in zip(q, r)),
     )
+    values = sum(F + Q + R, []) + G
+    return ModelSpec("dense", table, values, params=SIR_US, g_tol=1e-12)
 
 
 class TestUnrolledOutletTerms:
@@ -506,6 +512,42 @@ class TestGeneratedKernels:
             got = make_input_fn(spec, cons)(0, x)
             want = safety._clamp01(reference_solver(spec, cons)(x[: spec.n], x[spec.n :])[0])
             assert got.hex() == want.hex(), (spec.kind, x, cons)
+
+    def test_infinite_compartments_match_reference(self):
+        # An inf compartment makes some products with a 0.0 Jacobian entry
+        # NaN; the law keeps every such product, as the reference does.
+        rng = np.random.default_rng(618)
+        specs = (
+            build_sir(SIR_US),
+            build_seir(SeirParams(beta0=0.33, gamma=0.2, N=33e6, sigma=0.2)),
+            build_sihrd(SIHRD_US),
+            dense_linear_spec(rng),
+        )
+        for spec in specs:
+            N, size = spec.params.N, spec.n + spec.m
+            singles = [
+                SafetyConstraint(
+                    kind, j, 0.02 * N, 0.1, alpha_e=0.2 if kind == OUTLET else None,
+                    direction=direction,
+                )
+                for kind, count in ((MULTIPLICATIVE, spec.n), (OUTLET, spec.m))
+                for j in range(count)
+                for direction in ("upper", "lower")
+            ]
+            sets = [(c,) for c in singles] + [tuple(singles)]
+            for k in range(size):
+                for no_infected in (False, True):
+                    x = [float(rng.uniform(0.5, 1.0)) * N]
+                    x += rng.uniform(0.0, 0.01 * N, size=size - 1).tolist()
+                    if no_infected:
+                        x[spec.labels.index("I")] = 0.0
+                    x[k] = math.inf
+                    w, z = x[: spec.n], x[spec.n :]
+                    for cons in sets:
+                        solve, law = safety._solver(spec, cons)
+                        got, want = solve(w, z), reference_solver(spec, cons)(w, z)
+                        assert (got[0].hex(), got[1:]) == (want[0].hex(), want[1:]), (x, cons)
+                        assert law(x).hex() == safety._clamp01(want[0]).hex(), (x, cons)
 
     def test_same_shape_shares_one_factory(self, sir_spec):
         other = build_sir(SirParams(beta0=0.4, gamma=0.1, N=1e6))

@@ -106,6 +106,17 @@ class TestGridSteps:
         assert grid_steps(-0.1, 0.1) is None
         assert grid_steps(0.55, 0.1) is None
 
+    @pytest.mark.parametrize(
+        "span, dt",
+        [
+            (math.inf, 0.1), (math.nan, 0.1), (-math.inf, 0.1),
+            (1.0, math.inf), (1.0, math.nan), (1.0, 0.0), (1.0, -0.1),
+            (math.inf, math.inf), (1e300, 1e-300),
+        ],
+    )
+    def test_non_finite_or_non_positive_step_is_none(self, span, dt):
+        assert grid_steps(span, dt) is None
+
     def test_control_step(self, sir_spec):
         assert sir_scenario(sir_spec).control_step == 0
         assert sir_scenario(sir_spec, t_start=5.0, control_start=7.5).control_step == 25
