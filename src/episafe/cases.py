@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,8 +43,9 @@ class CaseRecord:
     """One day of surveillance data.
 
     cumulative_confirmed counts everyone confirmed infected up to the date
-    (actively infected plus recovered); positivity_rate is positives per
-    total tests in (0, 1], or None when the source lacks it.
+    (actively infected plus recovered) and must be finite and non-negative;
+    positivity_rate is positives per total tests in (0, 1], or None when
+    the source lacks it.
     """
 
     date: dt.date
@@ -53,6 +55,8 @@ class CaseRecord:
     def __post_init__(self) -> None:
         if self.cumulative_confirmed < 0.0:
             raise ValueError("cumulative_confirmed must be non-negative")
+        if not math.isfinite(self.cumulative_confirmed):
+            raise ValueError("cumulative_confirmed must be finite")
         if self.positivity_rate is not None and not (0.0 < self.positivity_rate <= 1.0):
             raise ValueError("positivity_rate must lie in (0, 1]")
 

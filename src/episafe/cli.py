@@ -34,8 +34,8 @@ from .runner import (
     worst_exit_code,
     write_long_table,
 )
-from .scenarios import preset_names, preset_note, resolve_scenario
-from .sim import SimulationError, safety_audit
+from .scenarios import SETTINGS, preset_names, preset_note, resolve_scenario
+from .sim import MODES, SimulationError, safety_audit
 
 __all__ = ["main", "entry"]
 
@@ -53,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the disturbance seed")
         p.add_argument(
             "--mode",
-            choices=("instantaneous", "delayed", "predictor"),
+            choices=MODES,
             help="override the feedback mode",
         )
 
@@ -86,16 +86,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(scenario, args):
-    overrides = {}
-    if args.dt is not None:
-        overrides["dt"] = args.dt
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.mode is not None:
-        overrides["feedback_mode"] = args.mode
-    if overrides:
-        scenario = dataclasses.replace(scenario, **overrides)
-    return scenario
+    """The scenario with each setting given as --dt, --seed or --mode."""
+    overrides = {
+        s.field: getattr(args, s.key)
+        for s in SETTINGS
+        if s.key in ("dt", "seed", "mode") and getattr(args, s.key) is not None
+    }
+    return dataclasses.replace(scenario, **overrides) if overrides else scenario
 
 
 def _cmd_simulate(args) -> int:

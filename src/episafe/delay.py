@@ -11,6 +11,7 @@ disturbance of size delta enlarges the guaranteed-invariant region by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -40,7 +41,7 @@ class PredictorConfig:
     the internal integration step, normally equal to the simulation step so
     predictions replay the plant exactly.  constraints/control_start describe
     the same feedback law that runs in the loop; control_start None means
-    the controller is always on.
+    the controller is always on, and any other value must be finite.
     """
 
     tau: float
@@ -50,6 +51,8 @@ class PredictorConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "constraints", tuple(self.constraints))
+        if self.control_start is not None and not math.isfinite(self.control_start):
+            raise ValueError("control_start must be finite")
         if not self.dt_pred > 0.0:
             raise ValueError("dt_pred must be positive")
         if grid_steps(self.tau, self.dt_pred) is None:

@@ -17,12 +17,13 @@ Each model writes its formulas once, as source lines in a FormulaTable:
 f, g, q, r, the outflow Jacobians and the fused derivative.  A ModelSpec
 binds parameter values to a table and holds the evaluators compiled from
 it; safety writes the same lines into the control law it generates.
+MODELS, the catalogue, maps each model kind to its rate class and table.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
@@ -35,6 +36,9 @@ __all__ = [
     "SeirParams",
     "SihrdParams",
     "ModelSpec",
+    "MODELS",
+    "build_model",
+    "steered",
     "build_sir",
     "build_seir",
     "build_sihrd",
@@ -69,13 +73,14 @@ def _readonly(values) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelState:
     """Partitioned population state: multiplicative block w, outlet block z.
 
     Entries are persons per compartment.  Labels name each entry of the
     concatenated vector [w; z] and must be unique.  w and z are read-only
     float64 arrays; an input a caller could still write to is copied.
+    States compare and hash by their labels and the values of w and z.
     """
 
     w: np.ndarray
@@ -105,6 +110,15 @@ class ModelState:
             if low < floor:
                 raise ValueError(f"negative population {low:g} in state (floor {floor:g})")
 
+    def _key(self) -> tuple:
+        return self.labels, tuple(self.w.tolist()), tuple(self.z.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ModelState) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
     @property
     def n(self) -> int:
         return self.w.size
@@ -122,26 +136,27 @@ class ModelState:
         return float(self.x[self.labels.index(label)])
 
 
-def _require_positive(**kwargs: float) -> None:
-    for name, value in kwargs.items():
-        if not (value > 0.0) or not np.isfinite(value):
-            raise ValueError(f"parameter {name} must be strictly positive, got {value!r}")
+class _Rates:
+    """Base of the rate classes: every field must be a finite, strictly
+    positive number."""
+
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not (value > 0.0) or not np.isfinite(value):
+                raise ValueError(f"parameter {name} must be strictly positive, got {value!r}")
 
 
 @dataclass(frozen=True)
-class SirParams:
+class SirParams(_Rates):
     """SIR rates: transmission beta0, recovery gamma (1/day), population N."""
 
     beta0: float
     gamma: float
     N: float
 
-    def __post_init__(self) -> None:
-        _require_positive(beta0=self.beta0, gamma=self.gamma, N=self.N)
-
 
 @dataclass(frozen=True)
-class SeirParams:
+class SeirParams(_Rates):
     """SEIR rates: SIR parameters plus inverse latency sigma (1/day)."""
 
     beta0: float
@@ -149,14 +164,9 @@ class SeirParams:
     N: float
     sigma: float
 
-    def __post_init__(self) -> None:
-        _require_positive(
-            beta0=self.beta0, gamma=self.gamma, N=self.N, sigma=self.sigma
-        )
-
 
 @dataclass(frozen=True)
-class SihrdParams:
+class SihrdParams(_Rates):
     """SIHRD rates: SIR parameters plus hospitalization lam, hospital
     recovery nu and death rate mu (all 1/day)."""
 
@@ -166,16 +176,6 @@ class SihrdParams:
     lam: float
     nu: float
     mu: float
-
-    def __post_init__(self) -> None:
-        _require_positive(
-            beta0=self.beta0,
-            gamma=self.gamma,
-            N=self.N,
-            lam=self.lam,
-            nu=self.nu,
-            mu=self.mu,
-        )
 
 
 # -- formula tables ----------------------------------------------------------
@@ -199,8 +199,9 @@ class FormulaTable(NamedTuple):
     once per spec; terms over w, shared by f and g; derivative_terms over
     the state and u.  The parameters include the constants.  Generated code
     refers to every name the table defines through local, so a table may
-    use any name but u.  Sizes and names are checked when the first spec
-    compiles the table.
+    use any name but u.  An entry that is zero whatever the state is
+    written "0.0": steered reads the input's authority from those entries.
+    Sizes and names are checked when the first spec compiles the table.
     """
 
     w: tuple[str, ...]
@@ -230,6 +231,16 @@ class FormulaTable(NamedTuple):
         names = self.names
         parts = re.split(r"(\W+)", source)
         return "".join("m_" + part if part in names else part for part in parts)
+
+
+@lru_cache(maxsize=32)
+def steered(table: FormulaTable) -> tuple[str, ...]:
+    """The compartments of table the input acts on: each w compartment whose
+    g entry is not "0.0", and each z compartment whose dq_dw row times g has
+    a term with neither factor "0.0"."""
+    on_w = [entry != "0.0" for entry in table.g]
+    on_z = [any(g and d != "0.0" for g, d in zip(on_w, row)) for row in table.dq_dw]
+    return tuple(label for label, on in zip(table.w + table.z, on_w + on_z) if on)
 
 
 # bind(values) returns the evaluators of ModelSpec by name, with the
@@ -367,13 +378,27 @@ class ModelSpec:
         return ModelState(w=arr[: self.n], z=arr[self.n :], labels=self.labels)
 
 
-def _build(kind: str, table: FormulaTable, params) -> ModelSpec:
+# The model catalogue: kind -> (rate class, formula table), the table's
+# params being the rate class's fields.  Adding a model takes one rate class,
+# one table and one entry; scenarios read everything else from the table.
+MODELS: dict[str, tuple[type, FormulaTable]] = {}
+
+
+def _register(kind: str, rates: type, **formulas) -> None:
+    params = tuple(f.name for f in fields(rates))
+    MODELS[kind] = rates, FormulaTable(params=params, **formulas)
+
+
+def build_model(kind: str, params) -> ModelSpec:
+    """The spec of catalogue model kind, params an instance of its rates."""
+    _, table = MODELS[kind]
     values = tuple(getattr(params, name) for name in table.params)
     return ModelSpec(kind, table, values, params, g_tol=1e-12 * params.beta0)
 
 
-_SIR = FormulaTable(
-    w=("S", "I"), z=("R",), params=("beta0", "gamma", "N"),
+_register(
+    "sir", SirParams,
+    w=("S", "I"), z=("R",),
     terms=("t = beta0 * S * I / N",),
     f=("-t", "t - gamma * I"),
     g=("t", "-t"),
@@ -392,11 +417,12 @@ def build_sir(params: SirParams) -> ModelSpec:
     Transmission beta0*S*I/N is scaled by (1 - u); recovery drains I into R
     at rate gamma.
     """
-    return _build("sir", _SIR, params)
+    return build_model("sir", params)
 
 
-_SEIR = FormulaTable(
-    w=("S", "E", "I"), z=("R",), params=("beta0", "gamma", "N", "sigma"),
+_register(
+    "seir", SeirParams,
+    w=("S", "E", "I"), z=("R",),
     terms=("t = beta0 * S * I / N",),
     f=("-t", "t - sigma * E", "sigma * E - gamma * I"),
     g=("t", "-t", "0.0"),
@@ -416,11 +442,12 @@ def build_seir(params: SeirParams) -> ModelSpec:
     sigma.  The input has no direct effect on the I row, so only S and E
     admit the first-order safety controller.
     """
-    return _build("seir", _SEIR, params)
+    return build_model("seir", params)
 
 
-_SIHRD = FormulaTable(
-    w=("S", "I"), z=("H", "R", "D"), params=("beta0", "gamma", "N", "lam", "nu", "mu"),
+_register(
+    "sihrd", SihrdParams,
+    w=("S", "I"), z=("H", "R", "D"),
     constants=("out = gamma + lam + mu",),
     terms=("t = beta0 * S * I / N",),
     f=("-t", "t - out * I"),
@@ -441,18 +468,22 @@ def build_sihrd(params: SihrdParams) -> ModelSpec:
     hospitalization (lam), direct recovery (gamma) and death (mu); the
     hospitalized recover at rate nu.
     """
-    return _build("sihrd", _SIHRD, params)
+    return build_model("sihrd", params)
+
+
+def _check_dimensions(spec: ModelSpec, state: ModelState) -> None:
+    if state.n != spec.n or state.m != spec.m:
+        raise ValueError(
+            f"state dimensions ({state.n}, {state.m}) do not match "
+            f"model ({spec.n}, {spec.m})"
+        )
 
 
 def eval_dynamics(
     spec: ModelSpec, state: ModelState, u: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Time derivatives (dw/dt, dz/dt) in persons/day for input u."""
-    if state.n != spec.n or state.m != spec.m:
-        raise ValueError(
-            f"state dimensions ({state.n}, {state.m}) do not match "
-            f"model ({spec.n}, {spec.m})"
-        )
+    _check_dimensions(spec, state)
     w, z = state.w.tolist(), state.z.tolist()
     wdot = np.asarray(spec.f_t(w), dtype=float) + np.asarray(spec.g_t(w), dtype=float) * u
     zdot = np.asarray(spec.q_t(w), dtype=float) + np.asarray(spec.r_t(z), dtype=float)
@@ -461,11 +492,7 @@ def eval_dynamics(
 
 def eval_jacobians(spec: ModelSpec, state: ModelState) -> tuple[np.ndarray, np.ndarray]:
     """Jacobians (dq/dw of shape (m, n), dr/dz of shape (m, m))."""
-    if state.n != spec.n or state.m != spec.m:
-        raise ValueError(
-            f"state dimensions ({state.n}, {state.m}) do not match "
-            f"model ({spec.n}, {spec.m})"
-        )
+    _check_dimensions(spec, state)
     return (
         np.asarray(spec.dq_dw_t(state.w.tolist()), dtype=float),
         np.asarray(spec.dr_dz_t(state.z.tolist()), dtype=float),

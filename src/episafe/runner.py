@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .safety import InitialConditionReport
+from .scenarios import SETTINGS
 from .sim import (
     AuditReport,
     Scenario,
@@ -46,6 +47,7 @@ __all__ = [
     "format_report",
 ]
 
+# the keys of scenarios.SETTINGS a sweep may vary
 SWEEP_PARAMETERS = ("tau", "dt", "seed", "delta", "t_end", "control_start")
 
 # Margin dips beyond this fraction of the bound count as real violations for
@@ -151,12 +153,12 @@ def sweep(
         raise ValueError(
             f"cannot sweep {parameter!r}; supported: {', '.join(SWEEP_PARAMETERS)}"
         )
-    field = {"delta": "disturbance_delta"}.get(parameter, parameter)
+    setting = next(s for s in SETTINGS if s.key == parameter)
     reports = []
     for value in sorted(values):
-        cast = int(value) if parameter == "seed" else float(value)
-        variant = dataclasses.replace(scenario, **{field: cast})
-        label = f"{name}_{parameter}_{cast:g}" if parameter != "seed" else f"{name}_{parameter}_{cast}"
+        cast = setting.type(value)
+        variant = dataclasses.replace(scenario, **{setting.field: cast})
+        label = f"{name}_{parameter}_{cast:g}" if setting.type is float else f"{name}_{parameter}_{cast}"
         reports.append(run(variant, name=label, out_dir=out_dir))
     return reports
 

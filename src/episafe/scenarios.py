@@ -10,7 +10,7 @@ scenario invariants.
 
 Constraints name compartments by label; the parser resolves the label to
 the multiplicative or outlet block of the chosen model.  Margin gains
-default to one tenth of the relevant outflow rate when omitted (see
+default to one tenth of I's removal rate when omitted (see
 default_gains).
 """
 
@@ -18,21 +18,15 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
+from typing import NamedTuple
 
-from .models import (
-    ModelSpec,
-    SeirParams,
-    SihrdParams,
-    SirParams,
-    build_seir,
-    build_sihrd,
-    build_sir,
-)
+from .models import MODELS, ModelSpec, build_model, steered
 from .safety import MULTIPLICATIVE, OUTLET, SafetyConstraint
 from .sim import Scenario
 
 __all__ = [
     "SCHEMA_VERSION",
+    "SETTINGS",
     "ScenarioParseError",
     "parse_scenario",
     "parse_scenario_text",
@@ -47,14 +41,39 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-_MODEL_KEYS = {
-    "sir": ("beta0", "gamma", "N"),
-    "seir": ("beta0", "gamma", "N", "sigma"),
-    "sihrd": ("beta0", "gamma", "N", "lam", "nu", "mu"),
+# the default of a setting the file must give
+_REQUIRED = object()
+
+
+class Setting(NamedTuple):
+    section: str
+    key: str
+    field: str
+    type: type
+    default: object
+
+
+# The scalar settings in file order: the file's [section] and key, the
+# Scenario field each sets, its type (float, int or str) and its default.  A
+# section with a _REQUIRED key must be present; the writer leaves out a
+# section whose values are all defaults.
+SETTINGS = (
+    Setting("time", "t_start", "t_start", float, _REQUIRED),
+    Setting("time", "t_end", "t_end", float, _REQUIRED),
+    Setting("time", "dt", "dt", float, _REQUIRED),
+    Setting("time", "control_start", "control_start", float, None),
+    Setting("feedback", "mode", "feedback_mode", str, _REQUIRED),
+    Setting("feedback", "tau", "tau", float, 0.0),
+    Setting("disturbance", "delta", "disturbance_delta", float, 0.0),
+    Setting("disturbance", "seed", "seed", int, 0),
+)
+_SETTING_SECTIONS = {
+    name: tuple(s for s in SETTINGS if s.section == name)
+    for name in dict.fromkeys(s.section for s in SETTINGS)
 }
-_TIME_KEYS = {"t_start", "t_end", "dt", "control_start"}
-_FEEDBACK_KEYS = {"mode", "tau"}
-_DISTURBANCE_KEYS = {"delta", "seed"}
+_REQUIRED_SECTIONS = ("model", "initial") + tuple(
+    name for name, rows in _SETTING_SECTIONS.items() if any(s.default is _REQUIRED for s in rows)
+)
 _CONSTRAINT_KEYS = {"compartment", "bound", "alpha", "alpha_e", "direction", "name"}
 
 
@@ -75,53 +94,42 @@ class _Section:
         self.values: dict[str, str] = {}
         self.lines: dict[str, int] = {}
 
-    def line(self, key: str) -> int | None:
-        return self.lines.get(key)
-
 
 def default_gains(spec: ModelSpec, kind: str, index: int) -> tuple[float, float | None]:
     """Margin decay gains used when a constraint omits them.
 
-    One tenth of the constrained compartment's total outflow rate; outlet
-    constraints additionally get alpha_e from their own outflow rate,
-    falling back to the inflow-side rate for terminal compartments.
+    alpha is one tenth of the total rate at which the outlet compartments
+    drain the multiplicative block, the sum of the dq/dw entries: I's
+    removal rate in every bundled model, whichever compartment is capped.
+    Outlet constraints also get alpha_e, one tenth of their own outflow
+    rate (-dr/dz on the diagonal), or alpha for a compartment without one.
     """
-    p = spec.params
-    if spec.kind == "sihrd":
-        i_out = p.gamma + p.lam + p.mu
-        own = {0: p.nu, 1: 0.0, 2: 0.0}  # H, R, D
-    else:
-        i_out = p.gamma
-        own = {0: 0.0}
+    total = 0.0
+    for row in spec.dq_dw_t(()):  # the outflow Jacobians are constant
+        for rate in row:
+            total = total + rate
+    alpha = total / 10.0
     if kind == MULTIPLICATIVE:
-        return i_out / 10.0, None
-    alpha = i_out / 10.0
-    own_rate = own.get(index, 0.0)
-    alpha_e = own_rate / 10.0 if own_rate > 0.0 else alpha
-    return alpha, alpha_e
+        return alpha, None
+    own_rate = -spec.dr_dz_t(())[index][index]
+    return alpha, own_rate / 10.0 if own_rate > 0.0 else alpha
 
 
-def _as_float(sec: _Section, key: str, origin: str) -> float:
+def _value(sec: _Section, key: str, origin: str, type_: type = float):
+    """The value of key as type_: float (finite), int or str."""
     raw = sec.values[key]
+    if type_ is str:
+        return raw
     try:
-        v = float(raw)
+        v = type_(raw)
     except ValueError:
+        noun = "a number" if type_ is float else "an integer"
         raise ScenarioParseError(
-            f"key {key!r}: cannot parse {raw!r} as a number", origin, sec.line(key)
+            f"key {key!r}: cannot parse {raw!r} as {noun}", origin, sec.lines.get(key)
         ) from None
-    if not math.isfinite(v):
-        raise ScenarioParseError(f"key {key!r}: non-finite value", origin, sec.line(key))
+    if type_ is float and not math.isfinite(v):
+        raise ScenarioParseError(f"key {key!r}: non-finite value", origin, sec.lines.get(key))
     return v
-
-
-def _as_int(sec: _Section, key: str, origin: str) -> int:
-    raw = sec.values[key]
-    try:
-        return int(raw)
-    except ValueError:
-        raise ScenarioParseError(
-            f"key {key!r}: cannot parse {raw!r} as an integer", origin, sec.line(key)
-        ) from None
 
 
 def _check_keys(sec: _Section, allowed: set[str], origin: str) -> None:
@@ -129,7 +137,7 @@ def _check_keys(sec: _Section, allowed: set[str], origin: str) -> None:
     for key in sec.values:
         if key not in allowed:
             raise ScenarioParseError(
-                f"unknown {where} key {key!r}", origin, sec.line(key)
+                f"unknown {where} key {key!r}", origin, sec.lines.get(key)
             )
 
 
@@ -137,26 +145,22 @@ def _build_model(sec: _Section, origin: str) -> ModelSpec:
     kind = sec.values.get("kind")
     if kind is None:
         raise ScenarioParseError("[model] section needs a 'kind'", origin, sec.lineno)
-    if kind not in _MODEL_KEYS:
+    if kind not in MODELS:
         raise ScenarioParseError(
-            f"unknown model kind {kind!r} (choose from {sorted(_MODEL_KEYS)})",
+            f"unknown model kind {kind!r} (choose from {sorted(MODELS)})",
             origin,
-            sec.line("kind"),
+            sec.lines.get("kind"),
         )
-    wanted = _MODEL_KEYS[kind]
-    missing = [k for k in wanted if k not in sec.values]
+    rates, table = MODELS[kind]
+    missing = [k for k in table.params if k not in sec.values]
     if missing:
         raise ScenarioParseError(
             f"[model] missing parameter(s) {missing}", origin, sec.lineno
         )
-    _check_keys(sec, set(wanted) | {"kind"}, origin)
-    params = {k: _as_float(sec, k, origin) for k in wanted}
+    _check_keys(sec, set(table.params) | {"kind"}, origin)
+    params = {k: _value(sec, k, origin) for k in table.params}
     try:
-        if kind == "sir":
-            return build_sir(SirParams(**params))
-        if kind == "seir":
-            return build_seir(SeirParams(**params))
-        return build_sihrd(SihrdParams(**params))
+        return build_model(kind, rates(**params))
     except ValueError as exc:
         raise ScenarioParseError(str(exc), origin, sec.lineno) from exc
 
@@ -170,30 +174,31 @@ def _build_constraint(spec: ModelSpec, sec: _Section, origin: str) -> SafetyCons
         raise ScenarioParseError(
             f"unknown compartment {label!r} for model {spec.kind!r}",
             origin,
-            sec.line("compartment"),
+            sec.lines.get("compartment"),
         )
     if "bound" not in sec.values:
         raise ScenarioParseError(
             f"[constraint] on {label}: missing 'bound'", origin, sec.lineno
         )
-    if spec.kind == "seir" and label in ("I", "R"):
+    acted_on = steered(spec.formulas)
+    if label not in acted_on:
         raise ScenarioParseError(
-            f"the input has no authority over {label} in the seir model "
-            "(bound S or E instead)",
+            f"the input has no authority over {label} in the {spec.kind} model "
+            f"(bound {' or '.join(acted_on)} instead)",
             origin,
-            sec.line("compartment"),
+            sec.lines.get("compartment"),
         )
     pos = spec.labels.index(label)
     kind = MULTIPLICATIVE if pos < spec.n else OUTLET
     index = pos if pos < spec.n else pos - spec.n
     d_alpha, d_alpha_e = default_gains(spec, kind, index)
-    alpha = _as_float(sec, "alpha", origin) if "alpha" in sec.values else d_alpha
-    alpha_e = _as_float(sec, "alpha_e", origin) if "alpha_e" in sec.values else d_alpha_e
+    alpha = _value(sec, "alpha", origin) if "alpha" in sec.values else d_alpha
+    alpha_e = _value(sec, "alpha_e", origin) if "alpha_e" in sec.values else d_alpha_e
     try:
         return SafetyConstraint(
             kind=kind,
             index=index,
-            bound=_as_float(sec, "bound", origin),
+            bound=_value(sec, "bound", origin),
             alpha=alpha,
             alpha_e=alpha_e if kind == OUTLET else None,
             direction=sec.values.get("direction", "upper"),
@@ -205,9 +210,26 @@ def _build_constraint(spec: ModelSpec, sec: _Section, origin: str) -> SafetyCons
         ) from exc
 
 
+def _settings(named: dict[str, _Section], origin: str) -> dict[str, object]:
+    """SETTINGS by Scenario field.  Per section: check the keys, then look
+    for the required ones, then parse.  An absent section requires none."""
+    values = {}
+    for section, rows in _SETTING_SECTIONS.items():
+        sec = named.get(section, _Section(section, 0))
+        _check_keys(sec, {s.key for s in rows}, origin)
+        for s in rows:
+            if s.default is _REQUIRED and s.key not in sec.values:
+                raise ScenarioParseError(f"[{section}] missing {s.key!r}", origin, sec.lineno)
+        for s in rows:
+            values[s.field] = (
+                _value(sec, s.key, origin, s.type) if s.key in sec.values else s.default
+            )
+    return values
+
+
 def parse_scenario_text(text: str, origin: str = "<string>") -> Scenario:
     """Parse and fully validate a scenario document."""
-    known = {"model", "initial", "time", "feedback", "disturbance", "constraint"}
+    known = {"model", "initial", "constraint", *_SETTING_SECTIONS}
     top = _Section("", 0)
     sections: list[_Section] = [top]
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -238,16 +260,16 @@ def parse_scenario_text(text: str, origin: str = "<string>") -> Scenario:
     _check_keys(top, {"schema_version"}, origin)
     if "schema_version" not in top.values:
         raise ScenarioParseError("missing mandatory 'schema_version'", origin)
-    version = _as_int(top, "schema_version", origin)
+    version = _value(top, "schema_version", origin, int)
     if version != SCHEMA_VERSION:
         raise ScenarioParseError(
             f"schema_version {version} not supported (expected {SCHEMA_VERSION})",
             origin,
-            top.line("schema_version"),
+            top.lines.get("schema_version"),
         )
 
     named = {s.name: s for s in sections if s.name != "constraint"}
-    for required in ("model", "initial", "time", "feedback"):
+    for required in _REQUIRED_SECTIONS:
         if required not in named:
             raise ScenarioParseError(f"missing section [{required}]", origin)
 
@@ -261,58 +283,17 @@ def parse_scenario_text(text: str, origin: str = "<string>") -> Scenario:
             f"[initial] missing compartment(s) {missing}", origin, init.lineno
         )
     try:
-        state0 = spec.state([_as_float(init, lbl, origin) for lbl in spec.labels])
+        state0 = spec.state([_value(init, lbl, origin) for lbl in spec.labels])
     except ValueError as exc:
         raise ScenarioParseError(f"[initial]: {exc}", origin, init.lineno) from exc
 
-    tsec = named["time"]
-    _check_keys(tsec, _TIME_KEYS, origin)
-    for key in ("t_start", "t_end", "dt"):
-        if key not in tsec.values:
-            raise ScenarioParseError(f"[time] missing {key!r}", origin, tsec.lineno)
-    t_start = _as_float(tsec, "t_start", origin)
-    t_end = _as_float(tsec, "t_end", origin)
-    dt = _as_float(tsec, "dt", origin)
-    control_start = (
-        _as_float(tsec, "control_start", origin)
-        if "control_start" in tsec.values
-        else None
-    )
-
-    fsec = named["feedback"]
-    _check_keys(fsec, _FEEDBACK_KEYS, origin)
-    mode = fsec.values.get("mode")
-    if mode is None:
-        raise ScenarioParseError("[feedback] missing 'mode'", origin, fsec.lineno)
-    tau = _as_float(fsec, "tau", origin) if "tau" in fsec.values else 0.0
-
-    delta, seed = 0.0, 0
-    if "disturbance" in named:
-        dsec = named["disturbance"]
-        _check_keys(dsec, _DISTURBANCE_KEYS, origin)
-        if "delta" in dsec.values:
-            delta = _as_float(dsec, "delta", origin)
-        if "seed" in dsec.values:
-            seed = _as_int(dsec, "seed", origin)
-
+    settings = _settings(named, origin)
     constraints = tuple(
         _build_constraint(spec, s, origin) for s in sections if s.name == "constraint"
     )
 
     try:
-        return Scenario(
-            spec=spec,
-            state0=state0,
-            t_start=t_start,
-            t_end=t_end,
-            dt=dt,
-            constraints=constraints,
-            feedback_mode=mode,
-            tau=tau,
-            disturbance_delta=delta,
-            seed=seed,
-            control_start=control_start,
-        )
+        return Scenario(spec=spec, state0=state0, constraints=constraints, **settings)
     except ValueError as exc:
         raise ScenarioParseError(str(exc), origin) from exc
 
@@ -338,30 +319,14 @@ def scenario_text(scenario: Scenario) -> str:
     """Serialize a scenario to the canonical document form."""
     spec = scenario.spec
     lines = [f"schema_version = {SCHEMA_VERSION}", "", "[model]", f"kind = {spec.kind}"]
-    for key in _MODEL_KEYS[spec.kind]:
-        lines.append(f"{key} = {_fmt(getattr(spec.params, key))}")
+    lines += [f"{key} = {_fmt(value)}" for key, value in zip(spec.formulas.params, spec.values)]
     lines += ["", "[initial]"]
-    for lbl, value in zip(spec.labels, scenario.state0.x):
-        lines.append(f"{lbl} = {_fmt(value)}")
-    lines += [
-        "",
-        "[time]",
-        f"t_start = {_fmt(scenario.t_start)}",
-        f"t_end = {_fmt(scenario.t_end)}",
-        f"dt = {_fmt(scenario.dt)}",
-        f"control_start = {_fmt(scenario.control_start)}",
-        "",
-        "[feedback]",
-        f"mode = {scenario.feedback_mode}",
-        f"tau = {_fmt(scenario.tau)}",
-    ]
-    if scenario.disturbance_delta > 0.0 or scenario.seed != 0:
-        lines += [
-            "",
-            "[disturbance]",
-            f"delta = {_fmt(scenario.disturbance_delta)}",
-            f"seed = {scenario.seed}",
-        ]
+    lines += [f"{lbl} = {_fmt(value)}" for lbl, value in zip(spec.labels, scenario.state0.x)]
+    for section, settings in _SETTING_SECTIONS.items():
+        rows = [(s, getattr(scenario, s.field)) for s in settings]
+        if section in _REQUIRED_SECTIONS or any(v != s.default for s, v in rows):
+            lines += ["", f"[{section}]"]
+            lines += [f"{s.key} = {_fmt(v) if s.type is float else v}" for s, v in rows]
     for c in scenario.constraints:
         pos = c.index if c.kind == MULTIPLICATIVE else spec.n + c.index
         lines += [

@@ -111,7 +111,7 @@ class Scenario:
         object.__setattr__(self, "constraints", tuple(self.constraints))
         if self.control_start is None:
             object.__setattr__(self, "control_start", self.t_start)
-        for name in ("t_start", "t_end", "dt", "tau", "control_start"):
+        for name in ("t_start", "t_end", "dt", "tau", "disturbance_delta", "control_start"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if not self.dt > 0.0:

@@ -11,7 +11,7 @@ from operator import add
 from typing import Sequence
 
 from episafe.models import SeirParams, SihrdParams, SirParams
-from episafe.safety import OUTLET
+from episafe.safety import MULTIPLICATIVE, OUTLET
 
 Vector = tuple[float, ...]
 Matrix = tuple[tuple[float, ...], ...]
@@ -230,6 +230,26 @@ def reference_sihrd(params: SihrdParams) -> dict:
         f_t=f_t, g_t=g_t, q_t=q_t, r_t=r_t,
         dq_dw_t=dq_dw_t, dr_dz_t=dr_dz_t, derivative_t=derivative_t,
     )
+
+
+def reference_default_gains(spec, kind, index):
+    """The default margin gains written out per model kind, apart from the
+    formula tables: alpha one tenth of I's removal rate, alpha_e one tenth
+    of the capped outlet's own outflow rate, or alpha when it has none;
+    scenarios.default_gains must give the same bits."""
+    p = spec.params
+    if spec.kind == "sihrd":
+        i_out = p.gamma + p.lam + p.mu
+        own = {0: p.nu, 1: 0.0, 2: 0.0}  # H, R, D
+    else:
+        i_out = p.gamma
+        own = {0: 0.0}
+    if kind == MULTIPLICATIVE:
+        return i_out / 10.0, None
+    alpha = i_out / 10.0
+    own_rate = own.get(index, 0.0)
+    alpha_e = own_rate / 10.0 if own_rate > 0.0 else alpha
+    return alpha, alpha_e
 
 
 # -- closed-form specializations ---------------------------------------------

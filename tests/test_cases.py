@@ -49,6 +49,12 @@ class TestIngest:
         with pytest.raises(CaseDataError, match=r":2: bad numeric field"):
             ingest_cases(write(tmp_path, header + "2020-06-01,100,0.1,high\n"))
 
+    @pytest.mark.parametrize("count", ["nan", "inf", "-inf"])
+    def test_non_finite_count_names_row(self, tmp_path, count):
+        text = WELL_FORMED.replace("70000", count)
+        with pytest.raises(CaseDataError, match=r"cases\.csv:3: cumulative_confirmed must be"):
+            ingest_cases(write(tmp_path, text))
+
     def test_decreasing_count_names_row(self, tmp_path):
         text = WELL_FORMED + "2020-03-28,77000,0.17\n"
         with pytest.raises(CaseDataError, match=r":5: cumulative count decreases"):

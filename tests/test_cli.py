@@ -5,6 +5,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -274,6 +275,14 @@ class TestIngest:
         cases.write_text(CASES_CSV + "2020-03-27,60000,0.2\n")
         assert main(["ingest", str(cases)]) == 2
         assert "decreases" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["nan", "inf"])
+    def test_non_finite_count_exits_2(self, tmp_path, capsys, count):
+        cases = tmp_path / "bad.csv"
+        cases.write_text(CASES_CSV.replace("70000", count))
+        assert main(["ingest", str(cases), "--out", str(tmp_path)]) == 2
+        assert "bad.csv:3: cumulative_confirmed must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "bad_scaled.csv").exists()
 
 
 def test_console_entry_point_runs():

@@ -126,10 +126,14 @@ class TestPredictState:
         )
 
     def test_infinite_control_start_is_rejected(self, sir_spec):
-        state = sir_spec.state([26e6, 1e5, 6.9e6])
-        cfg = PredictorConfig(1.0, 0.1, constraints=(I_CON,), control_start=math.inf)
         with pytest.raises(ValueError, match="control_start"):
-            predict_state(sir_spec, state, cfg, t_measured=2.0)
+            PredictorConfig(1.0, 0.1, constraints=(I_CON,), control_start=math.inf)
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_nan_or_negative_infinite_control_start_is_rejected(self, value):
+        # NaN compares False with every time, so the gate would never close
+        with pytest.raises(ValueError, match="control_start must be finite"):
+            PredictorConfig(1.0, 0.1, constraints=(I_CON,), control_start=value)
 
     def test_singular_start_rests_like_oracle(self, sir_spec):
         # no infected: no authority, and the oracle's answer is u = 0, so

@@ -9,15 +9,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from episafe.models import (
+    MODELS,
     FormulaTable,
     ModelState,
     SeirParams,
     SirParams,
+    build_model,
     build_seir,
     build_sihrd,
     build_sir,
     eval_dynamics,
     eval_jacobians,
+    steered,
 )
 
 from conftest import (
@@ -61,6 +64,15 @@ class TestModelState:
     def test_rejects_label_count_mismatch(self):
         with pytest.raises(ValueError, match="labels"):
             ModelState(w=[1.0, 2.0], z=[3.0], labels=("S", "I"))
+
+    def test_equality_and_hash_follow_labels_and_values(self):
+        s = ModelState(w=[30e6, 3e6], z=[0.0], labels=("S", "I", "R"))
+        same = ModelState(w=np.array([30e6, 3e6]), z=(0.0,), labels=["S", "I", "R"])
+        assert s == same and hash(s) == hash(same)
+        assert s != ModelState(w=[30e6, 3e6], z=[1.0], labels=("S", "I", "R"))
+        assert s != ModelState(w=[30e6, 3e6], z=[0.0], labels=("S", "I", "D"))
+        assert s != ModelState(w=[30e6], z=[3e6, 0.0], labels=("S", "I", "R"))
+        assert s != (30e6, 3e6, 0.0)
 
     def test_immutable_arrays(self):
         s = ModelState(w=[1.0, 2.0], z=[3.0], labels=("S", "I", "R"))
@@ -133,6 +145,37 @@ class TestBuildSir:
         dq, dr = eval_jacobians(spec, state)
         np.testing.assert_array_equal(dq, [[0.0, 0.2]])
         np.testing.assert_array_equal(dr, [[0.0]])
+
+
+class TestCatalogue:
+    def test_builders_use_the_registry(self):
+        assert sorted(MODELS) == ["seir", "sihrd", "sir"]
+        for spec in all_specs():
+            rates, table = MODELS[spec.kind]
+            assert table.params == tuple(f.name for f in dataclasses.fields(rates))
+            assert isinstance(spec.params, rates) and spec.formulas is table
+            assert build_model(spec.kind, spec.params) == spec
+
+    @pytest.mark.parametrize("kind", ["sir", "seir", "sihrd"])
+    def test_every_rate_must_be_positive_and_finite(self, kind):
+        rates, table = MODELS[kind]
+        for k, name in enumerate(table.params):
+            for bad in (0.0, -1.0, math.nan, math.inf):
+                values = [0.1] * len(table.params)
+                values[k] = bad
+                with pytest.raises(ValueError, match=f"parameter {name} must be strictly"):
+                    rates(*values)
+
+    def test_steered_compartments(self):
+        acted_on = {kind: steered(table) for kind, (_, table) in MODELS.items()}
+        assert acted_on == {
+            "sir": ("S", "I", "R"),
+            "seir": ("S", "E"),
+            "sihrd": ("S", "I", "H", "R", "D"),
+        }
+        # an outlet fed only by a compartment the input does not reach
+        table = MODELS["sir"][1]._replace(g=("t", "0.0"))
+        assert steered(table) == ("S",)
 
 
 class TestBuildSeir:

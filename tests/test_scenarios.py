@@ -1,8 +1,12 @@
 """Scenario document parsing, serialization round-trips, presets."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
+from episafe.models import MODELS, build_model
 from episafe.safety import MULTIPLICATIVE, OUTLET
 from episafe.scenarios import (
     PRESETS,
@@ -17,6 +21,8 @@ from episafe.scenarios import (
     write_scenario,
 )
 from episafe.sim import simulate
+
+from oracles import reference_default_gains
 
 MINIMAL = """\
 schema_version = 1
@@ -130,7 +136,53 @@ class TestParsing:
         assert sc.constraints[0].index == 1
 
 
+def catalogue_document(kind, label):
+    """A scenario of catalogue model kind with every rate 0.1, N = 1e6 and
+    one cap on compartment label, its gains left to the defaults."""
+    rates, table = MODELS[kind]
+    lines = ["schema_version = 1", "[model]", f"kind = {kind}"]
+    lines += [f"{p} = {1e6 if p == 'N' else 0.1}" for p in table.params]
+    lines += ["[initial]"] + [f"{lbl} = 1e3" for lbl in table.w + table.z]
+    lines += ["[time]", "t_start = 0", "t_end = 1", "dt = 0.1", "[feedback]", "mode = delayed"]
+    lines += ["[constraint]", f"compartment = {label}", "bound = 1e5"]
+    return "\n".join(lines) + "\n"
+
+
+class TestCatalogue:
+    def test_only_seir_infectious_and_recovered_are_rejected(self):
+        rejected = {}
+        for kind, (_, table) in MODELS.items():
+            for label in table.w + table.z:
+                try:
+                    parse_scenario_text(catalogue_document(kind, label), origin="doc")
+                except ScenarioParseError as exc:
+                    rejected[kind, label] = str(exc)
+        assert set(rejected) == {("seir", "I"), ("seir", "R")}
+        assert rejected["seir", "I"] == (
+            "doc:20: the input has no authority over I in the seir model "
+            "(bound S or E instead)"
+        )
+        assert "no authority over R in the seir model (bound S or E instead)" in (
+            rejected["seir", "R"]
+        )
+
+
 class TestDefaultGains:
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    def test_match_per_model_formulas_bit_for_bit(self, kind):
+        rates, table = MODELS[kind]
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            values = rng.uniform(1e-4, 3.0, len(table.params)).tolist()
+            spec = build_model(kind, rates(*values))
+            for pos in range(spec.n + spec.m):
+                where = (MULTIPLICATIVE, pos) if pos < spec.n else (OUTLET, pos - spec.n)
+                got = default_gains(spec, *where)
+                want = reference_default_gains(spec, *where)
+                assert [g if g is None else g.hex() for g in got] == [
+                    w if w is None else w.hex() for w in want
+                ], (kind, values, pos)
+
     def test_sihrd_outlet_gains_mirror_rates(self, sihrd_spec):
         alpha, alpha_e = default_gains(sihrd_spec, OUTLET, 0)  # H
         assert alpha == pytest.approx((0.14 + 0.03 + 0.01) / 10.0)
@@ -151,6 +203,41 @@ class TestRoundTrip:
         path = write_scenario(sc, tmp_path / f"{name}.scenario")
         scenario_equal(parse_scenario(path), sc)
 
+    # sha256 prefixes of scenario_text for each preset and variant: the text
+    # is a file format, so a change to any byte of it must show here
+    TEXT_DIGESTS = {
+        ("sihrd_fig3", "nominal"): "fe71607ae0606ffa",
+        ("sihrd_fig3", "disturbed"): "459ca6b0a67da6f6",
+        ("sihrd_fig3", "seed_only"): "17957e927ba67f0c",
+        ("sihrd_fig3", "delayed"): "1e06e1d43fea1f82",
+        ("sir_delay_danger", "nominal"): "7e8c261905659474",
+        ("sir_delay_danger", "disturbed"): "54c75329f935eb4c",
+        ("sir_delay_danger", "seed_only"): "3bb2f295113e344f",
+        ("sir_delay_danger", "delayed"): "dbd7b65d5d1c82ac",
+        ("sir_fig2", "nominal"): "c51840ef514b7d01",
+        ("sir_fig2", "disturbed"): "5db6bf765887cfda",
+        ("sir_fig2", "seed_only"): "edacfd3e4e78269c",
+        ("sir_fig2", "delayed"): "7d18e80a7c445640",
+    }
+
+    @staticmethod
+    def variant(sc, which):
+        return {
+            "nominal": sc,
+            "disturbed": dataclasses.replace(sc, disturbance_delta=0.05, seed=7),
+            "seed_only": dataclasses.replace(sc, seed=3),
+            "delayed": dataclasses.replace(sc, feedback_mode="delayed", tau=sc.tau + 2.0),
+        }[which]
+
+    @pytest.mark.parametrize("name, which", sorted(TEXT_DIGESTS))
+    def test_text_round_trip_and_bytes(self, name, which):
+        sc = self.variant(load_preset(name), which)
+        text = scenario_text(sc)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == self.TEXT_DIGESTS[name, which]
+        back = parse_scenario_text(text)
+        assert back == sc
+        assert scenario_text(back) == text
+
     def test_serialization_deterministic(self):
         sc = load_preset("sir_fig2")
         assert scenario_text(sc) == scenario_text(sc)
@@ -164,6 +251,20 @@ class TestRoundTrip:
         scenario_equal(back, sc)
         assert back.constraints[1].direction == "lower"
         assert back.constraints[1].name == "s_floor"
+
+
+class TestScenarioEquality:
+    def test_equal_and_hashable(self):
+        a, b = load_preset("sir_fig2"), load_preset("sir_fig2")
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b, load_preset("sihrd_fig3")}) == 2
+
+    def test_differs_by_state_and_settings(self):
+        sc = load_preset("sir_fig2")
+        assert sc != dataclasses.replace(sc, state0=sc.spec.state([26e6, 1e5 + 1.0, 6.9e6]))
+        assert sc != dataclasses.replace(sc, seed=1)
+        assert sc != dataclasses.replace(sc, feedback_mode="delayed")
 
 
 class TestPresets:

@@ -85,6 +85,11 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             sir_scenario(sir_spec, **{field: value})
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_delta_rejected(self, sir_spec, value):
+        with pytest.raises(ValueError, match="disturbance_delta must be finite"):
+            sir_scenario(sir_spec, disturbance_delta=value)
+
     def test_guaranteed_flag(self, sir_spec):
         assert sir_scenario(sir_spec).guaranteed
         assert sir_scenario(sir_spec, feedback_mode="predictor", tau=1.0).guaranteed
