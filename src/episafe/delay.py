@@ -107,9 +107,11 @@ def predict_state(
     t_measured anchors a control_start gate when the config carries one:
     a control_start after t_measured must lie a whole number of dt_pred
     steps later (ValueError otherwise), and the law is off for those steps.
+    t_measured must be finite (ValueError).
     """
-    if measured.n != spec.n or measured.m != spec.m:
-        raise ValueError("measured state does not match the model dimensions")
+    x = spec.flat(measured)
+    if not math.isfinite(t_measured):
+        raise ValueError(f"t_measured must be finite, got {t_measured!r}")
     if config.n_steps == 0:
         return measured
     first_step = 0
@@ -118,9 +120,7 @@ def predict_state(
         if first_step is None:
             raise ValueError("control_start must lie on the dt_pred grid from t_measured")
     input_fn = engine.make_input_fn(spec, config.constraints, first_step)
-    x = engine.closed_loop_rollout(
-        spec, measured.x.tolist(), 0, config.n_steps, config.dt_pred, input_fn
-    )
+    x = engine.closed_loop_rollout(spec, x, 0, config.n_steps, config.dt_pred, input_fn)
     return spec.state(x)
 
 
@@ -194,5 +194,5 @@ def issf_inflated_barrier(
         raise ValueError("inflated margin is defined for multiplicative constraints")
     constraint.check_against(spec)
     h = barrier_value(constraint, state)
-    authority = abs(spec.g_t(state.w.tolist())[constraint.index])
+    authority = abs(spec.g_t(spec.flat(state)[: spec.n])[constraint.index])
     return h + (bound.delta / constraint.alpha) * authority

@@ -9,11 +9,13 @@ both compiled from the model's formula table (models.FormulaTable): the
 derivative once per table, the law once per table and shape of constraint
 set, with the table's formulas written into the law's own code, so a law
 evaluation calls no model evaluator.  safety's memo holds, per constraint
-set, both of the law's entry points: solve, behind combined_control, and
-the flat law(x) -> u that make_input_fn gates by step number for the
-rollouts.  delay.predict_state and sim.rk4_step wrap these helpers with a
-ModelState interface.  Inputs are gated by step number, not by time;
-sim.grid_steps is where times become step numbers.
+set, both of the law's entry points, each on the flat state: solve(x),
+behind combined_control, and law(x) -> u, which make_input_fn gates by
+step number for the rollouts.  delay.predict_state and sim.rk4_step wrap
+these helpers with a ModelState interface; ModelSpec.flat turns a
+ModelState into the flat list, and is the one check that it fits the
+model.  Inputs are gated by step number, not by time; sim.grid_steps is
+where times become step numbers.
 
 rk4_flat runs a straight-line kernel generated from one source template
 the first time a state length is seen and kept for that length: the

@@ -377,6 +377,16 @@ class ModelSpec:
         arr.setflags(write=False)
         return ModelState(w=arr[: self.n], z=arr[self.n :], labels=self.labels)
 
+    def flat(self, state: ModelState) -> list[float]:
+        """The state as the flat [w; z] list the compiled evaluators and
+        the generated law take: the one check that it fits the model."""
+        if state.n != self.n or state.m != self.m:
+            raise ValueError(
+                f"state dimensions ({state.n}, {state.m}) do not match "
+                f"model ({self.n}, {self.m})"
+            )
+        return state.w.tolist() + state.z.tolist()
+
 
 # The model catalogue: kind -> (rate class, formula table), the table's
 # params being the rate class's fields.  Adding a model takes one rate class,
@@ -471,20 +481,12 @@ def build_sihrd(params: SihrdParams) -> ModelSpec:
     return build_model("sihrd", params)
 
 
-def _check_dimensions(spec: ModelSpec, state: ModelState) -> None:
-    if state.n != spec.n or state.m != spec.m:
-        raise ValueError(
-            f"state dimensions ({state.n}, {state.m}) do not match "
-            f"model ({spec.n}, {spec.m})"
-        )
-
-
 def eval_dynamics(
     spec: ModelSpec, state: ModelState, u: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Time derivatives (dw/dt, dz/dt) in persons/day for input u."""
-    _check_dimensions(spec, state)
-    w, z = state.w.tolist(), state.z.tolist()
+    x = spec.flat(state)
+    w, z = x[: spec.n], x[spec.n :]
     wdot = np.asarray(spec.f_t(w), dtype=float) + np.asarray(spec.g_t(w), dtype=float) * u
     zdot = np.asarray(spec.q_t(w), dtype=float) + np.asarray(spec.r_t(z), dtype=float)
     return wdot, zdot
@@ -492,8 +494,8 @@ def eval_dynamics(
 
 def eval_jacobians(spec: ModelSpec, state: ModelState) -> tuple[np.ndarray, np.ndarray]:
     """Jacobians (dq/dw of shape (m, n), dr/dz of shape (m, m))."""
-    _check_dimensions(spec, state)
+    x = spec.flat(state)
     return (
-        np.asarray(spec.dq_dw_t(state.w.tolist()), dtype=float),
-        np.asarray(spec.dr_dz_t(state.z.tolist()), dtype=float),
+        np.asarray(spec.dq_dw_t(x[: spec.n]), dtype=float),
+        np.asarray(spec.dr_dz_t(x[spec.n :]), dtype=float),
     )

@@ -18,13 +18,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .safety import InitialConditionReport
+from .safety import InitialConditionReport, _margins
 from .scenarios import SETTINGS
 from .sim import (
     AuditReport,
     Scenario,
     Trajectory,
-    _margin_series,
     safety_audit,
     simulate,
 )
@@ -147,20 +146,25 @@ def sweep(
     """Run the scenario once per value of one declared parameter.
 
     Reports come back sorted by parameter value, so aggregation order does
-    not depend on the order values were given in.
+    not depend on the order values were given in.  Before any run, a value
+    of an integer setting that is not a whole number, and two values that
+    give the same run name, are rejected (ValueError).
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ValueError(
             f"cannot sweep {parameter!r}; supported: {', '.join(SWEEP_PARAMETERS)}"
         )
     setting = next(s for s in SETTINGS if s.key == parameter)
-    reports = []
+    variants = {}
     for value in sorted(values):
+        if setting.type is int and not float(value).is_integer():
+            raise ValueError(f"{parameter} must be a whole number, got {value!r}")
         cast = setting.type(value)
-        variant = dataclasses.replace(scenario, **{setting.field: cast})
         label = f"{name}_{parameter}_{cast:g}" if setting.type is float else f"{name}_{parameter}_{cast}"
-        reports.append(run(variant, name=label, out_dir=out_dir))
-    return reports
+        if label in variants:
+            raise ValueError(f"two {parameter} values give the same run name {label!r}")
+        variants[label] = dataclasses.replace(scenario, **{setting.field: cast})
+    return [run(variant, name=label, out_dir=out_dir) for label, variant in variants.items()]
 
 
 def _columns(scenario: Scenario) -> list[str]:
@@ -253,7 +257,7 @@ def import_trajectory(path: str | Path, scenario: Scenario) -> Trajectory:
     u = data[:, 2 + n_state]
     barriers = data[:, 3 + n_state : 3 + n_state + n_c]
     dists = data[:, -1]
-    _, extended = _margin_series(scenario.spec, scenario.constraints, states)
+    _, extended = _margins(scenario.spec, scenario.constraints, states)
     return Trajectory(
         scenario=scenario,
         times=times,

@@ -153,14 +153,14 @@ def _clamp01(v: float) -> float:
 # evaluation calls no model evaluator, slices no state and builds no
 # Jacobian tuple.  Each compiled pair is a factory; called with a spec and
 # constraints it binds the spec's parameter values, the Jacobian entries
-# and every constraint constant, and returns two entry points:
-#   solve(w, z) -> (u_raw, active, feasible), behind every public control
-#                  function;
-#   law(x) -> u, the clamped input at the concatenated state, for rollouts;
-#                it skips the upper-bound and zero-authority bookkeeping,
-#                which only decide feasible.
+# and every constraint constant, and returns two entry points, both on the
+# flat state [w; z] that ModelSpec.flat makes of a ModelState:
+#   solve(x) -> (u_raw, active, feasible), behind every public control
+#               function;
+#   law(x) -> u, the clamped input, for rollouts; it skips the upper-bound
+#             and zero-authority bookkeeping, which only decide feasible.
 # The margins below also accept numpy columns, one entry per sample, and
-# then return arrays.
+# then return arrays; _margins evaluates them on a matrix of states.
 
 
 def _margin_t(c: SafetyConstraint, w: Sequence, z: Sequence) -> float:
@@ -173,6 +173,28 @@ def _extended_margin_t(spec: ModelSpec, c: SafetyConstraint, w: Sequence, z: Seq
     r = spec.r_t(z)
     j = c.index
     return c.sign * (-(q[j] + r[j]) + c.alpha * (c.bound - z[j]))
+
+
+def _margins(
+    spec: ModelSpec, constraints: Sequence[SafetyConstraint], states: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Margins of each constraint at every row of states, a matrix with one
+    column per compartment of [w; z], as (barriers, extended): h for every
+    constraint, h_e for outlet constraints and NaN for multiplicative ones.
+    Each constraint is checked against the model once, and the scalar
+    margin formulas run once per constraint on whole state columns; an inf
+    or NaN gives the value the scalar forms give, without a warning."""
+    columns = list(states.T)
+    w, z = columns[: spec.n], columns[spec.n :]
+    barriers = np.empty((states.shape[0], len(constraints)))
+    extended = np.full_like(barriers, np.nan)
+    for j, c in enumerate(constraints):
+        c.check_against(spec)
+        with np.errstate(all="ignore"):
+            barriers[:, j] = _margin_t(c, w, z)
+            if c.kind == OUTLET:
+                extended[:, j] = _extended_margin_t(spec, c, w, z)
+    return barriers, extended
 
 
 # Constraint k's condition on the input reads -d{k} - a{k} * u >= 0, with
@@ -199,8 +221,8 @@ def factory(spec, constraints):
     g_tol = spec.g_tol
     [{names}] = constraints
 {constants}
-    def solve(w, z):
-{unpack}
+    def solve(x):
+        [{x}] = x
 {evaluate}
         u_raw, active, ceiling, holds = 0.0, 0, 1.0, True
 {solve_steps}
@@ -261,7 +283,6 @@ def _law_factory(table: FormulaTable, shape: tuple[tuple[str, int], ...]):
     if outlets:
         outflows = zip(table.q, table.r)
         evaluate += [f"o{i} = ({local(q)}) + ({local(r)})" for i, (q, r) in enumerate(outflows)]
-    unpack = [f"[{each(table.w)}] = w"] + ([f"[{each(table.z)}] = z"] if outlets else [])
     constants, solve_steps, law_steps = [], [], []
     for k, (kind, j) in enumerate(shape):
         if kind == OUTLET:
@@ -292,7 +313,6 @@ def _law_factory(table: FormulaTable, shape: tuple[tuple[str, int], ...]):
         model_constants=block([local(line) for line in table.constants], "    "),
         names=", ".join(f"c{k}" for k in range(len(shape))),
         constants=block(constants, "    "),
-        unpack=block(unpack, "        "),
         x=each(table.w + table.z),
         evaluate=block(evaluate, "        "),
         solve_steps="\n".join(solve_steps),
@@ -335,23 +355,13 @@ def _solver(spec: ModelSpec, constraints: tuple[SafetyConstraint, ...]):
     return entry[1]
 
 
-def _state_lists(spec: ModelSpec, state: ModelState) -> tuple[list, list]:
-    if state.n != spec.n or state.m != spec.m:
-        raise ValueError(
-            f"state dimensions ({state.n}, {state.m}) do not match model "
-            f"({spec.n}, {spec.m})"
-        )
-    return state.w.tolist(), state.z.tolist()
-
-
 def _decide(
     spec: ModelSpec,
     constraints: tuple[SafetyConstraint, ...],
     state: ModelState,
     combined: bool,
 ) -> ControlDecision:
-    w, z = _state_lists(spec, state)
-    u_raw, active, feasible = _solver(spec, constraints)[0](w, z)
+    u_raw, active, feasible = _solver(spec, constraints)[0](spec.flat(state))
     return ControlDecision(
         u_raw=u_raw,
         u=_clamp01(u_raw),
@@ -381,8 +391,8 @@ def extended_barrier_value(
     if constraint.kind != OUTLET:
         raise ValueError("extended margin is defined for outlet constraints only")
     constraint.check_against(spec)
-    w, z = _state_lists(spec, state)
-    return _extended_margin_t(spec, constraint, w, z)
+    x = spec.flat(state)
+    return _extended_margin_t(spec, constraint, x[: spec.n], x[spec.n :])
 
 
 def multiplicative_control(
@@ -471,12 +481,12 @@ def validate_initial_condition(
     margin non-negative at the start (h_e >= 0), since only its 0-superlevel
     set is rendered invariant.
     """
+    constraints = tuple(constraints)
+    rows = _margins(spec, constraints, np.array([spec.flat(state0)]))
+    margins, extended = (row[0].tolist() for row in rows)
     checks = []
-    for k, c in enumerate(constraints):
-        c.check_against(spec)
-        h = barrier_value(c, state0)
+    for k, (c, h, he) in enumerate(zip(constraints, margins, extended)):
         if c.kind == OUTLET:
-            he = extended_barrier_value(spec, c, state0)
             ok = h >= 0.0 and he >= 0.0
         else:
             he = None
@@ -502,7 +512,8 @@ def qp_oracle(
     """
     if not grid_resolution > 0.0:
         raise ValueError("grid_resolution must be positive")
-    w, z = _state_lists(spec, state)
+    x = spec.flat(state)
+    w, z = x[: spec.n], x[spec.n :]
     steps = int(round(1.0 / grid_resolution))
     grid = np.linspace(0.0, 1.0, steps + 1)
     feasible = np.ones_like(grid, dtype=bool)

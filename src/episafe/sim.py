@@ -20,12 +20,10 @@ import numpy as np
 from . import engine
 from .models import ModelSpec, ModelState
 from .safety import (
-    OUTLET,
     InitialConditionReport,
     SafetyConstraint,
     _clamp01,
-    _extended_margin_t,
-    _margin_t,
+    _margins,
     combined_control,
     validate_initial_condition,
 )
@@ -264,30 +262,10 @@ def rk4_step(spec: ModelSpec, state: ModelState, u: float, dt: float) -> ModelSt
     """One Runge-Kutta step of the model dynamics with u held constant."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    if state.n != spec.n or state.m != spec.m:
-        raise ValueError("state does not match the model dimensions")
-    x = engine.rk4_flat(spec.derivative_t, state.x.tolist(), float(u), dt)
+    x = engine.rk4_flat(spec.derivative_t, spec.flat(state), float(u), dt)
     if not all(map(math.isfinite, x)):
         raise IntegrationError(f"non-finite state after step from {state.x}")
     return spec.state(x)
-
-
-def _margin_series(
-    spec: ModelSpec, constraints: Sequence[SafetyConstraint], states: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Margins of each constraint at every row of states, as (barriers,
-    extended): h for every constraint, h_e for outlet constraints and NaN
-    for multiplicative ones.  The scalar margin formulas run once per
-    constraint on whole state columns."""
-    columns = list(states.T)
-    w, z = columns[: spec.n], columns[spec.n :]
-    barriers = np.empty((states.shape[0], len(constraints)))
-    extended = np.full_like(barriers, np.nan)
-    for j, c in enumerate(constraints):
-        barriers[:, j] = _margin_t(c, w, z)
-        if c.kind == OUTLET:
-            extended[:, j] = _extended_margin_t(spec, c, w, z)
-    return barriers, extended
 
 
 def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> Trajectory:
@@ -382,7 +360,7 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
     u[first:] = [d.u for d in decisions]
     active[first:] = [d.active_constraint for d in decisions]
     feasible[first:] = [d.feasible for d in decisions]
-    barriers, extended = _margin_series(spec, cons, states)
+    barriers, extended = _margins(spec, cons, states)
     return Trajectory(
         scenario=scenario,
         times=times,
@@ -459,15 +437,11 @@ def safety_audit(
     if len(trajectory) == 0:
         raise ValueError("empty trajectory")
     scenario = trajectory.scenario
-    spec = scenario.spec
     cons = tuple(constraints) if constraints is not None else scenario.constraints
     dt = scenario.dt
-    columns = list(trajectory.states.T)
-    w, z = columns[: spec.n], columns[spec.n :]
+    barriers, _ = _margins(scenario.spec, cons, trajectory.states)
     audits = []
-    for c in cons:
-        c.check_against(spec)
-        series = _margin_t(c, w, z)
+    for c, series in zip(cons, barriers.T):
         k_min = int(np.argmin(series))
         viol = np.flatnonzero(series < 0.0)
         tol = 1e-6 * c.alpha * c.bound

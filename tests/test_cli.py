@@ -68,6 +68,13 @@ class TestSimulate:
         assert main(["simulate", "no_such_thing"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_unwritable_output_directory_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["simulate", "sir_delay_danger", "--out", str(blocker / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bad_override_is_validation_error(self, capsys):
         # dt that does not divide the horizon
         assert main(["simulate", "sir_delay_danger", "--dt", "0.7"]) == 2
@@ -249,6 +256,16 @@ class TestSweep:
         assert main(sweep + ["0"]) == 3
         assert main(sweep + ["0.01"]) == 4
         assert main(sweep + ["0,0.01"]) == 3
+
+    def test_fractional_seeds_exit_2_before_any_run(self, tmp_path, capsys):
+        # int() would truncate both to seed 2 and write one file over the other
+        assert main([
+            "sweep", "sir_delay_danger", "--param", "seed", "--values", "2.7,2.2",
+            "--out", str(tmp_path),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be a whole number, got 2.2\n"
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
 
     def test_bad_values_list(self, capsys):
         assert main([

@@ -135,6 +135,14 @@ class TestPredictState:
         with pytest.raises(ValueError, match="control_start must be finite"):
             PredictorConfig(1.0, 0.1, constraints=(I_CON,), control_start=value)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t_measured_is_rejected(self, sir_spec, value):
+        # NaN compares False with control_start, so the gate would be skipped
+        state = sir_spec.state([26e6, 1e5, 6.9e6])
+        cfg = PredictorConfig(1.0, 0.1, constraints=(I_CON,), control_start=2.5)
+        with pytest.raises(ValueError, match="t_measured must be finite"):
+            predict_state(sir_spec, state, cfg, t_measured=value)
+
     def test_singular_start_rests_like_oracle(self, sir_spec):
         # no infected: no authority, and the oracle's answer is u = 0, so
         # the forecast is the open loop, which stays put

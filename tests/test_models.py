@@ -2,12 +2,14 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from episafe.delay import IssfBound, PredictorConfig, issf_inflated_barrier, predict_state
 from episafe.models import (
     MODELS,
     FormulaTable,
@@ -22,6 +24,18 @@ from episafe.models import (
     eval_jacobians,
     steered,
 )
+from episafe.safety import (
+    MULTIPLICATIVE,
+    OUTLET,
+    SafetyConstraint,
+    combined_control,
+    extended_barrier_value,
+    multiplicative_control,
+    outlet_control,
+    qp_oracle,
+    validate_initial_condition,
+)
+from episafe.sim import rk4_step
 
 from conftest import (
     SIHRD_US,
@@ -224,6 +238,51 @@ class TestBuildSihrd:
         np.testing.assert_array_equal(
             dr, [[-0.14, 0.0, 0.0], [0.14, 0.0, 0.0], [0.0, 0.0, 0.0]]
         )
+
+
+_I_CAP = SafetyConstraint(MULTIPLICATIVE, 1, 2e5, 0.02)
+_R_CAP = SafetyConstraint(OUTLET, 0, 2e7, 0.02, alpha_e=0.1)
+
+# every public function that takes a spec and a state, called with the
+# constraints valid for an SIR spec
+STATE_FUNCTIONS = {
+    "eval_dynamics": lambda spec, state: eval_dynamics(spec, state, 0.0),
+    "eval_jacobians": eval_jacobians,
+    "rk4_step": lambda spec, state: rk4_step(spec, state, 0.0, 0.1),
+    "predict_state": lambda spec, state: predict_state(
+        spec, state, PredictorConfig(1.0, 0.1, constraints=(_I_CAP,))
+    ),
+    "multiplicative_control": lambda spec, state: multiplicative_control(spec, _I_CAP, state),
+    "outlet_control": lambda spec, state: outlet_control(spec, _R_CAP, state),
+    "combined_control": lambda spec, state: combined_control(spec, [_I_CAP, _R_CAP], state),
+    "extended_barrier_value": lambda spec, state: extended_barrier_value(spec, _R_CAP, state),
+    # no outlet constraint, whose extended margin would catch the mismatch
+    "validate_initial_condition": lambda spec, state: validate_initial_condition(
+        spec, [_I_CAP], state
+    ),
+    "qp_oracle": lambda spec, state: qp_oracle(spec, [_I_CAP, _R_CAP], state),
+    "issf_inflated_barrier": lambda spec, state: issf_inflated_barrier(
+        spec, _I_CAP, state, IssfBound(0.1)
+    ),
+}
+
+
+class TestFlat:
+    def test_flat_is_w_then_z(self):
+        spec = build_sihrd(SIHRD_US)
+        x = spec.flat(spec.state([10e6, 1e6, 1e5, 2e6, 1e4]))
+        assert x == [10e6, 1e6, 1e5, 2e6, 1e4]
+        assert all(type(v) is float for v in x)
+
+    @pytest.mark.parametrize("name", sorted(STATE_FUNCTIONS))
+    def test_every_state_function_rejects_a_state_of_another_model(self, name):
+        # SIHRD shares SIR's two multiplicative compartments: only m differs
+        sir, sihrd = build_sir(SIR_US), build_sihrd(SIHRD_US)
+        state = sihrd.state([10e6, 1e6, 1e5, 2e6, 1e4])
+        STATE_FUNCTIONS[name](sir, sir.state([30e6, 1e5, 2.9e6]))
+        message = "state dimensions (2, 3) do not match model (2, 1)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            STATE_FUNCTIONS[name](sir, state)
 
 
 class TestEvalDynamics:

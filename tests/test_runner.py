@@ -83,6 +83,26 @@ class TestSweep:
         with pytest.raises(ValueError, match="cannot sweep"):
             sweep(danger, "beta0", [0.1])
 
+    @pytest.mark.parametrize(
+        "parameter, values, message",
+        [
+            ("seed", [2.7, 2.2], "seed must be a whole number, got 2.2"),
+            ("seed", [1, float("inf")], "seed must be a whole number"),
+            ("seed", [2, 2.0], "same run name 'probe_seed_2'"),
+            ("delta", [0.01, 0.0100000001], "same run name 'probe_delta_0.01'"),
+        ],
+    )
+    def test_rejects_values_before_any_run(self, danger, tmp_path, parameter, values, message):
+        with pytest.raises(ValueError, match=message):
+            sweep(danger, parameter, values, name="probe", out_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_whole_float_seed_runs_as_integer(self, danger):
+        sc = dataclasses.replace(danger, t_end=1.0)
+        reports = sweep(sc, "seed", [3.0, 1])
+        assert [r.name for r in reports] == ["sweep_seed_1", "sweep_seed_3"]
+        assert [type(r.scenario.seed) for r in reports] == [int, int]
+
     def test_overshoot_grows_with_delay(self, danger):
         reports = sweep(danger, "tau", [11.0, 0.0, 5.0])
         taus = [r.scenario.tau for r in reports]

@@ -242,6 +242,53 @@ class TestValidateInitialCondition:
         assert rep.ok
         assert "ok" in rep.describe()
 
+    def test_margins_match_scalar_forms(self, sir_spec, sihrd_spec):
+        # the report's margins come from the matrix evaluator; they must
+        # carry the bits of barrier_value and extended_barrier_value
+        rng = np.random.default_rng(717)
+        cases = [(sir_spec, s) for s in sample_sir_states(sir_spec, 300, 718)]
+        cases += [(sihrd_spec, s) for s in sample_sihrd_states(sihrd_spec, 300, 719)]
+        for spec, state in cases:
+            cons = [
+                SafetyConstraint(
+                    kind, j, float(rng.uniform(0.001, 0.6)) * spec.params.N,
+                    float(rng.uniform(1e-3, 1.0)),
+                    alpha_e=float(rng.uniform(1e-3, 1.0)) if kind == OUTLET else None,
+                    direction=("upper", "lower")[int(rng.integers(2))],
+                )
+                for kind, size in ((MULTIPLICATIVE, spec.n), (OUTLET, spec.m))
+                for j in range(size)
+            ]
+            report = validate_initial_condition(spec, cons, state)
+            for c, check in zip(cons, report.checks):
+                assert type(check.margin) is float
+                assert check.margin.hex() == barrier_value(c, state).hex()
+                if c.kind == OUTLET:
+                    want = extended_barrier_value(spec, c, state)
+                    assert check.extended_margin.hex() == want.hex()
+                    assert check.ok == (check.margin >= 0.0 and want >= 0.0)
+                else:
+                    assert check.extended_margin is None
+                    assert check.ok == (check.margin >= 0.0)
+
+    def test_infinite_margins_match_scalar_forms(self, sihrd_spec):
+        # inf - inf is NaN in both forms, and the matrix form warns no more
+        # than the scalar one (warnings fail the run)
+        state = sihrd_spec.state([1e6, math.inf, math.inf, 0.0, 0.0])
+        cons = (
+            SafetyConstraint(MULTIPLICATIVE, 1, math.inf, 0.1),
+            h_bound(math.inf),
+            SafetyConstraint(OUTLET, 2, 1e4, 0.1, alpha_e=0.2, direction="lower"),
+        )
+        report = validate_initial_condition(sihrd_spec, cons, state)
+        assert [check.margin.hex() for check in report.checks] == [
+            barrier_value(c, state).hex() for c in cons
+        ]
+        assert [check.extended_margin.hex() for check in report.checks[1:]] == [
+            extended_barrier_value(sihrd_spec, c, state).hex() for c in cons[1:]
+        ]
+        assert math.isnan(report.checks[0].margin) and not report.ok
+
 
 class TestSignAssumption:
     """The paper's max composition assumes every control coefficient is
@@ -429,7 +476,7 @@ class TestUnrolledOutletTerms:
         for k in range(3000):
             spec = specs[k % 3]
             w, z, cons = self.random_case(rng, spec, k)
-            got = safety._solver(spec, cons)[0](w, z)
+            got = safety._solver(spec, cons)[0](w + z)
             want = reference_solver(spec, cons)(w, z)
             assert (got[0].hex(), got[1:]) == (want[0].hex(), want[1:]), (spec.kind, w, z, cons)
             outcomes.add((spec.kind, got[0] > 0.0, got[2]))
@@ -496,7 +543,7 @@ class TestGeneratedKernels:
         outcomes = set()
         for spec, x, cons in self.cases(1500, 616):
             w, z = x[: spec.n], x[spec.n :]
-            got = safety._solver(spec, cons)[0](w, z)
+            got = safety._solver(spec, cons)[0](x)
             want = reference_solver(spec, cons)(w, z)
             assert (got[0].hex(), got[1:]) == (want[0].hex(), want[1:]), (spec.kind, x, cons)
             outcomes.add((spec.kind, got[0] > 0.0, got[2]))
@@ -545,7 +592,7 @@ class TestGeneratedKernels:
                     w, z = x[: spec.n], x[spec.n :]
                     for cons in sets:
                         solve, law = safety._solver(spec, cons)
-                        got, want = solve(w, z), reference_solver(spec, cons)(w, z)
+                        got, want = solve(x), reference_solver(spec, cons)(w, z)
                         assert (got[0].hex(), got[1:]) == (want[0].hex(), want[1:]), (x, cons)
                         assert law(x).hex() == safety._clamp01(want[0]).hex(), (x, cons)
 
@@ -562,9 +609,9 @@ class TestGeneratedKernels:
         assert solve_a.__code__ is solve_b.__code__ and law_a.__code__ is law_b.__code__
         # each factory call binds its own spec and constants
         x = [4e5, 2e5, 4e5]
-        assert solve_a(x[:2], x[2:]) == reference_solver(sir_spec, a)(x[:2], x[2:])
-        assert solve_b(x[:2], x[2:]) == reference_solver(other, b)(x[:2], x[2:])
-        assert solve_a(x[:2], x[2:]) != solve_b(x[:2], x[2:])
+        assert solve_a(x) == reference_solver(sir_spec, a)(x[:2], x[2:])
+        assert solve_b(x) == reference_solver(other, b)(x[:2], x[2:])
+        assert solve_a(x) != solve_b(x)
         # another order of the same constraints is another shape
         assert safety._solver(sir_spec, a[::-1])[0].__code__ is not solve_a.__code__
 
