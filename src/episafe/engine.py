@@ -4,18 +4,20 @@ States travel as plain float lists here: the closed-loop rollouts evaluate
 the dynamics and the feedback law up to a million times per run, and numpy
 call overhead on length-5 vectors would dominate the cost.  The plant loop
 in sim.simulate steps the same lists with rk4_flat and evaluates the same
-law through safety.combined_control.  The model derivative and the law are
-both compiled from the model's formula table (models.FormulaTable): the
-derivative once per table, the law once per table and shape of constraint
-set, with the table's formulas written into the law's own code, so a law
-evaluation calls no model evaluator.  safety's memo holds, per constraint
-set, both of the law's entry points, each on the flat state: solve(x),
-behind combined_control, and law(x) -> u, which make_input_fn gates by
-step number for the rollouts.  delay.predict_state and sim.rk4_step wrap
-these helpers with a ModelState interface; ModelSpec.flat turns a
-ModelState into the flat list, and is the one check that it fits the
-model.  Inputs are gated by step number, not by time; sim.grid_steps is
-where times become step numbers.
+law through safety.combined_control, on the flat feedback list itself: no
+ModelState is built per sample, and ModelSpec.flat checks the list's length
+and population floor and hands it to solve uncopied.  The model derivative
+and the law are both compiled from the model's formula table
+(models.FormulaTable): the derivative once per table, the law once per table
+and shape of constraint set, with the table's formulas written into the
+law's own code, so a law evaluation calls no model evaluator.  safety's memo
+holds, per constraint set, both of the law's entry points, each on the flat
+state: solve(x), behind combined_control, and law(x) -> u, which
+make_input_fn gates by step number for the rollouts.  delay.predict_state
+and sim.rk4_step wrap these helpers with a ModelState interface;
+ModelSpec.flat turns a ModelState into the flat list, and is the one check
+that a state, in either form, fits the model.  Inputs are gated by step
+number, not by time; sim.grid_steps is where times become step numbers.
 
 rk4_flat runs a straight-line kernel generated from one source template
 the first time a state length is seen and kept for that length: the

@@ -73,6 +73,17 @@ def _readonly(values) -> np.ndarray:
     return a
 
 
+def _check_floor(x: list[float]) -> None:
+    """Reject a flat state below the population floor, -_NEGATIVITY_TOL
+    times the total population (at least one person): drift may leave tiny
+    negatives."""
+    low = min(x)
+    if low < 0.0:
+        floor = -_NEGATIVITY_TOL * max(1.0, sum(map(abs, x)))
+        if low < floor:
+            raise ValueError(f"negative population {low:g} in state (floor {floor:g})")
+
+
 @dataclass(frozen=True, eq=False)
 class ModelState:
     """Partitioned population state: multiplicative block w, outlet block z.
@@ -101,14 +112,7 @@ class ModelState:
             raise ValueError(f"expected {size} labels, got {len(labels)}")
         if len(set(labels)) != size:
             raise ValueError("compartment labels must be unique")
-        # integration drift may leave tiny negatives: the floor is
-        # -_NEGATIVITY_TOL times the total population (at least one person)
-        x = w.tolist() + z.tolist()
-        low = min(x)
-        if low < 0.0:
-            floor = -_NEGATIVITY_TOL * max(1.0, sum(map(abs, x)))
-            if low < floor:
-                raise ValueError(f"negative population {low:g} in state (floor {floor:g})")
+        _check_floor(w.tolist() + z.tolist())
 
     def _key(self) -> tuple:
         return self.labels, tuple(self.w.tolist()), tuple(self.z.tolist())
@@ -377,9 +381,19 @@ class ModelSpec:
         arr.setflags(write=False)
         return ModelState(w=arr[: self.n], z=arr[self.n :], labels=self.labels)
 
-    def flat(self, state: ModelState) -> list[float]:
+    def flat(self, state: ModelState | list[float]) -> list[float]:
         """The state as the flat [w; z] list the compiled evaluators and
-        the generated law take: the one check that it fits the model."""
+        the generated law take: the one check that it fits the model.
+
+        state is a ModelState, or already such a list of n + m floats; a
+        list is checked for its length and the population floor that
+        ModelState applies, and returned as is, not copied: its readers
+        only read it."""
+        if not isinstance(state, ModelState):
+            if len(state) != self.n + self.m:
+                raise ValueError(f"state has {len(state)} entries, model has {self.n + self.m}")
+            _check_floor(state)
+            return state
         if state.n != self.n or state.m != self.m:
             raise ValueError(
                 f"state dimensions ({state.n}, {state.m}) do not match "

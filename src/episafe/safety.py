@@ -154,7 +154,7 @@ def _clamp01(v: float) -> float:
 # Jacobian tuple.  Each compiled pair is a factory; called with a spec and
 # constraints it binds the spec's parameter values, the Jacobian entries
 # and every constraint constant, and returns two entry points, both on the
-# flat state [w; z] that ModelSpec.flat makes of a ModelState:
+# flat state [w; z] that ModelSpec.flat returns:
 #   solve(x) -> (u_raw, active, feasible), behind every public control
 #               function;
 #   law(x) -> u, the clamped input, for rollouts; it skips the upper-bound
@@ -358,10 +358,10 @@ def _solver(spec: ModelSpec, constraints: tuple[SafetyConstraint, ...]):
 def _decide(
     spec: ModelSpec,
     constraints: tuple[SafetyConstraint, ...],
-    state: ModelState,
+    x: list[float],
     combined: bool,
 ) -> ControlDecision:
-    u_raw, active, feasible = _solver(spec, constraints)[0](spec.flat(state))
+    u_raw, active, feasible = _solver(spec, constraints)[0](x)
     return ControlDecision(
         u_raw=u_raw,
         u=_clamp01(u_raw),
@@ -396,32 +396,34 @@ def extended_barrier_value(
 
 
 def multiplicative_control(
-    spec: ModelSpec, constraint: SafetyConstraint, state: ModelState
+    spec: ModelSpec, constraint: SafetyConstraint, state: ModelState | list[float]
 ) -> ControlDecision:
     """Min-norm intervention keeping a multiplicative compartment inside its
     bound.  Where the input has no authority over the compartment the
     decision rests at 0, feasible iff the open loop already meets the
-    condition."""
+    condition.  state is a ModelState or the flat [w; z] list (see
+    ModelSpec.flat)."""
     if constraint.kind != MULTIPLICATIVE:
         raise ValueError("constraint is not multiplicative")
-    return _decide(spec, (constraint,), state, combined=False)
+    return _decide(spec, (constraint,), spec.flat(state), combined=False)
 
 
 def outlet_control(
-    spec: ModelSpec, constraint: SafetyConstraint, state: ModelState
+    spec: ModelSpec, constraint: SafetyConstraint, state: ModelState | list[float]
 ) -> ControlDecision:
     """Min-norm intervention keeping an outlet compartment inside its bound,
     acting through the differentiated margin.  The caller is responsible for
-    checking the starting condition (see validate_initial_condition)."""
+    checking the starting condition (see validate_initial_condition).
+    state is a ModelState or the flat [w; z] list (see ModelSpec.flat)."""
     if constraint.kind != OUTLET:
         raise ValueError("constraint is not an outlet constraint")
-    return _decide(spec, (constraint,), state, combined=False)
+    return _decide(spec, (constraint,), spec.flat(state), combined=False)
 
 
 def combined_control(
     spec: ModelSpec,
     constraints: Sequence[SafetyConstraint],
-    state: ModelState,
+    state: ModelState | list[float],
 ) -> ControlDecision:
     """Enforce several bounds at once: the exact min-norm solution of the
     jointly constrained scalar-input QP (see the module docstring).
@@ -431,11 +433,16 @@ def combined_control(
     When every control coefficient is negative this is the pointwise
     maximum of the individual laws.  Ties resolve to the lowest constraint
     index for reproducible audits.
+
+    state is a ModelState or the flat [w; z] list of n + m floats that
+    simulate holds; ModelSpec.flat checks either against the model, also
+    without constraints, and passes a list to the law without a copy.
     """
     constraints = tuple(constraints)
+    x = spec.flat(state)
     if not constraints:
         return ControlDecision.rest()
-    return _decide(spec, constraints, state, combined=True)
+    return _decide(spec, constraints, x, combined=True)
 
 
 @dataclass(frozen=True)

@@ -275,8 +275,9 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
     one, whose decision is recorded but not integrated) and the applied
     input clamp(u + d) is held constant across each step.  In guaranteed
     mode the run refuses to start if the initial controlled state violates
-    the controller hypotheses.  Every state the law sees is checked for
-    negative populations (ValueError).
+    the controller hypotheses.  Every state the law sees, a flat [w; z]
+    list in all three modes, is checked for negative populations
+    (ValueError) by ModelSpec.flat, inside combined_control.
 
     prehistory optionally overrides the state reported for measurement
     times before t_start (defaults to the initial state).  In the delayed
@@ -338,7 +339,7 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
                     feedback = engine.closed_loop_rollout(
                         spec, measured, k - span, span, dt, input_fn
                     )
-            decision = combined_control(spec, cons, spec.state(feedback))
+            decision = combined_control(spec, cons, feedback)
             decisions.append(decision)
             applied = _clamp01(decision.u + offsets[k - first])
 

@@ -255,6 +255,9 @@ STATE_FUNCTIONS = {
     "multiplicative_control": lambda spec, state: multiplicative_control(spec, _I_CAP, state),
     "outlet_control": lambda spec, state: outlet_control(spec, _R_CAP, state),
     "combined_control": lambda spec, state: combined_control(spec, [_I_CAP, _R_CAP], state),
+    "combined_control_without_constraints": lambda spec, state: combined_control(
+        spec, [], state
+    ),
     "extended_barrier_value": lambda spec, state: extended_barrier_value(spec, _R_CAP, state),
     # no outlet constraint, whose extended margin would catch the mismatch
     "validate_initial_condition": lambda spec, state: validate_initial_condition(
@@ -273,6 +276,29 @@ class TestFlat:
         x = spec.flat(spec.state([10e6, 1e6, 1e5, 2e6, 1e4]))
         assert x == [10e6, 1e6, 1e5, 2e6, 1e4]
         assert all(type(v) is float for v in x)
+
+    def test_flat_returns_a_fitting_list_uncopied(self):
+        spec = build_sihrd(SIHRD_US)
+        x = [10e6, 1e6, 1e5, 2e6, -1e-3]  # a drift-sized negative passes
+        assert spec.flat(x) is x
+
+    @pytest.mark.parametrize("values", [[10e6, 1e6, 1e5, 2e6], [10e6, 1e6, 1e5, 2e6, 1e4, 0.0]])
+    def test_flat_rejects_a_list_of_another_length(self, values):
+        spec = build_sihrd(SIHRD_US)
+        message = f"state has {len(values)} entries, model has 5"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            spec.flat(values)
+
+    def test_flat_rejects_a_list_under_the_floor_as_state_does(self):
+        # the state an overshooting RK4 step leaves (see test_sim)
+        spec = build_sir(SirParams(beta0=40.0, gamma=0.1, N=1000.0))
+        values = [-544.0462618039367, 1522.7801795513326, 21.26608225260417]
+        with pytest.raises(ValueError) as want:
+            spec.state(values)
+        with pytest.raises(ValueError) as got:
+            spec.flat(values)
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == "negative population -544.046 in state (floor -2.08809e-06)"
 
     @pytest.mark.parametrize("name", sorted(STATE_FUNCTIONS))
     def test_every_state_function_rejects_a_state_of_another_model(self, name):

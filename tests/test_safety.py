@@ -58,6 +58,27 @@ def d_bound(bound=4e5):
     return SafetyConstraint(OUTLET, 2, bound, ALPHA_HD, alpha_e=ALPHA_HD, name="D")
 
 
+def random_cases(sir_spec, sihrd_spec):
+    """600 (spec, state, constraints) cases: random SIR and SIHRD states,
+    each with one constraint of random bound, gains and direction on every
+    compartment."""
+    rng = np.random.default_rng(717)
+    cases = [(sir_spec, s) for s in sample_sir_states(sir_spec, 300, 718)]
+    cases += [(sihrd_spec, s) for s in sample_sihrd_states(sihrd_spec, 300, 719)]
+    for spec, state in cases:
+        cons = [
+            SafetyConstraint(
+                kind, j, float(rng.uniform(0.001, 0.6)) * spec.params.N,
+                float(rng.uniform(1e-3, 1.0)),
+                alpha_e=float(rng.uniform(1e-3, 1.0)) if kind == OUTLET else None,
+                direction=("upper", "lower")[int(rng.integers(2))],
+            )
+            for kind, size in ((MULTIPLICATIVE, spec.n), (OUTLET, spec.m))
+            for j in range(size)
+        ]
+        yield spec, state, cons
+
+
 def assert_oracle_agrees(spec, constraints, state):
     """The decision is the grid QP's answer: infeasible exactly when the
     oracle finds no grid point, otherwise within one grid step of it."""
@@ -245,20 +266,7 @@ class TestValidateInitialCondition:
     def test_margins_match_scalar_forms(self, sir_spec, sihrd_spec):
         # the report's margins come from the matrix evaluator; they must
         # carry the bits of barrier_value and extended_barrier_value
-        rng = np.random.default_rng(717)
-        cases = [(sir_spec, s) for s in sample_sir_states(sir_spec, 300, 718)]
-        cases += [(sihrd_spec, s) for s in sample_sihrd_states(sihrd_spec, 300, 719)]
-        for spec, state in cases:
-            cons = [
-                SafetyConstraint(
-                    kind, j, float(rng.uniform(0.001, 0.6)) * spec.params.N,
-                    float(rng.uniform(1e-3, 1.0)),
-                    alpha_e=float(rng.uniform(1e-3, 1.0)) if kind == OUTLET else None,
-                    direction=("upper", "lower")[int(rng.integers(2))],
-                )
-                for kind, size in ((MULTIPLICATIVE, spec.n), (OUTLET, spec.m))
-                for j in range(size)
-            ]
+        for spec, state, cons in random_cases(sir_spec, sihrd_spec):
             report = validate_initial_condition(spec, cons, state)
             for c, check in zip(cons, report.checks):
                 assert type(check.margin) is float
@@ -365,6 +373,21 @@ class TestCombinedControl:
         dec = assert_oracle_agrees(sir_spec, cons, state)
         assert not dec.feasible
         assert dec.u == dec.u_raw  # the lower bound is honoured
+
+    def test_flat_list_gives_the_bits_of_the_state(self, sir_spec, sihrd_spec):
+        # the plant loop hands the law its flat [w; z] list; every public
+        # control function must decide exactly as on the ModelState
+        def key(dec):
+            return dec.u_raw.hex(), dec.u.hex(), dec.feasible, dec.active_constraint
+
+        for spec, state, cons in random_cases(sir_spec, sihrd_spec):
+            x = spec.flat(state)
+            calls = [lambda s: combined_control(spec, cons, s)]
+            for c in cons:
+                control = multiplicative_control if c.kind == MULTIPLICATIVE else outlet_control
+                calls.append(lambda s, c=c, control=control: control(spec, c, s))
+            for call in calls:
+                assert key(call(x)) == key(call(state))
 
 
 class TestQpOracle:

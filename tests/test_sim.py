@@ -2,10 +2,12 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
+from episafe.models import SirParams, build_sir
 from episafe.safety import (
     MULTIPLICATIVE,
     OUTLET,
@@ -327,6 +329,20 @@ class TestSimulate:
                 assert traj.barriers[:, j].min() >= -1e-6 * c.bound
             done += 1
         assert done == 50
+
+    @pytest.mark.parametrize("mode", ["instantaneous", "delayed", "predictor"])
+    def test_negative_feedback_state_rejected(self, mode):
+        # beta0 40 at dt 0.5 overshoots: RK4 drives S far below zero, and
+        # the law must refuse the first feedback state that carries it
+        spec = build_sir(SirParams(beta0=40.0, gamma=0.1, N=1000.0))
+        sc = Scenario(
+            spec=spec, state0=spec.state([990.0, 10.0, 0.0]), t_start=0.0,
+            t_end=5.0, dt=0.5, feedback_mode=mode, tau=1.0,
+            constraints=(SafetyConstraint(MULTIPLICATIVE, 1, 1e9, 1.0),),
+        )
+        message = "negative population -544.046 in state (floor -2.08809e-06)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            simulate(sc)
 
 
 class TestSafetyAudit:
