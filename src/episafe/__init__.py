@@ -6,7 +6,6 @@ from .delay import (
     IssfBound,
     PredictorConfig,
     estimate_lipschitz,
-    input_disturbance,
     issf_inflated_barrier,
     predict_state,
     prediction_error,
@@ -21,8 +20,6 @@ from .models import (
     build_seir,
     build_sihrd,
     build_sir,
-    eval_dynamics,
-    eval_jacobians,
 )
 from .safety import (
     MULTIPLICATIVE,
@@ -45,7 +42,6 @@ from .sim import (
     Scenario,
     SimulationError,
     Trajectory,
-    rk4_step,
     safety_audit,
     simulate,
 )

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 __all__ = [
     "CaseRecord",
     "CaseDataError",
@@ -25,7 +23,6 @@ __all__ = [
     "ScaledSeries",
     "ingest_cases",
     "scale_cases",
-    "day_offsets",
 ]
 
 _COLUMNS = ("date", "cumulative_confirmed", "positivity_rate", "mobility_index")
@@ -191,10 +188,3 @@ def scale_cases(records: list[CaseRecord], exponent: float = 1.0 / 3.0) -> Scale
     )
     return ScaledSeries(scaled, exponent, reference)
 
-
-def day_offsets(records: list[CaseRecord], origin: dt.date | None = None) -> np.ndarray:
-    """Dates as float day offsets from origin (default: first record)."""
-    if not records:
-        return np.empty(0)
-    base = origin if origin is not None else records[0].date
-    return np.array([float((r.date - base).days) for r in records])

@@ -121,11 +121,7 @@ def _cmd_audit(args) -> int:
 def _cmd_sweep(args) -> int:
     name, scenario = resolve_scenario(args.scenario)
     scenario = _apply_overrides(scenario, args)
-    try:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
-    except ValueError:
-        print(f"cannot parse --values {args.values!r}", file=sys.stderr)
-        return EXIT_VALIDATION
+    values = [float(v) for v in args.values.split(",") if v.strip()]
     reports = sweep(scenario, args.param, values, name=name, out_dir=args.out)
     for report in reports:
         print(format_report(report))

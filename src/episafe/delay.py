@@ -27,7 +27,6 @@ __all__ = [
     "IssfBound",
     "predict_state",
     "prediction_error",
-    "input_disturbance",
     "estimate_lipschitz",
     "issf_inflated_barrier",
 ]
@@ -129,16 +128,6 @@ def prediction_error(predicted: ModelState, actual: ModelState) -> float:
     if predicted.labels != actual.labels:
         raise ValueError("states must share compartment layout")
     return float(np.max(np.abs(predicted.x - actual.x)))
-
-
-def input_disturbance(
-    controller: Callable[[ModelState], float],
-    predicted: ModelState,
-    actual: ModelState,
-) -> float:
-    """Signed input error caused by feeding the forecast instead of the
-    true state into the feedback law."""
-    return float(controller(predicted)) - float(controller(actual))
 
 
 def estimate_lipschitz(

@@ -14,10 +14,10 @@ law's own code, so a law evaluation calls no model evaluator.  safety's memo
 holds, per constraint set, both of the law's entry points, each on the flat
 state: solve(x), behind combined_control, and law(x) -> u, which
 make_input_fn gates by step number for the rollouts.  delay.predict_state
-and sim.rk4_step wrap these helpers with a ModelState interface;
-ModelSpec.flat turns a ModelState into the flat list, and is the one check
-that a state, in either form, fits the model.  Inputs are gated by step
-number, not by time; sim.grid_steps is where times become step numbers.
+wraps these helpers with a ModelState interface; ModelSpec.flat turns a
+ModelState into the flat list, and is the one check that a state, in
+either form, fits the model.  Inputs are gated by step number, not by
+time; sim.grid_steps is where times become step numbers.
 
 rk4_flat runs a straight-line kernel generated from one source template
 the first time a state length is seen and kept for that length: the

@@ -15,9 +15,10 @@ individuals.  Time is measured in days, populations in persons, rates in
 
 Each model writes its formulas once, as source lines in a FormulaTable:
 f, g, q, r, the outflow Jacobians and the fused derivative.  A ModelSpec
-binds parameter values to a table and holds the evaluators compiled from
-it; safety writes the same lines into the control law it generates.
-MODELS, the catalogue, maps each model kind to its rate class and table.
+binds parameter values to a table and holds the evaluators and constant
+Jacobians compiled from it; safety writes the same lines into the control
+law it generates.  MODELS, the catalogue, maps each model kind to its
+rate class and table.
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ __all__ = [
     "build_sir",
     "build_seir",
     "build_sihrd",
-    "eval_dynamics",
-    "eval_jacobians",
 ]
 
 # Integration drift may push a compartment a hair below zero; reject anything
@@ -135,9 +134,6 @@ class ModelState:
     def x(self) -> np.ndarray:
         """Concatenated state vector [w; z]."""
         return np.concatenate([self.w, self.z])
-
-    def value(self, label: str) -> float:
-        return float(self.x[self.labels.index(label)])
 
 
 class _Rates:
@@ -247,14 +243,12 @@ def steered(table: FormulaTable) -> tuple[str, ...]:
     return tuple(label for label, on in zip(table.w + table.z, on_w + on_z) if on)
 
 
-# bind(values) returns the evaluators of ModelSpec by name, with the
-# parameter values bound.
+# bind(values) returns the evaluators and constant Jacobians of ModelSpec by
+# name, with the parameter values bound.
 _MODEL_TEMPLATE = """\
 def bind(values):
     [{params}] = values
 {constants}
-    jq = {dq_dw}
-    jr = {dr_dz}
 
     def derivative_t(x, u):
         [{x}] = x
@@ -279,15 +273,9 @@ def bind(values):
         [{z}] = z
         return ({r},)
 
-    def dq_dw_t(w):
-        return jq
-
-    def dr_dz_t(z):
-        return jr
-
     return dict(
         derivative_t=derivative_t, f_t=f_t, g_t=g_t, q_t=q_t, r_t=r_t,
-        dq_dw_t=dq_dw_t, dr_dz_t=dr_dz_t,
+        dq_dw={dq_dw}, dr_dz={dr_dz},
     )
 """
 
@@ -332,15 +320,15 @@ class ModelSpec:
     to the table's params (in order), and the evaluators compiled from the
     two.  params is the rate object the spec was built from.
 
-    The evaluators take and return plain float sequences: f_t, g_t, q_t and
-    dq_dw_t act on the multiplicative block w, r_t and dr_dz_t on the
-    outlet block z.  They serve the fixed-step integrator, where numpy call
-    overhead on vectors this short would dominate; ``derivative_t`` fuses
-    f + g*u and q + r into one call.  Given numpy columns, one entry per
-    sample, they return arrays (a constant entry stays a float).  The
-    control law that safety generates writes the table's formulas into its
-    own code and calls none of them.  eval_dynamics and eval_jacobians give
-    the same values as arrays.
+    The evaluators take and return plain float sequences: f_t, g_t and q_t
+    act on the multiplicative block w, r_t on the outlet block z.  They
+    serve the fixed-step integrator, where numpy call overhead on vectors
+    this short would dominate; ``derivative_t`` fuses f + g*u and q + r into
+    one call.  Given numpy columns, one entry per sample, they return arrays
+    (a constant entry stays a float).  The outflows are linear, so their
+    Jacobians dq_dw (m rows of n) and dr_dz (m by m) are constant tuples of
+    tuples.  The control law that safety generates writes the table's
+    formulas into its own code and calls none of them.
     """
 
     kind: str
@@ -358,8 +346,8 @@ class ModelSpec:
     g_t: Callable[[Vector], Vector] = field(init=False, repr=False, compare=False)
     q_t: Callable[[Vector], Vector] = field(init=False, repr=False, compare=False)
     r_t: Callable[[Vector], Vector] = field(init=False, repr=False, compare=False)
-    dq_dw_t: Callable[[Vector], Matrix] = field(init=False, repr=False, compare=False)
-    dr_dz_t: Callable[[Vector], Matrix] = field(init=False, repr=False, compare=False)
+    dq_dw: Matrix = field(init=False, repr=False, compare=False)
+    dr_dz: Matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         table, values = self.formulas, tuple(self.values)
@@ -494,22 +482,3 @@ def build_sihrd(params: SihrdParams) -> ModelSpec:
     """
     return build_model("sihrd", params)
 
-
-def eval_dynamics(
-    spec: ModelSpec, state: ModelState, u: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Time derivatives (dw/dt, dz/dt) in persons/day for input u."""
-    x = spec.flat(state)
-    w, z = x[: spec.n], x[spec.n :]
-    wdot = np.asarray(spec.f_t(w), dtype=float) + np.asarray(spec.g_t(w), dtype=float) * u
-    zdot = np.asarray(spec.q_t(w), dtype=float) + np.asarray(spec.r_t(z), dtype=float)
-    return wdot, zdot
-
-
-def eval_jacobians(spec: ModelSpec, state: ModelState) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobians (dq/dw of shape (m, n), dr/dz of shape (m, m))."""
-    x = spec.flat(state)
-    return (
-        np.asarray(spec.dq_dw_t(x[: spec.n]), dtype=float),
-        np.asarray(spec.dr_dz_t(x[spec.n :]), dtype=float),
-    )

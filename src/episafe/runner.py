@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .safety import InitialConditionReport, _margins
+from .safety import _margins
 from .scenarios import SETTINGS
 from .sim import (
     AuditReport,
@@ -79,7 +79,6 @@ class RunReport:
     scenario: Scenario
     trajectory: Trajectory
     audit: AuditReport
-    initial: InitialConditionReport | None
     peaks: dict[str, tuple[float, float]]
     outputs: dict[str, Path]
     exit_code: int
@@ -129,7 +128,6 @@ def run(
         scenario=scenario,
         trajectory=trajectory,
         audit=audit,
-        initial=trajectory.initial_report,
         peaks=peaks,
         outputs=outputs,
         exit_code=exit_code(scenario, audit),
@@ -146,17 +144,21 @@ def sweep(
     """Run the scenario once per value of one declared parameter.
 
     Reports come back sorted by parameter value, so aggregation order does
-    not depend on the order values were given in.  Before any run, a value
-    of an integer setting that is not a whole number, and two values that
-    give the same run name, are rejected (ValueError).
+    not depend on the order values were given in.  Before any run, an empty
+    list of values, a value of an integer setting that is not a whole
+    number, and two values that give the same run name are rejected
+    (ValueError).
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ValueError(
             f"cannot sweep {parameter!r}; supported: {', '.join(SWEEP_PARAMETERS)}"
         )
+    values = sorted(values)
+    if not values:
+        raise ValueError(f"no {parameter} values to sweep")
     setting = next(s for s in SETTINGS if s.key == parameter)
     variants = {}
-    for value in sorted(values):
+    for value in values:
         if setting.type is int and not float(value).is_integer():
             raise ValueError(f"{parameter} must be a whole number, got {value!r}")
         cast = setting.type(value)
@@ -299,10 +301,11 @@ def format_report(report: RunReport) -> str:
         f"tau: {sc.tau:g}  dt: {sc.dt:g}  horizon: [{sc.t_start:g}, {sc.t_end:g}]",
         f"disturbance delta: {sc.disturbance_delta:g}  seed: {sc.seed}",
     ]
-    if report.initial is not None:
-        status = "pass" if report.initial.ok else "FAIL"
+    initial = report.trajectory.initial_report
+    if initial is not None:
+        status = "pass" if initial.ok else "FAIL"
         lines.append(f"initial-condition checks: {status}")
-        lines.extend(f"  {line}" for line in report.initial.describe().splitlines())
+        lines.extend(f"  {line}" for line in initial.describe().splitlines())
     lines.append("peaks (clamped at zero):")
     for lbl, (value, t) in report.peaks.items():
         lines.append(f"  {lbl}: {value:.6g} at t={t:g}")

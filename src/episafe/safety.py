@@ -66,7 +66,9 @@ class SafetyConstraint:
     "upper" keeps the compartment below bound (margin h = bound - value),
     "lower" keeps it above (h = value - bound).  alpha is the margin decay
     gain; alpha_e is the extra gain for the differentiated margin and is
-    required for outlet constraints.
+    required for outlet constraints.  name, when given, labels the
+    constraint in reports and heads its CSV column, so it may hold no comma
+    or line break.
     """
 
     kind: str
@@ -91,6 +93,8 @@ class SafetyConstraint:
         if self.kind == OUTLET:
             if self.alpha_e is None or not self.alpha_e > 0.0:
                 raise ValueError("outlet constraints need alpha_e > 0")
+        if any(ch in self.name for ch in ",\r\n"):
+            raise ValueError(f"name {self.name!r} must not contain a comma or a line break")
 
     @property
     def sign(self) -> float:
@@ -131,11 +135,6 @@ class ControlDecision:
     u: float
     feasible: bool
     active_constraint: int | None
-
-    @classmethod
-    def rest(cls) -> "ControlDecision":
-        """No-intervention decision (controller off or no constraints)."""
-        return cls(0.0, 0.0, True, None)
 
 
 def _clamp01(v: float) -> float:
@@ -441,7 +440,7 @@ def combined_control(
     constraints = tuple(constraints)
     x = spec.flat(state)
     if not constraints:
-        return ControlDecision.rest()
+        return ControlDecision(0.0, 0.0, True, None)
     return _decide(spec, constraints, x, combined=True)
 
 
@@ -463,9 +462,6 @@ class InitialConditionReport:
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
-
-    def failures(self) -> tuple[ConstraintCheck, ...]:
-        return tuple(c for c in self.checks if not c.ok)
 
     def describe(self) -> str:
         lines = []
@@ -531,7 +527,7 @@ def qp_oracle(
         j, s = c.index, c.sign
         if c.kind == OUTLET:
             outflow = [a + b for a, b in zip(spec.q_t(w), spec.r_t(z))]
-            dq_row, dr_row = spec.dq_dw_t(w)[j], spec.dr_dz_t(z)[j]
+            dq_row, dr_row = spec.dq_dw[j], spec.dr_dz[j]
             drift = s * (
                 sum(a * b for a, b in zip(dq_row, f))
                 + sum(a * b for a, b in zip(dr_row, outflow))

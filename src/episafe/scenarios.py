@@ -105,13 +105,13 @@ def default_gains(spec: ModelSpec, kind: str, index: int) -> tuple[float, float 
     rate (-dr/dz on the diagonal), or alpha for a compartment without one.
     """
     total = 0.0
-    for row in spec.dq_dw_t(()):  # the outflow Jacobians are constant
+    for row in spec.dq_dw:
         for rate in row:
             total = total + rate
     alpha = total / 10.0
     if kind == MULTIPLICATIVE:
         return alpha, None
-    own_rate = -spec.dr_dz_t(())[index][index]
+    own_rate = -spec.dr_dz[index][index]
     return alpha, own_rate / 10.0 if own_rate > 0.0 else alpha
 
 

@@ -37,7 +37,6 @@ __all__ = [
     "IntegrationError",
     "MODES",
     "grid_steps",
-    "rk4_step",
     "simulate",
     "safety_audit",
     "ConstraintAudit",
@@ -256,16 +255,6 @@ class Trajectory:
         series = np.maximum(self.states[:, col], 0.0)
         k = int(np.argmax(series))
         return float(series[k]), float(self.times[k])
-
-
-def rk4_step(spec: ModelSpec, state: ModelState, u: float, dt: float) -> ModelState:
-    """One Runge-Kutta step of the model dynamics with u held constant."""
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    x = engine.rk4_flat(spec.derivative_t, spec.flat(state), float(u), dt)
-    if not all(map(math.isfinite, x)):
-        raise IntegrationError(f"non-finite state after step from {state.x}")
-    return spec.state(x)
 
 
 def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> Trajectory:

@@ -54,7 +54,7 @@ def reference_solver(spec, constraints):
     def terms(w, z):
         f, g = f_t(w), g_t(w)
         outflow = tuple(map(add, q_t(w), r_t(z)))
-        jq, jr = spec.dq_dw_t(w), spec.dr_dz_t(z)
+        jq, jr = spec.dq_dw, spec.dr_dz
         out = []
         for c in constraints:
             j, s = c.index, c.sign
@@ -92,9 +92,9 @@ def reference_solver(spec, constraints):
 # -- reference models --------------------------------------------------------
 #
 # The SIR, SEIR and SIHRD evaluators written out by hand as closures, apart
-# from the formula tables of episafe.models.  Each returns the seven
-# evaluators of a ModelSpec by name; the ones compiled from the tables must
-# give the same bits.
+# from the formula tables of episafe.models.  Each returns the five
+# evaluators and two constant Jacobians of a ModelSpec by name; the ones
+# compiled from the tables must give the same bits.
 
 
 def reference_sir(params: SirParams) -> dict:
@@ -104,6 +104,8 @@ def reference_sir(params: SirParams) -> dict:
     at rate gamma.
     """
     beta0, gamma, N = params.beta0, params.gamma, params.N
+    dq_dw: Matrix = ((0.0, gamma),)
+    dr_dz: Matrix = ((0.0,),)
 
     def f_t(w: Vector) -> Vector:
         S, I = w
@@ -121,12 +123,6 @@ def reference_sir(params: SirParams) -> dict:
     def r_t(z: Vector) -> Vector:
         return (0.0,)
 
-    def dq_dw_t(w: Vector) -> Matrix:
-        return ((0.0, gamma),)
-
-    def dr_dz_t(z: Vector) -> Matrix:
-        return ((0.0,),)
-
     def derivative_t(x: Sequence[float], u: float) -> list[float]:
         S, I, _ = x
         inflow = beta0 * S * I / N * (1.0 - u)
@@ -134,7 +130,7 @@ def reference_sir(params: SirParams) -> dict:
 
     return dict(
         f_t=f_t, g_t=g_t, q_t=q_t, r_t=r_t,
-        dq_dw_t=dq_dw_t, dr_dz_t=dr_dz_t, derivative_t=derivative_t,
+        derivative_t=derivative_t, dq_dw=dq_dw, dr_dz=dr_dz,
     )
 
 
@@ -146,6 +142,8 @@ def reference_seir(params: SeirParams) -> dict:
     admit the first-order safety controller.
     """
     beta0, gamma, N, sigma = params.beta0, params.gamma, params.N, params.sigma
+    dq_dw: Matrix = ((0.0, 0.0, gamma),)
+    dr_dz: Matrix = ((0.0,),)
 
     def f_t(w: Vector) -> Vector:
         S, E, I = w
@@ -163,12 +161,6 @@ def reference_seir(params: SeirParams) -> dict:
     def r_t(z: Vector) -> Vector:
         return (0.0,)
 
-    def dq_dw_t(w: Vector) -> Matrix:
-        return ((0.0, 0.0, gamma),)
-
-    def dr_dz_t(z: Vector) -> Matrix:
-        return ((0.0,),)
-
     def derivative_t(x: Sequence[float], u: float) -> list[float]:
         S, E, I, _ = x
         inflow = beta0 * S * I / N * (1.0 - u)
@@ -176,7 +168,7 @@ def reference_seir(params: SeirParams) -> dict:
 
     return dict(
         f_t=f_t, g_t=g_t, q_t=q_t, r_t=r_t,
-        dq_dw_t=dq_dw_t, dr_dz_t=dr_dz_t, derivative_t=derivative_t,
+        derivative_t=derivative_t, dq_dw=dq_dw, dr_dz=dr_dz,
     )
 
 
@@ -190,6 +182,8 @@ def reference_sihrd(params: SihrdParams) -> dict:
     beta0, gamma, N = params.beta0, params.gamma, params.N
     lam, nu, mu = params.lam, params.nu, params.mu
     out = gamma + lam + mu
+    dq_dw: Matrix = ((0.0, lam), (0.0, gamma), (0.0, mu))
+    dr_dz: Matrix = ((-nu, 0.0, 0.0), (nu, 0.0, 0.0), (0.0, 0.0, 0.0))
 
     def f_t(w: Vector) -> Vector:
         S, I = w
@@ -209,12 +203,6 @@ def reference_sihrd(params: SihrdParams) -> dict:
         H = z[0]
         return (-nu * H, nu * H, 0.0)
 
-    def dq_dw_t(w: Vector) -> Matrix:
-        return ((0.0, lam), (0.0, gamma), (0.0, mu))
-
-    def dr_dz_t(z: Vector) -> Matrix:
-        return ((-nu, 0.0, 0.0), (nu, 0.0, 0.0), (0.0, 0.0, 0.0))
-
     def derivative_t(x: Sequence[float], u: float) -> list[float]:
         S, I, H, _, _ = x
         inflow = beta0 * S * I / N * (1.0 - u)
@@ -228,7 +216,7 @@ def reference_sihrd(params: SihrdParams) -> dict:
 
     return dict(
         f_t=f_t, g_t=g_t, q_t=q_t, r_t=r_t,
-        dq_dw_t=dq_dw_t, dr_dz_t=dr_dz_t, derivative_t=derivative_t,
+        derivative_t=derivative_t, dq_dw=dq_dw, dr_dz=dr_dz,
     )
 
 

@@ -2,13 +2,11 @@
 
 import datetime as dt
 
-import numpy as np
 import pytest
 
 from episafe.cases import (
     CaseDataError,
     CaseRecord,
-    day_offsets,
     ingest_cases,
     scale_cases,
 )
@@ -123,15 +121,3 @@ class TestScaling:
         assert meta["exponent"] == pytest.approx(1.0 / 3.0)
         assert meta["reference_positivity"] == pytest.approx(0.05)
         assert "formula" in meta
-
-
-def test_day_offsets():
-    records = [
-        CaseRecord(dt.date(2020, 6, 1), 1.0),
-        CaseRecord(dt.date(2020, 6, 4), 2.0),
-        CaseRecord(dt.date(2020, 6, 11), 3.0),
-    ]
-    np.testing.assert_array_equal(day_offsets(records), [0.0, 3.0, 10.0])
-    np.testing.assert_array_equal(
-        day_offsets(records, origin=dt.date(2020, 5, 31)), [1.0, 4.0, 11.0]
-    )

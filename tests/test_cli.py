@@ -75,6 +75,23 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_comma_in_constraint_name_exits_2(self, tmp_path, capsys):
+        # the name would add a column to the trajectory CSV header
+        doc = sir_doc(
+            (26e6, 1e5, 6.9e6), "mode = instantaneous",
+            ["compartment = I\nbound = 2e5\nname = cap,I\n"],
+        )
+        path = tmp_path / "comma.scenario"
+        path.write_text(doc)
+        line = doc.splitlines().index("[constraint]") + 1
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {path}:{line}: [constraint] on I: "
+            "name 'cap,I' must not contain a comma or a line break\n"
+        )
+        assert captured.out == "" and not (tmp_path / "out").exists()
+
     def test_bad_override_is_validation_error(self, capsys):
         # dt that does not divide the horizon
         assert main(["simulate", "sir_delay_danger", "--dt", "0.7"]) == 2
@@ -271,6 +288,18 @@ class TestSweep:
         assert main([
             "sweep", "sir_delay_danger", "--param", "tau", "--values", "a,b",
         ]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: could not convert string to float: 'a'\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("values", [",", " , "])
+    def test_empty_values_list(self, values, capsys):
+        assert main([
+            "sweep", "sir_delay_danger", "--param", "tau", "--values", values,
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: no tau values to sweep\n"
+        assert captured.out == ""
 
 
 class TestIngest:

@@ -20,8 +20,6 @@ from episafe.models import (
     build_seir,
     build_sihrd,
     build_sir,
-    eval_dynamics,
-    eval_jacobians,
     steered,
 )
 from episafe.safety import (
@@ -35,7 +33,6 @@ from episafe.safety import (
     qp_oracle,
     validate_initial_condition,
 )
-from episafe.sim import rk4_step
 
 from conftest import (
     SIHRD_US,
@@ -59,7 +56,6 @@ class TestModelState:
     def test_basic_construction(self):
         s = ModelState(w=[30e6, 3e6], z=[0.0], labels=("S", "I", "R"))
         assert s.n == 2 and s.m == 1
-        assert s.value("I") == 3e6
         np.testing.assert_array_equal(s.x, [30e6, 3e6, 0.0])
 
     def test_rejects_negative_population(self):
@@ -148,17 +144,13 @@ class TestBuildSir:
         # direct hand evaluation: beta0*S*I/N = 0.33*30e6*3e6/33e6 = 900000,
         # gamma*I = 600000
         spec = build_sir(SIR_US)
-        state = spec.state([30e6, 3e6, 0.0])
-        wdot, zdot = eval_dynamics(spec, state, u=0.0)
-        np.testing.assert_allclose(wdot, [-900000.0, 300000.0], rtol=1e-12)
-        np.testing.assert_allclose(zdot, [600000.0], rtol=1e-12)
+        xdot = spec.derivative_t([30e6, 3e6, 0.0], 0.0)
+        np.testing.assert_allclose(xdot, [-900000.0, 300000.0, 600000.0], rtol=1e-12)
 
     def test_jacobian_rows(self):
         spec = build_sir(SIR_US)
-        state = spec.state([30e6, 3e6, 0.0])
-        dq, dr = eval_jacobians(spec, state)
-        np.testing.assert_array_equal(dq, [[0.0, 0.2]])
-        np.testing.assert_array_equal(dr, [[0.0]])
+        assert spec.dq_dw == ((0.0, 0.2),)
+        assert spec.dr_dz == ((0.0,),)
 
 
 class TestCatalogue:
@@ -207,9 +199,8 @@ class TestBuildSeir:
     def test_exposed_derivative_frozen_value(self):
         # dE/dt = beta0*S*I/N - sigma*E = 900000 - 200000
         spec = build_seir(SeirParams(beta0=0.33, gamma=0.2, N=33e6, sigma=0.2))
-        state = spec.state([30e6, 1e6, 3e6, 0.0])
-        wdot, _ = eval_dynamics(spec, state, u=0.0)
-        assert wdot[1] == pytest.approx(700000.0, rel=1e-12)
+        xdot = spec.derivative_t([30e6, 1e6, 3e6, 0.0], 0.0)
+        assert xdot[1] == pytest.approx(700000.0, rel=1e-12)
 
 
 class TestBuildSihrd:
@@ -226,18 +217,13 @@ class TestBuildSihrd:
     def test_hospital_derivative_frozen_value(self):
         # dH/dt = lam*I - nu*H = 0.03e6 - 0.014e6
         spec = build_sihrd(SIHRD_US)
-        state = spec.state([10e6, 1e6, 1e5, 0.0, 0.0])
-        _, zdot = eval_dynamics(spec, state, u=0.0)
-        assert zdot[0] == pytest.approx(16000.0, rel=1e-12)
+        xdot = spec.derivative_t([10e6, 1e6, 1e5, 0.0, 0.0], 0.0)
+        assert xdot[2] == pytest.approx(16000.0, rel=1e-12)
 
     def test_jacobian_structure(self):
         spec = build_sihrd(SIHRD_US)
-        state = spec.state([10e6, 1e6, 1e5, 0.0, 0.0])
-        dq, dr = eval_jacobians(spec, state)
-        np.testing.assert_array_equal(dq, [[0.0, 0.03], [0.0, 0.14], [0.0, 0.01]])
-        np.testing.assert_array_equal(
-            dr, [[-0.14, 0.0, 0.0], [0.14, 0.0, 0.0], [0.0, 0.0, 0.0]]
-        )
+        assert spec.dq_dw == ((0.0, 0.03), (0.0, 0.14), (0.0, 0.01))
+        assert spec.dr_dz == ((-0.14, 0.0, 0.0), (0.14, 0.0, 0.0), (0.0, 0.0, 0.0))
 
 
 _I_CAP = SafetyConstraint(MULTIPLICATIVE, 1, 2e5, 0.02)
@@ -246,9 +232,6 @@ _R_CAP = SafetyConstraint(OUTLET, 0, 2e7, 0.02, alpha_e=0.1)
 # every public function that takes a spec and a state, called with the
 # constraints valid for an SIR spec
 STATE_FUNCTIONS = {
-    "eval_dynamics": lambda spec, state: eval_dynamics(spec, state, 0.0),
-    "eval_jacobians": eval_jacobians,
-    "rk4_step": lambda spec, state: rk4_step(spec, state, 0.0, 0.1),
     "predict_state": lambda spec, state: predict_state(
         spec, state, PredictorConfig(1.0, 0.1, constraints=(_I_CAP,))
     ),
@@ -311,25 +294,34 @@ class TestFlat:
             STATE_FUNCTIONS[name](sir, state)
 
 
+def blockwise(spec, x, u):
+    """dx/dt as [f + g*u; q + r] from the blockwise evaluators."""
+    w, z = x[: spec.n], x[spec.n :]
+    wdot = np.asarray(spec.f_t(w)) + np.asarray(spec.g_t(w)) * u
+    return np.concatenate([wdot, np.asarray(spec.q_t(w)) + np.asarray(spec.r_t(z))])
+
+
 class TestEvalDynamics:
+    """The model dynamics, through the fused derivative_t the integrator
+    calls and the blockwise f, g, q and r."""
+
     def test_total_isolation_freezes_susceptibles(self):
         spec = build_sir(SIR_US)
-        state = spec.state([20e6, 5e6, 8e6])
-        wdot, _ = eval_dynamics(spec, state, u=1.0)
-        assert wdot[0] == 0.0
-        assert wdot[1] == pytest.approx(-0.2 * 5e6, rel=1e-12)
+        xdot = spec.derivative_t([20e6, 5e6, 8e6], 1.0)
+        assert xdot[0] == 0.0
+        assert xdot[1] == pytest.approx(-0.2 * 5e6, rel=1e-12)
 
     def test_dimension_mismatch_raises(self):
+        # a state is checked against the model before any evaluator sees it
         sir = build_sir(SIR_US)
         state5 = ModelState(w=[1.0, 2.0], z=[3.0, 4.0, 5.0], labels=tuple("abcde"))
         with pytest.raises(ValueError, match="dimensions"):
-            eval_dynamics(sir, state5, u=0.0)
+            sir.flat(state5)
 
     def test_conservation_sihrd(self):
         spec = build_sihrd(SIHRD_US)
-        state = spec.state([10e6, 1e6, 1e5, 2e6, 1e4])
-        wdot, zdot = eval_dynamics(spec, state, u=0.0)
-        assert abs(wdot.sum() + zdot.sum()) < 1e-9 * SIHRD_US.N
+        xdot = spec.derivative_t([10e6, 1e6, 1e5, 2e6, 1e4], 0.0)
+        assert abs(sum(xdot)) < 1e-9 * SIHRD_US.N
 
     @given(
         u=st.floats(0.0, 1.0),
@@ -339,9 +331,8 @@ class TestEvalDynamics:
         for spec in all_specs():
             N = spec.params.N
             vals = [f * N for f in fracs[: spec.n + spec.m]]
-            state = spec.state(vals)
-            wdot, zdot = eval_dynamics(spec, state, u)
-            assert abs(wdot.sum() + zdot.sum()) <= 1e-9 * N
+            assert abs(sum(spec.derivative_t(vals, u))) <= 1e-9 * N
+            assert abs(blockwise(spec, vals, u).sum()) <= 1e-9 * N
 
     @given(fracs=st.tuples(*[st.floats(0.0, 1.0) for _ in range(5)]))
     def test_transmission_cancellation(self, fracs):
@@ -357,13 +348,11 @@ class TestEvalDynamics:
         for spec in all_specs():
             N = spec.params.N
             for _ in range(50):
-                vals = rng.uniform(0.0, N, spec.n + spec.m)
+                vals = rng.uniform(0.0, N, spec.n + spec.m).tolist()
                 u = rng.uniform(0.0, 1.0)
-                state = spec.state(vals)
-                wdot, zdot = eval_dynamics(spec, state, u)
-                fused = np.asarray(spec.derivative_t(list(vals), u))
+                fused = np.asarray(spec.derivative_t(vals, u))
                 np.testing.assert_allclose(
-                    fused, np.concatenate([wdot, zdot]), rtol=1e-12, atol=1e-12 * N
+                    fused, blockwise(spec, vals, u), rtol=1e-12, atol=1e-12 * N
                 )
 
 
@@ -380,8 +369,8 @@ class TestJacobians:
         for _ in range(100):
             w = rng.uniform(0.0, N, spec.n)
             z = rng.uniform(0.0, N, spec.m)
-            dq = np.asarray(spec.dq_dw_t(w))
-            dr = np.asarray(spec.dr_dz_t(z))
+            dq = np.asarray(spec.dq_dw)
+            dr = np.asarray(spec.dr_dz)
             dq_fd = central_difference_jacobian(spec.q_t, w)
             dr_fd = central_difference_jacobian(spec.r_t, z)
             scale_q = max(1.0, np.abs(dq).max())
@@ -391,9 +380,7 @@ class TestJacobians:
 
 
 REFERENCE_MODELS = {"sir": reference_sir, "seir": reference_seir, "sihrd": reference_sihrd}
-EVALUATORS = (
-    ("f_t", "w"), ("g_t", "w"), ("q_t", "w"), ("r_t", "z"), ("dq_dw_t", "w"), ("dr_dz_t", "z"),
-)
+EVALUATORS = (("f_t", "w"), ("g_t", "w"), ("q_t", "w"), ("r_t", "z"))
 
 
 def bits(value):
@@ -407,8 +394,9 @@ def bits(value):
 
 
 class TestFormulaTables:
-    """The evaluators each builder compiles from its model's formula table,
-    bit for bit against the hand-written reference models in oracles."""
+    """The evaluators and constant Jacobians each builder compiles from its
+    model's formula table, bit for bit against the hand-written reference
+    models in oracles."""
 
     @staticmethod
     def states(spec, seed):
@@ -432,6 +420,8 @@ class TestFormulaTables:
     def test_scalar_evaluators_match_reference(self, model):
         spec = {s.kind: s for s in all_specs()}[model]
         ref = REFERENCE_MODELS[model](spec.params)
+        for name in ("dq_dw", "dr_dz"):
+            assert bits(getattr(spec, name)) == bits(ref[name]), name
         for x in self.states(spec, 31):
             blocks = {"w": x[: spec.n], "z": x[spec.n :]}
             for u in (0.0, 0.3, 1.0):
@@ -463,7 +453,7 @@ class TestFormulaTables:
             assert getattr(a, name).__code__ is getattr(b, name).__code__
         # each spec binds its own values
         assert a.f_t([5e5, 1e4]) != b.f_t([5e5, 1e4])
-        assert b.dq_dw_t([0.0, 0.0]) == ((0.0, 0.1),)
+        assert b.dq_dw == ((0.0, 0.1),)
 
     def test_spec_follows_its_table(self, sihrd_spec):
         assert sihrd_spec.labels == sihrd_spec.formulas.w + sihrd_spec.formulas.z
@@ -502,7 +492,7 @@ class TestFormulaTables:
         x = [0.75, 0.125, 0.5]
         assert renamed.derivative_t(x, 0.3) == ref["derivative_t"](x, 0.3)
         assert renamed.f_t(x[:2]) == ref["f_t"](x[:2])
-        assert renamed.dq_dw_t(x[:2]) == ref["dq_dw_t"](x[:2])
+        assert renamed.dq_dw == ref["dq_dw"]
 
 
 def test_sampler_helpers_produce_valid_states(sir_spec, sihrd_spec):

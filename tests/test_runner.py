@@ -38,7 +38,7 @@ class TestRun:
         assert report.outputs == {}
         text = format_report(report)
         assert "peaks" in text and "audit" in text
-        for line in report.initial.describe().splitlines():
+        for line in report.trajectory.initial_report.describe().splitlines():
             assert f"  {line}" in text
 
     def test_exit_code_zero_for_clean_guaranteed_run(self, danger):
@@ -77,7 +77,8 @@ class TestRun:
 
 class TestSweep:
     def test_empty_values(self, danger):
-        assert sweep(danger, "tau", []) == []
+        with pytest.raises(ValueError, match="^no tau values to sweep$"):
+            sweep(danger, "tau", [])
 
     def test_rejects_unknown_parameter(self, danger):
         with pytest.raises(ValueError, match="cannot sweep"):

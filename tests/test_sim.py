@@ -7,6 +7,8 @@ import re
 import numpy as np
 import pytest
 
+from episafe.delay import PredictorConfig
+from episafe.engine import rk4_flat
 from episafe.models import SirParams, build_sir
 from episafe.safety import (
     MULTIPLICATIVE,
@@ -22,7 +24,6 @@ from episafe.sim import (
     MeasurementBuffer,
     Scenario,
     grid_steps,
-    rk4_step,
     safety_audit,
     simulate,
 )
@@ -78,6 +79,13 @@ class TestScenarioValidation:
     def test_negative_delta_rejected(self, sir_spec):
         with pytest.raises(ValueError, match="disturbance"):
             sir_scenario(sir_spec, disturbance_delta=-0.1)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1])
+    def test_non_positive_step_rejected(self, sir_spec, dt):
+        with pytest.raises(ValueError, match="^dt must be positive$"):
+            sir_scenario(sir_spec, dt=dt)
+        with pytest.raises(ValueError, match="^dt_pred must be positive$"):
+            PredictorConfig(tau=0.0, dt_pred=dt)
 
     @pytest.mark.parametrize(
         "field", ["t_start", "t_end", "dt", "tau", "control_start"]
@@ -174,29 +182,27 @@ class TestMeasurementBuffer:
 
 
 class TestRk4Step:
+    """engine.rk4_flat, the step the plant loop and the rollouts take."""
+
     def test_equilibrium_unchanged(self, sir_spec):
-        state = sir_spec.state([33e6, 0.0, 0.0])
-        out = rk4_step(sir_spec, state, u=0.0, dt=0.1)
-        np.testing.assert_array_equal(out.x, state.x)
+        x = [33e6, 0.0, 0.0]
+        assert rk4_flat(sir_spec.derivative_t, x, 0.0, 0.1) == x
 
     def test_matches_fine_step_reference(self, sir_spec):
         # one dt=0.1 step vs 100 steps of dt=0.001 as the accuracy oracle
-        state = sir_spec.state([30e6, 3e6, 0.0])
-        coarse = rk4_step(sir_spec, state, u=0.0, dt=0.1)
-        fine = state
+        x = [30e6, 3e6, 0.0]
+        coarse = np.array(rk4_flat(sir_spec.derivative_t, x, 0.0, 0.1))
+        fine = x
         for _ in range(100):
-            fine = rk4_step(sir_spec, fine, u=0.0, dt=0.001)
-        err = np.max(np.abs(coarse.x - fine.x) / np.maximum(1.0, np.abs(fine.x)))
+            fine = rk4_flat(sir_spec.derivative_t, fine, 0.0, 0.001)
+        fine = np.array(fine)
+        err = np.max(np.abs(coarse - fine) / np.maximum(1.0, np.abs(fine)))
         assert err < 1e-7
 
     def test_conserves_population(self, sir_spec):
-        state = sir_spec.state([30e6, 3e6, 0.0])
-        out = rk4_step(sir_spec, state, u=0.37, dt=0.1)
-        assert abs(out.x.sum() - state.x.sum()) < 1e-9 * SIR_US.N
-
-    def test_rejects_nonpositive_dt(self, sir_spec):
-        with pytest.raises(ValueError, match="dt"):
-            rk4_step(sir_spec, sir_spec.state([1, 1, 1]), 0.0, 0.0)
+        x = [30e6, 3e6, 0.0]
+        out = rk4_flat(sir_spec.derivative_t, x, 0.37, 0.1)
+        assert abs(sum(out) - sum(x)) < 1e-9 * SIR_US.N
 
 
 class TestSimulate:
