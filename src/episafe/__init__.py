@@ -3,7 +3,6 @@ models: guaranteed population bounds via min-norm barrier controllers, with
 measurement-delay compensation by forecast feedback."""
 
 from .delay import (
-    IssfBound,
     PredictorConfig,
     estimate_lipschitz,
     issf_inflated_barrier,

@@ -172,9 +172,7 @@ def scale_cases(records: list[CaseRecord], exponent: float = 1.0 / 3.0) -> Scale
         raise CaseDataError("no records to scale")
     for k, r in enumerate(records):
         if r.positivity_rate is None:
-            raise CaseDataError(
-                f"record {k} ({r.date}) has no positivity_rate; scaling needs it"
-            )
+            raise CaseDataError(f"record {k} ({r.date}) has no positivity_rate")
     reference = min(r.positivity_rate for r in records)
     scaled = tuple(
         ScaledCase(

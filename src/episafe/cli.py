@@ -21,7 +21,7 @@ import json
 import sys
 from pathlib import Path
 
-from .cases import ingest_cases, scale_cases
+from .cases import CaseDataError, ingest_cases, scale_cases
 from .runner import (
     EXIT_OK,
     EXIT_VALIDATION,
@@ -133,15 +133,16 @@ def _cmd_ingest(args) -> int:
     records = ingest_cases(args.cases)
     print(f"{len(records)} valid case records "
           f"({records[0].date} .. {records[-1].date})")
-    have_positivity = all(r.positivity_rate is not None for r in records)
-    scaled = scale_cases(records) if have_positivity else None
-    if scaled is not None:
-        print(
-            f"positivity scaling: exponent {scaled.exponent:g}, "
-            f"reference {scaled.reference_positivity:g}"
-        )
+    try:
+        scaled = scale_cases(records)
+    except CaseDataError as exc:
+        # names the first record without a rate, unless no record has one
+        scaled = None
+        rated = any(r.positivity_rate is not None for r in records)
+        print(f"positivity scaling: skipped ({exc if rated else 'no positivity_rate column'})")
     else:
-        print("positivity scaling: skipped (no positivity_rate column)")
+        print(f"positivity scaling: exponent {scaled.exponent:g}, "
+              f"reference {scaled.reference_positivity:g}")
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -6,7 +6,8 @@ lose the safety guarantee, so this module forecasts the current state by
 integrating the delay-free closed loop forward from the last measurement,
 and quantifies how forecast errors degrade safety: a bounded input
 disturbance of size delta enlarges the guaranteed-invariant region by
-(delta / alpha) times the local control authority.
+(delta / alpha) times the local control authority, where delta = c * epsilon
+for a forecast error epsilon and a law with Lipschitz constant c.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .sim import grid_steps
 
 __all__ = [
     "PredictorConfig",
-    "IssfBound",
     "predict_state",
     "prediction_error",
     "estimate_lipschitz",
@@ -40,7 +40,8 @@ class PredictorConfig:
     the internal integration step, normally equal to the simulation step so
     predictions replay the plant exactly.  constraints/control_start describe
     the same feedback law that runs in the loop; control_start None means
-    the controller is always on, and any other value must be finite.
+    the controller is always on, and any other value must be finite (it may
+    lie off the grid: predict_state rounds it to a step).
     """
 
     tau: float
@@ -64,35 +65,6 @@ class PredictorConfig:
         return grid_steps(self.tau, self.dt_pred)
 
 
-@dataclass(frozen=True)
-class IssfBound:
-    """Disturbance budget for the enlarged-safe-set guarantee.
-
-    delta bounds the input disturbance magnitude.  When derived from a
-    forecast-error bound epsilon through a controller Lipschitz estimate c,
-    delta = c * epsilon.
-    """
-
-    delta: float
-    epsilon: float = 0.0
-    lipschitz_c: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.delta < 0.0 or self.epsilon < 0.0 or self.lipschitz_c < 0.0:
-            raise ValueError("all bound components must be non-negative")
-        if self.epsilon > 0.0 and self.lipschitz_c > 0.0:
-            derived = self.lipschitz_c * self.epsilon
-            if abs(self.delta - derived) > 1e-9 * max(1.0, derived):
-                raise ValueError(
-                    f"delta={self.delta} inconsistent with "
-                    f"lipschitz_c*epsilon={derived}"
-                )
-
-    @classmethod
-    def from_prediction_error(cls, epsilon: float, lipschitz_c: float) -> "IssfBound":
-        return cls(delta=lipschitz_c * epsilon, epsilon=epsilon, lipschitz_c=lipschitz_c)
-
-
 def predict_state(
     spec: ModelSpec,
     measured: ModelState,
@@ -103,9 +75,9 @@ def predict_state(
 
     Integrates the delay-free closed loop (same integrator, step and
     feedback law as the simulator) forward from the measured state.
-    t_measured anchors a control_start gate when the config carries one:
-    a control_start after t_measured must lie a whole number of dt_pred
-    steps later (ValueError otherwise), and the law is off for those steps.
+    The law turns on at step max(0, round((control_start - t_measured) /
+    dt_pred)), the step nearest control_start (a tie goes to the even step);
+    for a forecast from sample k - D of sim.simulate, control_step - (k - D).
     t_measured must be finite (ValueError).
     """
     x = spec.flat(measured)
@@ -114,10 +86,10 @@ def predict_state(
     if config.n_steps == 0:
         return measured
     first_step = 0
-    if config.control_start is not None and config.control_start > t_measured:
-        first_step = grid_steps(config.control_start - t_measured, config.dt_pred)
-        if first_step is None:
-            raise ValueError("control_start must lie on the dt_pred grid from t_measured")
+    if config.control_start is not None:
+        # clamped first, so a quotient that overflowed to inf still rounds
+        ahead = (config.control_start - t_measured) / config.dt_pred
+        first_step = round(min(max(ahead, 0.0), config.n_steps))
     input_fn = engine.make_input_fn(spec, config.constraints, first_step)
     x = engine.closed_loop_rollout(spec, x, 0, config.n_steps, config.dt_pred, input_fn)
     return spec.state(x)
@@ -169,19 +141,21 @@ def issf_inflated_barrier(
     spec: ModelSpec,
     constraint: SafetyConstraint,
     state: ModelState,
-    bound: IssfBound,
+    delta: float,
 ) -> float:
-    """Safety margin enlarged by the disturbance budget.
+    """Safety margin enlarged by the disturbance budget delta.
 
     h_d = h + (delta / alpha) * |control authority over the compartment|,
     evaluated at the instantaneous state.  The enlarged margin stays
     non-negative under any input disturbance within delta, provided the
-    nominal law satisfies its safety condition.  Defined for multiplicative
-    constraints only.
+    nominal law satisfies its safety condition.  delta must be finite and
+    non-negative (ValueError).  Defined for multiplicative constraints only.
     """
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"delta must be finite and non-negative, got {delta!r}")
     if constraint.kind != MULTIPLICATIVE:
         raise ValueError("inflated margin is defined for multiplicative constraints")
     constraint.check_against(spec)
     h = barrier_value(constraint, state)
     authority = abs(spec.g_t(spec.flat(state)[: spec.n])[constraint.index])
-    return h + (bound.delta / constraint.alpha) * authority
+    return h + (delta / constraint.alpha) * authority

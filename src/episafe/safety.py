@@ -67,8 +67,9 @@ class SafetyConstraint:
     "lower" keeps it above (h = value - bound).  alpha is the margin decay
     gain; alpha_e is the extra gain for the differentiated margin and is
     required for outlet constraints.  name, when given, labels the
-    constraint in reports and heads its CSV column, so it may hold no comma
-    or line break.
+    constraint in reports and heads its CSV column, and scenario files hold
+    it verbatim: it may not contain a comma, '#' or a line break, nor start
+    or end with whitespace.
     """
 
     kind: str
@@ -93,8 +94,10 @@ class SafetyConstraint:
         if self.kind == OUTLET:
             if self.alpha_e is None or not self.alpha_e > 0.0:
                 raise ValueError("outlet constraints need alpha_e > 0")
-        if any(ch in self.name for ch in ",\r\n"):
-            raise ValueError(f"name {self.name!r} must not contain a comma or a line break")
+        name = self.name
+        if name != name.strip() or len(name.splitlines()) > 1 or any(c in name for c in ",#"):
+            raise ValueError(f"name {name!r} must not contain a comma, '#' or a line break,"
+                             " nor start or end with whitespace")
 
     @property
     def sign(self) -> float:

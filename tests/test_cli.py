@@ -88,7 +88,8 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert captured.err == (
             f"error: {path}:{line}: [constraint] on I: "
-            "name 'cap,I' must not contain a comma or a line break\n"
+            "name 'cap,I' must not contain a comma, '#' or a line break,"
+            " nor start or end with whitespace\n"
         )
         assert captured.out == "" and not (tmp_path / "out").exists()
 
@@ -315,6 +316,22 @@ class TestIngest:
         # second row inflates by (0.32/0.04)^(1/3) = 2
         assert scaled[2].split(",")[-1] == "140000"
         assert (tmp_path / "cases_scaled.meta.json").exists()
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            (CASES_CSV.replace(",0.32", ","), "record 1 (2020-03-26) has no positivity_rate"),
+            ("date,cumulative_confirmed\n2020-03-25,65000\n", "no positivity_rate column"),
+        ],
+        ids=["empty_cell", "no_column"],
+    )
+    def test_skipped_scaling_names_its_reason(self, tmp_path, capsys, text, reason):
+        cases = tmp_path / "cases.csv"
+        cases.write_text(text)
+        assert main(["ingest", str(cases), "--out", str(tmp_path)]) == 0
+        assert f"positivity scaling: skipped ({reason})\n" in capsys.readouterr().out
+        header = (tmp_path / "cases_scaled.csv").read_text().splitlines()[0]
+        assert header == "date,cumulative_confirmed"
 
     def test_bad_rows_exit_2(self, tmp_path, capsys):
         cases = tmp_path / "bad.csv"

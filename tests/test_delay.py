@@ -1,12 +1,12 @@
 """Forecast feedback, prediction-error bookkeeping, robustness margins."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from episafe.delay import (
-    IssfBound,
     PredictorConfig,
     estimate_lipschitz,
     issf_inflated_barrier,
@@ -19,6 +19,7 @@ from episafe.safety import (
     multiplicative_control,
     qp_oracle,
 )
+from episafe.scenarios import load_preset
 from episafe.sim import Scenario, simulate
 
 from conftest import SIR_US, TAU_GRID_CASES
@@ -110,11 +111,23 @@ class TestPredictState:
         pred = predict_state(sir_spec, sc.state0, cfg, t_measured=2.0)
         np.testing.assert_array_equal(pred.x, traj.states[-1])
 
-    def test_control_start_ahead_must_be_on_grid(self, sir_spec):
+    def test_control_start_ahead_rounds_to_nearest_step(self, sir_spec):
         state = sir_spec.state([26e6, 1e5, 6.9e6])
-        cfg = PredictorConfig(1.0, 0.1, constraints=(I_CON,), control_start=2.55)
-        with pytest.raises(ValueError, match="control_start"):
-            predict_state(sir_spec, state, cfg, t_measured=2.0)
+
+        def forecast(control_start, dt_pred=0.1):
+            cfg = PredictorConfig(1.0, dt_pred, constraints=(I_CON,), control_start=control_start)
+            return predict_state(sir_spec, state, cfg, t_measured=2.0).x
+
+        # off the grid: the law turns on at the step nearest control_start
+        np.testing.assert_array_equal(forecast(2.54), forecast(2.5))
+        np.testing.assert_array_equal(forecast(2.56), forecast(2.6))
+        assert not np.array_equal(forecast(2.5), forecast(2.6))
+        # halfway between two steps (exact in binary): the even step, 2
+        for halfway in (2.375, 2.625):
+            np.testing.assert_array_equal(forecast(halfway, 0.25), forecast(2.5, 0.25))
+        # past the end of the forecast, however far: the law never turns on
+        np.testing.assert_array_equal(forecast(3.0), forecast(1e308))
+        assert not np.array_equal(forecast(2.9), forecast(3.0))
         # a control_start already passed engages the law from the first step
         on = PredictorConfig(1.0, 0.1, constraints=(I_CON,), control_start=1.95)
         always = PredictorConfig(1.0, 0.1, constraints=(I_CON,))
@@ -122,6 +135,22 @@ class TestPredictState:
             predict_state(sir_spec, state, on, t_measured=2.0).x,
             predict_state(sir_spec, state, always, t_measured=2.0).x,
         )
+
+    def test_off_grid_control_start_replays_every_plant_forecast(self):
+        # control_start 5e-10 past the grid: Scenario takes it as step 100;
+        # every forecast simulate makes, from x[k - D] at t_k - tau, turns
+        # the law on at the same step and lands on the plant's state
+        sc = dataclasses.replace(
+            load_preset("sir_fig2"), t_end=40.0, control_start=10.0000000005
+        )
+        traj = simulate(sc)
+        D = sc.delay_steps
+        cfg = PredictorConfig(sc.tau, sc.dt, sc.constraints, sc.control_start)
+        ks = range(max(D, sc.control_step), sc.n_steps + 1)
+        assert len(ks) == 291
+        for k in ks:
+            pred = predict_state(sc.spec, traj.state_at(k - D), cfg, traj.times[k] - sc.tau)
+            np.testing.assert_array_equal(pred.x, traj.states[k])
 
     def test_infinite_control_start_is_rejected(self, sir_spec):
         with pytest.raises(ValueError, match="control_start"):
@@ -217,30 +246,16 @@ class TestEstimateLipschitz:
         assert 0.0 < small <= large
 
 
-class TestIssfBound:
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            IssfBound(delta=-0.1)
-
-    def test_derived_consistency_enforced(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            IssfBound(delta=0.5, epsilon=100.0, lipschitz_c=1e-6)
-
-    def test_from_prediction_error(self):
-        b = IssfBound.from_prediction_error(epsilon=1000.0, lipschitz_c=1e-5)
-        assert b.delta == pytest.approx(0.01)
-
-
 class TestInflatedBarrier:
     def test_zero_delta_recovers_plain_margin(self, sir_spec):
         state = sir_spec.state([32.9e6, 1e5, 0.0])
-        hd = issf_inflated_barrier(sir_spec, I_CON, state, IssfBound(0.0))
+        hd = issf_inflated_barrier(sir_spec, I_CON, state, 0.0)
         assert hd == 1e5
 
     def test_frozen_value(self, sir_spec):
         # by hand: 1e5 + (0.1/0.02) * (0.33*32.9e6*1e5/33e6) = 1e5 + 5*32900
         state = sir_spec.state([32.9e6, 1e5, 0.0])
-        hd = issf_inflated_barrier(sir_spec, I_CON, state, IssfBound(0.1))
+        hd = issf_inflated_barrier(sir_spec, I_CON, state, 0.1)
         assert hd == pytest.approx(264500.0, rel=1e-12)
 
     def test_never_below_plain_margin(self, sir_spec):
@@ -249,7 +264,7 @@ class TestInflatedBarrier:
             state = sir_spec.state(rng.uniform(0, 33e6, 3))
             from episafe.safety import barrier_value
 
-            hd = issf_inflated_barrier(sir_spec, I_CON, state, IssfBound(0.05))
+            hd = issf_inflated_barrier(sir_spec, I_CON, state, 0.05)
             assert hd >= barrier_value(I_CON, state)
 
     def test_doubling_delta_doubles_inflation(self, sir_spec):
@@ -257,9 +272,16 @@ class TestInflatedBarrier:
         from episafe.safety import barrier_value
 
         h = barrier_value(I_CON, state)
-        d1 = issf_inflated_barrier(sir_spec, I_CON, state, IssfBound(0.04)) - h
-        d2 = issf_inflated_barrier(sir_spec, I_CON, state, IssfBound(0.08)) - h
+        d1 = issf_inflated_barrier(sir_spec, I_CON, state, 0.04) - h
+        d2 = issf_inflated_barrier(sir_spec, I_CON, state, 0.08) - h
         assert d2 == pytest.approx(2.0 * d1, rel=1e-12)
+
+    def test_rejects_negative_or_non_finite_delta(self, sir_spec):
+        # NaN and inf would pass a delta < 0 check and return nan or inf
+        state = sir_spec.state([32.9e6, 1e5, 0.0])
+        for delta in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="delta must be finite and non-negative"):
+                issf_inflated_barrier(sir_spec, I_CON, state, delta)
 
     def test_rejects_outlet_constraints(self, sihrd_spec):
         from episafe.safety import OUTLET
@@ -267,7 +289,7 @@ class TestInflatedBarrier:
         c = SafetyConstraint(OUTLET, 0, 4e4, 0.018, alpha_e=0.014)
         with pytest.raises(ValueError, match="multiplicative"):
             issf_inflated_barrier(
-                sihrd_spec, c, sihrd_spec.state([1, 1, 1, 1, 1]), IssfBound(0.1)
+                sihrd_spec, c, sihrd_spec.state([1, 1, 1, 1, 1]), 0.1
             )
 
 

@@ -109,10 +109,17 @@ class TestSafetyConstraint:
         with pytest.raises(ValueError, match="alpha_e"):
             SafetyConstraint(OUTLET, 0, 1e4, 0.1)
 
-    @pytest.mark.parametrize("name", ["cap,I", ",", "cap\nI", "cap\r"])
+    @pytest.mark.parametrize(
+        "name", ["cap,I", ",", "cap\nI", "cap\r", "cap\x0bI", "cap#1", " I ", "I\t", " "]
+    )
     def test_rejects_comma_or_line_break_in_name(self, name):
-        # the name heads a CSV column: it may not split the header
-        message = f"name {name!r} must not contain a comma or a line break"
+        # the name heads a CSV column, so it may not split the header, and
+        # the scenario format cuts a line at '#' and strips each value, so
+        # it would come back changed, or as 'name =', which does not parse
+        message = (
+            f"name {name!r} must not contain a comma, '#' or a line break,"
+            " nor start or end with whitespace"
+        )
         with pytest.raises(ValueError) as err:
             SafetyConstraint(MULTIPLICATIVE, 1, 2e5, 0.02, name=name)
         assert str(err.value) == message

@@ -252,6 +252,16 @@ class TestRoundTrip:
         assert back.constraints[1].direction == "lower"
         assert back.constraints[1].name == "s_floor"
 
+    @pytest.mark.parametrize("name", ["cap = I [upper]", "a=b", "[I]", "I cap"])
+    def test_odd_legal_constraint_name_round_trips(self, name):
+        # '=', brackets and inner spaces survive the writer and the parser
+        sc = load_preset("sir_delay_danger")
+        sc = dataclasses.replace(
+            sc, constraints=(dataclasses.replace(sc.constraints[0], name=name),)
+        )
+        back = parse_scenario_text(scenario_text(sc))
+        assert back == sc and back.constraints[0].name == name
+
 
 class TestScenarioEquality:
     def test_equal_and_hashable(self):
