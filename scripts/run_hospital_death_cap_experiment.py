@@ -31,8 +31,8 @@ def main() -> None:
     bounds = {c.name: c.bound for c in base.constraints}
     print("cap enforcement (forecast feedback over a 9-day delay):")
     for label in ("H", "D"):
-        peak_c, t_c = controlled.peaks[label]
-        peak_u, t_u = uncontrolled.peaks[label]
+        peak_c, t_c = controlled.trajectory.peak(label)
+        peak_u, t_u = uncontrolled.trajectory.peak(label)
         print(
             f"  {label}: bound {bounds[label]:>9,.0f}  controlled peak "
             f"{peak_c:>9,.0f} (day {t_c:.0f})  uncontrolled peak "

@@ -33,7 +33,7 @@ def main() -> None:
     print(f"{'variant':<20} {'peak I':>12} {'at day':>8} {'peak u':>8} {'violations':>11}")
     for name, scenario in variants.items():
         report = run(scenario, name=name.replace(" ", "_"), out_dir=args.out)
-        peak, t_peak = report.peaks["I"]
+        peak, t_peak = report.trajectory.peak("I")
         peak_u = float(report.trajectory.u.max())
         violations = (
             report.audit.constraints[0].violation_count

@@ -164,15 +164,20 @@ class ScaledSeries:
 def scale_cases(records: list[CaseRecord], exponent: float = 1.0 / 3.0) -> ScaledSeries:
     """Inflate cumulative counts where test positivity was high.
 
-    Every record needs a positivity_rate.  The reference is the series
-    minimum, so scaling only inflates under-reported periods and the
-    best-surveilled day keeps its raw count.
+    Every record needs a positivity_rate: CaseDataError says "no record has
+    a positivity_rate" when none has one, and otherwise names the first
+    record without one.  The reference is the series minimum, so scaling
+    only inflates under-reported periods and the best-surveilled day keeps
+    its raw count.
     """
     if not records:
         raise CaseDataError("no records to scale")
-    for k, r in enumerate(records):
-        if r.positivity_rate is None:
-            raise CaseDataError(f"record {k} ({r.date}) has no positivity_rate")
+    missing = [k for k, r in enumerate(records) if r.positivity_rate is None]
+    if len(missing) == len(records):
+        raise CaseDataError("no record has a positivity_rate")
+    if missing:
+        k = missing[0]
+        raise CaseDataError(f"record {k} ({records[k].date}) has no positivity_rate")
     reference = min(r.positivity_rate for r in records)
     scaled = tuple(
         ScaledCase(

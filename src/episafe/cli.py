@@ -136,10 +136,8 @@ def _cmd_ingest(args) -> int:
     try:
         scaled = scale_cases(records)
     except CaseDataError as exc:
-        # names the first record without a rate, unless no record has one
         scaled = None
-        rated = any(r.positivity_rate is not None for r in records)
-        print(f"positivity scaling: skipped ({exc if rated else 'no positivity_rate column'})")
+        print(f"positivity scaling: skipped ({exc})")
     else:
         print(f"positivity scaling: exponent {scaled.exponent:g}, "
               f"reference {scaled.reference_positivity:g}")

@@ -53,25 +53,6 @@ Vector = tuple[float, ...]
 Matrix = tuple[tuple[float, ...], ...]
 
 
-def _sealed(a: np.ndarray) -> bool:
-    """True when a and every array its memory comes from are read-only and
-    the chain ends in memory numpy owns, so no caller can write through."""
-    while isinstance(a, np.ndarray):
-        if a.flags.writeable:
-            return False
-        a = a.base
-    return a is None
-
-
-def _readonly(values) -> np.ndarray:
-    """values as a read-only float64 array, copied unless already sealed."""
-    a = np.atleast_1d(values)
-    if a.dtype != np.float64 or not _sealed(a):
-        a = np.array(a, dtype=float)
-        a.setflags(write=False)
-    return a
-
-
 def _check_floor(x: list[float]) -> None:
     """Reject a flat state below the population floor, -_NEGATIVITY_TOL
     times the total population (at least one person): drift may leave tiny
@@ -89,7 +70,7 @@ class ModelState:
 
     Entries are persons per compartment.  Labels name each entry of the
     concatenated vector [w; z] and must be unique.  w and z are read-only
-    float64 arrays; an input a caller could still write to is copied.
+    float64 copies of the blocks given, so no caller can write to them.
     States compare and hash by their labels and the values of w and z.
     """
 
@@ -98,7 +79,10 @@ class ModelState:
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        w, z, labels = _readonly(self.w), _readonly(self.z), tuple(self.labels)
+        w, z = (np.array(block, dtype=float, ndmin=1) for block in (self.w, self.z))
+        w.setflags(write=False)
+        z.setflags(write=False)
+        labels = tuple(self.labels)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "labels", labels)
@@ -359,14 +343,11 @@ class ModelSpec:
             object.__setattr__(self, name, value)
 
     def state(self, values: Sequence[float] | np.ndarray) -> ModelState:
-        """Build a ModelState from a concatenated [w; z] vector.
-
-        The values are copied once into a read-only array; the state's w
-        and z are views of it."""
-        arr = np.array(values, dtype=float)
+        """Build a ModelState from a concatenated [w; z] vector; ModelState
+        copies each block into its own read-only array."""
+        arr = np.asarray(values, dtype=float)
         if arr.shape != (self.n + self.m,):
             raise ValueError(f"expected {self.n + self.m} entries, got {arr.shape}")
-        arr.setflags(write=False)
         return ModelState(w=arr[: self.n], z=arr[self.n :], labels=self.labels)
 
     def flat(self, state: ModelState | list[float]) -> list[float]:

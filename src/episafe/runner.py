@@ -18,7 +18,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .safety import _margins
 from .scenarios import SETTINGS
 from .sim import (
     AuditReport,
@@ -79,7 +78,6 @@ class RunReport:
     scenario: Scenario
     trajectory: Trajectory
     audit: AuditReport
-    peaks: dict[str, tuple[float, float]]
     outputs: dict[str, Path]
     exit_code: int
 
@@ -113,7 +111,6 @@ def run(
     """Simulate, audit, and (optionally) write the output files."""
     trajectory = simulate(scenario)
     audit = safety_audit(trajectory)
-    peaks = {lbl: trajectory.peak(lbl) for lbl in trajectory.labels}
     outputs: dict[str, Path] = {}
     if out_dir is not None:
         out_dir = Path(out_dir)
@@ -128,7 +125,6 @@ def run(
         scenario=scenario,
         trajectory=trajectory,
         audit=audit,
-        peaks=peaks,
         outputs=outputs,
         exit_code=exit_code(scenario, audit),
     )
@@ -203,14 +199,17 @@ def export_trajectory(trajectory: Trajectory, path: str | Path) -> Path:
 def import_trajectory(path: str | Path, scenario: Scenario) -> Trajectory:
     """Rebuild a Trajectory from an exported CSV and its scenario.
 
-    u_raw and u come from their columns; the active constraint is not part
-    of the file format and comes back as -1 at every step.  feasible is
-    rebuilt as u_raw <= 1.  That is exact while no constraint bounds u from
-    above (such as a floor on I or a cap on S); the file does not record
-    other infeasible steps.  extended is recomputed from the states.  The
-    file must hold one row per sample of the scenario's time grid, each t
-    within grid_steps's tolerance of its sample time (TrajectoryFormatError
-    otherwise), so that the audit's decay check uses the file's own step.
+    states, u_raw, u and d come from their columns; the active constraint
+    is not part of the file format and comes back as -1 at every step.
+    feasible is rebuilt as u_raw <= 1.  That is exact while no constraint
+    bounds u from above (such as a floor on I or a cap on S); the file does
+    not record other infeasible steps.  The h columns are written for
+    readers and not read back: the Trajectory computes its margins from
+    the states, and its times from the scenario.  The header must match
+    the scenario's, h columns included, and the file must hold one row per
+    sample of the scenario's time grid, each t within grid_steps's
+    tolerance of its sample time (TrajectoryFormatError otherwise), so that
+    the audit's decay check uses the file's own step.
     """
     path = Path(path)
     try:
@@ -252,26 +251,15 @@ def import_trajectory(path: str | Path, scenario: Scenario) -> Trajectory:
             f"time grid (t_start {scenario.t_start:g}, dt {scenario.dt:g})"
         )
     n_state = len(scenario.spec.labels)
-    n_c = len(scenario.constraints)
-    times = data[:, 0]
-    states = data[:, 1 : 1 + n_state]
     u_raw = data[:, 1 + n_state]
-    u = data[:, 2 + n_state]
-    barriers = data[:, 3 + n_state : 3 + n_state + n_c]
-    dists = data[:, -1]
-    _, extended = _margins(scenario.spec, scenario.constraints, states)
     return Trajectory(
         scenario=scenario,
-        times=times,
-        states=states,
+        states=data[:, 1 : 1 + n_state],
         u_raw=u_raw,
-        u=u,
-        active=np.full(data.shape[0], -1),
+        u=data[:, 2 + n_state],
+        active=np.full(n_rows, -1),
         feasible=u_raw <= 1.0,
-        barriers=barriers,
-        extended=extended,
-        disturbances=dists,
-        initial_report=None,
+        disturbances=data[:, -1],
     )
 
 
@@ -307,15 +295,11 @@ def format_report(report: RunReport) -> str:
         lines.append(f"initial-condition checks: {status}")
         lines.extend(f"  {line}" for line in initial.describe().splitlines())
     lines.append("peaks (clamped at zero):")
-    for lbl, (value, t) in report.peaks.items():
+    for lbl in report.trajectory.labels:
+        value, t = report.trajectory.peak(lbl)
         lines.append(f"  {lbl}: {value:.6g} at t={t:g}")
     lines.append("audit:")
-    for c in report.audit.constraints:
-        lines.append(
-            f"  {c.label}: min h={c.min_margin:.6g} at t={c.min_margin_time:g}, "
-            f"violations={c.violation_count}"
-        )
-    lines.append(f"  input clamping events: {report.audit.infeasible_count}")
+    lines.extend(f"  {line}" for line in report.audit.describe().splitlines())
     for kind, p in sorted(report.outputs.items()):
         lines.append(f"wrote {kind}: {p}")
     lines.append(f"exit code: {report.exit_code}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -207,28 +207,36 @@ class Trajectory:
     """Recorded closed-loop run: the unit of audit and output.
 
     All series share one length, one entry per sample, and are read-only.
-    barriers/extended hold the per-constraint margins evaluated at the true
-    state (extended is NaN for multiplicative constraints).  u_raw, u,
-    active and feasible record the control law as evaluated on the
-    feedback state: the unclamped output, its clamp to [0, 1], the
-    position of the constraint setting it (-1 while the controller is
-    off) and whether the QP was feasible.  disturbances holds the sampled
-    input offsets.
+    states, one row per sample, is the record; times, barriers and extended
+    are computed from it and the scenario on construction: times is
+    scenario.times(), barriers and extended the per-constraint margins h
+    and h_e at each state (extended is NaN for multiplicative
+    constraints).  Replacing the scenario, its constraints for instance,
+    recomputes them.  u_raw, u, active and feasible record the control law
+    as evaluated on the feedback state: the unclamped output, its clamp to
+    [0, 1], the position of the constraint setting it (-1 while the
+    controller is off) and whether the QP was feasible.  disturbances holds
+    the sampled input offsets.
     """
 
     scenario: Scenario
-    times: np.ndarray
     states: np.ndarray
     u_raw: np.ndarray
     u: np.ndarray
     active: np.ndarray
     feasible: np.ndarray
-    barriers: np.ndarray
-    extended: np.ndarray
     disturbances: np.ndarray
     initial_report: InitialConditionReport | None = None
+    times: np.ndarray = field(init=False)
+    barriers: np.ndarray = field(init=False)
+    extended: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
+        scenario = self.scenario
+        barriers, extended = _margins(scenario.spec, scenario.constraints, self.states)
+        object.__setattr__(self, "times", scenario.times())
+        object.__setattr__(self, "barriers", barriers)
+        object.__setattr__(self, "extended", extended)
         k = self.times.size
         series = (
             self.times, self.states, self.u_raw, self.u, self.active,
@@ -281,7 +289,6 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
     delayed = scenario.feedback_mode in ("delayed", "predictor")
 
     x = scenario.state0.x.tolist()
-    times = scenario.times()
     # the law runs on every sample from control_step on
     first = scenario.control_step if cons else n_steps + 1
     dists = np.zeros(n_steps + 1)
@@ -308,7 +315,7 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
         input_fn = engine.make_input_fn(spec, cons, first)
 
     report: InitialConditionReport | None = None
-    ts = times.tolist()
+    ts = scenario.times().tolist()
     for k, t in enumerate(ts):
         rows.append(x)
         applied = 0.0
@@ -350,17 +357,13 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
     u[first:] = [d.u for d in decisions]
     active[first:] = [d.active_constraint for d in decisions]
     feasible[first:] = [d.feasible for d in decisions]
-    barriers, extended = _margins(spec, cons, states)
     return Trajectory(
         scenario=scenario,
-        times=times,
         states=states,
         u_raw=u_raw,
         u=u,
         active=active,
         feasible=feasible,
-        barriers=barriers,
-        extended=extended,
         disturbances=dists,
         initial_report=report,
     )
@@ -410,28 +413,22 @@ class AuditReport:
 _MAX_LOGGED_TIMES = 20
 
 
-def safety_audit(
-    trajectory: Trajectory,
-    constraints: Sequence[SafetyConstraint] | None = None,
-) -> AuditReport:
-    """Audit recorded states against the constraints.
+def safety_audit(trajectory: Trajectory) -> AuditReport:
+    """Audit a trajectory's margins against its scenario's constraints.
 
-    Margins are recomputed from the states, so a trajectory can be audited
-    against constraint sets other than the one it ran with.  Reports, per
-    constraint: the worst margin, every sign violation, and a discretized
-    margin-decay check (h(t+dt) - h(t))/dt + alpha h(t) >= -tol with
-    tol = 1e-6 * alpha * bound.  The decay check is informational: holding
-    the input constant across a step shifts it by O(dt) even for a
-    perfectly safe run.
+    The margins are the trajectory's barriers, computed from its states; to
+    audit against another constraint set, replace the trajectory's
+    scenario with one holding it (dataclasses.replace), which recomputes
+    them.  Reports, per constraint: the worst margin, every sign violation,
+    and a discretized margin-decay check (h(t+dt) - h(t))/dt + alpha h(t)
+    >= -tol with tol = 1e-6 * alpha * bound.  The decay check is
+    informational: holding the input constant across a step shifts it by
+    O(dt) even for a perfectly safe run.
     """
-    if len(trajectory) == 0:
-        raise ValueError("empty trajectory")
     scenario = trajectory.scenario
-    cons = tuple(constraints) if constraints is not None else scenario.constraints
     dt = scenario.dt
-    barriers, _ = _margins(scenario.spec, cons, trajectory.states)
     audits = []
-    for c, series in zip(cons, barriers.T):
+    for c, series in zip(scenario.constraints, trajectory.barriers.T):
         k_min = int(np.argmin(series))
         viol = np.flatnonzero(series < 0.0)
         tol = 1e-6 * c.alpha * c.bound

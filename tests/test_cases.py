@@ -108,9 +108,12 @@ class TestScaling:
         assert [r.scaled_confirmed for r in scaled.records] == [500.0, 900.0]
 
     def test_missing_positivity_rejected(self):
-        records = [CaseRecord(dt.date(2020, 6, 1), 500.0)]
-        with pytest.raises(CaseDataError, match="no positivity_rate"):
-            scale_cases(records)
+        unrated = CaseRecord(dt.date(2020, 6, 1), 500.0)
+        with pytest.raises(CaseDataError, match="^no record has a positivity_rate$"):
+            scale_cases([unrated])
+        rated = CaseRecord(dt.date(2020, 6, 2), 900.0, positivity_rate=0.4)
+        with pytest.raises(CaseDataError, match=r"^record 0 \(2020-06-01\) has no positivity_rate$"):
+            scale_cases([unrated, rated])
 
     def test_metadata_documents_choice(self):
         records = [

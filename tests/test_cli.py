@@ -321,9 +321,13 @@ class TestIngest:
         "text, reason",
         [
             (CASES_CSV.replace(",0.32", ","), "record 1 (2020-03-26) has no positivity_rate"),
-            ("date,cumulative_confirmed\n2020-03-25,65000\n", "no positivity_rate column"),
+            (
+                CASES_CSV.replace(",0.32", ",").replace(",0.04", ","),
+                "no record has a positivity_rate",
+            ),
+            ("date,cumulative_confirmed\n2020-03-25,65000\n", "no record has a positivity_rate"),
         ],
-        ids=["empty_cell", "no_column"],
+        ids=["empty_cell", "empty_column", "no_column"],
     )
     def test_skipped_scaling_names_its_reason(self, tmp_path, capsys, text, reason):
         cases = tmp_path / "cases.csv"

@@ -15,7 +15,8 @@ from episafe.runner import (
     write_long_table,
 )
 from episafe.scenarios import load_preset
-from episafe.sim import grid_steps, simulate
+from episafe import sim
+from episafe.sim import grid_steps, safety_audit, simulate
 
 
 @pytest.fixture(scope="module")
@@ -34,12 +35,28 @@ class TestRun:
         sc = dataclasses.replace(danger, t_end=10.0)
         report = run(sc, name="probe")
         assert report.name == "probe"
-        assert set(report.peaks) == {"S", "I", "R"}
         assert report.outputs == {}
         text = format_report(report)
         assert "peaks" in text and "audit" in text
+        for label in ("S", "I", "R"):
+            value, t = report.trajectory.peak(label)
+            assert f"  {label}: {value:.6g} at t={t:g}\n" in text
         for line in report.trajectory.initial_report.describe().splitlines():
             assert f"  {line}" in text
+        for line in report.audit.describe().splitlines():
+            assert f"  {line}\n" in text
+
+    def test_one_margin_pass_per_run_and_per_audit(self, danger, tmp_path, monkeypatch):
+        # the Trajectory computes its margins once; simulate, the importer
+        # and the audit take them from it
+        calls = []
+        margins = sim._margins
+        monkeypatch.setattr(sim, "_margins", lambda *a: calls.append(a) or margins(*a))
+        sc = dataclasses.replace(danger, t_end=10.0)
+        report = run(sc, out_dir=tmp_path)
+        assert len(calls) == 1
+        safety_audit(import_trajectory(report.outputs["trajectory"], sc))
+        assert len(calls) == 2
 
     def test_exit_code_zero_for_clean_guaranteed_run(self, danger):
         sc = dataclasses.replace(danger, feedback_mode="predictor")

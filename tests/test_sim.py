@@ -10,6 +10,7 @@ import pytest
 from episafe.delay import PredictorConfig
 from episafe.engine import rk4_flat
 from episafe.models import SirParams, build_sir
+from episafe.runner import export_trajectory, import_trajectory
 from episafe.safety import (
     MULTIPLICATIVE,
     OUTLET,
@@ -380,7 +381,8 @@ class TestSafetyAudit:
     def test_audit_with_explicit_constraints(self, sir_spec):
         traj = simulate(sir_scenario(sir_spec, t_end=20.0))
         tight = SafetyConstraint(MULTIPLICATIVE, 1, 1.2e5, 0.02, name="tight")
-        report = safety_audit(traj, [tight])
+        scenario = dataclasses.replace(traj.scenario, constraints=(tight,))
+        report = safety_audit(dataclasses.replace(traj, scenario=scenario))
         assert report.constraints[0].label == "tight"
         assert report.constraints[0].min_margin < 1.2e5
 
@@ -481,17 +483,20 @@ class TestLawPaths:
             assert recorded == (dec.u_raw, dec.u, dec.feasible, active), k
 
     @pytest.mark.parametrize("preset", preset_names())
-    def test_recorded_margins_match_barrier_functions(self, preset):
-        # the margins simulate computes after the run must equal the public
-        # margin functions at every 50th recorded state
+    def test_recorded_margins_match_barrier_functions(self, preset, tmp_path):
+        # the margins a trajectory computes from its states, simulated or
+        # read back from its CSV, must equal the public margin functions at
+        # every 50th recorded state
         sc = dataclasses.replace(load_preset(preset), feedback_mode="instantaneous")
-        traj = simulate(sc)
-        for k in range(0, len(traj), 50):
-            state = traj.state_at(k)
-            for j, c in enumerate(sc.constraints):
-                assert traj.barriers[k, j] == barrier_value(c, state), (k, j)
-                if c.kind == OUTLET:
-                    he = extended_barrier_value(sc.spec, c, state)
-                    assert traj.extended[k, j] == he, (k, j)
-                else:
-                    assert math.isnan(traj.extended[k, j]), (k, j)
+        simulated = simulate(sc)
+        imported = import_trajectory(export_trajectory(simulated, tmp_path / "t.csv"), sc)
+        for traj in (simulated, imported):
+            for k in range(0, len(traj), 50):
+                state = traj.state_at(k)
+                for j, c in enumerate(sc.constraints):
+                    assert traj.barriers[k, j] == barrier_value(c, state), (k, j)
+                    if c.kind == OUTLET:
+                        he = extended_barrier_value(sc.spec, c, state)
+                        assert traj.extended[k, j] == he, (k, j)
+                    else:
+                        assert math.isnan(traj.extended[k, j]), (k, j)
