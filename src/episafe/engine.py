@@ -13,7 +13,8 @@ and shape of constraint set, with the table's formulas written into the
 law's own code, so a law evaluation calls no model evaluator.  safety's memo
 holds, per constraint set, both of the law's entry points, each on the flat
 state: solve(x), behind combined_control, and law(x) -> u, which
-make_input_fn gates by step number for the rollouts.  delay.predict_state
+make_input_fn gates by step number for the rollouts; its last-used slot
+answers the plant loop's repeat request by identity.  delay.predict_state
 wraps these helpers with a ModelState interface; ModelSpec.flat turns a
 ModelState into the flat list, and is the one check that a state, in
 either form, fits the model.  Inputs are gated by step number, not by

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -118,8 +118,7 @@ class SafetyConstraint:
         return f"{prefix}{self.index}" if k is None else f"c{k}_{prefix}{self.index}"
 
 
-@dataclass(frozen=True)
-class ControlDecision:
+class ControlDecision(NamedTuple):
     """Result of one evaluation of a public control function.
 
     u_raw is the unclamped law output (the largest of 0 and the lower
@@ -131,7 +130,8 @@ class ControlDecision:
     active_constraint is the position of the constraint setting u_raw
     (ties, and u_raw = 0, to the lowest index).  simulate records the same
     four values per step as arrays (see Trajectory); the margins at a
-    state come from barrier_value and extended_barrier_value.
+    state come from barrier_value and extended_barrier_value.  A named
+    tuple: immutable and compared by value; _replace makes a changed copy.
     """
 
     u_raw: float
@@ -161,6 +161,8 @@ def _clamp01(v: float) -> float:
 #               function;
 #   law(x) -> u, the clamped input, for rollouts; it skips the upper-bound
 #             and zero-authority bookkeeping, which only decide feasible.
+# _solver memoizes the pair; its last-used slot answers a plant loop's repeat
+# request by identity, so a controlled sample costs solve and ModelSpec.flat.
 # The margins below also accept numpy columns, one entry per sample, and
 # then return arrays; _margins evaluates them on a matrix of states.
 
@@ -331,6 +333,10 @@ def _law_factory(table: FormulaTable, shape: tuple[tuple[str, int], ...]):
 # may build the same kernels twice; either copy gives the same results.
 _KERNELS: dict = {}
 _KERNELS_KEPT = 16
+# The last request answered, as one (spec, constraints, kernels) tuple: a
+# repeat with the same objects skips hashing the constraints.  It is read
+# once and replaced whole, so concurrent callers never see a mix of two.
+_last = (None, None, None)
 
 
 def _solver(spec: ModelSpec, constraints: tuple[SafetyConstraint, ...]):
@@ -344,6 +350,10 @@ def _solver(spec: ModelSpec, constraints: tuple[SafetyConstraint, ...]):
     Every caller of the law shares the memo, so a run builds its kernels
     once however many times it evaluates them.
     """
+    global _last
+    last = _last
+    if last[0] is spec and last[1] is constraints:
+        return last[2]
     key = (id(spec), constraints)
     entry = _KERNELS.get(key)
     if entry is None:
@@ -354,22 +364,8 @@ def _solver(spec: ModelSpec, constraints: tuple[SafetyConstraint, ...]):
         if len(_KERNELS) >= _KERNELS_KEPT:
             _KERNELS.clear()
         entry = _KERNELS[key] = (spec, factory(spec, constraints))
+    _last = (spec, constraints, entry[1])
     return entry[1]
-
-
-def _decide(
-    spec: ModelSpec,
-    constraints: tuple[SafetyConstraint, ...],
-    x: list[float],
-    combined: bool,
-) -> ControlDecision:
-    u_raw, active, feasible = _solver(spec, constraints)[0](x)
-    return ControlDecision(
-        u_raw=u_raw,
-        u=_clamp01(u_raw),
-        feasible=feasible,
-        active_constraint=active if combined else None,
-    )
 
 
 # -- public operations -------------------------------------------------------
@@ -407,7 +403,7 @@ def multiplicative_control(
     ModelSpec.flat)."""
     if constraint.kind != MULTIPLICATIVE:
         raise ValueError("constraint is not multiplicative")
-    return _decide(spec, (constraint,), spec.flat(state), combined=False)
+    return combined_control(spec, (constraint,), state)._replace(active_constraint=None)
 
 
 def outlet_control(
@@ -419,7 +415,7 @@ def outlet_control(
     state is a ModelState or the flat [w; z] list (see ModelSpec.flat)."""
     if constraint.kind != OUTLET:
         raise ValueError("constraint is not an outlet constraint")
-    return _decide(spec, (constraint,), spec.flat(state), combined=False)
+    return combined_control(spec, (constraint,), state)._replace(active_constraint=None)
 
 
 def combined_control(
@@ -444,7 +440,9 @@ def combined_control(
     x = spec.flat(state)
     if not constraints:
         return ControlDecision(0.0, 0.0, True, None)
-    return _decide(spec, constraints, x, combined=True)
+    u_raw, active, feasible = _solver(spec, constraints)[0](x)
+    # tuple.__new__ builds the named tuple without parsing keywords
+    return tuple.__new__(ControlDecision, (u_raw, _clamp01(u_raw), feasible, active))
 
 
 @dataclass(frozen=True)

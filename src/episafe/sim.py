@@ -202,7 +202,7 @@ class MeasurementBuffer:
         raise LookupError(f"no buffered measurement at t={t:g}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Recorded closed-loop run: the unit of audit and output.
 
@@ -216,7 +216,9 @@ class Trajectory:
     as evaluated on the feedback state: the unclamped output, its clamp to
     [0, 1], the position of the constraint setting it (-1 while the
     controller is off) and whether the QP was feasible.  disturbances holds
-    the sampled input offsets.
+    the sampled input offsets.  A trajectory is equal only to itself and
+    hashes by identity: its series are arrays, which have no single truth
+    value to compare by.
     """
 
     scenario: Scenario
@@ -299,7 +301,8 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
         )
     offsets = dists[first:].tolist()
     rows = []
-    decisions = []
+    # (u_raw, u, feasible, active) per sample, at rest while the law is off
+    decisions = [(0.0, 0.0, True, -1)] * first
 
     buffer = None
     input_fn = None
@@ -348,18 +351,10 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
             if buffer is not None:
                 buffer.push(ts[k + 1], x)
 
-    states = np.array(rows, dtype=float)
-    u_raw = np.zeros(n_steps + 1)
-    u = np.zeros(n_steps + 1)
-    active = np.full(n_steps + 1, -1)
-    feasible = np.ones(n_steps + 1, dtype=bool)
-    u_raw[first:] = [d.u_raw for d in decisions]
-    u[first:] = [d.u for d in decisions]
-    active[first:] = [d.active_constraint for d in decisions]
-    feasible[first:] = [d.feasible for d in decisions]
+    u_raw, u, feasible, active = map(np.array, zip(*decisions))
     return Trajectory(
         scenario=scenario,
-        states=states,
+        states=np.array(rows, dtype=float),
         u_raw=u_raw,
         u=u,
         active=active,

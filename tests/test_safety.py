@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -403,6 +405,56 @@ class TestCombinedControl:
                 calls.append(lambda s, c=c, control=control: control(spec, c, s))
             for call in calls:
                 assert key(call(x)) == key(call(state))
+
+    def test_decision_is_an_immutable_named_tuple(self, sir_spec):
+        dec = combined_control(sir_spec, [i_bound()], sir_spec.state([32.9e6, 1e5, 0.0]))
+        assert ControlDecision._fields == ("u_raw", "u", "feasible", "active_constraint")
+        with pytest.raises(AttributeError):
+            dec.u = 0.5
+        assert dec._replace(u=0.5) == ControlDecision(dec.u_raw, 0.5, dec.feasible, 0)
+
+    def test_concurrent_callers_get_the_serial_bits(self, sir_spec, sihrd_spec):
+        # every caller shares the memo's last-used slot: threads interleaving
+        # two specs and two constraint sets on each must still each get the
+        # law of their own request
+        s_floor = SafetyConstraint(MULTIPLICATIVE, 0, 1e5, 0.3, direction="lower")
+        requests = [
+            (spec, cons, spec.flat(state))
+            for spec, sets, states in (
+                (sir_spec, ((i_bound(),), (i_bound(), s_floor)),
+                 sample_sir_states(sir_spec, 25, 5)),
+                (sihrd_spec, ((h_bound(),), (h_bound(), d_bound())),
+                 sample_sihrd_states(sihrd_spec, 25, 6)),
+            )
+            for cons in sets
+            for state in states
+        ]
+
+        def key(dec):
+            return dec.u_raw.hex(), dec.u.hex(), dec.feasible, dec.active_constraint
+
+        want = [key(combined_control(*request)) for request in requests]
+        orders = [np.random.default_rng(seed).permutation(len(requests)) for seed in range(4)]
+        got = [[] for _ in orders]
+
+        def work(order, out):
+            for _ in range(20):
+                out.extend((i, key(combined_control(*requests[i]))) for i in order)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=args) for args in zip(orders, got)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for out in got:
+            assert len(out) == 20 * len(requests)
+            assert all(k == want[i] for i, k in out)
 
 
 class TestQpOracle:

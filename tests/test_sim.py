@@ -225,6 +225,15 @@ class TestSimulate:
         assert np.array_equal(t1.disturbances, t2.disturbances)
         assert t1.u_raw.tolist() == t2.u_raw.tolist()
 
+    def test_trajectory_equals_only_itself(self):
+        # its series are arrays, which have no one truth value: runs compare
+        # and hash by identity, so neither raises
+        sc = dataclasses.replace(load_preset("sir_delay_danger"), t_end=1.0)
+        a, b = simulate(sc), simulate(sc)
+        assert a == a
+        assert a != b
+        assert len({a, a, b}) == 2
+
     def test_infection_bound_held_instantaneous(self, sir_spec):
         traj = simulate(sir_scenario(sir_spec, t_end=120.0))
         assert traj.states[:, 1].max() <= 2e5 * (1.0 + 1e-6)
@@ -469,18 +478,44 @@ class TestPrehistoryOverride:
 class TestLawPaths:
     @pytest.mark.parametrize("preset", preset_names())
     def test_recorded_law_matches_combined_control(self, preset):
-        # every 50th recorded sample must equal the public control
-        # function at the same state
-        sc = dataclasses.replace(load_preset(preset), feedback_mode="instantaneous")
-        traj = simulate(sc)
-        for k in range(0, len(traj), 50):
-            recorded = (traj.u_raw[k], traj.u[k], traj.feasible[k], traj.active[k])
-            if traj.times[k] < sc.control_start - 1e-9:
-                assert recorded == (0.0, 0.0, True, -1)
-                continue
-            dec = combined_control(sc.spec, sc.constraints, traj.state_at(k))
-            active = -1 if dec.active_constraint is None else dec.active_constraint
-            assert recorded == (dec.u_raw, dec.u, dec.feasible, active), k
+        # every recorded sample must equal the public control function at
+        # the state the law saw: the current one, or the one a delay back
+        # (the initial state before the run began)
+        for mode in ("instantaneous", "delayed"):
+            sc = dataclasses.replace(load_preset(preset), feedback_mode=mode)
+            traj = simulate(sc)
+            lag = sc.delay_steps if mode == "delayed" else 0
+            for k in range(len(traj)):
+                recorded = (traj.u_raw[k], traj.u[k], traj.feasible[k], traj.active[k])
+                if k < sc.control_step:
+                    assert recorded == (0.0, 0.0, True, -1)
+                    continue
+                feedback = traj.states[max(k - lag, 0)].tolist()
+                dec = combined_control(sc.spec, sc.constraints, feedback)
+                want = (dec.u_raw, dec.u, dec.feasible, dec.active_constraint)
+                assert recorded == want, (mode, k)
+
+    def test_constraint_hashes_do_not_grow_with_the_run(self, monkeypatch):
+        # the plant loop asks for its law with the same spec and constraint
+        # tuple on every sample and is answered by identity: a run eight
+        # times longer hashes the constraints no more often
+        sc = load_preset("sihrd_fig3")
+        simulate(dataclasses.replace(sc, t_end=20.0))  # builds the kernels
+        calls = 0
+        original = SafetyConstraint.__hash__
+
+        def counting(self):
+            nonlocal calls
+            calls += 1
+            return original(self)
+
+        monkeypatch.setattr(SafetyConstraint, "__hash__", counting)
+        counts = []
+        for t_end in (20.0, 160.0):
+            calls = 0
+            simulate(dataclasses.replace(sc, t_end=t_end))
+            counts.append(calls)
+        assert counts[0] == counts[1], counts
 
     @pytest.mark.parametrize("preset", preset_names())
     def test_recorded_margins_match_barrier_functions(self, preset, tmp_path):
