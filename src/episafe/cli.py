@@ -11,6 +11,9 @@ Exit codes (runner.exit_code): 0 success, 2 validation error, 3 safety
 violation detected in a guaranteed-mode run, 4 the min-norm QP was
 infeasible at some step and the input was clamped.  A sweep exits with the
 most severe code of its runs (runner.worst_exit_code: 3, then 4, then 0).
+
+Each command imports the modules it runs when it runs, so parsing the
+arguments loads no numerical code and ``ingest`` needs no numpy.
 """
 
 from __future__ import annotations
@@ -21,21 +24,7 @@ import json
 import sys
 from pathlib import Path
 
-from .cases import CaseDataError, ingest_cases, scale_cases
-from .runner import (
-    EXIT_OK,
-    EXIT_VALIDATION,
-    SWEEP_PARAMETERS,
-    exit_code,
-    format_report,
-    import_trajectory,
-    run,
-    sweep,
-    worst_exit_code,
-    write_long_table,
-)
-from .scenarios import SETTINGS, preset_names, preset_note, resolve_scenario
-from .sim import MODES, SimulationError, safety_audit
+from .contract import EXIT_OK, EXIT_VALIDATION, MODES, SWEEP_PARAMETERS, SimulationError
 
 __all__ = ["main", "entry"]
 
@@ -85,27 +74,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(scenario, args):
-    """The scenario with each setting given as --dt, --seed or --mode."""
+def _scenario(args):
+    """(name, scenario) for the preset or file args.scenario, with each
+    setting given as --dt, --seed or --mode."""
+    from .scenarios import SETTINGS, resolve_scenario
+
+    name, scenario = resolve_scenario(args.scenario)
     overrides = {
         s.field: getattr(args, s.key)
         for s in SETTINGS
         if s.key in ("dt", "seed", "mode") and getattr(args, s.key) is not None
     }
-    return dataclasses.replace(scenario, **overrides) if overrides else scenario
+    return name, dataclasses.replace(scenario, **overrides) if overrides else scenario
 
 
 def _cmd_simulate(args) -> int:
-    name, scenario = resolve_scenario(args.scenario)
-    scenario = _apply_overrides(scenario, args)
+    from .runner import format_report, run
+
+    name, scenario = _scenario(args)
     report = run(scenario, name=name, out_dir=args.out)
     print(format_report(report))
     return report.exit_code
 
 
 def _cmd_audit(args) -> int:
-    name, scenario = resolve_scenario(args.scenario)
-    scenario = _apply_overrides(scenario, args)
+    from .runner import exit_code, import_trajectory, write_long_table
+    from .sim import safety_audit
+
+    name, scenario = _scenario(args)
     trajectory = import_trajectory(args.trajectory, scenario)
     audit = safety_audit(trajectory)
     print(f"audit of {args.trajectory} against {name}:")
@@ -119,8 +115,9 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    name, scenario = resolve_scenario(args.scenario)
-    scenario = _apply_overrides(scenario, args)
+    from .runner import format_report, sweep, worst_exit_code
+
+    name, scenario = _scenario(args)
     values = [float(v) for v in args.values.split(",") if v.strip()]
     reports = sweep(scenario, args.param, values, name=name, out_dir=args.out)
     for report in reports:
@@ -130,6 +127,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
+    from .cases import CaseDataError, ingest_cases, scale_cases
+
     records = ingest_cases(args.cases)
     print(f"{len(records)} valid case records "
           f"({records[0].date} .. {records[-1].date})")
@@ -167,6 +166,8 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_presets(args) -> int:
+    from .scenarios import preset_names, preset_note
+
     for name in preset_names():
         print(f"{name}: {preset_note(name)}")
     return EXIT_OK

@@ -5,19 +5,28 @@ Trajectory CSV schema: one row per step with columns
 written with 15 significant digits so a round trip through the file
 reproduces them to better than 1e-12 relative, and identical runs produce
 identical bytes.  A long-format companion table (t, series, value) serves
-plotting tools directly.
+plotting tools directly.  Both files hold the same numbers, so each
+sample is formatted once, as one line of the trajectory CSV, and the long
+table is cut from those lines.  The lines of the last trajectory written are
+kept until another trajectory is written.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .contract import (
+    EXIT_INFEASIBLE,
+    EXIT_OK,
+    EXIT_VALIDATION,
+    EXIT_VIOLATION,
+    SWEEP_PARAMETERS,
+)
 from .scenarios import SETTINGS
 from .sim import (
     AuditReport,
@@ -45,18 +54,9 @@ __all__ = [
     "format_report",
 ]
 
-# the keys of scenarios.SETTINGS a sweep may vary
-SWEEP_PARAMETERS = ("tau", "dt", "seed", "delta", "t_end", "control_start")
-
 # Margin dips beyond this fraction of the bound count as real violations for
 # exit-code purposes; smaller dips are integration dust.
 VIOLATION_TOL = 1e-6
-
-# Process exit codes of every command that runs or audits a trajectory.
-EXIT_OK = 0
-EXIT_VALIDATION = 2
-EXIT_VIOLATION = 3
-EXIT_INFEASIBLE = 4
 
 # Outcomes of a run, most severe first: a cap violation outranks a clamped
 # (infeasible) step, within one run and across the runs of a sweep.
@@ -65,9 +65,6 @@ _SEVERITY = (EXIT_VIOLATION, EXIT_INFEASIBLE, EXIT_OK)
 
 class TrajectoryFormatError(ValueError):
     pass
-
-
-_fmt = "{:.15g}".format
 
 
 @dataclass(frozen=True)
@@ -166,7 +163,7 @@ def sweep(
 
 
 def _columns(scenario: Scenario) -> list[str]:
-    """Trajectory CSV header: t, then the series of the rows _rows gives."""
+    """Trajectory CSV header: t, then the series of the lines _lines gives."""
     return [
         "t",
         *scenario.spec.labels,
@@ -177,22 +174,36 @@ def _columns(scenario: Scenario) -> list[str]:
     ]
 
 
-def _rows(trajectory: Trajectory) -> list[list[float]]:
-    """One list of floats per sample, in _columns order."""
-    return np.column_stack((
+# The last trajectory formatted and its lines, as one (trajectory, lines)
+# tuple.  It is read once and replaced whole, so concurrent writers never
+# see a mix of two.
+_last = (None, [])
+
+
+def _lines(trajectory: Trajectory) -> list[str]:
+    """One CSV line per sample, "t,<series...>\\n" in _columns order, with
+    every value to 15 significant digits.  The two writers of one
+    trajectory share one formatting pass: the lines are kept for the
+    trajectory last asked for, found again by identity."""
+    global _last
+    last = _last
+    if last[0] is trajectory:
+        return last[1]
+    table = np.column_stack((
         trajectory.times, trajectory.states, trajectory.u_raw, trajectory.u,
         trajectory.barriers, trajectory.disturbances,
-    )).tolist()
+    ))
+    template = ",".join(["%.15g"] * table.shape[1]) + "\n"
+    lines = [template % tuple(row) for row in table.tolist()]
+    _last = (trajectory, lines)
+    return lines
 
 
 def export_trajectory(trajectory: Trajectory, path: str | Path) -> Path:
     """Write the trajectory CSV (see module docstring for the schema)."""
-    buf = io.StringIO()
-    buf.write(",".join(_columns(trajectory.scenario)) + "\n")
-    for row in _rows(trajectory):
-        buf.write(",".join(map(_fmt, row)) + "\n")
     path = Path(path)
-    path.write_text(buf.getvalue())
+    header = ",".join(_columns(trajectory.scenario)) + "\n"
+    path.write_text(header + "".join(_lines(trajectory)))
     return path
 
 
@@ -271,12 +282,12 @@ def write_long_table(trajectory: Trajectory, path: str | Path) -> Path:
         f"{{0}},{name.replace('{', '{{').replace('}', '}}')},{{{k}}}\n"
         for k, name in enumerate(_columns(trajectory.scenario)[1:], 1)
     ).format
-    buf = io.StringIO()
-    buf.write("t,series,value\n")
-    for row in _rows(trajectory):
-        buf.write(fill(*map(_fmt, row)))
+    # a line's cells are numbers, and no number holds a comma
     path = Path(path)
-    path.write_text(buf.getvalue())
+    path.write_text(
+        "t,series,value\n"
+        + "".join([fill(*line[:-1].split(",")) for line in _lines(trajectory)])
+    )
     return path
 
 

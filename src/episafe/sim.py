@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import engine
+from .contract import MODES, SimulationError
 from .models import ModelSpec, ModelState
 from .safety import (
     InitialConditionReport,
@@ -42,13 +43,6 @@ __all__ = [
     "ConstraintAudit",
     "AuditReport",
 ]
-
-MODES = ("instantaneous", "delayed", "predictor")
-
-
-class SimulationError(RuntimeError):
-    pass
-
 
 class InitialConditionError(SimulationError):
     """Guaranteed-mode run refused: the starting state does not satisfy the

@@ -305,3 +305,26 @@ def closed_form_death_control(
         - (out - alpha - alpha_e) * mu * I / denom
     )
     return val if val > 0.0 else 0.0
+
+
+def reference_csv_text(traj) -> tuple[str, str]:
+    """The trajectory CSV and the long CSV of traj, each cell formatted on
+    its own with "{:.15g}".format; runner's writers must give the same
+    text."""
+    sc = traj.scenario
+    names = [
+        *sc.spec.labels, "u_raw", "u",
+        *(f"h_{c.label(k)}" for k, c in enumerate(sc.constraints)), "d",
+    ]
+    wide = ["t," + ",".join(names)]
+    long = ["t,series,value"]
+    for k in range(len(traj)):
+        values = [
+            *traj.states[k], traj.u_raw[k], traj.u[k], *traj.barriers[k],
+            traj.disturbances[k],
+        ]
+        t = "{:.15g}".format(traj.times[k])
+        cells = ["{:.15g}".format(v) for v in values]
+        wide.append(",".join([t, *cells]))
+        long += [f"{t},{name},{cell}" for name, cell in zip(names, cells)]
+    return "\n".join(wide) + "\n", "\n".join(long) + "\n"

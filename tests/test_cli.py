@@ -39,6 +39,17 @@ def sir_doc(initial, feedback, constraints, t_end=30):
     return "\n".join(parts)
 
 
+def _assert_invalid_choice(captured, command, option, value, choices):
+    """argparse's usage error for a value outside an option's choices."""
+    assert captured.out == ""
+    usage, error = captured.err.split(f"episafe {command}: error: ")
+    assert usage.startswith(f"usage: episafe {command} ")
+    prefix = f"argument {option}: invalid choice: {value!r} (choose from "
+    assert error.startswith(prefix) and error.endswith(")\n")
+    listed = error[len(prefix):-2].split(", ")
+    assert [c.strip("'") for c in listed] == list(choices)
+
+
 class TestPresets:
     def test_list(self, capsys):
         assert main(["presets", "list"]) == 0
@@ -92,6 +103,17 @@ class TestSimulate:
             " nor start or end with whitespace\n"
         )
         assert captured.out == "" and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "audit"])
+    def test_unknown_mode_is_a_usage_error(self, command, capsys):
+        args = ["x.csv", "sir_fig2"] if command == "audit" else ["sir_fig2"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, "--mode", "bogus"])
+        assert exc.value.code == 2
+        _assert_invalid_choice(
+            capsys.readouterr(), command, "--mode", "bogus",
+            ("instantaneous", "delayed", "predictor"),
+        )
 
     def test_bad_override_is_validation_error(self, capsys):
         # dt that does not divide the horizon
@@ -284,6 +306,15 @@ class TestSweep:
         captured = capsys.readouterr()
         assert captured.err == "error: seed must be a whole number, got 2.2\n"
         assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+    def test_unknown_parameter_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "sir_fig2", "--param", "beta", "--values", "1"])
+        assert exc.value.code == 2
+        _assert_invalid_choice(
+            capsys.readouterr(), "sweep", "--param", "beta",
+            ("tau", "dt", "seed", "delta", "t_end", "control_start"),
+        )
 
     def test_bad_values_list(self, capsys):
         assert main([

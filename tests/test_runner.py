@@ -1,6 +1,8 @@
 """Run orchestration: reports, sweeps, trajectory CSV round-trips."""
 
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,8 +17,9 @@ from episafe.runner import (
     write_long_table,
 )
 from episafe.scenarios import load_preset
-from episafe import sim
+from episafe import runner, sim
 from episafe.sim import grid_steps, safety_audit, simulate
+from oracles import reference_csv_text
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +93,75 @@ class TestRun:
         assert report.outputs["long"].exists()
         header = report.outputs["long"].read_text().splitlines()[0]
         assert header == "t,series,value"
+
+
+def _write(traj, out_dir):
+    """The trajectory CSV and long CSV text that runner writes for traj."""
+    return (
+        export_trajectory(traj, out_dir / "t.csv").read_text(),
+        write_long_table(traj, out_dir / "l.csv").read_text(),
+    )
+
+
+class TestFormatOnce:
+    """The two writers share the formatted lines of the trajectory last
+    written, found by identity."""
+
+    @pytest.fixture(scope="class")
+    def other_run(self, short_run):
+        return simulate(dataclasses.replace(short_run.scenario, disturbance_delta=0.05, seed=3))
+
+    def test_both_writers_share_one_formatting_pass(self, short_run, tmp_path):
+        export_trajectory(short_run, tmp_path / "t.csv")
+        lines = runner._lines(short_run)
+        write_long_table(short_run, tmp_path / "l.csv")
+        assert runner._lines(short_run) is lines
+
+    def test_alternating_trajectories_write_their_own_bytes(self, short_run, other_run, tmp_path):
+        assert reference_csv_text(short_run) != reference_csv_text(other_run)
+        for k, traj in enumerate((short_run, other_run, short_run)):
+            assert _write(traj, tmp_path) == reference_csv_text(traj), k
+
+    def test_replaced_scenario_writes_its_own_columns(self, short_run, tmp_path):
+        from episafe.safety import MULTIPLICATIVE, SafetyConstraint
+
+        _write(short_run, tmp_path)
+        s_cap = SafetyConstraint(MULTIPLICATIVE, 0, 32e6, 1.0, name="S")
+        sc = dataclasses.replace(
+            short_run.scenario, constraints=(*short_run.scenario.constraints, s_cap)
+        )
+        replaced = dataclasses.replace(short_run, scenario=sc)
+        wide, long = _write(replaced, tmp_path)
+        assert wide.splitlines()[0] == "t,S,I,R,u_raw,u,h_I,h_S,d"
+        assert (wide, long) == reference_csv_text(replaced)
+
+    def test_threads_write_the_serial_bytes(self, short_run, other_run, tmp_path):
+        serial = {traj: _write(traj, tmp_path) for traj in (short_run, other_run)}
+        mismatches = []
+
+        def export_in_turn(k):
+            out_dir = tmp_path / f"thread{k}"
+            out_dir.mkdir()
+            try:
+                for j in range(40):
+                    traj = (short_run, other_run)[(j + k) % 2]
+                    if _write(traj, out_dir) != serial[traj]:
+                        mismatches.append((k, j))
+            except Exception as exc:  # reported below, not lost in the thread
+                mismatches.append((k, exc))
+
+        threads = [threading.Thread(target=export_in_turn, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
 
 
 class TestSweep:
