@@ -1,11 +1,11 @@
 """Measurement-delay compensation and robustness margins.
 
 Compartmental data lags behind the true state (incubation plus testing
-time).  Feeding the stale measurement straight into the feedback law can
-lose the safety guarantee, so this module forecasts the current state by
-integrating the delay-free closed loop forward from the last measurement,
-and quantifies how forecast errors degrade safety: a bounded input
-disturbance of size delta enlarges the guaranteed-invariant region by
+time).  Feeding the stale measurement into the feedback law can lose the
+safety guarantee, so the current state is forecast from the last measurement
+(sim.simulate replays the inputs sent since; predict_state runs the law),
+and this module quantifies how forecast errors degrade safety: a bounded
+input disturbance of size delta enlarges the guaranteed-invariant region by
 (delta / alpha) times the local control authority, where delta = c * epsilon
 for a forecast error epsilon and a law with Lipschitz constant c.
 """
@@ -39,9 +39,9 @@ class PredictorConfig:
     tau is the delay (days, a multiple of dt_pred by sim.grid_steps); dt_pred
     the internal integration step, normally equal to the simulation step so
     predictions replay the plant exactly.  constraints/control_start describe
-    the same feedback law that runs in the loop; control_start None means
-    the controller is always on, and any other value must be finite (it may
-    lie off the grid: predict_state rounds it to a step).
+    the law predict_state runs in place of the inputs sent; control_start
+    None means the controller is always on, and any other value must be
+    finite (it may lie off the grid: predict_state rounds it to a step).
     """
 
     tau: float
@@ -73,8 +73,8 @@ def predict_state(
 ) -> ModelState:
     """Forecast the state one delay interval ahead of the measurement.
 
-    Integrates the delay-free closed loop (same integrator, step and
-    feedback law as the simulator) forward from the measured state.
+    Integrates the delay-free closed loop (same integrator, step and law as
+    the simulator, which replays its sent commands) from the measured state.
     The law turns on at step max(0, round((control_start - t_measured) /
     dt_pred)), the step nearest control_start (a tie goes to the even step);
     for a forecast from sample k - D of sim.simulate, control_step - (k - D).

@@ -1,24 +1,25 @@
 """Flat-state integration core shared by the simulator and the predictor.
 
-States travel as plain float lists here: the closed-loop rollouts evaluate
-the dynamics and the feedback law up to a million times per run, and numpy
-call overhead on length-5 vectors would dominate the cost.  The plant loop
-in sim.simulate steps the same lists with rk4_flat and evaluates the same
-law through safety.combined_control, on the flat feedback list itself: no
-ModelState is built per sample, and ModelSpec.flat checks the list's length
-and population floor and hands it to solve uncopied.  The model derivative
-and the law are both compiled from the model's formula table
+States travel as plain float lists here: the rollouts evaluate the
+dynamics up to a million times per run, and numpy call overhead on
+length-5 vectors would dominate the cost.  The plant loop in sim.simulate
+steps the same lists with rk4_flat and evaluates the feedback law through
+safety.combined_control, on the flat feedback list itself: no ModelState
+is built per sample, and ModelSpec.flat checks the list's length and
+population floor and hands it to solve uncopied.  The model derivative and
+the law are both compiled from the model's formula table
 (models.FormulaTable): the derivative once per table, the law once per table
 and shape of constraint set, with the table's formulas written into the
 law's own code, so a law evaluation calls no model evaluator.  safety's memo
 holds, per constraint set, both of the law's entry points, each on the flat
 state: solve(x), behind combined_control, and law(x) -> u, which
-make_input_fn gates by step number for the rollouts; its last-used slot
-answers the plant loop's repeat request by identity.  delay.predict_state
-wraps these helpers with a ModelState interface; ModelSpec.flat turns a
-ModelState into the flat list, and is the one check that a state, in
-either form, fits the model.  Inputs are gated by step number, not by
-time; sim.grid_steps is where times become step numbers.
+make_input_fn gates by step number; its last-used slot answers the plant
+loop's repeat request by identity.  A rollout takes its input per step from
+an input_fn: sim.simulate's replays the commands it sent, so its forecasts
+run no law; delay.predict_state passes make_input_fn's law, and wraps the
+rollout with a ModelState interface.  ModelSpec.flat turns a ModelState
+into the flat list, and is the one check that a state, in either form, fits
+the model.  Inputs are gated by step number; sim.grid_steps maps times.
 
 rk4_flat runs a straight-line kernel generated from one source template
 the first time a state length is seen and kept for that length: the
@@ -26,8 +27,7 @@ elementwise loops cost several times the model derivative on vectors this
 short.  It still makes one call per step and four calls of the derivative,
 because the benchmark in bench/ counts rollout steps and derivative
 evaluations at those calls; a batched predictor that advances every
-in-flight rollout at once waits on a change to those counts.  A rollout
-evaluates the law once per step.
+in-flight rollout at once waits on a change to those counts.
 """
 
 from __future__ import annotations
@@ -102,8 +102,8 @@ def make_input_fn(
     """Scalar feedback law u(k, x) at step number k: zero before first_step,
     afterwards the min-norm QP solution clamped to [0, 1], from the flat law
     generated for the constraint set (constant zero without constraints).
-    It gives the bits of the u the simulator applies at the same state, so
-    predictions replay the plant's behaviour."""
+    It gives the bits of the u the simulator commands at the same state, so
+    delay.predict_state forecasts as if those commands had been sent."""
     constraints = tuple(constraints)
     if not constraints:
         return _rest

@@ -3,7 +3,7 @@
 The loop advances the model with a classical Runge-Kutta step of size dt,
 evaluating the feedback law once per step on the state selected by the
 scenario's feedback mode: the true current state, a measurement delayed by
-tau, or a forecast computed from that delayed measurement.  An optional
+tau, or a forecast from it replaying the commands sent since.  An optional
 bounded input disturbance, sampled per step from the scenario seed, is
 added to the applied input.  Everything a safety audit needs is recorded.
 """
@@ -264,17 +264,17 @@ class Trajectory:
 def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> Trajectory:
     """Run the closed loop over the scenario horizon.
 
-    The feedback law is evaluated once per sample (including the final
-    one, whose decision is recorded but not integrated) and the applied
-    input clamp(u + d) is held constant across each step.  In guaranteed
-    mode the run refuses to start if the initial controlled state violates
-    the controller hypotheses.  Every state the law sees, a flat [w; z]
-    list in all three modes, is checked for negative populations
-    (ValueError) by ModelSpec.flat, inside combined_control.
+    The feedback law is evaluated once per sample (including the final one,
+    whose decision is recorded but not integrated) and the applied input
+    clamp(u + d) is held constant across each step.  The predictor replays
+    the commands u sent since its measurement: no law runs inside a
+    forecast.  In guaranteed mode the run refuses to start if the initial
+    controlled state violates the controller hypotheses.  ModelSpec.flat
+    checks every state the law sees for negative populations (ValueError).
 
     prehistory optionally overrides the state reported for measurement
     times before t_start (defaults to the initial state).  In the delayed
-    and predictor modes, which read it, it must have one entry per
+    and predictor modes, which read it, it must have one finite entry per
     compartment and pass the same population check (ValueError).
     """
     spec = scenario.spec
@@ -299,17 +299,19 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
     decisions = [(0.0, 0.0, True, -1)] * first
 
     buffer = None
-    input_fn = None
     if delayed:
         if prehistory is not None:
             prehistory = spec.state(prehistory).x.tolist()
+            if not all(map(math.isfinite, prehistory)):
+                raise ValueError(f"prehistory must be finite, got {prehistory}")
         buffer = MeasurementBuffer(
             scenario.t_start, dt, scenario.tau,
             prehistory if prehistory is not None else x,
         )
         buffer.push(scenario.t_start, x)
-    if scenario.feedback_mode == "predictor":
-        input_fn = engine.make_input_fn(spec, cons, first)
+
+    def sent(j: int, _x: Sequence[float]) -> float:  # the command of sample j
+        return decisions[j][1]
 
     report: InitialConditionReport | None = None
     ts = scenario.times().tolist()
@@ -330,7 +332,7 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
                     # from the measurement, or from the start of the run
                     span = min(k, delay_steps)
                     feedback = engine.closed_loop_rollout(
-                        spec, measured, k - span, span, dt, input_fn
+                        spec, measured, k - span, span, dt, sent
                     )
             decision = combined_control(spec, cons, feedback)
             decisions.append(decision)

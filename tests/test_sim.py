@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from episafe import engine, safety
 from episafe.delay import PredictorConfig
 from episafe.engine import rk4_flat
 from episafe.models import SirParams, build_sir
@@ -30,6 +31,7 @@ from episafe.sim import (
 )
 
 from conftest import SIHRD_US, SIR_US, TAU_GRID_CASES
+from oracles import reference_solver, rk4_reference
 
 
 def sir_scenario(sir_spec, **kw):
@@ -474,8 +476,87 @@ class TestPrehistoryOverride:
         with pytest.raises(ValueError, match="entries"):
             simulate(load_preset("sir_delay_danger"), prehistory=[32.9e6, 5e3])
 
+    @pytest.mark.parametrize("mode", ["delayed", "predictor"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_prehistory_rejected(self, mode, value):
+        # NaN and -inf pass the population floor, and a forecast from them
+        # is NaN, at which the law would rest with feasible True
+        sc = dataclasses.replace(load_preset("sir_fig2"), feedback_mode=mode)
+        with pytest.raises(ValueError, match="^prehistory must be finite, got ") as err:
+            simulate(sc, prehistory=[value, 1e5, 1e6])
+        assert "\n" not in str(err.value)
+
+
+def assert_forecasts_replay(traj, prehistory, stride=1):
+    """Every stride-th controlled sample k of a predictor run records the
+    reference law at the forecast that reference RK4 builds from the state
+    measured at k - D (the prehistory at sample 0 while k < D) over the
+    commands u recorded in between, bit for bit."""
+    sc = traj.scenario
+    spec, D = sc.spec, sc.delay_steps
+    solve = reference_solver(spec, sc.constraints)
+    u = traj.u.tolist()
+    checked = 0
+    for k in range(sc.control_step, len(traj), stride):
+        x = traj.states[k - D].tolist() if k >= D else list(prehistory)
+        for j in range(max(k - D, 0), k):
+            x = rk4_reference(spec.derivative_t, x, u[j], sc.dt)
+        u_raw, active, feasible = solve(x[: spec.n], x[spec.n :])
+        recorded = (float(traj.u_raw[k]).hex(), int(traj.active[k]), bool(traj.feasible[k]))
+        assert recorded == (u_raw.hex(), active, feasible), k
+        checked += 1
+    assert checked > 0
+
 
 class TestLawPaths:
+    @pytest.mark.parametrize("delta", [0.05, 0.1])
+    @pytest.mark.parametrize("preset", preset_names())
+    def test_disturbed_forecasts_replay_the_sent_commands(self, preset, delta):
+        # a disturbance parts the applied input from the commanded one, so
+        # only here does a forecast that replays the commands differ from
+        # the true state, and from one that re-runs the law on its way
+        sc = dataclasses.replace(
+            load_preset(preset), feedback_mode="predictor", disturbance_delta=delta, seed=3
+        )
+        traj = simulate(sc)
+        assert traj.disturbances.any()
+        assert_forecasts_replay(traj, sc.state0.x.tolist(), stride=7)
+
+    def test_forecasts_from_a_prehistory_replay_the_sent_commands(self):
+        # the first D forecasts start from the supplied prehistory at
+        # sample 0; this one sits near the 50k cap, so the law acts on them
+        sc = dataclasses.replace(load_preset("sir_delay_danger"), feedback_mode="predictor")
+        past = [32.85e6, 4.5e4, 1.05e5]
+        traj = simulate(sc, prehistory=past)
+        assert sc.delay_steps > sc.control_step
+        assert_forecasts_replay(traj, past)
+
+    def test_predictor_runs_the_law_once_per_sample(self, monkeypatch):
+        # count the calls of both entry points the law memo hands out,
+        # from safety and from engine, which imports it by name
+        calls = {"solve": 0, "law": 0}
+        original = safety._solver
+
+        def counting_solver(spec, constraints):
+            solve, law = original(spec, constraints)
+
+            def counting_solve(x):
+                calls["solve"] += 1
+                return solve(x)
+
+            def counting_law(x):
+                calls["law"] += 1
+                return law(x)
+
+            return counting_solve, counting_law
+
+        monkeypatch.setattr(safety, "_solver", counting_solver)
+        monkeypatch.setattr(engine, "_solver", counting_solver)
+        sc = dataclasses.replace(load_preset("sir_fig2"), t_end=40.0)
+        assert sc.feedback_mode == "predictor" and sc.control_step > 0
+        simulate(sc)
+        assert calls == {"solve": sc.n_steps + 1 - sc.control_step, "law": 0}
+
     @pytest.mark.parametrize("preset", preset_names())
     def test_recorded_law_matches_combined_control(self, preset):
         # every recorded sample must equal the public control function at
