@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import engine
-from .models import ModelSpec, ModelState
+from .models import ModelSpec, ModelState, _check_finite
 from .safety import MULTIPLICATIVE, SafetyConstraint, barrier_value
 from .sim import grid_steps
 
@@ -78,9 +78,10 @@ def predict_state(
     The law turns on at step max(0, round((control_start - t_measured) /
     dt_pred)), the step nearest control_start (a tie goes to the even step);
     for a forecast from sample k - D of sim.simulate, control_step - (k - D).
-    t_measured must be finite (ValueError).
+    t_measured and every entry of measured must be finite (ValueError).
     """
     x = spec.flat(measured)
+    _check_finite(x)
     if not math.isfinite(t_measured):
         raise ValueError(f"t_measured must be finite, got {t_measured!r}")
     if config.n_steps == 0:

@@ -5,21 +5,23 @@ dynamics up to a million times per run, and numpy call overhead on
 length-5 vectors would dominate the cost.  The plant loop in sim.simulate
 steps the same lists with rk4_flat and evaluates the feedback law through
 safety.combined_control, on the flat feedback list itself: no ModelState
-is built per sample, and ModelSpec.flat checks the list's length and
-population floor and hands it to solve uncopied.  The model derivative and
-the law are both compiled from the model's formula table
-(models.FormulaTable): the derivative once per table, the law once per table
-and shape of constraint set, with the table's formulas written into the
-law's own code, so a law evaluation calls no model evaluator.  safety's memo
-holds, per constraint set, both of the law's entry points, each on the flat
-state: solve(x), behind combined_control, and law(x) -> u, which
-make_input_fn gates by step number; its last-used slot answers the plant
-loop's repeat request by identity.  A rollout takes its input per step from
-an input_fn: sim.simulate's replays the commands it sent, so its forecasts
-run no law; delay.predict_state passes make_input_fn's law, and wraps the
-rollout with a ModelState interface.  ModelSpec.flat turns a ModelState
-into the flat list, and is the one check that a state, in either form, fits
-the model.  Inputs are gated by step number; sim.grid_steps maps times.
+is built per sample.  ModelSpec.flat checks the list's length and
+population floor, combined_control that every entry is finite, and solve
+reads the list uncopied.  The model derivative and the law are both
+compiled from the model's formula table (models.FormulaTable): the
+derivative once per table, the law once per table and shape of constraint
+set, with the table's formulas written into the law's own code, so a law
+evaluation calls no model evaluator.  safety's memo holds, per constraint
+set, both of the law's entry points, each on the flat state:
+solve(x) -> ControlDecision, which combined_control returns as is, and
+law(x) -> u, which make_input_fn gates by step number; its last-used slot
+answers the plant loop's repeat request by identity.  A rollout takes its
+input per step from an input_fn: sim.simulate's replays the commands it
+sent, so its forecasts run no law; delay.predict_state passes
+make_input_fn's law, and wraps the rollout with a ModelState interface.
+ModelSpec.flat turns a ModelState into the flat list, and is the one check
+that a state, in either form, fits the model.  Inputs are gated by step
+number; sim.grid_steps maps times.
 
 rk4_flat runs a straight-line kernel generated from one source template
 the first time a state length is seen and kept for that length: the

@@ -23,6 +23,7 @@ rate class and table.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
@@ -62,6 +63,13 @@ def _check_floor(x: list[float]) -> None:
         floor = -_NEGATIVITY_TOL * max(1.0, sum(map(abs, x)))
         if low < floor:
             raise ValueError(f"negative population {low:g} in state (floor {floor:g})")
+
+
+def _check_finite(x: list[float]) -> None:
+    """Reject a flat state holding NaN or an infinity: the law and the
+    forecast would answer for it with a rest decision or NaN."""
+    if not all(map(math.isfinite, x)):
+        raise ValueError(f"state must be finite, got {x}")
 
 
 @dataclass(frozen=True, eq=False)

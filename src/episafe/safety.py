@@ -31,11 +31,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isfinite
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .models import FormulaTable, ModelSpec, ModelState
+from .models import FormulaTable, ModelSpec, ModelState, _check_finite
 
 __all__ = [
     "MULTIPLICATIVE",
@@ -157,12 +158,15 @@ def _clamp01(v: float) -> float:
 # constraints it binds the spec's parameter values, the Jacobian entries
 # and every constraint constant, and returns two entry points, both on the
 # flat state [w; z] that ModelSpec.flat returns:
-#   solve(x) -> (u_raw, active, feasible), behind every public control
-#               function;
+#   solve(x) -> ControlDecision, the whole decision with active the
+#               constraint's position, which every public control function
+#               returns (multiplicative_control and outlet_control with
+#               active None);
 #   law(x) -> u, the clamped input, for rollouts; it skips the upper-bound
 #             and zero-authority bookkeeping, which only decide feasible.
 # _solver memoizes the pair; its last-used slot answers a plant loop's repeat
-# request by identity, so a controlled sample costs solve and ModelSpec.flat.
+# request by identity, so a controlled sample costs solve, ModelSpec.flat
+# and the finiteness check in combined_control.
 # The margins below also accept numpy columns, one entry per sample, and
 # then return arrays; _margins evaluates them on a matrix of states.
 
@@ -225,12 +229,16 @@ def factory(spec, constraints):
     g_tol = spec.g_tol
     [{names}] = constraints
 {constants}
+    new, decision = tuple.__new__, ControlDecision
+
     def solve(x):
         [{x}] = x
 {evaluate}
         u_raw, active, ceiling, holds = 0.0, 0, 1.0, True
 {solve_steps}
-        return u_raw, active, holds and u_raw <= ceiling
+        # u_raw starts at 0.0 and only rises, so only the cap at 1 can bind
+        u = 1.0 if u_raw > 1.0 else u_raw
+        return new(decision, (u_raw, u, holds and u_raw <= ceiling, active))
 
     def law(x):
         [{x}] = x
@@ -322,7 +330,7 @@ def _law_factory(table: FormulaTable, shape: tuple[tuple[str, int], ...]):
         solve_steps="\n".join(solve_steps),
         law_steps="\n".join(law_steps),
     )
-    namespace: dict = {}
+    namespace: dict = {"ControlDecision": ControlDecision}
     exec(compile(source, f"<law kernel, {table.w + table.z}, {shape}>", "exec"), namespace)
     return namespace["factory"]
 
@@ -434,15 +442,17 @@ def combined_control(
 
     state is a ModelState or the flat [w; z] list of n + m floats that
     simulate holds; ModelSpec.flat checks either against the model, also
-    without constraints, and passes a list to the law without a copy.
+    without constraints, and passes a list to the law without a copy.  A
+    state holding NaN or an infinity is refused (ValueError).
     """
-    constraints = tuple(constraints)
+    if not isinstance(constraints, tuple):
+        constraints = tuple(constraints)
     x = spec.flat(state)
+    if not isfinite(sum(x)):  # a finite sum has only finite entries
+        _check_finite(x)
     if not constraints:
         return ControlDecision(0.0, 0.0, True, None)
-    u_raw, active, feasible = _solver(spec, constraints)[0](x)
-    # tuple.__new__ builds the named tuple without parsing keywords
-    return tuple.__new__(ControlDecision, (u_raw, _clamp01(u_raw), feasible, active))
+    return _solver(spec, constraints)[0](x)
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,12 @@
 The loop advances the model with a classical Runge-Kutta step of size dt,
 evaluating the feedback law once per step on the state selected by the
 scenario's feedback mode: the true current state, a measurement delayed by
-tau, or a forecast from it replaying the commands sent since.  An optional
-bounded input disturbance, sampled per step from the scenario seed, is
-added to the applied input.  Everything a safety audit needs is recorded.
+tau, or a forecast from it replaying the commands sent since.  The delayed
+measurement is the run's own recorded state tau back, or the prehistory
+before the run began; MeasurementBuffer is a standalone delay buffer that
+simulate does not use.  An optional bounded input disturbance, sampled per
+step from the scenario seed, is added to the applied input.  Everything a
+safety audit needs is recorded.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -157,12 +161,13 @@ class Scenario:
 class MeasurementBuffer:
     """Ring buffer of states, one per time step, serving delayed lookups.
 
-    Holds exactly the delay window.  A time maps to its step number
-    round((t - t_start) / dt); measurements are pushed once per step, in
-    order.  Lookups before the recorded history return the prehistory
-    state (the initial state unless an explicit prehistory was supplied),
-    matching the convention that the system sat at its initial state
-    before the run began.
+    A standalone helper: simulate reads its delayed measurements from the
+    states it records, not from a buffer.  Holds exactly the delay window.
+    A time maps to its step number round((t - t_start) / dt); measurements
+    are pushed once per step, in order.  Lookups before the recorded
+    history return the prehistory state (the initial state unless an
+    explicit prehistory was supplied), matching the convention that the
+    system sat at its initial state before the run began.
     """
 
     def __init__(
@@ -268,9 +273,12 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
     whose decision is recorded but not integrated) and the applied input
     clamp(u + d) is held constant across each step.  The predictor replays
     the commands u sent since its measurement: no law runs inside a
-    forecast.  In guaranteed mode the run refuses to start if the initial
-    controlled state violates the controller hypotheses.  ModelSpec.flat
-    checks every state the law sees for negative populations (ValueError).
+    forecast.  The measurement for sample k is the recorded state of
+    sample k - D (D = delay_steps), or the prehistory while k < D.  In
+    guaranteed mode the run refuses to start if the initial controlled
+    state violates the controller hypotheses.  combined_control refuses
+    every state the law sees that holds negative populations or a
+    non-finite entry, a forecast included (ValueError).
 
     prehistory optionally overrides the state reported for measurement
     times before t_start (defaults to the initial state).  In the delayed
@@ -282,40 +290,40 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
     n_steps = scenario.n_steps
     delay_steps = scenario.delay_steps
     dt = scenario.dt
-    delayed = scenario.feedback_mode in ("delayed", "predictor")
+    delayed = scenario.feedback_mode != "instantaneous"
+    predictor = scenario.feedback_mode == "predictor"
 
     x = scenario.state0.x.tolist()
     # the law runs on every sample from control_step on
     first = scenario.control_step if cons else n_steps + 1
     dists = np.zeros(n_steps + 1)
+    offsets = None  # sampled input disturbances from the first controlled sample
     if scenario.disturbance_delta > 0.0:
         delta = scenario.disturbance_delta
         dists[first:] = np.random.default_rng(scenario.seed).uniform(
             -delta, delta, size=n_steps + 1 - first
         )
-    offsets = dists[first:].tolist()
+        offsets = dists[first:].tolist()
     rows = []
     # (u_raw, u, feasible, active) per sample, at rest while the law is off
     decisions = [(0.0, 0.0, True, -1)] * first
 
-    buffer = None
     if delayed:
-        if prehistory is not None:
+        if prehistory is None:
+            prehistory = x
+        else:
             prehistory = spec.state(prehistory).x.tolist()
             if not all(map(math.isfinite, prehistory)):
                 raise ValueError(f"prehistory must be finite, got {prehistory}")
-        buffer = MeasurementBuffer(
-            scenario.t_start, dt, scenario.tau,
-            prehistory if prehistory is not None else x,
-        )
-        buffer.push(scenario.t_start, x)
 
     def sent(j: int, _x: Sequence[float]) -> float:  # the command of sample j
         return decisions[j][1]
 
+    # bound once per run, after any wrapper the caller installed
+    rk4, deriv, control = engine.rk4_flat, spec.derivative_t, combined_control
+    isfinite = math.isfinite
     report: InitialConditionReport | None = None
-    ts = scenario.times().tolist()
-    for k, t in enumerate(ts):
+    for k in range(n_steps + 1):
         rows.append(x)
         applied = 0.0
         if k >= first:
@@ -325,32 +333,35 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
                     raise InitialConditionError(report)
             feedback = x
             if delayed:
-                measured = buffer.lookup(t - scenario.tau)
-                if scenario.feedback_mode == "delayed":
-                    feedback = measured
-                else:
+                # the row measured a delay back, or the prehistory
+                feedback = rows[k - delay_steps] if k >= delay_steps else prehistory
+                if predictor:
                     # from the measurement, or from the start of the run
                     span = min(k, delay_steps)
                     feedback = engine.closed_loop_rollout(
-                        spec, measured, k - span, span, dt, sent
+                        spec, feedback, k - span, span, dt, sent
                     )
-            decision = combined_control(spec, cons, feedback)
+            decision = control(spec, cons, feedback)
             decisions.append(decision)
-            applied = _clamp01(decision.u + offsets[k - first])
+            applied = decision[1]  # in [0, 1]
+            if offsets is not None:
+                applied = _clamp01(applied + offsets[k - first])
 
         if k < n_steps:
-            x = engine.rk4_flat(spec.derivative_t, x, applied, dt)
-            if not all(map(math.isfinite, x)):
+            x = rk4(deriv, x, applied, dt)
+            # a finite sum has only finite entries
+            if not isfinite(sum(x)) and not all(map(isfinite, x)):
+                t = scenario.times()[k]
                 raise IntegrationError(
                     f"non-finite state after step {k} (t={t:g}): {x}"
                 )
-            if buffer is not None:
-                buffer.push(ts[k + 1], x)
 
     u_raw, u, feasible, active = map(np.array, zip(*decisions))
+    width = len(x)
+    states = np.fromiter(chain.from_iterable(rows), float, len(rows) * width)
     return Trajectory(
         scenario=scenario,
-        states=np.array(rows, dtype=float),
+        states=states.reshape(len(rows), width),
         u_raw=u_raw,
         u=u,
         active=active,

@@ -170,6 +170,14 @@ class TestPredictState:
         with pytest.raises(ValueError, match="t_measured must be finite"):
             predict_state(sir_spec, state, cfg, t_measured=value)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_measurement_is_rejected(self, sir_spec, value):
+        # an inf I made the forecast all NaN
+        state = sir_spec.state([26e6, value, 6.9e6])
+        cfg = PredictorConfig(1.0, 0.1, constraints=(I_CON,))
+        with pytest.raises(ValueError, match="^state must be finite, got "):
+            predict_state(sir_spec, state, cfg)
+
     def test_singular_start_rests_like_oracle(self, sir_spec):
         # no infected: no authority, and the oracle's answer is u = 0, so
         # the forecast is the open loop, which stays put

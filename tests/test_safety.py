@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import sys
 import threading
 
@@ -406,6 +407,35 @@ class TestCombinedControl:
             for call in calls:
                 assert key(call(x)) == key(call(state))
 
+    @pytest.mark.parametrize("bad", [
+        [math.nan, 1e5, 1e6],
+        [1e7, -math.inf, 1e6],  # -1e-9 * inf makes the population floor -inf
+        [1e7, 1e5, math.inf],
+        [math.inf, 1e5, -math.inf],  # the sum is NaN
+    ])
+    def test_non_finite_state_is_refused(self, sir_spec, bad):
+        # a state holding NaN or an infinity is no state to rest at
+        message = f"^{re.escape(f'state must be finite, got {bad}')}$"
+        for call in (
+            lambda x: combined_control(sir_spec, [i_bound()], x),
+            lambda x: combined_control(sir_spec, [], x),
+            lambda x: multiplicative_control(sir_spec, i_bound(), x),
+            lambda x: combined_control(sir_spec, [i_bound()], sir_spec.state(x)),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call(list(bad))
+
+    def test_non_finite_sihrd_state_is_refused_by_outlet_control(self, sihrd_spec):
+        with pytest.raises(ValueError, match="^state must be finite, got "):
+            outlet_control(sihrd_spec, h_bound(), [1e6, math.nan, 10.0, 0.0, 0.0])
+
+    def test_finite_state_whose_sum_overflows_is_decided(self, sir_spec):
+        # only the fast check's sum overflows; every entry is finite
+        x = [1.5e308, 1.5e308, 0.0]
+        assert math.isinf(sum(x))
+        dec = combined_control(sir_spec, [i_bound()], x)
+        assert dec == combined_control(sir_spec, [i_bound()], sir_spec.state(x))
+
     def test_decision_is_an_immutable_named_tuple(self, sir_spec):
         dec = combined_control(sir_spec, [i_bound()], sir_spec.state([32.9e6, 1e5, 0.0]))
         assert ControlDecision._fields == ("u_raw", "u", "feasible", "active_constraint")
@@ -523,6 +553,12 @@ def dense_linear_spec(rng, n=3, m=4):
     return ModelSpec("dense", table, values, params=SIR_US, g_tol=1e-12)
 
 
+def solved(d):
+    """A decision of the generated solve in the order of
+    oracles.reference_solver: (u_raw, active, feasible)."""
+    return d.u_raw, d.active_constraint, d.feasible
+
+
 class TestUnrolledOutletTerms:
     """The solve of safety._solver takes its outlet dot products unrolled;
     they must give the bits of the left-to-right loop in
@@ -566,7 +602,7 @@ class TestUnrolledOutletTerms:
         for k in range(3000):
             spec = specs[k % 3]
             w, z, cons = self.random_case(rng, spec, k)
-            got = safety._solver(spec, cons)[0](w + z)
+            got = solved(safety._solver(spec, cons)[0](w + z))
             want = reference_solver(spec, cons)(w, z)
             assert (got[0].hex(), got[1:]) == (want[0].hex(), want[1:]), (spec.kind, w, z, cons)
             outcomes.add((spec.kind, got[0] > 0.0, got[2]))
@@ -633,7 +669,7 @@ class TestGeneratedKernels:
         outcomes = set()
         for spec, x, cons in self.cases(1500, 616):
             w, z = x[: spec.n], x[spec.n :]
-            got = safety._solver(spec, cons)[0](x)
+            got = solved(safety._solver(spec, cons)[0](x))
             want = reference_solver(spec, cons)(w, z)
             assert (got[0].hex(), got[1:]) == (want[0].hex(), want[1:]), (spec.kind, x, cons)
             outcomes.add((spec.kind, got[0] > 0.0, got[2]))
@@ -643,6 +679,14 @@ class TestGeneratedKernels:
         for kind in ("sir", "seir", "sihrd", "dense"):
             assert {(kind, True, True), (kind, False, True), (kind, True, False)} <= outcomes
         assert ("sihrd", "tie", 0) in outcomes and ("dense", "tie", 0) in outcomes
+
+    def test_solve_returns_the_clamped_decision(self):
+        # solve is the whole decision: u is clamp(u_raw, 0, 1) to the bit,
+        # on the NaN states and inf bounds of the cases too
+        for spec, x, cons in self.cases(1500, 619):
+            d = safety._solver(spec, cons)[0](x)
+            assert type(d) is ControlDecision, (spec.kind, x, cons)
+            assert d.u.hex() == safety._clamp01(d.u_raw).hex(), (spec.kind, x, cons)
 
     def test_rollout_law_matches_reference(self):
         for spec, x, cons in self.cases(1500, 617):
@@ -682,7 +726,7 @@ class TestGeneratedKernels:
                     w, z = x[: spec.n], x[spec.n :]
                     for cons in sets:
                         solve, law = safety._solver(spec, cons)
-                        got, want = solve(x), reference_solver(spec, cons)(w, z)
+                        got, want = solved(solve(x)), reference_solver(spec, cons)(w, z)
                         assert (got[0].hex(), got[1:]) == (want[0].hex(), want[1:]), (x, cons)
                         assert law(x).hex() == safety._clamp01(want[0]).hex(), (x, cons)
 
@@ -699,8 +743,8 @@ class TestGeneratedKernels:
         assert solve_a.__code__ is solve_b.__code__ and law_a.__code__ is law_b.__code__
         # each factory call binds its own spec and constants
         x = [4e5, 2e5, 4e5]
-        assert solve_a(x) == reference_solver(sir_spec, a)(x[:2], x[2:])
-        assert solve_b(x) == reference_solver(other, b)(x[:2], x[2:])
+        assert solved(solve_a(x)) == reference_solver(sir_spec, a)(x[:2], x[2:])
+        assert solved(solve_b(x)) == reference_solver(other, b)(x[:2], x[2:])
         assert solve_a(x) != solve_b(x)
         # another order of the same constraints is another shape
         assert safety._solver(sir_spec, a[::-1])[0].__code__ is not solve_a.__code__

@@ -486,6 +486,29 @@ class TestPrehistoryOverride:
             simulate(sc, prehistory=[value, 1e5, 1e6])
         assert "\n" not in str(err.value)
 
+    def test_forecast_that_blows_up_stops_the_run(self):
+        # the prehistory is finite and passes the floor, but one forecast
+        # step from it overflows; the law refuses the NaN forecast instead
+        # of resting at it, feasible
+        sc = dataclasses.replace(load_preset("sir_delay_danger"), feedback_mode="predictor")
+        with pytest.raises(ValueError, match=r"^state must be finite, got \[nan, nan, nan\]$"):
+            simulate(sc, prehistory=[1e200, 1e200, 0.0])
+
+    def test_delayed_feedback_reads_the_row_a_delay_back(self):
+        # sir_fig2 turns its law on at sample 100 < D = 110: samples 100 to
+        # 109 see the prehistory, and from k = D on the row states[k - D]
+        sc = dataclasses.replace(load_preset("sir_fig2"), feedback_mode="delayed")
+        spec, D, n = sc.spec, sc.delay_steps, sc.spec.n
+        past = [32e6, 3e5, 0.7e6]
+        traj = simulate(sc, prehistory=past)
+        assert 0 < sc.control_step < D < len(traj) - 1
+        solve = reference_solver(spec, sc.constraints)
+        for k in range(sc.control_step, len(traj)):
+            x = traj.states[k - D].tolist() if k >= D else past
+            assert float(traj.u_raw[k]).hex() == solve(x[:n], x[n:])[0].hex(), k
+        # the two sources give different laws on each side of k = D
+        assert traj.u_raw[D - 1] != traj.u_raw[D] > 0.0
+
 
 def assert_forecasts_replay(traj, prehistory, stride=1):
     """Every stride-th controlled sample k of a predictor run records the
