@@ -186,8 +186,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return handlers[args.command](args)
     # scenario, case-data and trajectory-file errors are ValueErrors; an
-    # output directory that cannot be made or written is an OSError
-    except (ValueError, SimulationError, OSError) as exc:
+    # output directory that cannot be made or written is an OSError; numpy
+    # words the MemoryError of a run too long for its arrays
+    except (ValueError, SimulationError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -11,14 +11,14 @@ reads the list uncopied.  The model derivative and the law are both
 compiled from the model's formula table (models.FormulaTable): the
 derivative once per table, the law once per table and shape of constraint
 set, with the table's formulas written into the law's own code, so a law
-evaluation calls no model evaluator.  safety's memo holds, per constraint
-set, both of the law's entry points, each on the flat state:
-solve(x) -> ControlDecision, which combined_control returns as is, and
-law(x) -> u, which make_input_fn gates by step number; its last-used slot
-answers the plant loop's repeat request by identity.  A rollout takes its
-input per step from an input_fn: sim.simulate's replays the commands it
-sent, so its forecasts run no law; delay.predict_state passes
-make_input_fn's law, and wraps the rollout with a ModelState interface.
+evaluation calls no model evaluator.  The law has one entry point,
+solve(x) -> ControlDecision on the flat state, memoized by safety._solver:
+combined_control returns its decision as is (answering the plant loop's
+repeat request from a last-used slot), and make_input_fn gates its u by
+step number.  A rollout takes its input per step from an input_fn:
+sim.simulate's replays the commands it sent, so its forecasts run no law;
+delay.predict_state passes make_input_fn's law, and wraps the rollout with
+a ModelState interface.
 ModelSpec.flat turns a ModelState into the flat list, and is the one check
 that a state, in either form, fits the model.  Inputs are gated by step
 number; sim.grid_steps maps times.
@@ -102,23 +102,16 @@ def make_input_fn(
     first_step: int = 0,
 ) -> InputFn:
     """Scalar feedback law u(k, x) at step number k: zero before first_step,
-    afterwards the min-norm QP solution clamped to [0, 1], from the flat law
-    generated for the constraint set (constant zero without constraints).
-    It gives the bits of the u the simulator commands at the same state, so
+    afterwards the min-norm QP solution clamped to [0, 1], the u of the
+    solve generated for the constraint set (zero without constraints).  It
+    gives the bits of the u the simulator commands at the same state, so
     delay.predict_state forecasts as if those commands had been sent."""
-    constraints = tuple(constraints)
-    if not constraints:
-        return _rest
-    law = _solver(spec, constraints)[1]
+    solve = _solver(spec, tuple(constraints))
 
     def input_fn(k: int, x: Sequence[float]) -> float:
-        return law(x) if k >= first_step else 0.0
+        return solve(x)[1] if k >= first_step else 0.0
 
     return input_fn
-
-
-def _rest(k: int, x: Sequence[float]) -> float:
-    return 0.0
 
 
 def closed_loop_rollout(

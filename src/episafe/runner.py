@@ -217,7 +217,8 @@ def import_trajectory(path: str | Path, scenario: Scenario) -> Trajectory:
     not record other infeasible steps.  The h columns are written for
     readers and not read back: the Trajectory computes its margins from
     the states, and its times from the scenario.  The header must match
-    the scenario's, h columns included, and the file must hold one row per
+    the scenario's, h columns included; a data line that is not one number
+    per column is named by its line number.  The file must hold one row per
     sample of the scenario's time grid, each t within grid_steps's
     tolerance of its sample time (TrajectoryFormatError otherwise), so that
     the audit's decay check uses the file's own step.
@@ -236,14 +237,14 @@ def import_trajectory(path: str | Path, scenario: Scenario) -> Trajectory:
             f"{path}: header {','.join(header)!r} does not match scenario "
             f"(expected {','.join(expected)!r})"
         )
+    width = len(expected)
     try:
-        data = np.array(
-            [list(map(float, line.split(","))) for line in lines[1:] if line],
-        )
-    except ValueError as exc:
-        raise TrajectoryFormatError(f"{path}: bad numeric cell: {exc}") from exc
-    if data.ndim != 2 or data.shape[1] != len(expected):
-        raise TrajectoryFormatError(f"{path}: malformed data block {data.shape}")
+        data = np.array([list(map(float, line.split(","))) for line in lines[1:] if line])
+    except ValueError:  # a bad cell, or rows of unequal length
+        data = None
+    if data is None or data.size and data.shape[1] != width:
+        raise TrajectoryFormatError(f"{path}: {_bad_row(lines, width)}")
+    data = data.reshape(-1, width)  # a file without data rows too
     n_rows = scenario.n_steps + 1
     if data.shape[0] != n_rows:
         raise TrajectoryFormatError(
@@ -258,7 +259,7 @@ def import_trajectory(path: str | Path, scenario: Scenario) -> Trajectory:
     if off.any():
         k = int(np.argmax(off))
         raise TrajectoryFormatError(
-            f"{path}: sample {k} has t = {data[k, 0]!r}, off the scenario's "
+            f"{path}: sample {k} has t = {float(data[k, 0])!r}, off the scenario's "
             f"time grid (t_start {scenario.t_start:g}, dt {scenario.dt:g})"
         )
     n_state = len(scenario.spec.labels)
@@ -272,6 +273,22 @@ def import_trajectory(path: str | Path, scenario: Scenario) -> Trajectory:
         feasible=u_raw <= 1.0,
         disturbances=data[:, -1],
     )
+
+
+def _bad_row(lines: list[str], width: int) -> str:
+    """The first data line of a trajectory file that is not width numbers,
+    named by its line number."""
+    for number, line in enumerate(lines[1:], 2):
+        if not line:  # the parse skips blank lines
+            continue
+        cells = line.split(",")
+        if len(cells) != width:
+            return f"line {number}: expected {width} fields, got {len(cells)}"
+        try:
+            list(map(float, cells))
+        except ValueError as exc:
+            return f"line {number}: bad numeric cell: {exc}"
+    return "malformed data block"
 
 
 def write_long_table(trajectory: Trajectory, path: str | Path) -> Path:

@@ -154,19 +154,16 @@ def _clamp01(v: float) -> float:
 # first time the pair is seen.  The table's lines for f, g, q and r are
 # written into the code itself (the evaluate block below), so an
 # evaluation calls no model evaluator, slices no state and builds no
-# Jacobian tuple.  Each compiled pair is a factory; called with a spec and
-# constraints it binds the spec's parameter values, the Jacobian entries
-# and every constraint constant, and returns two entry points, both on the
-# flat state [w; z] that ModelSpec.flat returns:
-#   solve(x) -> ControlDecision, the whole decision with active the
-#               constraint's position, which every public control function
-#               returns (multiplicative_control and outlet_control with
-#               active None);
-#   law(x) -> u, the clamped input, for rollouts; it skips the upper-bound
-#             and zero-authority bookkeeping, which only decide feasible.
-# _solver memoizes the pair; its last-used slot answers a plant loop's repeat
-# request by identity, so a controlled sample costs solve, ModelSpec.flat
-# and the finiteness check in combined_control.
+# Jacobian tuple.  Each compiled template is a factory: called with a spec
+# and constraints, it binds the spec's parameter values, the Jacobian
+# entries and every constraint constant, and returns the law's one entry
+# point, solve(x) -> ControlDecision on the flat state [w; z] that
+# ModelSpec.flat returns, with active the constraint's position.  Every
+# public control function returns its decision (multiplicative_control and
+# outlet_control with active None); engine.make_input_fn reads u from it.
+# _solver memoizes solve; combined_control answers a plant loop's repeat
+# request from its last-used slot by identity, so a controlled sample
+# costs solve, ModelSpec.flat and the finiteness check.
 # The margins below also accept numpy columns, one entry per sample, and
 # then return arrays; _margins evaluates them on a matrix of states.
 
@@ -240,15 +237,7 @@ def factory(spec, constraints):
         u = 1.0 if u_raw > 1.0 else u_raw
         return new(decision, (u_raw, u, holds and u_raw <= ceiling, active))
 
-    def law(x):
-        [{x}] = x
-{evaluate}
-        u_raw = 0.0
-{law_steps}
-        # u_raw starts at 0.0 and only rises, so only the cap at 1 can bind
-        return 1.0 if u_raw > 1.0 else u_raw
-
-    return solve, law
+    return solve
 """
 _SOLVE_STEP = """\
         d{k} = {drift}
@@ -264,12 +253,6 @@ _SOLVE_STEP = """\
                 ceiling = upper
         elif d{k} > 0.0:
             holds = False"""
-_LAW_STEP = """\
-        a{k} = {authority}
-        if a{k} <= -g_tol:
-            lower = ({drift}) / -a{k}
-            if lower > u_raw:
-                u_raw = lower"""
 
 
 @lru_cache(maxsize=64)
@@ -295,7 +278,7 @@ def _law_factory(table: FormulaTable, shape: tuple[tuple[str, int], ...]):
     if outlets:
         outflows = zip(table.q, table.r)
         evaluate += [f"o{i} = ({local(q)}) + ({local(r)})" for i, (q, r) in enumerate(outflows)]
-    constants, solve_steps, law_steps = [], [], []
+    constants, solve_steps = [], []
     for k, (kind, j) in enumerate(shape):
         if kind == OUTLET:
             constants.append(
@@ -313,9 +296,7 @@ def _law_factory(table: FormulaTable, shape: tuple[tuple[str, int], ...]):
             constants.append(f"s{k}, alpha{k}, bound{k} = c{k}.sign, c{k}.alpha, c{k}.bound")
             drift = f"s{k} * f{j} - alpha{k} * (s{k} * (bound{k} - {local(table.w[j])}))"
             authority = f"s{k} * g{j}"
-        fill = dict(k=k, drift=drift, authority=authority)
-        solve_steps.append(_SOLVE_STEP.format(**fill))
-        law_steps.append(_LAW_STEP.format(**fill))
+        solve_steps.append(_SOLVE_STEP.format(k=k, drift=drift, authority=authority))
 
     def block(lines: list[str], indent: str) -> str:
         return "\n".join(indent + line for line in lines)
@@ -328,7 +309,6 @@ def _law_factory(table: FormulaTable, shape: tuple[tuple[str, int], ...]):
         x=each(table.w + table.z),
         evaluate=block(evaluate, "        "),
         solve_steps="\n".join(solve_steps),
-        law_steps="\n".join(law_steps),
     )
     namespace: dict = {"ControlDecision": ControlDecision}
     exec(compile(source, f"<law kernel, {table.w + table.z}, {shape}>", "exec"), namespace)
@@ -338,30 +318,16 @@ def _law_factory(table: FormulaTable, shape: tuple[tuple[str, int], ...]):
 # Kernels built lately, keyed by (id(spec), constraints); each entry also
 # holds its spec, so the id cannot be reused while the entry lives.  The
 # memo is emptied when it reaches _KERNELS_KEPT entries.  Concurrent callers
-# may build the same kernels twice; either copy gives the same results.
+# may build the same kernel twice; either copy gives the same results.
 _KERNELS: dict = {}
 _KERNELS_KEPT = 16
-# The last request answered, as one (spec, constraints, kernels) tuple: a
-# repeat with the same objects skips hashing the constraints.  It is read
-# once and replaced whole, so concurrent callers never see a mix of two.
-_last = (None, None, None)
 
 
 def _solver(spec: ModelSpec, constraints: tuple[SafetyConstraint, ...]):
-    """Return (solve, law) for the constraint set: the two entry points that
-    the factory compiled for the spec's formula table and the constraints'
-    shape binds to the spec's values and the constraints (see the scalar
-    core notes above).  Both evaluate the model's formulas inline.  The memo
-    entry holds both; they are built, and the constraints checked against
-    the model, only on the first request.
-
-    Every caller of the law shares the memo, so a run builds its kernels
-    once however many times it evaluates them.
-    """
-    global _last
-    last = _last
-    if last[0] is spec and last[1] is constraints:
-        return last[2]
+    """Return solve for the constraint set, from the factory for the spec's
+    formula table and the constraints' shape (see the scalar core notes
+    above).  It is built, and the constraints checked against the model,
+    on the first request only; every caller of the law shares the memo."""
     key = (id(spec), constraints)
     entry = _KERNELS.get(key)
     if entry is None:
@@ -372,7 +338,6 @@ def _solver(spec: ModelSpec, constraints: tuple[SafetyConstraint, ...]):
         if len(_KERNELS) >= _KERNELS_KEPT:
             _KERNELS.clear()
         entry = _KERNELS[key] = (spec, factory(spec, constraints))
-    _last = (spec, constraints, entry[1])
     return entry[1]
 
 
@@ -426,6 +391,12 @@ def outlet_control(
     return combined_control(spec, (constraint,), state)._replace(active_constraint=None)
 
 
+# combined_control's last request, as one (spec, constraints, solve) tuple:
+# a repeat with the same objects skips hashing the constraints.  It is read
+# once and replaced whole, so concurrent callers never see a mix of two.
+_last = (None, None, None)
+
+
 def combined_control(
     spec: ModelSpec,
     constraints: Sequence[SafetyConstraint],
@@ -445,6 +416,7 @@ def combined_control(
     without constraints, and passes a list to the law without a copy.  A
     state holding NaN or an infinity is refused (ValueError).
     """
+    global _last
     if not isinstance(constraints, tuple):
         constraints = tuple(constraints)
     x = spec.flat(state)
@@ -452,7 +424,12 @@ def combined_control(
         _check_finite(x)
     if not constraints:
         return ControlDecision(0.0, 0.0, True, None)
-    return _solver(spec, constraints)[0](x)
+    last = _last
+    if last[0] is spec and last[1] is constraints:
+        return last[2](x)
+    solve = _solver(spec, constraints)
+    _last = (spec, constraints, solve)
+    return solve(x)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -83,7 +84,8 @@ class Scenario:
 
     feedback_mode is one of "instantaneous", "delayed", "predictor"; tau is
     the measurement delay used by the latter two.  disturbance_delta bounds
-    the per-step uniform input disturbance (0 disables it; draws use seed).
+    the per-step uniform input disturbance (0 disables it; draws use seed,
+    a non-negative integer).
     The controller is off (u = 0) before sample control_step.  The horizon,
     tau and control_start - t_start map to the step counts n_steps,
     delay_steps and control_step through grid_steps, and must each be a
@@ -121,6 +123,8 @@ class Scenario:
             raise ValueError("tau must be a non-negative multiple of dt")
         if self.disturbance_delta < 0.0:
             raise ValueError("disturbance_delta must be non-negative")
+        if not (isinstance(self.seed, Integral) and self.seed >= 0):
+            raise ValueError("seed must be a non-negative integer")
         if (
             grid_steps(self.control_start - self.t_start, self.dt) is None
             or self.control_start > self.t_end

@@ -86,6 +86,13 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_run_too_long_to_allocate_exits_2(self, capsys):
+        # 1.9e17 steps: numpy refuses the arrays at once
+        assert main(["simulate", "sir_fig2", "--dt", "1e-15"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: Unable to allocate ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
     def test_comma_in_constraint_name_exits_2(self, tmp_path, capsys):
         # the name would add a column to the trajectory CSV header
         doc = sir_doc(
@@ -306,6 +313,15 @@ class TestSweep:
         captured = capsys.readouterr()
         assert captured.err == "error: seed must be a whole number, got 2.2\n"
         assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+    def test_run_too_long_to_allocate_exits_2(self, tmp_path, capsys):
+        assert main([
+            "sweep", "sir_fig2", "--param", "dt", "--values", "1e-15", "--out", str(tmp_path),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: Unable to allocate ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_parameter_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -180,6 +180,7 @@ class TestSweep:
             ("seed", [1, float("inf")], "seed must be a whole number"),
             ("seed", [2, 2.0], "same run name 'probe_seed_2'"),
             ("delta", [0.01, 0.0100000001], "same run name 'probe_delta_0.01'"),
+            ("seed", [1, -3], "^seed must be a non-negative integer$"),
         ],
     )
     def test_rejects_values_before_any_run(self, danger, tmp_path, parameter, values, message):
@@ -252,8 +253,33 @@ class TestTrajectoryCsv:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(TrajectoryFormatError, match="sample 2 .* off the scenario's time grid"):
             import_trajectory(path, short_run.scenario)
+        cells[0] = "nan"  # printed as a float, not as numpy's repr
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TrajectoryFormatError, match="sample 2 has t = nan, off"):
+            import_trajectory(path, short_run.scenario)
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(TrajectoryFormatError, match="samples, but the scenario's time grid"):
+            import_trajectory(path, short_run.scenario)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (lambda line: line + ",0", "line 4: expected 8 fields, got 9$"),
+            (lambda line: "  ", "line 4: expected 8 fields, got 1$"),
+            (
+                lambda line: line.replace(",", ",x", 1),
+                "line 4: bad numeric cell: could not convert string to float: 'x",
+            ),
+        ],
+        ids=["extra field", "whitespace row", "bad cell"],
+    )
+    def test_import_names_the_line_of_a_bad_row(self, short_run, tmp_path, row, message):
+        path = export_trajectory(short_run, tmp_path / "t.csv")
+        lines = path.read_text().splitlines()
+        lines[3] = row(lines[3])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TrajectoryFormatError, match=message):
             import_trajectory(path, short_run.scenario)
 
     def test_import_time_check_matches_grid_steps(self, short_run, tmp_path):

@@ -602,7 +602,7 @@ class TestUnrolledOutletTerms:
         for k in range(3000):
             spec = specs[k % 3]
             w, z, cons = self.random_case(rng, spec, k)
-            got = solved(safety._solver(spec, cons)[0](w + z))
+            got = solved(safety._solver(spec, cons)(w + z))
             want = reference_solver(spec, cons)(w, z)
             assert (got[0].hex(), got[1:]) == (want[0].hex(), want[1:]), (spec.kind, w, z, cons)
             outcomes.add((spec.kind, got[0] > 0.0, got[2]))
@@ -613,9 +613,9 @@ class TestUnrolledOutletTerms:
 
 
 class TestGeneratedKernels:
-    """Both entry points of the law that safety generates per shape of
-    constraint set, bit for bit against oracles.reference_solver: solve
-    behind the public control functions, and the flat rollout law behind
+    """The law's one entry point, solve, that safety generates per shape of
+    constraint set, bit for bit against oracles.reference_solver: behind
+    the public control functions, and behind the rollout law of
     engine.make_input_fn."""
 
     @staticmethod
@@ -669,7 +669,7 @@ class TestGeneratedKernels:
         outcomes = set()
         for spec, x, cons in self.cases(1500, 616):
             w, z = x[: spec.n], x[spec.n :]
-            got = solved(safety._solver(spec, cons)[0](x))
+            got = solved(safety._solver(spec, cons)(x))
             want = reference_solver(spec, cons)(w, z)
             assert (got[0].hex(), got[1:]) == (want[0].hex(), want[1:]), (spec.kind, x, cons)
             outcomes.add((spec.kind, got[0] > 0.0, got[2]))
@@ -684,7 +684,7 @@ class TestGeneratedKernels:
         # solve is the whole decision: u is clamp(u_raw, 0, 1) to the bit,
         # on the NaN states and inf bounds of the cases too
         for spec, x, cons in self.cases(1500, 619):
-            d = safety._solver(spec, cons)[0](x)
+            d = safety._solver(spec, cons)(x)
             assert type(d) is ControlDecision, (spec.kind, x, cons)
             assert d.u.hex() == safety._clamp01(d.u_raw).hex(), (spec.kind, x, cons)
 
@@ -725,10 +725,10 @@ class TestGeneratedKernels:
                     x[k] = math.inf
                     w, z = x[: spec.n], x[spec.n :]
                     for cons in sets:
-                        solve, law = safety._solver(spec, cons)
-                        got, want = solved(solve(x)), reference_solver(spec, cons)(w, z)
+                        d = safety._solver(spec, cons)(x)
+                        got, want = solved(d), reference_solver(spec, cons)(w, z)
                         assert (got[0].hex(), got[1:]) == (want[0].hex(), want[1:]), (x, cons)
-                        assert law(x).hex() == safety._clamp01(want[0]).hex(), (x, cons)
+                        assert d.u.hex() == safety._clamp01(want[0]).hex(), (x, cons)
 
     def test_same_shape_shares_one_factory(self, sir_spec):
         other = build_sir(SirParams(beta0=0.4, gamma=0.1, N=1e6))
@@ -738,16 +738,16 @@ class TestGeneratedKernels:
             i_bound(bound=5e3, alpha=0.5, direction="lower"),
             dataclasses.replace(s_floor, bound=math.inf),
         )
-        solve_a, law_a = safety._solver(sir_spec, a)
-        solve_b, law_b = safety._solver(other, b)
-        assert solve_a.__code__ is solve_b.__code__ and law_a.__code__ is law_b.__code__
+        solve_a = safety._solver(sir_spec, a)
+        solve_b = safety._solver(other, b)
+        assert solve_a.__code__ is solve_b.__code__
         # each factory call binds its own spec and constants
         x = [4e5, 2e5, 4e5]
         assert solved(solve_a(x)) == reference_solver(sir_spec, a)(x[:2], x[2:])
         assert solved(solve_b(x)) == reference_solver(other, b)(x[:2], x[2:])
         assert solve_a(x) != solve_b(x)
         # another order of the same constraints is another shape
-        assert safety._solver(sir_spec, a[::-1])[0].__code__ is not solve_a.__code__
+        assert safety._solver(sir_spec, a[::-1]).__code__ is not solve_a.__code__
 
 
 # -- property-based invariants ------------------------------------------------

@@ -83,6 +83,11 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="disturbance"):
             sir_scenario(sir_spec, disturbance_delta=-0.1)
 
+    @pytest.mark.parametrize("seed", [-3, 2.5])
+    def test_seed_must_be_a_non_negative_integer(self, sir_spec, seed):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
+            sir_scenario(sir_spec, disturbance_delta=0.1, seed=seed)
+
     @pytest.mark.parametrize("dt", [0.0, -0.1])
     def test_non_positive_step_rejected(self, sir_spec, dt):
         with pytest.raises(ValueError, match="^dt must be positive$"):
@@ -555,30 +560,49 @@ class TestLawPaths:
         assert_forecasts_replay(traj, past)
 
     def test_predictor_runs_the_law_once_per_sample(self, monkeypatch):
-        # count the calls of both entry points the law memo hands out,
-        # from safety and from engine, which imports it by name
-        calls = {"solve": 0, "law": 0}
+        # count the calls of the solve the law memo hands out, from safety
+        # and from engine, which imports it by name: one per controlled
+        # sample means no forecast ran the law
+        calls = 0
         original = safety._solver
 
         def counting_solver(spec, constraints):
-            solve, law = original(spec, constraints)
+            solve = original(spec, constraints)
 
             def counting_solve(x):
-                calls["solve"] += 1
+                nonlocal calls
+                calls += 1
                 return solve(x)
 
-            def counting_law(x):
-                calls["law"] += 1
-                return law(x)
-
-            return counting_solve, counting_law
+            return counting_solve
 
         monkeypatch.setattr(safety, "_solver", counting_solver)
         monkeypatch.setattr(engine, "_solver", counting_solver)
+        monkeypatch.setattr(safety, "_last", (None, None, None))
         sc = dataclasses.replace(load_preset("sir_fig2"), t_end=40.0)
         assert sc.feedback_mode == "predictor" and sc.control_step > 0
         simulate(sc)
-        assert calls == {"solve": sc.n_steps + 1 - sc.control_step, "law": 0}
+        assert calls == sc.n_steps + 1 - sc.control_step
+
+    def test_plant_loop_asks_the_memo_once_per_run(self, monkeypatch):
+        # combined_control answers the plant loop's repeat request from its
+        # last-used slot: the memo is asked once, not once per sample
+        calls = 0
+        original = safety._solver
+
+        def counting_solver(spec, constraints):
+            nonlocal calls
+            calls += 1
+            return original(spec, constraints)
+
+        monkeypatch.setattr(safety, "_solver", counting_solver)
+        monkeypatch.setattr(safety, "_last", (None, None, None))
+        sc = dataclasses.replace(
+            load_preset("sir_fig2"), feedback_mode="instantaneous", t_end=40.0
+        )
+        assert sc.n_steps + 1 - sc.control_step > 1
+        simulate(sc)
+        assert calls == 1
 
     @pytest.mark.parametrize("preset", preset_names())
     def test_recorded_law_matches_combined_control(self, preset):
