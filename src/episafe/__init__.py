@@ -13,8 +13,6 @@ import importlib
 _EXPORTS = {
     "delay": (
         "PredictorConfig",
-        "estimate_lipschitz",
-        "issf_inflated_barrier",
         "predict_state",
         "prediction_error",
     ),

@@ -1,34 +1,29 @@
-"""Measurement-delay compensation and robustness margins.
+"""Measurement-delay compensation: forecast the current state.
 
 Compartmental data lags behind the true state (incubation plus testing
 time).  Feeding the stale measurement into the feedback law can lose the
-safety guarantee, so the current state is forecast from the last measurement
-(sim.simulate replays the inputs sent since; predict_state runs the law),
-and this module quantifies how forecast errors degrade safety: a bounded
-input disturbance of size delta enlarges the guaranteed-invariant region by
-(delta / alpha) times the local control authority, where delta = c * epsilon
-for a forecast error epsilon and a law with Lipschitz constant c.
+safety guarantee, so the current state is forecast from the last
+measurement (sim.simulate replays the inputs sent since; predict_state runs
+the law), and prediction_error measures how far a forecast lies from the
+true state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
 from . import engine
 from .models import ModelSpec, ModelState, _check_finite
-from .safety import MULTIPLICATIVE, SafetyConstraint, barrier_value
+from .safety import SafetyConstraint
 from .sim import grid_steps
 
 __all__ = [
     "PredictorConfig",
     "predict_state",
     "prediction_error",
-    "estimate_lipschitz",
-    "issf_inflated_barrier",
 ]
 
 
@@ -78,14 +73,17 @@ def predict_state(
     The law turns on at step max(0, round((control_start - t_measured) /
     dt_pred)), the step nearest control_start (a tie goes to the even step);
     for a forecast from sample k - D of sim.simulate, control_step - (k - D).
-    t_measured and every entry of measured must be finite (ValueError).
+    measured may also be the flat [w; z] list (see ModelSpec.flat); the
+    forecast is a ModelState at every delay, and at zero delay a ModelState
+    comes back as itself.  t_measured and every entry of measured must be
+    finite (ValueError).
     """
     x = spec.flat(measured)
     _check_finite(x)
     if not math.isfinite(t_measured):
         raise ValueError(f"t_measured must be finite, got {t_measured!r}")
     if config.n_steps == 0:
-        return measured
+        return measured if isinstance(measured, ModelState) else spec.state(x)
     first_step = 0
     if config.control_start is not None:
         # clamped first, so a quotient that overflowed to inf still rounds
@@ -101,62 +99,3 @@ def prediction_error(predicted: ModelState, actual: ModelState) -> float:
     if predicted.labels != actual.labels:
         raise ValueError("states must share compartment layout")
     return float(np.max(np.abs(predicted.x - actual.x)))
-
-
-def estimate_lipschitz(
-    spec: ModelSpec,
-    controller: Callable[[ModelState], float],
-    lower: Sequence[float],
-    upper: Sequence[float],
-    samples: int = 200,
-    seed: int = 0,
-) -> float:
-    """Sampled lower bound on the feedback law's Lipschitz constant.
-
-    Draws states uniformly from the box [lower, upper] and maximizes
-    |A(x1) - A(x2)| / ||x1 - x2||_inf over all pairs.  A sampled maximum can
-    only undershoot the true constant, so treat the result as a floor.
-    """
-    if samples < 2:
-        raise ValueError("need at least two samples")
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    if lower.shape != (spec.n + spec.m,) or upper.shape != lower.shape:
-        raise ValueError("region bounds must match the model dimension")
-    if np.any(upper < lower):
-        raise ValueError("region is empty")
-    rng = np.random.default_rng(seed)
-    points = rng.uniform(lower, upper, size=(samples, lower.size))
-    values = np.array([controller(spec.state(p)) for p in points])
-    best = 0.0
-    for i in range(samples - 1):
-        gaps = np.max(np.abs(points[i + 1 :] - points[i]), axis=1)
-        diffs = np.abs(values[i + 1 :] - values[i])
-        mask = gaps > 0.0
-        if np.any(mask):
-            best = max(best, float(np.max(diffs[mask] / gaps[mask])))
-    return best
-
-
-def issf_inflated_barrier(
-    spec: ModelSpec,
-    constraint: SafetyConstraint,
-    state: ModelState,
-    delta: float,
-) -> float:
-    """Safety margin enlarged by the disturbance budget delta.
-
-    h_d = h + (delta / alpha) * |control authority over the compartment|,
-    evaluated at the instantaneous state.  The enlarged margin stays
-    non-negative under any input disturbance within delta, provided the
-    nominal law satisfies its safety condition.  delta must be finite and
-    non-negative (ValueError).  Defined for multiplicative constraints only.
-    """
-    if not 0.0 <= delta < math.inf:
-        raise ValueError(f"delta must be finite and non-negative, got {delta!r}")
-    if constraint.kind != MULTIPLICATIVE:
-        raise ValueError("inflated margin is defined for multiplicative constraints")
-    constraint.check_against(spec)
-    h = barrier_value(constraint, state)
-    authority = abs(spec.g_t(spec.flat(state)[: spec.n])[constraint.index])
-    return h + (delta / constraint.alpha) * authority

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isfinite
+from numbers import Integral
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -86,8 +87,8 @@ class SafetyConstraint:
             raise ValueError(f"unknown constraint kind {self.kind!r}")
         if self.direction not in ("upper", "lower"):
             raise ValueError(f"unknown direction {self.direction!r}")
-        if self.index < 0:
-            raise ValueError("compartment index must be non-negative")
+        if not (isinstance(self.index, Integral) and self.index >= 0):
+            raise ValueError("compartment index must be a non-negative integer")
         if not self.bound > 0.0:
             raise ValueError("bound must be strictly positive")
         if not self.alpha > 0.0:
@@ -315,30 +316,17 @@ def _law_factory(table: FormulaTable, shape: tuple[tuple[str, int], ...]):
     return namespace["factory"]
 
 
-# Kernels built lately, keyed by (id(spec), constraints); each entry also
-# holds its spec, so the id cannot be reused while the entry lives.  The
-# memo is emptied when it reaches _KERNELS_KEPT entries.  Concurrent callers
-# may build the same kernel twice; either copy gives the same results.
-_KERNELS: dict = {}
-_KERNELS_KEPT = 16
-
-
+@lru_cache(maxsize=16)
 def _solver(spec: ModelSpec, constraints: tuple[SafetyConstraint, ...]):
     """Return solve for the constraint set, from the factory for the spec's
     formula table and the constraints' shape (see the scalar core notes
     above).  It is built, and the constraints checked against the model,
-    on the first request only; every caller of the law shares the memo."""
-    key = (id(spec), constraints)
-    entry = _KERNELS.get(key)
-    if entry is None:
-        for c in constraints:
-            c.check_against(spec)
-        shape = tuple((c.kind, c.index) for c in constraints)
-        factory = _law_factory(spec.formulas, shape)
-        if len(_KERNELS) >= _KERNELS_KEPT:
-            _KERNELS.clear()
-        entry = _KERNELS[key] = (spec, factory(spec, constraints))
-    return entry[1]
+    on the first request only; every caller of the law shares the memo,
+    keyed by the values of spec and constraints."""
+    for c in constraints:
+        c.check_against(spec)
+    shape = tuple((c.kind, c.index) for c in constraints)
+    return _law_factory(spec.formulas, shape)(spec, constraints)
 
 
 # -- public operations -------------------------------------------------------

@@ -353,7 +353,15 @@ def _issf_runs():
 
 
 def test_criterion_6_disturbance_robustness():
-    """Bounded input disturbance keeps the enlarged margin non-negative."""
+    """Bounded input disturbance keeps the enlarged margin non-negative.
+
+    Input-to-state safety (Kolathaya & Ames, IEEE L-CSS 2019): under an
+    input disturbance bounded by delta, the law keeps the inflated margin
+    h + (delta / alpha) * |g| non-negative, where g is the input's authority
+    over the capped compartment (beta0 * S * I / N for I in SIR).  The paper
+    reads a forecast error epsilon as such a disturbance, delta = c * epsilon
+    for a law with Lipschitz constant c.
+    """
     runs = _cached("issf", _issf_runs)
     worst_margin = np.inf
     for delta, bound, traj in runs:

@@ -6,19 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from episafe.delay import (
-    PredictorConfig,
-    estimate_lipschitz,
-    issf_inflated_barrier,
-    predict_state,
-    prediction_error,
-)
-from episafe.safety import (
-    MULTIPLICATIVE,
-    SafetyConstraint,
-    multiplicative_control,
-    qp_oracle,
-)
+from episafe.delay import PredictorConfig, predict_state, prediction_error
+from episafe.models import ModelState
+from episafe.safety import MULTIPLICATIVE, SafetyConstraint, qp_oracle
 from episafe.scenarios import load_preset
 from episafe.sim import Scenario, simulate
 
@@ -58,6 +48,14 @@ class TestPredictState:
         state = sir_spec.state([30e6, 1e5, 2.9e6])
         cfg = PredictorConfig(tau=0.0, dt_pred=0.1)
         assert predict_state(sir_spec, state, cfg) is state
+
+    @pytest.mark.parametrize("tau", [0.0, 0.1])
+    def test_flat_list_comes_back_as_a_state(self, sir_spec, tau):
+        # the forecast is a ModelState at every delay, also from a flat list
+        x = [32.9e6, 0.0, 1e5]  # no infections: the state stays put
+        pred = predict_state(sir_spec, x, PredictorConfig(tau=tau, dt_pred=0.1))
+        assert type(pred) is ModelState
+        assert pred == sir_spec.state(x)
 
     def test_reduces_to_open_loop_without_constraints(self, sir_spec):
         # no constraints -> u = 0 throughout the forecast
@@ -215,90 +213,6 @@ class TestPredictionError:
         err_forecast = prediction_error(pred, actual)
         err_stale = prediction_error(measured, actual)
         assert err_stale > 10.0 * max(err_forecast, 1e-9)
-
-
-class TestEstimateLipschitz:
-    def test_constant_controller_is_zero(self, sir_spec):
-        est = estimate_lipschitz(
-            sir_spec, lambda st: 0.42,
-            lower=[1e6, 1e4, 0.0], upper=[2e6, 2e4, 10.0], samples=50,
-        )
-        assert est == 0.0
-
-    def test_requires_two_samples(self, sir_spec):
-        with pytest.raises(ValueError, match="two samples"):
-            estimate_lipschitz(
-                sir_spec, lambda st: 0.0, [0, 0, 0], [1, 1, 1], samples=1
-            )
-
-    def test_matches_analytic_slope_near_fixed_susceptibles(self, sir_spec):
-        # active region, S pinned at N: the law is smooth in I there and
-        # d(law)/dI = alpha*C / ((beta0*S/N) * I^2)
-        N = SIR_US.N
-        i_mid = 1e5
-        lower = [N - 1000.0, 0.99 * i_mid, 0.0]
-        upper = [N, 1.01 * i_mid, 10.0]
-        controller = lambda st: multiplicative_control(sir_spec, I_CON, st).u_raw
-        est = estimate_lipschitz(sir_spec, controller, lower, upper, samples=300, seed=3)
-        slope = 0.02 * 2e5 / (0.33 * i_mid**2)
-        assert est == pytest.approx(slope, rel=0.05)
-
-    def test_sampled_estimate_grows_with_sample_set(self, sir_spec):
-        # same seed: the smaller draw is a prefix of the larger, so the max
-        # over its pairs cannot exceed the larger one
-        controller = lambda st: multiplicative_control(sir_spec, I_CON, st).u_raw
-        N = SIR_US.N
-        args = (sir_spec, controller, [0.8 * N, 5e4, 0.0], [N, 1.8e5, 10.0])
-        small = estimate_lipschitz(*args, samples=60, seed=9)
-        large = estimate_lipschitz(*args, samples=240, seed=9)
-        assert 0.0 < small <= large
-
-
-class TestInflatedBarrier:
-    def test_zero_delta_recovers_plain_margin(self, sir_spec):
-        state = sir_spec.state([32.9e6, 1e5, 0.0])
-        hd = issf_inflated_barrier(sir_spec, I_CON, state, 0.0)
-        assert hd == 1e5
-
-    def test_frozen_value(self, sir_spec):
-        # by hand: 1e5 + (0.1/0.02) * (0.33*32.9e6*1e5/33e6) = 1e5 + 5*32900
-        state = sir_spec.state([32.9e6, 1e5, 0.0])
-        hd = issf_inflated_barrier(sir_spec, I_CON, state, 0.1)
-        assert hd == pytest.approx(264500.0, rel=1e-12)
-
-    def test_never_below_plain_margin(self, sir_spec):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            state = sir_spec.state(rng.uniform(0, 33e6, 3))
-            from episafe.safety import barrier_value
-
-            hd = issf_inflated_barrier(sir_spec, I_CON, state, 0.05)
-            assert hd >= barrier_value(I_CON, state)
-
-    def test_doubling_delta_doubles_inflation(self, sir_spec):
-        state = sir_spec.state([30e6, 1.5e5, 2.85e6])
-        from episafe.safety import barrier_value
-
-        h = barrier_value(I_CON, state)
-        d1 = issf_inflated_barrier(sir_spec, I_CON, state, 0.04) - h
-        d2 = issf_inflated_barrier(sir_spec, I_CON, state, 0.08) - h
-        assert d2 == pytest.approx(2.0 * d1, rel=1e-12)
-
-    def test_rejects_negative_or_non_finite_delta(self, sir_spec):
-        # NaN and inf would pass a delta < 0 check and return nan or inf
-        state = sir_spec.state([32.9e6, 1e5, 0.0])
-        for delta in (-0.1, math.nan, math.inf):
-            with pytest.raises(ValueError, match="delta must be finite and non-negative"):
-                issf_inflated_barrier(sir_spec, I_CON, state, delta)
-
-    def test_rejects_outlet_constraints(self, sihrd_spec):
-        from episafe.safety import OUTLET
-
-        c = SafetyConstraint(OUTLET, 0, 4e4, 0.018, alpha_e=0.014)
-        with pytest.raises(ValueError, match="multiplicative"):
-            issf_inflated_barrier(
-                sihrd_spec, c, sihrd_spec.state([1, 1, 1, 1, 1]), 0.1
-            )
 
 
 class TestDisturbedInvariance:

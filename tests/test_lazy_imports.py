@@ -16,10 +16,7 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # the package's public names, by the submodule that defines or re-exports them
 PUBLIC = {
-    "delay": (
-        "PredictorConfig", "estimate_lipschitz", "issf_inflated_barrier",
-        "predict_state", "prediction_error",
-    ),
+    "delay": ("PredictorConfig", "predict_state", "prediction_error"),
     "models": (
         "FormulaTable", "ModelSpec", "ModelState", "SeirParams", "SihrdParams",
         "SirParams", "build_seir", "build_sihrd", "build_sir",
@@ -77,6 +74,16 @@ def test_public_names_resolve_to_their_module_objects():
     assert set(episafe.__all__) <= set(dir(episafe))
     # looked up on every access, never bound in the package
     assert not set(episafe.__all__) & set(vars(episafe))
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.stem for p in Path(episafe.__file__).parent.glob("[!_]*.py"))
+)
+def test_every_submodule_export_resolves(module):
+    # a stale __all__ entry would break `from episafe.<module> import *`
+    mod = importlib.import_module(f"episafe.{module}")
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert missing == []
 
 
 def test_unknown_attribute_names_the_module():

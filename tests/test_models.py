@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from episafe.delay import PredictorConfig, issf_inflated_barrier, predict_state
+from episafe.delay import PredictorConfig, predict_state
 from episafe.models import (
     MODELS,
     FormulaTable,
@@ -247,9 +247,6 @@ STATE_FUNCTIONS = {
         spec, [_I_CAP], state
     ),
     "qp_oracle": lambda spec, state: qp_oracle(spec, [_I_CAP, _R_CAP], state),
-    "issf_inflated_barrier": lambda spec, state: issf_inflated_barrier(
-        spec, _I_CAP, state, 0.1
-    ),
 }
 
 

@@ -127,6 +127,15 @@ class TestSafetyConstraint:
             SafetyConstraint(MULTIPLICATIVE, 1, 2e5, 0.02, name=name)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("index", [-1, 1.5, "1"])
+    def test_rejects_an_index_that_is_not_a_non_negative_integer(self, index):
+        # a float index would build, then fail at every use as a list index
+        with pytest.raises(ValueError, match="^compartment index must be a non-negative integer$"):
+            SafetyConstraint(MULTIPLICATIVE, index, 2e5, 0.02)
+
+    def test_index_accepts_numpy_integers(self):
+        assert SafetyConstraint(MULTIPLICATIVE, np.int64(1), 2e5, 0.02).index == 1
+
     def test_index_range_check(self, sir_spec):
         c = SafetyConstraint(MULTIPLICATIVE, 5, 1e4, 0.1)
         with pytest.raises(ValueError, match="out of range"):
