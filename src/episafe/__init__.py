@@ -37,7 +37,6 @@ _EXPORTS = {
         "extended_barrier_value",
         "multiplicative_control",
         "outlet_control",
-        "qp_oracle",
         "validate_initial_condition",
     ),
     "sim": (

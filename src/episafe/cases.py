@@ -65,15 +65,20 @@ def ingest_cases(path: str | Path) -> list[CaseRecord]:
     [,mobility_index].  Dates must be ISO-8601 and strictly increasing;
     cumulative counts must be non-decreasing.  A mobility_index cell must
     be numeric when present, but is not kept.  Offending rows are reported
-    by line number.
+    by line number, a field the csv module refuses included; a file that
+    cannot be read or is not UTF-8 is reported by its path.
     """
     path = Path(path)
     origin = str(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CaseDataError(f"cannot read case data: {exc}", origin) from exc
-    rows = list(csv.reader(text.splitlines()))
+    reader = csv.reader(text.splitlines())
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # a field over csv.field_size_limit(), say
+        raise CaseDataError(str(exc), origin, reader.line_num) from None
     if not rows:
         raise CaseDataError("empty file", origin)
     header = tuple(h.strip() for h in rows[0])

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -174,29 +175,18 @@ def _columns(scenario: Scenario) -> list[str]:
     ]
 
 
-# The last trajectory formatted and its lines, as one (trajectory, lines)
-# tuple.  It is read once and replaced whole, so concurrent writers never
-# see a mix of two.
-_last = (None, [])
-
-
+@lru_cache(maxsize=1)
 def _lines(trajectory: Trajectory) -> list[str]:
     """One CSV line per sample, "t,<series...>\\n" in _columns order, with
     every value to 15 significant digits.  The two writers of one
     trajectory share one formatting pass: the lines are kept for the
-    trajectory last asked for, found again by identity."""
-    global _last
-    last = _last
-    if last[0] is trajectory:
-        return last[1]
+    trajectory last asked for, which hashes by identity."""
     table = np.column_stack((
         trajectory.times, trajectory.states, trajectory.u_raw, trajectory.u,
         trajectory.barriers, trajectory.disturbances,
     ))
     template = ",".join(["%.15g"] * table.shape[1]) + "\n"
-    lines = [template % tuple(row) for row in table.tolist()]
-    _last = (trajectory, lines)
-    return lines
+    return [template % tuple(row) for row in table.tolist()]
 
 
 def export_trajectory(trajectory: Trajectory, path: str | Path) -> Path:
@@ -221,13 +211,14 @@ def import_trajectory(path: str | Path, scenario: Scenario) -> Trajectory:
     per column is named by its line number.  The file must hold one row per
     sample of the scenario's time grid, each t within grid_steps's
     tolerance of its sample time (TrajectoryFormatError otherwise), so that
-    the audit's decay check uses the file's own step.
+    the audit's decay check uses the file's own step.  A file that cannot
+    be read or is not UTF-8 is named by its path.
     """
     path = Path(path)
     try:
         lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise TrajectoryFormatError(f"cannot read trajectory: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TrajectoryFormatError(f"{path}: cannot read trajectory: {exc}") from exc
     if not lines:
         raise TrajectoryFormatError(f"{path}: empty trajectory file")
     expected = _columns(scenario)

@@ -52,7 +52,6 @@ __all__ = [
     "outlet_control",
     "combined_control",
     "validate_initial_condition",
-    "qp_oracle",
 ]
 
 MULTIPLICATIVE = "multiplicative"
@@ -473,49 +472,3 @@ def validate_initial_condition(
         checks.append(ConstraintCheck(k, c.label(k), h, he, ok))
     return InitialConditionReport(tuple(checks))
 
-
-def qp_oracle(
-    spec: ModelSpec,
-    constraints: Sequence[SafetyConstraint],
-    state: ModelState,
-    grid_resolution: float = 1e-4,
-) -> float | None:
-    """Brute-force reference solver for the min-norm problem.
-
-    Minimizes u**2 over a uniform grid on [0, 1] subject to the exact
-    safety conditions of every constraint; returns the smallest feasible
-    grid value, or None when no grid point is feasible.  It shares no code
-    with the generated law: the tests use it, and the closed forms, to
-    cross-check the law.  Each condition is -drift - authority*u >= 0 with
-    the drift and authority of the formulas in the scalar core notes.
-    """
-    if not grid_resolution > 0.0:
-        raise ValueError("grid_resolution must be positive")
-    x = spec.flat(state)
-    w, z = x[: spec.n], x[spec.n :]
-    steps = int(round(1.0 / grid_resolution))
-    grid = np.linspace(0.0, 1.0, steps + 1)
-    feasible = np.ones_like(grid, dtype=bool)
-    for c in constraints:
-        c.check_against(spec)
-    f, g = spec.f_t(w), spec.g_t(w)
-    for c in constraints:
-        j, s = c.index, c.sign
-        if c.kind == OUTLET:
-            outflow = [a + b for a, b in zip(spec.q_t(w), spec.r_t(z))]
-            dq_row, dr_row = spec.dq_dw[j], spec.dr_dz[j]
-            drift = s * (
-                sum(a * b for a, b in zip(dq_row, f))
-                + sum(a * b for a, b in zip(dr_row, outflow))
-                + (c.alpha + c.alpha_e) * outflow[j]
-                - c.alpha_e * c.alpha * (c.bound - z[j])
-            )
-            authority = s * sum(a * b for a, b in zip(dq_row, g))
-        else:
-            drift = s * f[j] - c.alpha * (s * (c.bound - w[j]))
-            authority = s * g[j]
-        feasible &= (-drift - authority * grid) >= 0.0
-    idx = int(np.argmax(feasible))
-    if not feasible[idx]:
-        return None
-    return float(grid[idx])

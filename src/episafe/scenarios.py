@@ -304,7 +304,7 @@ def parse_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioParseError(f"cannot read scenario: {exc}", str(path)) from exc
     if not text.strip():
         raise ScenarioParseError("empty scenario file", str(path))

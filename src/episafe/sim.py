@@ -3,12 +3,14 @@
 The loop advances the model with a classical Runge-Kutta step of size dt,
 evaluating the feedback law once per step on the state selected by the
 scenario's feedback mode: the true current state, a measurement delayed by
-tau, or a forecast from it replaying the commands sent since.  The delayed
-measurement is the run's own recorded state tau back, or the prehistory
-before the run began; MeasurementBuffer is a standalone delay buffer that
-simulate does not use.  An optional bounded input disturbance, sampled per
-step from the scenario seed, is added to the applied input.  Everything a
-safety audit needs is recorded.
+tau, or a forecast from it replaying the commands sent since.  Every mode
+reads its measurement from one list: lag copies of the prehistory (lag = D
+delay steps in the delayed and predictor modes, 0 in instantaneous mode)
+followed by each recorded state, so sample k's measurement is entry k.
+MeasurementBuffer is a standalone delay buffer that simulate does not use.
+An optional bounded input disturbance, sampled per step from the scenario
+seed, is added to the applied input.  Everything a safety audit needs is
+recorded.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ class InitialConditionError(SimulationError):
 
     def __init__(self, report: InitialConditionReport):
         super().__init__(
-            "initial condition fails controller hypotheses:\n" + report.describe()
+            "initial condition fails controller hypotheses: "
+            + report.describe().replace("\n", "; ")
         )
         self.report = report
 
@@ -277,8 +280,12 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
     whose decision is recorded but not integrated) and the applied input
     clamp(u + d) is held constant across each step.  The predictor replays
     the commands u sent since its measurement: no law runs inside a
-    forecast.  The measurement for sample k is the recorded state of
-    sample k - D (D = delay_steps), or the prehistory while k < D.  In
+    forecast.  The measurements are one list, hist: lag copies of the
+    prehistory, then the state of every sample as it is recorded, with lag
+    = D (delay_steps) in the delayed and predictor modes and 0 in
+    instantaneous mode.  The law at sample k reads hist[k], the state of
+    sample k - lag or the prehistory while k < lag, and the predictor
+    starts its forecast there; the recorded states are hist[lag:].  In
     guaranteed mode the run refuses to start if the initial controlled
     state violates the controller hypotheses.  combined_control refuses
     every state the law sees that holds negative populations or a
@@ -294,7 +301,6 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
     n_steps = scenario.n_steps
     delay_steps = scenario.delay_steps
     dt = scenario.dt
-    delayed = scenario.feedback_mode != "instantaneous"
     predictor = scenario.feedback_mode == "predictor"
 
     x = scenario.state0.x.tolist()
@@ -308,17 +314,19 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
             -delta, delta, size=n_steps + 1 - first
         )
         offsets = dists[first:].tolist()
-    rows = []
     # (u_raw, u, feasible, active) per sample, at rest while the law is off
     decisions = [(0.0, 0.0, True, -1)] * first
 
-    if delayed:
+    lag = 0
+    if scenario.feedback_mode != "instantaneous":
+        lag = delay_steps
         if prehistory is None:
             prehistory = x
         else:
             prehistory = spec.state(prehistory).x.tolist()
             if not all(map(math.isfinite, prehistory)):
                 raise ValueError(f"prehistory must be finite, got {prehistory}")
+    hist = [prehistory] * lag  # the measurement of sample k is hist[k]
 
     def sent(j: int, _x: Sequence[float]) -> float:  # the command of sample j
         return decisions[j][1]
@@ -328,23 +336,20 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
     isfinite = math.isfinite
     report: InitialConditionReport | None = None
     for k in range(n_steps + 1):
-        rows.append(x)
+        hist.append(x)
         applied = 0.0
         if k >= first:
             if report is None:
                 report = validate_initial_condition(spec, cons, spec.state(x))
                 if not report.ok and scenario.guaranteed:
                     raise InitialConditionError(report)
-            feedback = x
-            if delayed:
-                # the row measured a delay back, or the prehistory
-                feedback = rows[k - delay_steps] if k >= delay_steps else prehistory
-                if predictor:
-                    # from the measurement, or from the start of the run
-                    span = min(k, delay_steps)
-                    feedback = engine.closed_loop_rollout(
-                        spec, feedback, k - span, span, dt, sent
-                    )
+            feedback = hist[k]
+            if predictor:
+                # from the measurement, or from the start of the run
+                span = min(k, delay_steps)
+                feedback = engine.closed_loop_rollout(
+                    spec, feedback, k - span, span, dt, sent
+                )
             decision = control(spec, cons, feedback)
             decisions.append(decision)
             applied = decision[1]  # in [0, 1]
@@ -362,10 +367,10 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
 
     u_raw, u, feasible, active = map(np.array, zip(*decisions))
     width = len(x)
-    states = np.fromiter(chain.from_iterable(rows), float, len(rows) * width)
+    states = np.fromiter(chain.from_iterable(hist[lag:]), float, (n_steps + 1) * width)
     return Trajectory(
         scenario=scenario,
-        states=states.reshape(len(rows), width),
+        states=states.reshape(n_steps + 1, width),
         u_raw=u_raw,
         u=u,
         active=active,
@@ -427,24 +432,25 @@ def safety_audit(trajectory: Trajectory) -> AuditReport:
     scenario with one holding it (dataclasses.replace), which recomputes
     them.  Reports, per constraint: the worst margin, every sign violation,
     and a discretized margin-decay check (h(t+dt) - h(t))/dt + alpha h(t)
-    >= -tol with tol = 1e-6 * alpha * bound.  The decay check is
-    informational: holding the input constant across a step shifts it by
-    O(dt) even for a perfectly safe run.
+    >= -tol with tol = 1e-6 * alpha * bound, on each step from the
+    scenario's control_step on: before it the law is off and nothing is
+    guaranteed.  Without such a step the check reports 0 failures and a
+    worst value of inf.  The decay check is informational: holding the
+    input constant across a step shifts it by O(dt) even for a perfectly
+    safe run.
     """
     scenario = trajectory.scenario
     dt = scenario.dt
+    start = scenario.control_step
     audits = []
     for c, series in zip(scenario.constraints, trajectory.barriers.T):
         k_min = int(np.argmin(series))
         viol = np.flatnonzero(series < 0.0)
         tol = 1e-6 * c.alpha * c.bound
-        if series.size > 1:
-            decay = np.diff(series) / dt + c.alpha * series[:-1]
-            bad = decay < -tol
-            failures = int(np.count_nonzero(bad))
-            worst = float(decay.min())
-        else:
-            failures, worst = 0, math.inf
+        controlled = series[start:]
+        decay = np.diff(controlled) / dt + c.alpha * controlled[:-1]
+        failures = int(np.count_nonzero(decay < -tol))
+        worst = float(decay.min()) if decay.size else math.inf
         audits.append(
             ConstraintAudit(
                 label=c.label(),

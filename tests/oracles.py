@@ -10,8 +10,10 @@ from __future__ import annotations
 from operator import add
 from typing import Sequence
 
-from episafe.models import SeirParams, SihrdParams, SirParams
-from episafe.safety import MULTIPLICATIVE, OUTLET
+import numpy as np
+
+from episafe.models import ModelSpec, ModelState, SeirParams, SihrdParams, SirParams
+from episafe.safety import MULTIPLICATIVE, OUTLET, SafetyConstraint
 
 Vector = tuple[float, ...]
 Matrix = tuple[tuple[float, ...], ...]
@@ -87,6 +89,53 @@ def reference_solver(spec, constraints):
         return u_raw, active, holds and u_raw <= ceiling
 
     return solve
+
+
+def qp_oracle(
+    spec: ModelSpec,
+    constraints: Sequence[SafetyConstraint],
+    state: ModelState,
+    grid_resolution: float = 1e-4,
+) -> float | None:
+    """Brute-force reference solver for the min-norm problem.
+
+    Minimizes u**2 over a uniform grid on [0, 1] subject to the exact
+    safety conditions of every constraint; returns the smallest feasible
+    grid value, or None when no grid point is feasible.  It shares no code
+    with the generated law, which it and the closed forms below cross-check.
+    Each condition is -drift - authority*u >= 0 with the drift and
+    authority of the formulas in episafe.safety's scalar core notes.
+    """
+    if not grid_resolution > 0.0:
+        raise ValueError("grid_resolution must be positive")
+    x = spec.flat(state)
+    w, z = x[: spec.n], x[spec.n :]
+    steps = int(round(1.0 / grid_resolution))
+    grid = np.linspace(0.0, 1.0, steps + 1)
+    feasible = np.ones_like(grid, dtype=bool)
+    for c in constraints:
+        c.check_against(spec)
+    f, g = spec.f_t(w), spec.g_t(w)
+    for c in constraints:
+        j, s = c.index, c.sign
+        if c.kind == OUTLET:
+            outflow = [a + b for a, b in zip(spec.q_t(w), spec.r_t(z))]
+            dq_row, dr_row = spec.dq_dw[j], spec.dr_dz[j]
+            drift = s * (
+                sum(a * b for a, b in zip(dq_row, f))
+                + sum(a * b for a, b in zip(dr_row, outflow))
+                + (c.alpha + c.alpha_e) * outflow[j]
+                - c.alpha_e * c.alpha * (c.bound - z[j])
+            )
+            authority = s * sum(a * b for a, b in zip(dq_row, g))
+        else:
+            drift = s * f[j] - c.alpha * (s * (c.bound - w[j]))
+            authority = s * g[j]
+        feasible &= (-drift - authority * grid) >= 0.0
+    idx = int(np.argmax(feasible))
+    if not feasible[idx]:
+        return None
+    return float(grid[idx])
 
 
 # -- reference models --------------------------------------------------------

@@ -20,7 +20,6 @@ from episafe.safety import (
     combined_control,
     multiplicative_control,
     outlet_control,
-    qp_oracle,
 )
 from episafe.scenarios import load_preset, parse_scenario, write_scenario
 from episafe.sim import Scenario, simulate
@@ -30,6 +29,7 @@ from oracles import (
     closed_form_death_control,
     closed_form_hospitalization_control,
     closed_form_infection_control,
+    qp_oracle,
 )
 
 GRID_STEP = 1e-4

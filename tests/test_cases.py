@@ -72,6 +72,18 @@ class TestIngest:
         with pytest.raises(CaseDataError, match=r":2: positivity_rate"):
             ingest_cases(write(tmp_path, text))
 
+    def test_field_over_the_csv_limit_names_row(self, tmp_path):
+        # the csv module refuses a field over 131,072 characters
+        text = "date,cumulative_confirmed\n2020-06-01," + "1" * 200_000 + "\n"
+        with pytest.raises(CaseDataError, match=r"cases\.csv:2: field larger than field limit"):
+            ingest_cases(write(tmp_path, text))
+
+    def test_undecodable_file_named(self, tmp_path):
+        p = tmp_path / "cases.csv"
+        p.write_bytes(b"date,cumulative_confirmed\n2020-06-01,1\xff0\n")
+        with pytest.raises(CaseDataError, match=r"cases\.csv: cannot read case data: 'utf-8'"):
+            ingest_cases(p)
+
     def test_malformed_row_named(self, tmp_path):
         text = WELL_FORMED + "2020-03-28\n"
         with pytest.raises(CaseDataError, match=":5:"):

@@ -195,6 +195,22 @@ bound = 5e4
         assert main(["simulate", str(path)]) == 2
         assert "initial condition" in capsys.readouterr().err
 
+    def test_refused_start_is_one_line(self, tmp_path, capsys):
+        # I starts 1e5 over its cap: one line names every constraint
+        doc = sir_doc(
+            (26e6, 3e5, 6.7e6), "mode = instantaneous",
+            ["compartment = I\nbound = 2e5\n", "compartment = R\nbound = 2e7\n"],
+        )
+        path = tmp_path / "over_cap.scenario"
+        path.write_text(doc)
+        assert main(["simulate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: initial condition fails controller hypotheses: "
+            "I: h=-100000 [FAIL]; R: h=1.33e+07, h_e=206000 [ok]\n"
+        )
+
     def test_cap_and_floor_on_infected(self, tmp_path):
         # a lower and an upper bound on u at once: solved, not refused
         path = tmp_path / "cap_floor.scenario"

@@ -8,12 +8,12 @@ import pytest
 
 from episafe.delay import PredictorConfig, predict_state, prediction_error
 from episafe.models import ModelState
-from episafe.safety import MULTIPLICATIVE, SafetyConstraint, qp_oracle
+from episafe.safety import MULTIPLICATIVE, SafetyConstraint
 from episafe.scenarios import load_preset
 from episafe.sim import Scenario, simulate
 
 from conftest import SIR_US, TAU_GRID_CASES
-from oracles import rk4_reference
+from oracles import qp_oracle, rk4_reference
 
 I_CON = SafetyConstraint(MULTIPLICATIVE, 1, 2e5, 0.02, name="I")
 

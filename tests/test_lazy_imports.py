@@ -24,7 +24,7 @@ PUBLIC = {
     "safety": (
         "MULTIPLICATIVE", "OUTLET", "ControlDecision", "SafetyConstraint",
         "barrier_value", "combined_control", "extended_barrier_value",
-        "multiplicative_control", "outlet_control", "qp_oracle",
+        "multiplicative_control", "outlet_control",
         "validate_initial_condition",
     ),
     "sim": (

@@ -30,7 +30,6 @@ from episafe.safety import (
     extended_barrier_value,
     multiplicative_control,
     outlet_control,
-    qp_oracle,
     validate_initial_condition,
 )
 
@@ -246,7 +245,6 @@ STATE_FUNCTIONS = {
     "validate_initial_condition": lambda spec, state: validate_initial_condition(
         spec, [_I_CAP], state
     ),
-    "qp_oracle": lambda spec, state: qp_oracle(spec, [_I_CAP, _R_CAP], state),
 }
 
 

@@ -282,6 +282,13 @@ class TestTrajectoryCsv:
         with pytest.raises(TrajectoryFormatError, match=message):
             import_trajectory(path, short_run.scenario)
 
+    def test_import_names_an_undecodable_file(self, short_run, tmp_path):
+        path = export_trajectory(short_run, tmp_path / "t.csv")
+        path.write_bytes(path.read_bytes().replace(b",", b"\xff,", 1))
+        with pytest.raises(TrajectoryFormatError) as err:
+            import_trajectory(path, short_run.scenario)
+        assert str(err.value).startswith(f"{path}: cannot read trajectory: 'utf-8' codec")
+
     def test_import_time_check_matches_grid_steps(self, short_run, tmp_path):
         # the importer checks every row at once; grid_steps, row by row, is
         # the reference

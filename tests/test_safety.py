@@ -32,7 +32,6 @@ from episafe.safety import (
     extended_barrier_value,
     multiplicative_control,
     outlet_control,
-    qp_oracle,
     validate_initial_condition,
 )
 
@@ -41,6 +40,7 @@ from oracles import (
     closed_form_death_control,
     closed_form_hospitalization_control,
     closed_form_infection_control,
+    qp_oracle,
     reference_solver,
 )
 

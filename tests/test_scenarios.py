@@ -118,6 +118,12 @@ class TestParsing:
         with pytest.raises(ScenarioParseError, match="empty"):
             parse_scenario(p)
 
+    def test_undecodable_file_named(self, tmp_path):
+        p = tmp_path / "latin1.scenario"
+        p.write_bytes(MINIMAL.replace("kind = sir", "kind = sir  # caf\xe9").encode("latin-1"))
+        with pytest.raises(ScenarioParseError, match=r"latin1\.scenario: cannot read scenario: 'utf-8'"):
+            parse_scenario(p)
+
     def test_seir_infectious_bound_rejected(self):
         doc = MINIMAL.replace("kind = sir", "kind = seir\nsigma = 0.2").replace(
             "S = 26e6", "S = 26e6\nE = 1e4"

@@ -257,8 +257,10 @@ class TestSimulate:
 
     def test_initial_condition_refusal_in_guaranteed_mode(self, sir_spec):
         sc = sir_scenario(sir_spec, state0=sir_spec.state([26e6, 3e5, 6.7e6]))
-        with pytest.raises(InitialConditionError):
+        with pytest.raises(InitialConditionError) as err:
             simulate(sc)
+        assert not err.value.report.ok
+        assert str(err.value) == "initial condition fails controller hypotheses: I: h=-100000 [FAIL]"
 
     def test_delayed_mode_records_instead_of_refusing(self, sir_spec):
         sc = sir_scenario(
@@ -393,6 +395,19 @@ class TestSafetyAudit:
         )
         rep_pred = safety_audit(simulate(predicted))
         assert rep_pred.constraints[0].min_margin >= -1e-6 * 5e4
+
+    def test_decay_check_starts_at_the_control_step(self):
+        # sir_fig2's law is off for its first 100 samples, where the margin
+        # decays freely; from the control step on the check holds
+        sc = dataclasses.replace(load_preset("sir_fig2"), feedback_mode="instantaneous")
+        traj = simulate(sc)
+        audit = safety_audit(traj).constraints[0]
+        assert sc.control_step == 100
+        assert audit.decay_check_failures == 0 and audit.decay_check_worst > 0.0
+        # no controlled step at all: nothing to check, as in a one-sample run
+        late = dataclasses.replace(traj, scenario=dataclasses.replace(sc, control_start=sc.t_end))
+        audit = safety_audit(late).constraints[0]
+        assert (audit.decay_check_failures, audit.decay_check_worst) == (0, math.inf)
 
     def test_audit_with_explicit_constraints(self, sir_spec):
         traj = simulate(sir_scenario(sir_spec, t_end=20.0))
@@ -549,6 +564,25 @@ class TestLawPaths:
         traj = simulate(sc)
         assert traj.disturbances.any()
         assert_forecasts_replay(traj, sc.state0.x.tolist(), stride=7)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.05])
+    @pytest.mark.parametrize("preset", preset_names())
+    def test_feedback_modes_agree_without_delay(self, preset, delta):
+        # at tau = 0 the measurement of sample k is its own state and a
+        # forecast spans no step, so every mode runs the same loop
+        base = dataclasses.replace(
+            load_preset(preset), tau=0.0, disturbance_delta=delta, seed=3
+        )
+        runs = {
+            mode: simulate(dataclasses.replace(base, feedback_mode=mode))
+            for mode in ("instantaneous", "delayed", "predictor")
+        }
+        reference = runs.pop("instantaneous")
+        assert reference.u.any()
+        for mode, traj in runs.items():
+            for series in ("states", "u_raw", "u", "feasible", "active"):
+                got, want = getattr(traj, series), getattr(reference, series)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (mode, series)
 
     def test_forecasts_from_a_prehistory_replay_the_sent_commands(self):
         # the first D forecasts start from the supplied prehistory at
