@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -73,24 +74,27 @@ def ingest_cases(path: str | Path) -> list[CaseRecord]:
     try:
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        raise CaseDataError(f"cannot read case data: {exc}", origin) from exc
-    reader = csv.reader(text.splitlines())
+        reason = getattr(exc, "strerror", None) or exc  # an OSError's text repeats the path
+        raise CaseDataError(f"cannot read case data: {reason}", origin) from exc
+    # one stream, so that a quoted field keeps its line breaks; each row is
+    # numbered by the physical line it ends on
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        rows = list(reader)
+        rows = [(reader.line_num, row) for row in reader]
     except csv.Error as exc:  # a field over csv.field_size_limit(), say
         raise CaseDataError(str(exc), origin, reader.line_num) from None
     if not rows:
         raise CaseDataError("empty file", origin)
-    header = tuple(h.strip() for h in rows[0])
+    header = tuple(h.strip() for h in rows[0][1])
     if header not in {_COLUMNS[:k] for k in (2, 3, 4)}:
         raise CaseDataError(
             f"unexpected header {','.join(header)!r}; expected "
             "date,cumulative_confirmed[,positivity_rate][,mobility_index]",
             origin,
-            1,
+            rows[0][0],
         )
     records: list[CaseRecord] = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != len(header):

@@ -15,8 +15,8 @@ individuals.  Time is measured in days, populations in persons, rates in
 
 Each model writes its formulas once, as source lines in a FormulaTable:
 f, g, q, r, the outflow Jacobians and the fused derivative.  A ModelSpec
-binds parameter values to a table and holds the evaluators and constant
-Jacobians compiled from it; safety writes the same lines into the control
+binds parameter values to a table and holds the derivative and constant
+Jacobians compiled from it; safety writes f, g, q and r into the control
 law it generates.  MODELS, the catalogue, maps each model kind to its
 rate class and table.
 """
@@ -50,7 +50,6 @@ __all__ = [
 # more negative than this fraction of the total population.
 _NEGATIVITY_TOL = 1e-9
 
-Vector = tuple[float, ...]
 Matrix = tuple[tuple[float, ...], ...]
 
 
@@ -185,7 +184,9 @@ class FormulaTable(NamedTuple):
                   parameters only: the outflows are linear, so their
                   Jacobians are constants;
       derivative  one per compartment of [w; z], over the whole state, the
-                  parameters, derivative_terms and the input u.
+                  parameters, derivative_terms and the input u: f + g*u
+                  for w, and for z the outflow q + r, which holds no u
+                  and which the outlet margins of safety read.
     constants, terms and derivative_terms are "name = expression" lines,
     each defining one more name: constants over the parameters, computed
     once per spec; terms over w, shared by f and g; derivative_terms over
@@ -235,7 +236,7 @@ def steered(table: FormulaTable) -> tuple[str, ...]:
     return tuple(label for label, on in zip(table.w + table.z, on_w + on_z) if on)
 
 
-# bind(values) returns the evaluators and constant Jacobians of ModelSpec by
+# bind(values) returns the derivative and constant Jacobians of ModelSpec by
 # name, with the parameter values bound.
 _MODEL_TEMPLATE = """\
 def bind(values):
@@ -247,34 +248,13 @@ def bind(values):
 {derivative_terms}
         return [{derivative}]
 
-    def f_t(w):
-        [{w}] = w
-{terms}
-        return ({f},)
-
-    def g_t(w):
-        [{w}] = w
-{terms}
-        return ({g},)
-
-    def q_t(w):
-        [{w}] = w
-        return ({q},)
-
-    def r_t(z):
-        [{z}] = z
-        return ({r},)
-
-    return dict(
-        derivative_t=derivative_t, f_t=f_t, g_t=g_t, q_t=q_t, r_t=r_t,
-        dq_dw={dq_dw}, dr_dz={dr_dz},
-    )
+    return dict(derivative_t=derivative_t, dq_dw={dq_dw}, dr_dz={dr_dz})
 """
 
 
 @lru_cache(maxsize=32)
 def _binder(table: FormulaTable) -> Callable:
-    """Compile the evaluators of one table, the first time a spec uses it."""
+    """Compile the derivative of one table, the first time a spec uses it."""
     n, m = len(table.w), len(table.z)
     sizes = (len(table.f), len(table.g), len(table.q), len(table.r), len(table.derivative))
     rows = [len(row) for row in table.dq_dw + table.dr_dz]
@@ -296,31 +276,29 @@ def _binder(table: FormulaTable) -> Callable:
     source = _MODEL_TEMPLATE.format(
         params=each(table.params), constants=lines(table.constants, "    "),
         dq_dw=matrix(table.dq_dw), dr_dz=matrix(table.dr_dz),
-        x=each(table.w + table.z), w=each(table.w), z=each(table.z),
+        x=each(table.w + table.z),
         derivative_terms=lines(table.derivative_terms, "        "),
-        derivative=each(table.derivative), terms=lines(table.terms, "        "),
-        f=each(table.f), g=each(table.g), q=each(table.q), r=each(table.r),
+        derivative=each(table.derivative),
     )
     namespace: dict = {}
-    exec(compile(source, f"<model evaluators, {table.w + table.z}>", "exec"), namespace)
+    exec(compile(source, f"<model derivative, {table.w + table.z}>", "exec"), namespace)
     return namespace["bind"]
 
 
 @dataclass(frozen=True)
 class ModelSpec:
     """A concrete compartmental model: its formula table, the values bound
-    to the table's params (in order), and the evaluators compiled from the
-    two.  params is the rate object the spec was built from.
+    to the table's params (in order), and the one evaluator compiled from
+    the two.  params is the rate object the spec was built from.
 
-    The evaluators take and return plain float sequences: f_t, g_t and q_t
-    act on the multiplicative block w, r_t on the outlet block z.  They
-    serve the fixed-step integrator, where numpy call overhead on vectors
-    this short would dominate; ``derivative_t`` fuses f + g*u and q + r into
-    one call.  Given numpy columns, one entry per sample, they return arrays
-    (a constant entry stays a float).  The outflows are linear, so their
-    Jacobians dq_dw (m rows of n) and dr_dz (m by m) are constant tuples of
-    tuples.  The control law that safety generates writes the table's
-    formulas into its own code and calls none of them.
+    derivative_t(x, u) takes the flat state [w; z] as a plain float
+    sequence and returns dx/dt, [f + g*u; q + r], as a list: the
+    fixed-step integrator calls it, where numpy call overhead on vectors
+    this short would dominate.  Given numpy columns, one entry per sample,
+    it returns arrays (a constant entry stays a float).  The outflows are
+    linear, so their Jacobians dq_dw (m rows of n) and dr_dz (m by m) are
+    constant tuples of tuples.  The control law that safety generates
+    writes the table's f, g, q and r into its own code.
     """
 
     kind: str
@@ -334,10 +312,6 @@ class ModelSpec:
     derivative_t: Callable[[Sequence[float], float], list[float]] = field(
         init=False, repr=False, compare=False
     )
-    f_t: Callable[[Vector], Vector] = field(init=False, repr=False, compare=False)
-    g_t: Callable[[Vector], Vector] = field(init=False, repr=False, compare=False)
-    q_t: Callable[[Vector], Vector] = field(init=False, repr=False, compare=False)
-    r_t: Callable[[Vector], Vector] = field(init=False, repr=False, compare=False)
     dq_dw: Matrix = field(init=False, repr=False, compare=False)
     dr_dz: Matrix = field(init=False, repr=False, compare=False)
 
@@ -359,7 +333,7 @@ class ModelSpec:
         return ModelState(w=arr[: self.n], z=arr[self.n :], labels=self.labels)
 
     def flat(self, state: ModelState | list[float]) -> list[float]:
-        """The state as the flat [w; z] list the compiled evaluators and
+        """The state as the flat [w; z] list the compiled derivative and
         the generated law take: the one check that it fits the model.
 
         state is a ModelState, or already such a list of n + m floats; a

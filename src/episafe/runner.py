@@ -218,7 +218,8 @@ def import_trajectory(path: str | Path, scenario: Scenario) -> Trajectory:
     try:
         lines = path.read_text().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
-        raise TrajectoryFormatError(f"{path}: cannot read trajectory: {exc}") from exc
+        reason = getattr(exc, "strerror", None) or exc  # an OSError's text repeats the path
+        raise TrajectoryFormatError(f"{path}: cannot read trajectory: {reason}") from exc
     if not lines:
         raise TrajectoryFormatError(f"{path}: empty trajectory file")
     expected = _columns(scenario)
@@ -229,13 +230,20 @@ def import_trajectory(path: str | Path, scenario: Scenario) -> Trajectory:
             f"(expected {','.join(expected)!r})"
         )
     width = len(expected)
-    try:
-        data = np.array([list(map(float, line.split(","))) for line in lines[1:] if line])
-    except ValueError:  # a bad cell, or rows of unequal length
-        data = None
-    if data is None or data.size and data.shape[1] != width:
-        raise TrajectoryFormatError(f"{path}: {_bad_row(lines, width)}")
-    data = data.reshape(-1, width)  # a file without data rows too
+    rows = []
+    for number, line in enumerate(lines[1:], 2):
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != width:
+            raise TrajectoryFormatError(
+                f"{path}: line {number}: expected {width} fields, got {len(cells)}"
+            )
+        try:
+            rows.append(list(map(float, cells)))
+        except ValueError as exc:
+            raise TrajectoryFormatError(f"{path}: line {number}: bad numeric cell: {exc}") from None
+    data = np.array(rows).reshape(-1, width)  # a file without data rows too
     n_rows = scenario.n_steps + 1
     if data.shape[0] != n_rows:
         raise TrajectoryFormatError(
@@ -264,22 +272,6 @@ def import_trajectory(path: str | Path, scenario: Scenario) -> Trajectory:
         feasible=u_raw <= 1.0,
         disturbances=data[:, -1],
     )
-
-
-def _bad_row(lines: list[str], width: int) -> str:
-    """The first data line of a trajectory file that is not width numbers,
-    named by its line number."""
-    for number, line in enumerate(lines[1:], 2):
-        if not line:  # the parse skips blank lines
-            continue
-        cells = line.split(",")
-        if len(cells) != width:
-            return f"line {number}: expected {width} fields, got {len(cells)}"
-        try:
-            list(map(float, cells))
-        except ValueError as exc:
-            return f"line {number}: bad numeric cell: {exc}"
-    return "malformed data block"
 
 
 def write_long_table(trajectory: Trajectory, path: str | Path) -> Path:

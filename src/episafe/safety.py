@@ -165,7 +165,9 @@ def _clamp01(v: float) -> float:
 # request from its last-used slot by identity, so a controlled sample
 # costs solve, ModelSpec.flat and the finiteness check.
 # The margins below also accept numpy columns, one entry per sample, and
-# then return arrays; _margins evaluates them on a matrix of states.
+# then return arrays; _margins evaluates them on a matrix of states.  h_e
+# reads dz/dt from the outlet rows of the model derivative at u = 0: they
+# are q + r, which the input does not enter.
 
 
 def _margin_t(c: SafetyConstraint, w: Sequence, z: Sequence) -> float:
@@ -173,11 +175,9 @@ def _margin_t(c: SafetyConstraint, w: Sequence, z: Sequence) -> float:
     return c.sign * (c.bound - value)
 
 
-def _extended_margin_t(spec: ModelSpec, c: SafetyConstraint, w: Sequence, z: Sequence) -> float:
-    q = spec.q_t(w)
-    r = spec.r_t(z)
+def _extended_margin_t(c: SafetyConstraint, z: Sequence, zdot: Sequence) -> float:
     j = c.index
-    return c.sign * (-(q[j] + r[j]) + c.alpha * (c.bound - z[j]))
+    return c.sign * (-zdot[j] + c.alpha * (c.bound - z[j]))
 
 
 def _margins(
@@ -186,19 +186,23 @@ def _margins(
     """Margins of each constraint at every row of states, a matrix with one
     column per compartment of [w; z], as (barriers, extended): h for every
     constraint, h_e for outlet constraints and NaN for multiplicative ones.
-    Each constraint is checked against the model once, and the scalar
-    margin formulas run once per constraint on whole state columns; an inf
-    or NaN gives the value the scalar forms give, without a warning."""
+    Each constraint is checked against the model once, the derivative
+    runs at most once on the state columns (when an outlet constraint needs
+    it), and the scalar margin formulas once per constraint on whole
+    columns; an inf or NaN gives the value the scalar forms give, without
+    a warning."""
     columns = list(states.T)
     w, z = columns[: spec.n], columns[spec.n :]
     barriers = np.empty((states.shape[0], len(constraints)))
     extended = np.full_like(barriers, np.nan)
-    for j, c in enumerate(constraints):
-        c.check_against(spec)
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        if any(c.kind == OUTLET for c in constraints):
+            zdot = spec.derivative_t(columns, 0.0)[spec.n :]
+        for j, c in enumerate(constraints):
+            c.check_against(spec)
             barriers[:, j] = _margin_t(c, w, z)
             if c.kind == OUTLET:
-                extended[:, j] = _extended_margin_t(spec, c, w, z)
+                extended[:, j] = _extended_margin_t(c, z, zdot)
     return barriers, extended
 
 
@@ -350,7 +354,7 @@ def extended_barrier_value(
         raise ValueError("extended margin is defined for outlet constraints only")
     constraint.check_against(spec)
     x = spec.flat(state)
-    return _extended_margin_t(spec, constraint, x[: spec.n], x[spec.n :])
+    return _extended_margin_t(constraint, x[spec.n :], spec.derivative_t(x, 0.0)[spec.n :])
 
 
 def multiplicative_control(

@@ -305,7 +305,8 @@ def parse_scenario(path: str | Path) -> Scenario:
     try:
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ScenarioParseError(f"cannot read scenario: {exc}", str(path)) from exc
+        reason = getattr(exc, "strerror", None) or exc  # an OSError's text repeats the path
+        raise ScenarioParseError(f"cannot read scenario: {reason}", str(path)) from exc
     if not text.strip():
         raise ScenarioParseError("empty scenario file", str(path))
     return parse_scenario_text(text, origin=str(path))

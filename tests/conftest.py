@@ -73,3 +73,9 @@ def central_difference_jacobian(fn, v, rel_step=1e-4):
         vm[k] -= h
         jac[:, k] = (np.asarray(fn(vp)) - np.asarray(fn(vm))) / (2.0 * h)
     return jac
+
+
+def outlet_rows(spec, w, z):
+    """The outlet rows of spec's derivative at [w; z]: q(w) + r(z), which
+    the input does not enter."""
+    return spec.derivative_t(np.concatenate([w, z]), 0.0)[spec.n :]

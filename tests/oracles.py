@@ -2,13 +2,17 @@
 
 They are kept apart from src/ on purpose: each one is written
 independently of (or is an earlier, plainer form of) the library kernel it
-checks, so a change to the kernel cannot change its own oracle.
+checks, so a change to the kernel cannot change its own oracle.  The
+solvers below read their model from reference_model, the hand-written
+models at the end of this file, and no formula of the spec they check:
+the law inlines its model's formula table, so they test the whole path
+from the table to the law.
 """
 
 from __future__ import annotations
 
 from operator import add
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,14 +53,16 @@ def dot(a, b):
 
 def reference_solver(spec, constraints):
     """solve(w, z) -> (u_raw, active, feasible) from a loop over the
-    constraints, with every outlet dot product taken by dot; both entry
-    points of the law safety generates must give the same bits."""
-    f_t, g_t, q_t, r_t = spec.f_t, spec.g_t, spec.q_t, spec.r_t
+    constraints, on the hand-written model of spec, with every outlet dot
+    product taken by dot; both entry points of the law safety generates
+    must give the same bits."""
+    model = reference_model(spec)
+    f_t, g_t, q_t, r_t = model["f_t"], model["g_t"], model["q_t"], model["r_t"]
+    jq, jr = model["dq_dw"], model["dr_dz"]
 
     def terms(w, z):
         f, g = f_t(w), g_t(w)
         outflow = tuple(map(add, q_t(w), r_t(z)))
-        jq, jr = spec.dq_dw, spec.dr_dz
         out = []
         for c in constraints:
             j, s = c.index, c.sign
@@ -102,9 +108,11 @@ def qp_oracle(
     Minimizes u**2 over a uniform grid on [0, 1] subject to the exact
     safety conditions of every constraint; returns the smallest feasible
     grid value, or None when no grid point is feasible.  It shares no code
-    with the generated law, which it and the closed forms below cross-check.
-    Each condition is -drift - authority*u >= 0 with the drift and
-    authority of the formulas in episafe.safety's scalar core notes.
+    and no formula with the generated law, which it and the closed forms
+    below cross-check: f, g, q, r and the Jacobians come from the
+    hand-written model of spec (reference_model).  Each condition is
+    -drift - authority*u >= 0 with the drift and authority of the formulas
+    in episafe.safety's scalar core notes.
     """
     if not grid_resolution > 0.0:
         raise ValueError("grid_resolution must be positive")
@@ -115,12 +123,13 @@ def qp_oracle(
     feasible = np.ones_like(grid, dtype=bool)
     for c in constraints:
         c.check_against(spec)
-    f, g = spec.f_t(w), spec.g_t(w)
+    model = reference_model(spec)
+    f, g = model["f_t"](w), model["g_t"](w)
     for c in constraints:
         j, s = c.index, c.sign
         if c.kind == OUTLET:
-            outflow = [a + b for a, b in zip(spec.q_t(w), spec.r_t(z))]
-            dq_row, dr_row = spec.dq_dw[j], spec.dr_dz[j]
+            outflow = [a + b for a, b in zip(model["q_t"](w), model["r_t"](z))]
+            dq_row, dr_row = model["dq_dw"][j], model["dr_dz"][j]
             drift = s * (
                 sum(a * b for a, b in zip(dq_row, f))
                 + sum(a * b for a, b in zip(dr_row, outflow))
@@ -140,10 +149,11 @@ def qp_oracle(
 
 # -- reference models --------------------------------------------------------
 #
-# The SIR, SEIR and SIHRD evaluators written out by hand as closures, apart
-# from the formula tables of episafe.models.  Each returns the five
-# evaluators and two constant Jacobians of a ModelSpec by name; the ones
-# compiled from the tables must give the same bits.
+# The SIR, SEIR and SIHRD models written out by hand as closures, apart
+# from the formula tables of episafe.models.  Each returns f, g, q, r, the
+# fused derivative and the two constant Jacobians by name: the
+# derivative and Jacobians a ModelSpec compiles from its table must give
+# the same bits, and the solvers above read f, g, q and r.
 
 
 def reference_sir(params: SirParams) -> dict:
@@ -267,6 +277,51 @@ def reference_sihrd(params: SihrdParams) -> dict:
         f_t=f_t, g_t=g_t, q_t=q_t, r_t=r_t,
         derivative_t=derivative_t, dq_dw=dq_dw, dr_dz=dr_dz,
     )
+
+
+class DenseParams(NamedTuple):
+    """The matrices of a linear model dw/dt = F w + (G * I) u, dz/dt = Q w
+    + R z, as tuples of rows, and a population scale N."""
+
+    F: Matrix
+    G: Vector
+    Q: Matrix
+    R: Matrix
+    N: float
+
+
+def reference_dense(params: DenseParams) -> dict:
+    """The linear model of params, each matrix product summed left to right
+    from 0.0 by dot, as its formula table writes it; g is G times I, the
+    second w compartment."""
+    F, G, Q, R = params.F, params.G, params.Q, params.R
+
+    def f_t(w: Vector) -> Vector:
+        return tuple(dot(row, w) for row in F)
+
+    def g_t(w: Vector) -> Vector:
+        return tuple(gk * w[1] for gk in G)
+
+    def q_t(w: Vector) -> Vector:
+        return tuple(dot(row, w) for row in Q)
+
+    def r_t(z: Vector) -> Vector:
+        return tuple(dot(row, z) for row in R)
+
+    return dict(f_t=f_t, g_t=g_t, q_t=q_t, r_t=r_t, dq_dw=Q, dr_dz=R)
+
+
+REFERENCE_MODELS = {
+    "sir": reference_sir,
+    "seir": reference_seir,
+    "sihrd": reference_sihrd,
+    "dense": reference_dense,
+}
+
+
+def reference_model(spec) -> dict:
+    """The hand-written model of spec.kind at spec.params."""
+    return REFERENCE_MODELS[spec.kind](spec.params)
 
 
 def reference_default_gains(spec, kind, index):

@@ -24,7 +24,7 @@ from episafe.safety import (
 from episafe.scenarios import load_preset, parse_scenario, write_scenario
 from episafe.sim import Scenario, simulate
 
-from conftest import SIHRD_US, SIR_US, central_difference_jacobian
+from conftest import SIHRD_US, SIR_US, central_difference_jacobian, outlet_rows
 from oracles import (
     closed_form_death_control,
     closed_form_hospitalization_control,
@@ -417,11 +417,11 @@ def test_criterion_7_conservation_and_jacobians(sir_spec, sihrd_spec):
         for _ in range(100):
             w = rng.uniform(0.0, N, spec.n)
             z = rng.uniform(0.0, N, spec.m)
-            for fn, analytic in (
-                (spec.q_t, np.asarray(spec.dq_dw)),
-                (spec.r_t, np.asarray(spec.dr_dz)),
+            # the derivative's outlet rows q(w) + r(z), over w and then z
+            for fn, v, analytic in (
+                (lambda v: outlet_rows(spec, v, z), w, np.asarray(spec.dq_dw)),
+                (lambda v: outlet_rows(spec, w, v), z, np.asarray(spec.dr_dz)),
             ):
-                v = w if fn is spec.q_t else z
                 fd = central_difference_jacobian(fn, v)
                 scale = max(1.0, float(np.abs(analytic).max()))
                 err = float(np.abs(fd - analytic).max() / scale)

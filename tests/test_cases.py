@@ -18,6 +18,16 @@ date,cumulative_confirmed,positivity_rate
 2020-03-27,78000,0.17
 """
 
+# a quoted count over lines 3 and 4, and a count that decreases on line 6
+MULTI_LINE = """\
+date,cumulative_confirmed
+2020-03-25,65000
+2020-03-26,"70
+000"
+2020-03-27,80000
+2020-03-28,60000
+"""
+
 
 def write(tmp_path, text, name="cases.csv"):
     p = tmp_path / name
@@ -83,6 +93,27 @@ class TestIngest:
         p.write_bytes(b"date,cumulative_confirmed\n2020-06-01,1\xff0\n")
         with pytest.raises(CaseDataError, match=r"cases\.csv: cannot read case data: 'utf-8'"):
             ingest_cases(p)
+
+    def test_quoted_field_keeps_its_line_break(self, tmp_path):
+        # the file is read as one stream: a quoted field that spans lines 3
+        # and 4 keeps its line break, and rows are named by the physical
+        # line they end on
+        p = write(tmp_path, MULTI_LINE, "ml.csv")
+        with pytest.raises(CaseDataError) as err:
+            ingest_cases(p)
+        want = f"{p}:4: bad numeric field: could not convert string to float: '70\\n000'"
+        assert str(err.value) == want
+        # cells are stripped, so "70000" and a line break is a count
+        p = write(tmp_path, MULTI_LINE.replace('"70\n000"', '"70000\n"'), "ml.csv")
+        with pytest.raises(CaseDataError, match=r"ml\.csv:6: cumulative count decreases"):
+            ingest_cases(p)
+
+    def test_missing_file_named_once(self, tmp_path):
+        p = tmp_path / "missing.csv"
+        with pytest.raises(CaseDataError) as err:
+            ingest_cases(p)
+        assert str(err.value).startswith(f"{p}: cannot read case data: ")
+        assert str(err.value).count(str(p)) == 1
 
     def test_malformed_row_named(self, tmp_path):
         text = WELL_FORMED + "2020-03-28\n"

@@ -37,10 +37,11 @@ from conftest import (
     SIHRD_US,
     SIR_US,
     central_difference_jacobian,
+    outlet_rows,
     sample_sihrd_states,
     sample_sir_states,
 )
-from oracles import reference_seir, reference_sihrd, reference_sir
+from oracles import reference_model, reference_solver
 
 
 def all_specs():
@@ -185,15 +186,18 @@ class TestCatalogue:
 
 class TestBuildSeir:
     def test_control_vector_has_zero_infectious_row(self):
+        # g is the change of the w rows of the derivative from u = 0 to 1
         spec = build_seir(SeirParams(beta0=0.33, gamma=0.2, N=33e6, sigma=0.2))
-        g = spec.g_t([30e6, 1e6, 3e6])
+        x = [30e6, 1e6, 3e6, 0.0]
+        g = np.subtract(spec.derivative_t(x, 1.0), spec.derivative_t(x, 0.0))[: spec.n]
         np.testing.assert_allclose(g, [900000.0, -900000.0, 0.0], rtol=1e-12)
 
     def test_disease_free_equilibrium(self):
+        # f (at u = 0) and f + g (at u = 1) vanish
         spec = build_seir(SeirParams(beta0=0.33, gamma=0.2, N=33e6, sigma=0.2))
-        w = [33e6, 0.0, 0.0]
-        assert np.all(np.asarray(spec.f_t(w)) == 0.0)
-        assert np.all(np.asarray(spec.g_t(w)) == 0.0)
+        x = [33e6, 0.0, 0.0, 0.0]
+        for u in (0.0, 1.0):
+            assert np.all(np.asarray(spec.derivative_t(x, u)[: spec.n]) == 0.0)
 
     def test_exposed_derivative_frozen_value(self):
         # dE/dt = beta0*S*I/N - sigma*E = 900000 - 200000
@@ -209,9 +213,11 @@ class TestBuildSihrd:
         assert spec.labels == ("S", "I", "H", "R", "D")
 
     def test_empty_outlet_inflow(self):
+        # the outlet rows q + r vanish with I and H, whatever u
         spec = build_sihrd(SIHRD_US)
-        assert np.all(np.asarray(spec.q_t([1e6, 0.0])) == 0.0)
-        assert np.all(np.asarray(spec.r_t([0.0, 5.0, 5.0])) == 0.0)
+        x = [1e6, 0.0, 0.0, 5.0, 5.0]
+        for u in (0.0, 1.0):
+            assert np.all(np.asarray(spec.derivative_t(x, u)[spec.n :]) == 0.0)
 
     def test_hospital_derivative_frozen_value(self):
         # dH/dt = lam*I - nu*H = 0.03e6 - 0.014e6
@@ -290,15 +296,16 @@ class TestFlat:
 
 
 def blockwise(spec, x, u):
-    """dx/dt as [f + g*u; q + r] from the blockwise evaluators."""
+    """dx/dt as [f + g*u; q + r] from the hand-written model of spec."""
+    model = reference_model(spec)
     w, z = x[: spec.n], x[spec.n :]
-    wdot = np.asarray(spec.f_t(w)) + np.asarray(spec.g_t(w)) * u
-    return np.concatenate([wdot, np.asarray(spec.q_t(w)) + np.asarray(spec.r_t(z))])
+    wdot = np.asarray(model["f_t"](w)) + np.asarray(model["g_t"](w)) * u
+    return np.concatenate([wdot, np.asarray(model["q_t"](w)) + np.asarray(model["r_t"](z))])
 
 
 class TestEvalDynamics:
     """The model dynamics, through the fused derivative_t the integrator
-    calls and the blockwise f, g, q and r."""
+    calls, and the blockwise f, g, q and r of the hand-written models."""
 
     def test_total_isolation_freezes_susceptibles(self):
         spec = build_sir(SIR_US)
@@ -334,11 +341,11 @@ class TestEvalDynamics:
         # full isolation removes the transmission term from the S row
         for spec in all_specs():
             N = spec.params.N
-            w = np.array(fracs[: spec.n]) * N
-            assert spec.f_t(w)[0] + spec.g_t(w)[0] * 1.0 == pytest.approx(0.0, abs=1e-9 * N)
+            x = (np.array(fracs[: spec.n + spec.m]) * N).tolist()
+            assert spec.derivative_t(x, 1.0)[0] == pytest.approx(0.0, abs=1e-9 * N)
 
     def test_fused_derivative_matches_blockwise(self):
-        # the integrator's fused evaluator and the blockwise f/g/q/r must agree
+        # the integrator's fused derivative and the blockwise f/g/q/r must agree
         rng = np.random.default_rng(7)
         for spec in all_specs():
             N = spec.params.N
@@ -366,16 +373,13 @@ class TestJacobians:
             z = rng.uniform(0.0, N, spec.m)
             dq = np.asarray(spec.dq_dw)
             dr = np.asarray(spec.dr_dz)
-            dq_fd = central_difference_jacobian(spec.q_t, w)
-            dr_fd = central_difference_jacobian(spec.r_t, z)
+            # the outlet rows of the derivative are q(w) + r(z)
+            dq_fd = central_difference_jacobian(lambda v: outlet_rows(spec, v, z), w)
+            dr_fd = central_difference_jacobian(lambda v: outlet_rows(spec, w, v), z)
             scale_q = max(1.0, np.abs(dq).max())
             scale_r = max(1.0, np.abs(dr).max())
             assert np.abs(dq_fd - dq).max() / scale_q < 1e-6
             assert np.abs(dr_fd - dr).max() / scale_r < 1e-6
-
-
-REFERENCE_MODELS = {"sir": reference_sir, "seir": reference_seir, "sihrd": reference_sihrd}
-EVALUATORS = (("f_t", "w"), ("g_t", "w"), ("q_t", "w"), ("r_t", "z"))
 
 
 def bits(value):
@@ -389,7 +393,7 @@ def bits(value):
 
 
 class TestFormulaTables:
-    """The evaluators and constant Jacobians each builder compiles from its
+    """The derivative and constant Jacobians each builder compiles from its
     model's formula table, bit for bit against the hand-written reference
     models in oracles."""
 
@@ -414,40 +418,31 @@ class TestFormulaTables:
     @pytest.mark.parametrize("model", ["sir", "seir", "sihrd"])
     def test_scalar_evaluators_match_reference(self, model):
         spec = {s.kind: s for s in all_specs()}[model]
-        ref = REFERENCE_MODELS[model](spec.params)
+        ref = reference_model(spec)
         for name in ("dq_dw", "dr_dz"):
             assert bits(getattr(spec, name)) == bits(ref[name]), name
         for x in self.states(spec, 31):
-            blocks = {"w": x[: spec.n], "z": x[spec.n :]}
             for u in (0.0, 0.3, 1.0):
                 got, want = spec.derivative_t(x, u), ref["derivative_t"](x, u)
                 assert bits(got) == bits(want), (x, u)
-            for name, block in EVALUATORS:
-                got, want = getattr(spec, name)(blocks[block]), ref[name](blocks[block])
-                assert bits(got) == bits(want), (name, x)
 
     @pytest.mark.parametrize("model", ["sir", "seir", "sihrd"])
     def test_column_evaluators_match_reference(self, model):
         # the margin series evaluate whole state columns, one entry per sample
         spec = {s.kind: s for s in all_specs()}[model]
-        ref = REFERENCE_MODELS[model](spec.params)
+        ref = reference_model(spec)
         columns = list(np.array(self.states(spec, 32)).T)
-        blocks = {"w": columns[: spec.n], "z": columns[spec.n :]}
         with np.errstate(invalid="ignore"):  # the NaN and inf rows
             for u in (0.0, 0.3, 1.0):
                 got, want = spec.derivative_t(columns, u), ref["derivative_t"](columns, u)
                 assert bits(got) == bits(want), u
-            for name, block in EVALUATORS:
-                got, want = getattr(spec, name)(blocks[block]), ref[name](blocks[block])
-                assert bits(got) == bits(want), name
 
     def test_compiled_once_per_table(self):
         a = build_sir(SIR_US)
         b = build_sir(SirParams(beta0=0.4, gamma=0.1, N=1e6))
-        for name, _ in EVALUATORS + (("derivative_t", "x"),):
-            assert getattr(a, name).__code__ is getattr(b, name).__code__
+        assert a.derivative_t.__code__ is b.derivative_t.__code__
         # each spec binds its own values
-        assert a.f_t([5e5, 1e4]) != b.f_t([5e5, 1e4])
+        assert a.derivative_t([5e5, 1e4, 0.0], 0.0) != b.derivative_t([5e5, 1e4, 0.0], 0.0)
         assert b.dq_dw == ((0.0, 0.1),)
 
     def test_spec_follows_its_table(self, sihrd_spec):
@@ -471,23 +466,31 @@ class TestFormulaTables:
             dataclasses.replace(sir_spec, formulas=table)
 
     def test_generated_code_keeps_its_own_names(self):
-        # compartment and parameter names that are also names of the
-        # generated code still mean the table's values
+        # compartment, parameter and term names that are also names of the
+        # generated derivative or law still mean the table's values
         table = FormulaTable(
             w=("x", "w"), z=("z",), params=("values", "jq"),
-            terms=("f_t = values * x * w",),
-            f=("-f_t", "f_t - jq * w"), g=("f_t", "-f_t"),
+            terms=("f0 = values * x * w",),
+            f=("-f0", "f0 - jq * w"), g=("f0", "-f0"),
             q=("jq * w",), r=("0.0",), dq_dw=(("0.0", "jq"),), dr_dz=(("0.0",),),
             derivative_terms=("inflow = values * x * w * (1.0 - u)",),
             derivative=("-inflow", "inflow - jq * w", "jq * w"),
         )
         spec = build_sir(SirParams(beta0=0.5, gamma=0.25, N=1.0))
-        ref = REFERENCE_MODELS["sir"](spec.params)
+        ref = reference_model(spec)
         renamed = dataclasses.replace(spec, formulas=table, values=(0.5, 0.25))
         x = [0.75, 0.125, 0.5]
         assert renamed.derivative_t(x, 0.3) == ref["derivative_t"](x, 0.3)
-        assert renamed.f_t(x[:2]) == ref["f_t"](x[:2])
         assert renamed.dq_dw == ref["dq_dw"]
+        # the law of the renamed spec, against the hand-written SIR model
+        cons = (
+            SafetyConstraint(MULTIPLICATIVE, 1, 0.15, 0.5),
+            SafetyConstraint(OUTLET, 0, 0.75, 0.5, alpha_e=0.25),
+        )
+        got = combined_control(renamed, cons, x)
+        want = reference_solver(renamed, cons)(x[:2], x[2:])
+        assert (got.u_raw, got.active_constraint, got.feasible) == want
+        assert got.u_raw > 0.0
 
 
 def test_sampler_helpers_produce_valid_states(sir_spec, sihrd_spec):

@@ -289,6 +289,13 @@ class TestTrajectoryCsv:
             import_trajectory(path, short_run.scenario)
         assert str(err.value).startswith(f"{path}: cannot read trajectory: 'utf-8' codec")
 
+    def test_import_names_a_missing_file_once(self, short_run, tmp_path):
+        path = tmp_path / "missing.csv"
+        with pytest.raises(TrajectoryFormatError) as err:
+            import_trajectory(path, short_run.scenario)
+        assert str(err.value).startswith(f"{path}: cannot read trajectory: ")
+        assert str(err.value).count(str(path)) == 1
+
     def test_import_time_check_matches_grid_steps(self, short_run, tmp_path):
         # the importer checks every row at once; grid_steps, row by row, is
         # the reference

@@ -37,10 +37,12 @@ from episafe.safety import (
 
 from conftest import SIHRD_US, SIR_US, sample_sihrd_states, sample_sir_states
 from oracles import (
+    DenseParams,
     closed_form_death_control,
     closed_form_hospitalization_control,
     closed_form_infection_control,
     qp_oracle,
+    reference_model,
     reference_solver,
 )
 
@@ -268,6 +270,53 @@ class TestExtendedBarrier:
                 sihrd_spec, i_bound(), sihrd_spec.state([1, 1, 1, 1, 1])
             )
 
+    @pytest.mark.parametrize("kind", ["sir", "seir", "sihrd"])
+    def test_exact_against_the_hand_written_outflow(self, kind):
+        # h_e = s*(-(q_j + r_j) + alpha*(bound - z_j)) with q and r of the
+        # hand-written model, bit for bit: on random states, each
+        # compartment in turn +-0.0, NaN, +-inf and subnormal, and bounds
+        # finite, inf and equal to z_j
+        spec = {
+            "sir": build_sir(SIR_US),
+            "seir": build_seir(SeirParams(beta0=0.33, gamma=0.2, N=33e6, sigma=0.2)),
+            "sihrd": build_sihrd(SIHRD_US),
+        }[kind]
+        model = reference_model(spec)
+        rng = np.random.default_rng(808)
+        N, size = spec.params.N, spec.n + spec.m
+        states = [rng.uniform(0.0, N, size).tolist() for _ in range(40)]
+        for k in range(size):
+            for value in (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324):
+                x = rng.uniform(0.0, N, size).tolist()
+                x[k] = value
+                states.append(x)
+
+        def want(c, x):
+            w, z = x[: spec.n], x[spec.n :]
+            outflow = model["q_t"](w)[c.index] + model["r_t"](z)[c.index]
+            return c.sign * (-outflow + c.alpha * (c.bound - z[c.index]))
+
+        def check(cons, rows):
+            _, extended = safety._margins(spec, cons, np.array(rows))
+            for x, row in zip(rows, extended.tolist()):
+                assert [v.hex() for v in row] == [want(c, x).hex() for c in cons], x
+                if not any(v < 0.0 for v in x):  # a state ModelState accepts
+                    state = spec.state(x)
+                    got = [extended_barrier_value(spec, c, state).hex() for c in cons]
+                    assert got == [want(c, x).hex() for c in cons], x
+
+        def outlet(j, bound, direction):
+            return SafetyConstraint(OUTLET, j, bound, 0.3, alpha_e=0.2, direction=direction)
+
+        directions = ("upper", "lower")
+        bounds = (0.01 * N, math.inf)
+        check(tuple(outlet(j, b, d) for j in range(spec.m) for b in bounds for d in directions),
+              states)
+        for x in states:  # bound equal to z_j
+            for j, zj in enumerate(x[spec.n :]):
+                if 0.0 < zj < math.inf:
+                    check(tuple(outlet(j, zj, d) for d in directions), [x])
+
 
 class TestValidateInitialCondition:
     def test_multiplicative_pass_and_fail(self, sir_spec):
@@ -331,7 +380,7 @@ class TestSignAssumption:
 
     def test_holds_for_infection_bound(self, sir_spec):
         state = sir_spec.state([1e6, 1e3, 0])
-        assert float(sir_spec.g_t(state.w.tolist())[1]) < 0.0
+        assert reference_model(sir_spec)["g_t"](state.w.tolist())[1] < 0.0
         dec = assert_oracle_agrees(sir_spec, [i_bound()], state)
         assert dec.u_raw == multiplicative_control(sir_spec, i_bound(), state).u_raw
 
@@ -345,7 +394,7 @@ class TestSignAssumption:
 
     def test_degenerate_zero_is_false(self, sir_spec):
         state = sir_spec.state([1e6, 0.0, 0.0])
-        assert float(sir_spec.g_t(state.w.tolist())[1]) == 0.0
+        assert reference_model(sir_spec)["g_t"](state.w.tolist())[1] == 0.0
         dec = assert_oracle_agrees(sir_spec, [i_bound()], state)
         assert dec.u_raw == 0.0
 
@@ -353,7 +402,7 @@ class TestSignAssumption:
         # a cap on S: the input raises S, so it bounds u from above
         c = SafetyConstraint(MULTIPLICATIVE, 0, 30e6, 0.02)
         state = sir_spec.state([1e6, 1e3, 0.0])
-        assert float(sir_spec.g_t(state.w.tolist())[0]) > 0.0
+        assert reference_model(sir_spec)["g_t"](state.w.tolist())[0] > 0.0
         dec = assert_oracle_agrees(sir_spec, [c], state)
         assert dec.u_raw == 0.0
 
@@ -534,9 +583,13 @@ class TestQpOracle:
 def dense_linear_spec(rng, n=3, m=4):
     """A linear model whose Jacobians have no zero entries, so the order of
     every outlet dot product shows in the bits.  Authority scales with I.
-    Its formula table names every matrix entry as a parameter."""
-    F, Q, R = (rng.uniform(-1.0, 1.0, size=shape).tolist() for shape in ((n, n), (m, n), (m, m)))
-    G = rng.uniform(-100.0, 100.0, size=n).tolist()
+    Its formula table names every matrix entry as a parameter; its params
+    hold the matrices for oracles.reference_dense."""
+    F, Q, R = (
+        tuple(map(tuple, rng.uniform(-1.0, 1.0, size=shape).tolist()))
+        for shape in ((n, n), (m, n), (m, m))
+    )
+    G = tuple(rng.uniform(-100.0, 100.0, size=n).tolist())
     w = ("S", "I", *(f"x{k}" for k in range(2, n)))
     z = tuple(f"x{k}" for k in range(n, n + m))
 
@@ -558,8 +611,9 @@ def dense_linear_spec(rng, n=3, m=4):
         derivative=tuple(f"({a}) + ({b}) * u" for a, b in zip(f, g))
         + tuple(f"({a}) + ({b})" for a, b in zip(q, r)),
     )
-    values = sum(F + Q + R, []) + G
-    return ModelSpec("dense", table, values, params=SIR_US, g_tol=1e-12)
+    values = sum(F + Q + R, ()) + G
+    params = DenseParams(F, G, Q, R, N=SIR_US.N)
+    return ModelSpec("dense", table, values, params=params, g_tol=1e-12)
 
 
 def solved(d):
@@ -780,7 +834,7 @@ def test_relu_nonnegative_and_kink(params):
     assert dec.u == min(max(dec.u_raw, 0.0), 1.0)
     assert dec.feasible == (dec.u_raw <= 1.0)
     # u_raw = 0 exactly when the open loop already satisfies the condition
-    fi = float(spec.f_t(state.w.tolist())[1])
+    fi = reference_model(spec)["f_t"](state.w.tolist())[1]
     drift = fi - alpha * (bound - float(state.w[1]))
     assert (dec.u_raw == 0.0) == (-drift >= 0.0)
 
@@ -793,9 +847,10 @@ def test_safety_condition_certified_pointwise(params):
     c = SafetyConstraint(MULTIPLICATIVE, 1, bound, alpha, name="I")
     dec = multiplicative_control(spec, c, state)
     if dec.feasible:
-        # recompute the condition from the model evaluators
-        fi = float(spec.f_t(state.w.tolist())[1])
-        gi = float(spec.g_t(state.w.tolist())[1])
+        # recompute the condition from the hand-written model
+        model = reference_model(spec)
+        fi = model["f_t"](state.w.tolist())[1]
+        gi = model["g_t"](state.w.tolist())[1]
         drift = fi - alpha * (bound - float(state.w[1]))
         assert -drift - gi * dec.u_raw >= -1e-9
 
@@ -826,14 +881,15 @@ def test_outlet_safety_condition_certified(h_frac, i_frac):
     dec = outlet_control(spec, c, state)
     if dec.feasible:
         w, z = state.w.tolist(), state.z.tolist()
-        dq = np.asarray(spec.dq_dw)[0]
-        dr = np.asarray(spec.dr_dz)[0]
-        flow = np.asarray(spec.q_t(w)) + np.asarray(spec.r_t(z))
+        model = reference_model(spec)
+        dq = np.asarray(model["dq_dw"])[0]
+        dr = np.asarray(model["dr_dz"])[0]
+        flow = np.asarray(model["q_t"](w)) + np.asarray(model["r_t"](z))
         drift = (
-            float(dq @ np.asarray(spec.f_t(w)))
+            float(dq @ np.asarray(model["f_t"](w)))
             + float(dr @ flow)
             + (c.alpha + c.alpha_e) * float(flow[0])
             - c.alpha_e * c.alpha * (c.bound - float(state.z[0]))
         )
-        authority = float(dq @ np.asarray(spec.g_t(w)))
+        authority = float(dq @ np.asarray(model["g_t"](w)))
         assert -drift - authority * dec.u_raw >= -1e-9

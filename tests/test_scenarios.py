@@ -124,6 +124,12 @@ class TestParsing:
         with pytest.raises(ScenarioParseError, match=r"latin1\.scenario: cannot read scenario: 'utf-8'"):
             parse_scenario(p)
 
+    def test_directory_named_once(self, tmp_path):
+        with pytest.raises(ScenarioParseError) as err:
+            parse_scenario(tmp_path)
+        assert str(err.value).startswith(f"{tmp_path}: cannot read scenario: ")
+        assert str(err.value).count(str(tmp_path)) == 1
+
     def test_seir_infectious_bound_rejected(self):
         doc = MINIMAL.replace("kind = sir", "kind = seir\nsigma = 0.2").replace(
             "S = 26e6", "S = 26e6\nE = 1e4"
