@@ -5,7 +5,9 @@ high-positivity periods they also under-count actual infections.  The
 scaling here inflates the cumulative series by (positivity / reference)
 raised to a damping exponent (cube root by default, to scale less
 aggressively), with the reference chosen as the series minimum so the
-best-surveilled period is left untouched.
+best-surveilled period is left untouched.  ingest_cases reads a file in
+one pass into CaseRecords; scale_cases returns a ScaledSeries that keeps
+those records and one scaled count per record.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from pathlib import Path
 __all__ = [
     "CaseRecord",
     "CaseDataError",
-    "ScaledCase",
     "ScaledSeries",
     "ingest_cases",
     "scale_cases",
@@ -76,88 +77,80 @@ def ingest_cases(path: str | Path) -> list[CaseRecord]:
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc  # an OSError's text repeats the path
         raise CaseDataError(f"cannot read case data: {reason}", origin) from exc
+    if not text:  # any other text has a first row, if only an empty one
+        raise CaseDataError("empty file", origin)
     # one stream, so that a quoted field keeps its line breaks; each row is
     # numbered by the physical line it ends on
     reader = csv.reader(io.StringIO(text, newline=""))
+    records: list[CaseRecord] = []
     try:
-        rows = [(reader.line_num, row) for row in reader]
+        header = tuple(h.strip() for h in next(reader))
+        if header not in {_COLUMNS[:k] for k in (2, 3, 4)}:
+            raise CaseDataError(
+                f"unexpected header {','.join(header)!r}; expected "
+                "date,cumulative_confirmed[,positivity_rate][,mobility_index]",
+                origin,
+                reader.line_num,
+            )
+        # the header is a prefix of _COLUMNS, so cell k is column _COLUMNS[k];
+        # a column the header lacks reads as an empty cell
+        for row in reader:
+            lineno = reader.line_num
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != len(header):
+                raise CaseDataError(
+                    f"expected {len(header)} fields, got {len(row)}", origin, lineno
+                )
+            date, count, positivity, mobility = ([cell.strip() for cell in row] + ["", ""])[:4]
+            try:
+                day = dt.date.fromisoformat(date)
+            except ValueError:
+                raise CaseDataError(
+                    f"bad date {date!r} (need ISO-8601)", origin, lineno
+                ) from None
+            try:
+                cumulative = float(count)
+                rate = float(positivity) if positivity else None
+                if mobility:
+                    float(mobility)
+            except ValueError as exc:
+                raise CaseDataError(f"bad numeric field: {exc}", origin, lineno) from None
+            try:
+                record = CaseRecord(day, cumulative, rate)
+            except ValueError as exc:
+                raise CaseDataError(str(exc), origin, lineno) from exc
+            if records:
+                if record.date <= records[-1].date:
+                    raise CaseDataError(
+                        f"dates must be strictly increasing "
+                        f"({record.date} after {records[-1].date})",
+                        origin,
+                        lineno,
+                    )
+                if record.cumulative_confirmed < records[-1].cumulative_confirmed:
+                    raise CaseDataError(
+                        f"cumulative count decreases "
+                        f"({record.cumulative_confirmed:g} after "
+                        f"{records[-1].cumulative_confirmed:g})",
+                        origin,
+                        lineno,
+                    )
+            records.append(record)
     except csv.Error as exc:  # a field over csv.field_size_limit(), say
         raise CaseDataError(str(exc), origin, reader.line_num) from None
-    if not rows:
-        raise CaseDataError("empty file", origin)
-    header = tuple(h.strip() for h in rows[0][1])
-    if header not in {_COLUMNS[:k] for k in (2, 3, 4)}:
-        raise CaseDataError(
-            f"unexpected header {','.join(header)!r}; expected "
-            "date,cumulative_confirmed[,positivity_rate][,mobility_index]",
-            origin,
-            rows[0][0],
-        )
-    records: list[CaseRecord] = []
-    for lineno, row in rows[1:]:
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(header):
-            raise CaseDataError(
-                f"expected {len(header)} fields, got {len(row)}", origin, lineno
-            )
-        cells = dict(zip(header, (cell.strip() for cell in row)))
-        try:
-            date = dt.date.fromisoformat(cells["date"])
-        except ValueError:
-            raise CaseDataError(
-                f"bad date {cells['date']!r} (need ISO-8601)", origin, lineno
-            ) from None
-        try:
-            cumulative = float(cells["cumulative_confirmed"])
-            positivity = (
-                float(cells["positivity_rate"])
-                if cells.get("positivity_rate") not in (None, "")
-                else None
-            )
-            if cells.get("mobility_index"):
-                float(cells["mobility_index"])
-        except ValueError as exc:
-            raise CaseDataError(f"bad numeric field: {exc}", origin, lineno) from None
-        try:
-            record = CaseRecord(date, cumulative, positivity)
-        except ValueError as exc:
-            raise CaseDataError(str(exc), origin, lineno) from exc
-        if records:
-            if record.date <= records[-1].date:
-                raise CaseDataError(
-                    f"dates must be strictly increasing "
-                    f"({record.date} after {records[-1].date})",
-                    origin,
-                    lineno,
-                )
-            if record.cumulative_confirmed < records[-1].cumulative_confirmed:
-                raise CaseDataError(
-                    f"cumulative count decreases "
-                    f"({record.cumulative_confirmed:g} after "
-                    f"{records[-1].cumulative_confirmed:g})",
-                    origin,
-                    lineno,
-                )
-        records.append(record)
     if not records:
         raise CaseDataError("no data rows", origin)
     return records
 
 
 @dataclass(frozen=True)
-class ScaledCase:
-    date: dt.date
-    cumulative_confirmed: float
-    positivity_rate: float
-    scaled_confirmed: float
-
-
-@dataclass(frozen=True)
 class ScaledSeries:
-    """Under-reporting-corrected series plus the correction metadata."""
+    """Under-reporting-corrected series plus the correction metadata:
+    scaled[k] is the corrected cumulative count of records[k]."""
 
-    records: tuple[ScaledCase, ...]
+    records: tuple[CaseRecord, ...]
+    scaled: tuple[float, ...]
     exponent: float
     reference_positivity: float
 
@@ -189,14 +182,8 @@ def scale_cases(records: list[CaseRecord], exponent: float = 1.0 / 3.0) -> Scale
         raise CaseDataError(f"record {k} ({records[k].date}) has no positivity_rate")
     reference = min(r.positivity_rate for r in records)
     scaled = tuple(
-        ScaledCase(
-            date=r.date,
-            cumulative_confirmed=r.cumulative_confirmed,
-            positivity_rate=r.positivity_rate,
-            scaled_confirmed=r.cumulative_confirmed
-            * (r.positivity_rate / reference) ** exponent,
-        )
+        r.cumulative_confirmed * (r.positivity_rate / reference) ** exponent
         for r in records
     )
-    return ScaledSeries(scaled, exponent, reference)
+    return ScaledSeries(tuple(records), scaled, exponent, reference)
 

@@ -148,10 +148,10 @@ def _cmd_ingest(args) -> int:
         with out_csv.open("w") as fh:
             if scaled is not None:
                 fh.write("date,cumulative_confirmed,positivity_rate,scaled_confirmed\n")
-                for r in scaled.records:
+                for r, value in zip(scaled.records, scaled.scaled):
                     fh.write(
                         f"{r.date.isoformat()},{r.cumulative_confirmed:.15g},"
-                        f"{r.positivity_rate:.15g},{r.scaled_confirmed:.15g}\n"
+                        f"{r.positivity_rate:.15g},{value:.15g}\n"
                     )
             else:
                 fh.write("date,cumulative_confirmed\n")

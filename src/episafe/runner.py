@@ -192,8 +192,9 @@ def _lines(trajectory: Trajectory) -> list[str]:
 def export_trajectory(trajectory: Trajectory, path: str | Path) -> Path:
     """Write the trajectory CSV (see module docstring for the schema)."""
     path = Path(path)
-    header = ",".join(_columns(trajectory.scenario)) + "\n"
-    path.write_text(header + "".join(_lines(trajectory)))
+    with path.open("w") as fh:
+        fh.write(",".join(_columns(trajectory.scenario)) + "\n")
+        fh.writelines(_lines(trajectory))
     return path
 
 
@@ -216,11 +217,11 @@ def import_trajectory(path: str | Path, scenario: Scenario) -> Trajectory:
     """
     path = Path(path)
     try:
-        lines = path.read_text().splitlines()
+        lines = path.read_text().split("\n")  # not splitlines: a form feed ends no line
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc  # an OSError's text repeats the path
         raise TrajectoryFormatError(f"{path}: cannot read trajectory: {reason}") from exc
-    if not lines:
+    if lines == [""]:
         raise TrajectoryFormatError(f"{path}: empty trajectory file")
     expected = _columns(scenario)
     header = lines[0].split(",")
@@ -284,10 +285,9 @@ def write_long_table(trajectory: Trajectory, path: str | Path) -> Path:
     ).format
     # a line's cells are numbers, and no number holds a comma
     path = Path(path)
-    path.write_text(
-        "t,series,value\n"
-        + "".join([fill(*line[:-1].split(",")) for line in _lines(trajectory)])
-    )
+    with path.open("w") as fh:
+        fh.write("t,series,value\n")
+        fh.writelines(fill(*line[:-1].split(",")) for line in _lines(trajectory))
     return path
 
 

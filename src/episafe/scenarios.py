@@ -16,6 +16,7 @@ default_gains).
 
 from __future__ import annotations
 
+import io
 import math
 from pathlib import Path
 from typing import NamedTuple
@@ -232,7 +233,8 @@ def parse_scenario_text(text: str, origin: str = "<string>") -> Scenario:
     known = {"model", "initial", "constraint", *_SETTING_SECTIONS}
     top = _Section("", 0)
     sections: list[_Section] = [top]
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # lines end at \n, \r\n or \r alone, not at a form feed or U+2028 as in splitlines
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

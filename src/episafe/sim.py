@@ -448,7 +448,8 @@ def safety_audit(trajectory: Trajectory) -> AuditReport:
         viol = np.flatnonzero(series < 0.0)
         tol = 1e-6 * c.alpha * c.bound
         controlled = series[start:]
-        decay = np.diff(controlled) / dt + c.alpha * controlled[:-1]
+        with np.errstate(all="ignore"):  # alpha * h may overflow to inf
+            decay = np.diff(controlled) / dt + c.alpha * controlled[:-1]
         failures = int(np.count_nonzero(decay < -tol))
         worst = float(decay.min()) if decay.size else math.inf
         audits.append(

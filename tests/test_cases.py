@@ -115,6 +115,30 @@ class TestIngest:
         assert str(err.value).startswith(f"{p}: cannot read case data: ")
         assert str(err.value).count(str(p)) == 1
 
+    def test_padded_cells_blank_lines_and_crlf(self, tmp_path):
+        # every record field by field; blank lines, a row of blank cells and
+        # empty optional cells are skipped or read as absent, and the rows
+        # keep their physical line numbers
+        text = (
+            " date , cumulative_confirmed ,positivity_rate, mobility_index\r\n"
+            "\r\n"
+            " 2020-06-01 , 100 , 0.25 , \r\n"
+            "  ,  ,  ,  \r\n"
+            "2020-06-02,130.5,,\r\n"
+            "\t2020-06-04\t,200,1, 0.5 \r\n"
+            "\r\n"
+        )
+        p = tmp_path / "cases.csv"
+        p.write_bytes(text.encode())
+        assert ingest_cases(p) == [
+            CaseRecord(dt.date(2020, 6, 1), 100.0, 0.25),
+            CaseRecord(dt.date(2020, 6, 2), 130.5, None),
+            CaseRecord(dt.date(2020, 6, 4), 200.0, 1.0),
+        ]
+        p.write_bytes((text + "2020-06-05,199,,\r\n").encode())
+        with pytest.raises(CaseDataError, match=r"cases\.csv:8: cumulative count decreases"):
+            ingest_cases(p)
+
     def test_malformed_row_named(self, tmp_path):
         text = WELL_FORMED + "2020-03-28\n"
         with pytest.raises(CaseDataError, match=":5:"):
@@ -130,8 +154,8 @@ class TestScaling:
         scaled = scale_cases(records)
         # (0.32 / 0.04) ** (1/3) = 2: the high-positivity row doubles
         assert scaled.reference_positivity == pytest.approx(0.04)
-        assert scaled.records[0].scaled_confirmed == pytest.approx(1000.0)
-        assert scaled.records[1].scaled_confirmed == pytest.approx(4000.0)
+        assert scaled.scaled[0] == pytest.approx(1000.0)
+        assert scaled.scaled[1] == pytest.approx(4000.0)
 
     def test_constant_positivity_unchanged(self):
         records = [
@@ -139,8 +163,8 @@ class TestScaling:
             for d in (1, 2, 3)
         ]
         scaled = scale_cases(records)
-        for raw, out in zip(records, scaled.records):
-            assert out.scaled_confirmed == pytest.approx(raw.cumulative_confirmed)
+        for raw, out in zip(records, scaled.scaled):
+            assert out == pytest.approx(raw.cumulative_confirmed)
 
     def test_zero_exponent_unchanged(self):
         records = [
@@ -148,7 +172,7 @@ class TestScaling:
             CaseRecord(dt.date(2020, 6, 2), 900.0, positivity_rate=0.4),
         ]
         scaled = scale_cases(records, exponent=0.0)
-        assert [r.scaled_confirmed for r in scaled.records] == [500.0, 900.0]
+        assert list(scaled.scaled) == [500.0, 900.0]
 
     def test_missing_positivity_rejected(self):
         unrated = CaseRecord(dt.date(2020, 6, 1), 500.0)

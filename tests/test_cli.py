@@ -1,5 +1,9 @@
 """Command-line interface contract: subcommands, exit codes, determinism."""
 
+import datetime as dt
+import hashlib
+import math
+import random
 import subprocess
 import sys
 import tempfile
@@ -19,6 +23,20 @@ date,cumulative_confirmed,positivity_rate
 2020-03-25,65000,0.04
 2020-03-26,70000,0.32
 """
+
+
+def seeded_cases(rows: int, seed: int) -> str:
+    """Daily case data with all four columns, drawn from
+    random.Random(seed).random alone, whose sequence Python keeps across
+    versions."""
+    rng = random.Random(seed)
+    day, total = dt.date(2020, 1, 22), 0.0
+    lines = ["date,cumulative_confirmed,positivity_rate,mobility_index"]
+    for _ in range(rows):
+        total += math.floor(5000 * rng.random())
+        lines.append(f"{day},{total:.1f},{0.02 + 0.38 * rng.random()!r},{0.2 + rng.random()!r}")
+        day += dt.timedelta(days=1)
+    return "\n".join(lines) + "\n"
 
 
 DOCUMENTED_EXIT_CODES = (0, 2, 3, 4)
@@ -399,6 +417,36 @@ class TestIngest:
         assert f"positivity scaling: skipped ({reason})\n" in capsys.readouterr().out
         header = (tmp_path / "cases_scaled.csv").read_text().splitlines()[0]
         assert header == "date,cumulative_confirmed"
+
+    @pytest.mark.parametrize(
+        "blank_row, digests",
+        [
+            (None, {
+                "seeded.csv": "10adf73ba3376f5bd0bfb17a3b9494b0d785b5b857cdfcaf5fa0b923f659614d",
+                "seeded_scaled.csv": "4e1fa1f2a3bf75f7dc5ee4ebd637cf1c220aee246b93820b3f8a0338ffdcc370",
+                "seeded_scaled.meta.json": "670e495e51916986dcde1eb2c3ae88168d0719ca935c824670b6f5d3f284729c",
+            }),
+            (1500, {
+                "seeded.csv": "0737bce62f1227045433d9bc199d1b57fe10b2e8bf91b46698b312eea5b12b36",
+                "seeded_scaled.csv": "d718d7af50fb9e9d92181c486fa207f4502f0d9472af9d22fee35628be26b427",
+            }),
+        ],
+        ids=["scaled", "unscaled"],
+    )
+    def test_output_bytes_pinned(self, tmp_path, blank_row, digests):
+        # sha256 of every file in the directory: the input, then what
+        # ingest --out wrote; a blank positivity cell on one row takes the
+        # unscaled branch, which writes no metadata
+        lines = seeded_cases(3000, seed=7).splitlines()
+        if blank_row is not None:
+            cells = lines[blank_row].split(",")
+            cells[2] = ""
+            lines[blank_row] = ",".join(cells)
+        cases = tmp_path / "seeded.csv"
+        cases.write_text("\n".join(lines) + "\n")
+        assert main(["ingest", str(cases), "--out", str(tmp_path)]) == 0
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+        assert written == digests
 
     def test_bad_rows_exit_2(self, tmp_path, capsys):
         cases = tmp_path / "bad.csv"

@@ -282,6 +282,17 @@ class TestTrajectoryCsv:
         with pytest.raises(TrajectoryFormatError, match=message):
             import_trajectory(path, short_run.scenario)
 
+    def test_import_counts_only_line_breaks(self, short_run, tmp_path):
+        # a form feed closing line 3 ends no line: the extra field on line 5
+        # is named as line 5
+        path = export_trajectory(short_run, tmp_path / "t.csv")
+        lines = path.read_text().splitlines()
+        lines[2] += "\x0c"
+        lines[4] += ",0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TrajectoryFormatError, match="line 5: expected 8 fields, got 9$"):
+            import_trajectory(path, short_run.scenario)
+
     def test_import_names_an_undecodable_file(self, short_run, tmp_path):
         path = export_trajectory(short_run, tmp_path / "t.csv")
         path.write_bytes(path.read_bytes().replace(b",", b"\xff,", 1))

@@ -112,6 +112,17 @@ class TestParsing:
         with pytest.raises(ScenarioParseError, match=r"missing compartment\(s\) \['R'\]"):
             parse_scenario_text(bad)
 
+    def test_lines_end_only_at_line_breaks(self):
+        # a comment may hold U+2028 or a form feed, which end no line: the
+        # document parses as without them, and later lines keep their
+        # numbers, with any of the three line endings
+        doc = MINIMAL.replace("[model]", "# note\u2028more\x0cstill\n[model]")
+        scenario_equal(parse_scenario_text(doc), parse_scenario_text(MINIMAL))
+        bad = doc.replace("dt = 0.1", "dt = 0.1\nstep_mode = fancy")
+        for end in ("\n", "\r\n", "\r"):
+            with pytest.raises(ScenarioParseError, match=r":19: unknown \[time\] key 'step_mode'"):
+                parse_scenario_text(bad.replace("\n", end))
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.scenario"
         p.write_text("")

@@ -409,6 +409,16 @@ class TestSafetyAudit:
         audit = safety_audit(late).constraints[0]
         assert (audit.decay_check_failures, audit.decay_check_worst) == (0, math.inf)
 
+    def test_overflowing_decay_check_warns_nothing(self, sir_spec):
+        # alpha * h overflows to inf: the audit still reports, and no numpy
+        # RuntimeWarning escapes it (the suite turns warnings into errors)
+        traj = simulate(sir_scenario(sir_spec, t_end=2.0))
+        huge = SafetyConstraint(MULTIPLICATIVE, 1, 2e5, 1e308, name="I")
+        scenario = dataclasses.replace(traj.scenario, constraints=(huge,))
+        audit = safety_audit(dataclasses.replace(traj, scenario=scenario)).constraints[0]
+        assert audit.decay_check_worst == math.inf
+        assert audit.decay_check_failures == 0
+
     def test_audit_with_explicit_constraints(self, sir_spec):
         traj = simulate(sir_scenario(sir_spec, t_end=20.0))
         tight = SafetyConstraint(MULTIPLICATIVE, 1, 1.2e5, 0.02, name="tight")
