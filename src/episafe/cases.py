@@ -170,7 +170,8 @@ def scale_cases(records: list[CaseRecord], exponent: float = 1.0 / 3.0) -> Scale
     a positivity_rate" when none has one, and otherwise names the first
     record without one.  The reference is the series minimum, so scaling
     only inflates under-reported periods and the best-surveilled day keeps
-    its raw count.
+    its raw count.  A scaled count that is not finite (the ratio or the
+    product overflowed) raises CaseDataError naming the first such record.
     """
     if not records:
         raise CaseDataError("no records to scale")
@@ -185,5 +186,9 @@ def scale_cases(records: list[CaseRecord], exponent: float = 1.0 / 3.0) -> Scale
         r.cumulative_confirmed * (r.positivity_rate / reference) ** exponent
         for r in records
     )
+    if not all(map(math.isfinite, scaled)):
+        k = next(k for k, value in enumerate(scaled) if not math.isfinite(value))
+        raise CaseDataError(f"record {k} ({records[k].date}) scales to a count "
+                            f"that is not finite ({scaled[k]!r})")
     return ScaledSeries(tuple(records), scaled, exponent, reference)
 

@@ -36,10 +36,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
         p.add_argument("--out", metavar="DIR", help="directory for output files")
         p.add_argument("--dt", type=float, help="override the time step (days)")
-        p.add_argument("--seed", type=int, help="override the disturbance seed")
+        if seed:
+            p.add_argument("--seed", type=int, help="override the disturbance seed")
         p.add_argument(
             "--mode",
             choices=MODES,
@@ -53,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_audit = sub.add_parser("audit", help="audit an exported trajectory")
     p_audit.add_argument("trajectory", help="trajectory CSV path")
     p_audit.add_argument("scenario", help="preset name or scenario file path")
-    add_common(p_audit)
+    add_common(p_audit, seed=False)  # d comes from the file: no draw to seed
 
     p_sweep = sub.add_parser("sweep", help="run a one-parameter scenario family")
     p_sweep.add_argument("scenario", help="preset name or scenario file path")
@@ -76,14 +77,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _scenario(args):
     """(name, scenario) for the preset or file args.scenario, with each
-    setting given as --dt, --seed or --mode."""
+    setting given as --dt, --seed (not taken by audit) or --mode."""
     from .scenarios import SETTINGS, resolve_scenario
 
     name, scenario = resolve_scenario(args.scenario)
     overrides = {
         s.field: getattr(args, s.key)
         for s in SETTINGS
-        if s.key in ("dt", "seed", "mode") and getattr(args, s.key) is not None
+        if s.key in ("dt", "seed", "mode") and getattr(args, s.key, None) is not None
     }
     return name, dataclasses.replace(scenario, **overrides) if overrides else scenario
 

@@ -4,8 +4,8 @@ Compartmental data lags behind the true state (incubation plus testing
 time).  Feeding the stale measurement into the feedback law can lose the
 safety guarantee, so the current state is forecast from the last
 measurement (sim.simulate replays the inputs sent since; predict_state runs
-the law), and prediction_error measures how far a forecast lies from the
-true state.
+the law at every step of the forecast), and prediction_error measures how
+far a forecast lies from the true state.
 """
 
 from __future__ import annotations
@@ -33,21 +33,17 @@ class PredictorConfig:
 
     tau is the delay (days, a multiple of dt_pred by sim.grid_steps); dt_pred
     the internal integration step, normally equal to the simulation step so
-    predictions replay the plant exactly.  constraints/control_start describe
-    the law predict_state runs in place of the inputs sent; control_start
-    None means the controller is always on, and any other value must be
-    finite (it may lie off the grid: predict_state rounds it to a step).
+    predictions replay the plant exactly.  constraints set the law
+    predict_state runs at every step in place of the inputs sent (none: the
+    open loop, u = 0).
     """
 
     tau: float
     dt_pred: float
     constraints: tuple[SafetyConstraint, ...] = ()
-    control_start: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "constraints", tuple(self.constraints))
-        if self.control_start is not None and not math.isfinite(self.control_start):
-            raise ValueError("control_start must be finite")
         if not self.dt_pred > 0.0:
             raise ValueError("dt_pred must be positive")
         if grid_steps(self.tau, self.dt_pred) is None:
@@ -69,14 +65,15 @@ def predict_state(
     """Forecast the state one delay interval ahead of the measurement.
 
     Integrates the delay-free closed loop (same integrator, step and law as
-    the simulator, which replays its sent commands) from the measured state.
-    The law turns on at step max(0, round((control_start - t_measured) /
-    dt_pred)), the step nearest control_start (a tie goes to the even step);
-    for a forecast from sample k - D of sim.simulate, control_step - (k - D).
-    measured may also be the flat [w; z] list (see ModelSpec.flat); the
-    forecast is a ModelState at every delay, and at zero delay a ModelState
-    comes back as itself.  t_measured and every entry of measured must be
-    finite (ValueError).
+    the simulator, which replays its sent commands) from the measured state,
+    with the law on at every step: for a forecast from sample k - D of
+    sim.simulate it replays the plant once k - D >= control_step.  measured
+    may also be the flat [w; z] list (see ModelSpec.flat); the forecast is
+    a ModelState at every delay, and at zero delay a ModelState comes back
+    as itself.  t_measured and every entry of measured must be finite
+    (ValueError).  The forecast no longer depends on t_measured; ROADMAP
+    item 3c removes it together with config.constraints once step 1a lets
+    the benchmark's probe change.
     """
     x = spec.flat(measured)
     _check_finite(x)
@@ -84,12 +81,7 @@ def predict_state(
         raise ValueError(f"t_measured must be finite, got {t_measured!r}")
     if config.n_steps == 0:
         return measured if isinstance(measured, ModelState) else spec.state(x)
-    first_step = 0
-    if config.control_start is not None:
-        # clamped first, so a quotient that overflowed to inf still rounds
-        ahead = (config.control_start - t_measured) / config.dt_pred
-        first_step = round(min(max(ahead, 0.0), config.n_steps))
-    input_fn = engine.make_input_fn(spec, config.constraints, first_step)
+    input_fn = engine.make_input_fn(spec, config.constraints)
     x = engine.closed_loop_rollout(spec, x, 0, config.n_steps, config.dt_pred, input_fn)
     return spec.state(x)
 

@@ -14,14 +14,13 @@ set, with the table's formulas written into the law's own code, so a law
 evaluation calls no model evaluator.  The law has one entry point,
 solve(x) -> ControlDecision on the flat state, memoized by safety._solver:
 combined_control returns its decision as is (answering the plant loop's
-repeat request from a last-used slot), and make_input_fn gates its u by
-step number.  A rollout takes its input per step from an input_fn:
+repeat request from a last-used slot), and make_input_fn returns its u at
+every step.  A rollout takes its input per step from an input_fn:
 sim.simulate's replays the commands it sent, so its forecasts run no law;
 delay.predict_state passes make_input_fn's law, and wraps the rollout with
 a ModelState interface.
 ModelSpec.flat turns a ModelState into the flat list, and is the one check
-that a state, in either form, fits the model.  Inputs are gated by step
-number; sim.grid_steps maps times.
+that a state, in either form, fits the model.
 
 rk4_flat runs a straight-line kernel generated from one source template
 the first time a state length is seen and kept for that length: the
@@ -99,17 +98,16 @@ def rk4_flat(
 def make_input_fn(
     spec: ModelSpec,
     constraints: Sequence[SafetyConstraint],
-    first_step: int = 0,
 ) -> InputFn:
-    """Scalar feedback law u(k, x) at step number k: zero before first_step,
-    afterwards the min-norm QP solution clamped to [0, 1], the u of the
-    solve generated for the constraint set (zero without constraints).  It
-    gives the bits of the u the simulator commands at the same state, so
-    delay.predict_state forecasts as if those commands had been sent."""
+    """Scalar feedback law u(k, x), the same at every step number k: the
+    min-norm QP solution clamped to [0, 1], the u of the solve generated for
+    the constraint set (zero without constraints).  It gives the bits of the
+    u the simulator commands at the same state, so delay.predict_state
+    forecasts as if those commands had been sent."""
     solve = _solver(spec, tuple(constraints))
 
     def input_fn(k: int, x: Sequence[float]) -> float:
-        return solve(x)[1] if k >= first_step else 0.0
+        return solve(x)[1]
 
     return input_fn
 

@@ -447,10 +447,10 @@ def test_criterion_8_predictor_accuracy():
     cfg = PredictorConfig(
         tau=tau, dt_pred=scenario.dt,
         constraints=scenario.constraints,
-        control_start=scenario.control_start,
     )
     worst = 0.0
-    for k in range(steps, len(traj), 173):
+    # from control_step + D on, each window lies in the controlled phase
+    for k in range(scenario.control_step + steps, len(traj), 173):
         measured = traj.state_at(k - steps)
         t_meas = float(traj.times[k - steps])
         predicted = predict_state(spec, measured, cfg, t_measured=t_meas)
@@ -461,7 +461,6 @@ def test_criterion_8_predictor_accuracy():
         tau=tau / 2.0,  # 5.5 days: still a multiple of dt
         dt_pred=scenario.dt,
         constraints=scenario.constraints,
-        control_start=scenario.control_start,
     )
     start = traj.state_at(400)
     t0 = float(traj.times[400])

@@ -293,6 +293,13 @@ class TestAudit:
     def test_missing_file_is_validation_error(self, capsys):
         assert main(["audit", "/nonexistent.csv", "sir_delay_danger"]) == 2
 
+    def test_seed_is_a_usage_error(self, capsys):
+        # the audit reads d from the file and draws no disturbance
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", "x.csv", "sir_delay_danger", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
     def test_other_time_step_is_validation_error(self, tmp_path, capsys):
         # a file sampled at dt 0.1 audited at dt 0.05 would run the decay
         # check with the wrong step; its time column gives it away
@@ -407,16 +414,27 @@ class TestIngest:
                 "no record has a positivity_rate",
             ),
             ("date,cumulative_confirmed\n2020-03-25,65000\n", "no record has a positivity_rate"),
+            # 1 / 5e-324 overflows to inf
+            (
+                CASES_CSV.replace(",0.04", ",5e-324").replace(",0.32", ",1"),
+                "record 1 (2020-03-26) scales to a count that is not finite (inf)",
+            ),
+            # 1e308 * 1000 ** (1/3) overflows to inf
+            (
+                CASES_CSV.replace("65000,0.04", "1e308,0.001").replace("70000,0.32", "1e308,1"),
+                "record 1 (2020-03-26) scales to a count that is not finite (inf)",
+            ),
         ],
-        ids=["empty_cell", "empty_column", "no_column"],
+        ids=["empty_cell", "empty_column", "no_column", "rate_overflow", "count_overflow"],
     )
     def test_skipped_scaling_names_its_reason(self, tmp_path, capsys, text, reason):
         cases = tmp_path / "cases.csv"
         cases.write_text(text)
         assert main(["ingest", str(cases), "--out", str(tmp_path)]) == 0
         assert f"positivity scaling: skipped ({reason})\n" in capsys.readouterr().out
-        header = (tmp_path / "cases_scaled.csv").read_text().splitlines()[0]
-        assert header == "date,cumulative_confirmed"
+        written = (tmp_path / "cases_scaled.csv").read_text()
+        assert written.splitlines()[0] == "date,cumulative_confirmed"
+        assert "inf" not in written
 
     @pytest.mark.parametrize(
         "blank_row, digests",

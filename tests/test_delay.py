@@ -94,77 +94,24 @@ class TestPredictState:
         two = predict_state(sir_spec, mid, half_cfg, t_measured=4.0)
         assert prediction_error(two, full) <= 1e-5 * SIR_US.N
 
-    def test_control_start_gate_matches_plant(self, sir_spec):
-        # the law is off for the whole steps before control_start, as in the
-        # plant loop, so the forecast lands bit for bit on the plant's state
-        sc = Scenario(
-            spec=sir_spec,
-            state0=sir_spec.state([26e6, 1e5, 6.9e6]),
-            t_start=2.0, t_end=3.0, dt=0.1,
-            constraints=(I_CON,), control_start=2.5,
-        )
-        traj = simulate(sc)
-        assert traj.u[4] == 0.0 and traj.u[5] > 0.0
-        cfg = PredictorConfig(1.0, 0.1, constraints=(I_CON,), control_start=2.5)
-        pred = predict_state(sir_spec, sc.state0, cfg, t_measured=2.0)
-        np.testing.assert_array_equal(pred.x, traj.states[-1])
-
-    def test_control_start_ahead_rounds_to_nearest_step(self, sir_spec):
-        state = sir_spec.state([26e6, 1e5, 6.9e6])
-
-        def forecast(control_start, dt_pred=0.1):
-            cfg = PredictorConfig(1.0, dt_pred, constraints=(I_CON,), control_start=control_start)
-            return predict_state(sir_spec, state, cfg, t_measured=2.0).x
-
-        # off the grid: the law turns on at the step nearest control_start
-        np.testing.assert_array_equal(forecast(2.54), forecast(2.5))
-        np.testing.assert_array_equal(forecast(2.56), forecast(2.6))
-        assert not np.array_equal(forecast(2.5), forecast(2.6))
-        # halfway between two steps (exact in binary): the even step, 2
-        for halfway in (2.375, 2.625):
-            np.testing.assert_array_equal(forecast(halfway, 0.25), forecast(2.5, 0.25))
-        # past the end of the forecast, however far: the law never turns on
-        np.testing.assert_array_equal(forecast(3.0), forecast(1e308))
-        assert not np.array_equal(forecast(2.9), forecast(3.0))
-        # a control_start already passed engages the law from the first step
-        on = PredictorConfig(1.0, 0.1, constraints=(I_CON,), control_start=1.95)
-        always = PredictorConfig(1.0, 0.1, constraints=(I_CON,))
-        np.testing.assert_array_equal(
-            predict_state(sir_spec, state, on, t_measured=2.0).x,
-            predict_state(sir_spec, state, always, t_measured=2.0).x,
-        )
-
-    def test_off_grid_control_start_replays_every_plant_forecast(self):
-        # control_start 5e-10 past the grid: Scenario takes it as step 100;
-        # every forecast simulate makes, from x[k - D] at t_k - tau, turns
-        # the law on at the same step and lands on the plant's state
-        sc = dataclasses.replace(
-            load_preset("sir_fig2"), t_end=40.0, control_start=10.0000000005
-        )
+    def test_replays_every_controlled_plant_forecast(self):
+        # from sample control_step + D on, every forecast window lies in the
+        # controlled phase, so the law at every step replays the commands
+        # simulate sent, and the forecast from x[k - D] lands on x[k]
+        sc = dataclasses.replace(load_preset("sir_fig2"), t_end=40.0)
         traj = simulate(sc)
         D = sc.delay_steps
-        cfg = PredictorConfig(sc.tau, sc.dt, sc.constraints, sc.control_start)
-        ks = range(max(D, sc.control_step), sc.n_steps + 1)
-        assert len(ks) == 291
+        cfg = PredictorConfig(sc.tau, sc.dt, sc.constraints)
+        ks = range(sc.control_step + D, sc.n_steps + 1)
+        assert len(ks) == 191
         for k in ks:
             pred = predict_state(sc.spec, traj.state_at(k - D), cfg, traj.times[k] - sc.tau)
             np.testing.assert_array_equal(pred.x, traj.states[k])
 
-    def test_infinite_control_start_is_rejected(self, sir_spec):
-        with pytest.raises(ValueError, match="control_start"):
-            PredictorConfig(1.0, 0.1, constraints=(I_CON,), control_start=math.inf)
-
-    @pytest.mark.parametrize("value", [math.nan, -math.inf])
-    def test_nan_or_negative_infinite_control_start_is_rejected(self, value):
-        # NaN compares False with every time, so the gate would never close
-        with pytest.raises(ValueError, match="control_start must be finite"):
-            PredictorConfig(1.0, 0.1, constraints=(I_CON,), control_start=value)
-
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_t_measured_is_rejected(self, sir_spec, value):
-        # NaN compares False with control_start, so the gate would be skipped
         state = sir_spec.state([26e6, 1e5, 6.9e6])
-        cfg = PredictorConfig(1.0, 0.1, constraints=(I_CON,), control_start=2.5)
+        cfg = PredictorConfig(1.0, 0.1, constraints=(I_CON,))
         with pytest.raises(ValueError, match="t_measured must be finite"):
             predict_state(sir_spec, state, cfg, t_measured=value)
 

@@ -1,5 +1,5 @@
 """engine.rk4_flat: the generated per-length kernel against the elementwise
-RK4 it replaced; the step-numbered law gate of make_input_fn and
+RK4 it replaced; make_input_fn's law, the same at every step, and
 closed_loop_rollout."""
 
 from operator import mul
@@ -83,14 +83,14 @@ def test_tuple_state_accepted():
 I_CAP = SafetyConstraint(MULTIPLICATIVE, 1, 2e5, 0.02, name="I")
 
 
-def test_input_fn_on_from_first_step():
+def test_input_fn_same_at_every_step():
     spec = build_sir(SIR_US)
     x = [26e6, 1e5, 6.9e6]
-    gated = make_input_fn(spec, (I_CAP,), first_step=5)
-    assert gated(4, x) == 0.0
-    assert gated(5, x) > 0.0
-    assert gated(5, x) == make_input_fn(spec, (I_CAP,))(0, x)
-    assert make_input_fn(spec, ())(5, x) == 0.0
+    law = make_input_fn(spec, (I_CAP,))
+    assert law(0, x) > 0.0
+    assert law(5, x) == law(0, x) == law(-3, x)
+    rest = make_input_fn(spec, ())
+    assert rest(0, x) == rest(5, x) == rest(-3, x) == 0.0
 
 
 def test_rollout_numbers_steps_from_k0():
