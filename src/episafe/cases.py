@@ -3,11 +3,11 @@
 Confirmed-case counts are cumulative and measured with delay; during
 high-positivity periods they also under-count actual infections.  The
 scaling here inflates the cumulative series by (positivity / reference)
-raised to a damping exponent (cube root by default, to scale less
+raised to a damping exponent, EXPONENT (a cube root, to scale less
 aggressively), with the reference chosen as the series minimum so the
 best-surveilled period is left untouched.  ingest_cases reads a file in
-one pass into CaseRecords; scale_cases returns a ScaledSeries that keeps
-those records and one scaled count per record.
+one pass into CaseRecords; scale_cases returns a ScaledSeries that holds
+one scaled count per record, in the records' order.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 __all__ = [
+    "EXPONENT",
     "CaseRecord",
     "CaseDataError",
     "ScaledSeries",
@@ -28,6 +29,7 @@ __all__ = [
 ]
 
 _COLUMNS = ("date", "cumulative_confirmed", "positivity_rate", "mobility_index")
+EXPONENT = 1.0 / 3.0  # the damping exponent of scale_cases
 
 
 class CaseDataError(ValueError):
@@ -147,24 +149,22 @@ def ingest_cases(path: str | Path) -> list[CaseRecord]:
 @dataclass(frozen=True)
 class ScaledSeries:
     """Under-reporting-corrected series plus the correction metadata:
-    scaled[k] is the corrected cumulative count of records[k]."""
+    scaled[k] is the corrected cumulative count of scale_cases' records[k]."""
 
-    records: tuple[CaseRecord, ...]
     scaled: tuple[float, ...]
-    exponent: float
     reference_positivity: float
 
     def metadata(self) -> dict:
         return {
             "formula": "scaled = cumulative * (positivity / reference) ** exponent",
-            "exponent": self.exponent,
+            "exponent": EXPONENT,
             "reference_positivity": self.reference_positivity,
             "reference_rule": "series minimum (best-surveilled period unchanged)",
         }
 
 
-def scale_cases(records: list[CaseRecord], exponent: float = 1.0 / 3.0) -> ScaledSeries:
-    """Inflate cumulative counts where test positivity was high.
+def scale_cases(records: list[CaseRecord]) -> ScaledSeries:
+    """Inflate cumulative counts by (positivity / reference) ** EXPONENT.
 
     Every record needs a positivity_rate: CaseDataError says "no record has
     a positivity_rate" when none has one, and otherwise names the first
@@ -183,12 +183,12 @@ def scale_cases(records: list[CaseRecord], exponent: float = 1.0 / 3.0) -> Scale
         raise CaseDataError(f"record {k} ({records[k].date}) has no positivity_rate")
     reference = min(r.positivity_rate for r in records)
     scaled = tuple(
-        r.cumulative_confirmed * (r.positivity_rate / reference) ** exponent
+        r.cumulative_confirmed * (r.positivity_rate / reference) ** EXPONENT
         for r in records
     )
     if not all(map(math.isfinite, scaled)):
         k = next(k for k, value in enumerate(scaled) if not math.isfinite(value))
         raise CaseDataError(f"record {k} ({records[k].date}) scales to a count "
                             f"that is not finite ({scaled[k]!r})")
-    return ScaledSeries(tuple(records), scaled, exponent, reference)
+    return ScaledSeries(scaled, reference)
 

@@ -128,7 +128,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    from .cases import CaseDataError, ingest_cases, scale_cases
+    from .cases import EXPONENT, CaseDataError, ingest_cases, scale_cases
 
     records = ingest_cases(args.cases)
     print(f"{len(records)} valid case records "
@@ -139,7 +139,7 @@ def _cmd_ingest(args) -> int:
         scaled = None
         print(f"positivity scaling: skipped ({exc})")
     else:
-        print(f"positivity scaling: exponent {scaled.exponent:g}, "
+        print(f"positivity scaling: exponent {EXPONENT:g}, "
               f"reference {scaled.reference_positivity:g}")
     if args.out:
         out_dir = Path(args.out)
@@ -149,7 +149,7 @@ def _cmd_ingest(args) -> int:
         with out_csv.open("w") as fh:
             if scaled is not None:
                 fh.write("date,cumulative_confirmed,positivity_rate,scaled_confirmed\n")
-                for r, value in zip(scaled.records, scaled.scaled):
+                for r, value in zip(records, scaled.scaled):
                     fh.write(
                         f"{r.date.isoformat()},{r.cumulative_confirmed:.15g},"
                         f"{r.positivity_rate:.15g},{value:.15g}\n"

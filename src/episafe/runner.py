@@ -212,8 +212,9 @@ def import_trajectory(path: str | Path, scenario: Scenario) -> Trajectory:
     per column is named by its line number.  The file must hold one row per
     sample of the scenario's time grid, each t within grid_steps's
     tolerance of its sample time (TrajectoryFormatError otherwise), so that
-    the audit's decay check uses the file's own step.  A file that cannot
-    be read or is not UTF-8 is named by its path.
+    the audit's decay check uses the file's own step.  A state cell that is
+    not finite, which would hide a breach from the audit, is named by its
+    line; a file that cannot be read or is not UTF-8, by its path.
     """
     path = Path(path)
     try:
@@ -245,6 +246,13 @@ def import_trajectory(path: str | Path, scenario: Scenario) -> Trajectory:
         except ValueError as exc:
             raise TrajectoryFormatError(f"{path}: line {number}: bad numeric cell: {exc}") from None
     data = np.array(rows).reshape(-1, width)  # a file without data rows too
+    n_state = len(scenario.spec.labels)
+    bad = np.argwhere(~np.isfinite(data[:, 1 : 1 + n_state]))
+    if bad.size:  # the first, named by the line that holds it
+        k, j = bad[0]
+        number = [n for n, line in enumerate(lines[1:], 2) if line][k]
+        cell = f"{expected[1 + j]} = {data[k, 1 + j]}"
+        raise TrajectoryFormatError(f"{path}: line {number}: {cell} is not finite")
     n_rows = scenario.n_steps + 1
     if data.shape[0] != n_rows:
         raise TrajectoryFormatError(
@@ -262,7 +270,6 @@ def import_trajectory(path: str | Path, scenario: Scenario) -> Trajectory:
             f"{path}: sample {k} has t = {float(data[k, 0])!r}, off the scenario's "
             f"time grid (t_start {scenario.t_start:g}, dt {scenario.dt:g})"
         )
-    n_state = len(scenario.spec.labels)
     u_raw = data[:, 1 + n_state]
     return Trajectory(
         scenario=scenario,

@@ -427,7 +427,6 @@ def combined_control(
 class ConstraintCheck:
     """Starting-condition status for one constraint."""
 
-    index: int
     label: str
     margin: float
     extended_margin: float | None
@@ -436,6 +435,8 @@ class ConstraintCheck:
 
 @dataclass(frozen=True)
 class InitialConditionReport:
+    """One ConstraintCheck per constraint, in order."""
+
     checks: tuple[ConstraintCheck, ...]
 
     @property
@@ -473,6 +474,6 @@ def validate_initial_condition(
         else:
             he = None
             ok = h >= 0.0
-        checks.append(ConstraintCheck(k, c.label(k), h, he, ok))
+        checks.append(ConstraintCheck(c.label(k), h, he, ok))
     return InitialConditionReport(tuple(checks))
 

@@ -4,9 +4,9 @@ The loop advances the model with a classical Runge-Kutta step of size dt,
 evaluating the feedback law once per step on the state selected by the
 scenario's feedback mode: the true current state, a measurement delayed by
 tau, or a forecast from it replaying the commands sent since.  Every mode
-reads its measurement from one list: lag copies of the prehistory (lag = D
-delay steps in the delayed and predictor modes, 0 in instantaneous mode)
-followed by each recorded state, so sample k's measurement is entry k.
+reads its measurement from one list: lag copies of the prehistory (lag =
+min(D, n_steps + 1) in the delayed and predictor modes, 0 in instantaneous
+mode) followed by each recorded state, so sample k's measurement is entry k.
 MeasurementBuffer is a standalone delay buffer that simulate does not use.
 An optional bounded input disturbance, sampled per step from the scenario
 seed, is added to the applied input.  Everything a safety audit needs is
@@ -282,14 +282,15 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
     the commands u sent since its measurement: no law runs inside a
     forecast.  The measurements are one list, hist: lag copies of the
     prehistory, then the state of every sample as it is recorded, with lag
-    = D (delay_steps) in the delayed and predictor modes and 0 in
-    instantaneous mode.  The law at sample k reads hist[k], the state of
-    sample k - lag or the prehistory while k < lag, and the predictor
-    starts its forecast there; the recorded states are hist[lag:].  In
-    guaranteed mode the run refuses to start if the initial controlled
-    state violates the controller hypotheses.  combined_control refuses
-    every state the law sees that holds negative populations or a
-    non-finite entry, a forecast included (ValueError).
+    = min(D, n_steps + 1) (D = delay_steps) in the delayed and predictor
+    modes and 0 in instantaneous mode: no sample reads further back.  The
+    law at sample k reads hist[k], the state of sample k - lag or the
+    prehistory while k < lag, and the predictor starts its forecast there;
+    the recorded states are hist[lag:].  In guaranteed mode the run refuses
+    to start if the initial controlled state violates the controller
+    hypotheses.  combined_control refuses every state the law sees that
+    holds negative populations or a non-finite entry, a forecast included
+    (ValueError).
 
     prehistory optionally overrides the state reported for measurement
     times before t_start (defaults to the initial state).  In the delayed
@@ -319,7 +320,7 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
 
     lag = 0
     if scenario.feedback_mode != "instantaneous":
-        lag = delay_steps
+        lag = min(delay_steps, n_steps + 1)
         if prehistory is None:
             prehistory = x
         else:
@@ -382,13 +383,13 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
 
 @dataclass(frozen=True)
 class ConstraintAudit:
-    """Safety audit of one constraint along a trajectory."""
+    """Safety audit of one constraint along a trajectory.  It counts the
+    violations; the trajectory's barriers say at which samples."""
 
     label: str
     min_margin: float
     min_margin_time: float
     violation_count: int
-    violation_times: tuple[float, ...]
     decay_check_failures: int
     decay_check_worst: float
     decay_tolerance: float
@@ -400,9 +401,10 @@ class ConstraintAudit:
 
 @dataclass(frozen=True)
 class AuditReport:
+    """Each constraint's audit, in order, and the count of infeasible QPs."""
+
     constraints: tuple[ConstraintAudit, ...]
     infeasible_count: int
-    infeasible_times: tuple[float, ...]
 
     @property
     def ok(self) -> bool:
@@ -421,16 +423,13 @@ class AuditReport:
         return "\n".join(lines)
 
 
-_MAX_LOGGED_TIMES = 20
-
-
 def safety_audit(trajectory: Trajectory) -> AuditReport:
     """Audit a trajectory's margins against its scenario's constraints.
 
     The margins are the trajectory's barriers, computed from its states; to
     audit against another constraint set, replace the trajectory's
     scenario with one holding it (dataclasses.replace), which recomputes
-    them.  Reports, per constraint: the worst margin, every sign violation,
+    them.  Reports, per constraint: the worst margin, the violation count,
     and a discretized margin-decay check (h(t+dt) - h(t))/dt + alpha h(t)
     >= -tol with tol = 1e-6 * alpha * bound, on each step from the
     scenario's control_step on: before it the law is off and nothing is
@@ -445,7 +444,6 @@ def safety_audit(trajectory: Trajectory) -> AuditReport:
     audits = []
     for c, series in zip(scenario.constraints, trajectory.barriers.T):
         k_min = int(np.argmin(series))
-        viol = np.flatnonzero(series < 0.0)
         tol = 1e-6 * c.alpha * c.bound
         controlled = series[start:]
         with np.errstate(all="ignore"):  # alpha * h may overflow to inf
@@ -457,20 +455,13 @@ def safety_audit(trajectory: Trajectory) -> AuditReport:
                 label=c.label(),
                 min_margin=float(series[k_min]),
                 min_margin_time=float(trajectory.times[k_min]),
-                violation_count=int(viol.size),
-                violation_times=tuple(
-                    float(trajectory.times[i]) for i in viol[:_MAX_LOGGED_TIMES]
-                ),
+                violation_count=int(np.count_nonzero(series < 0.0)),
                 decay_check_failures=failures,
                 decay_check_worst=worst,
                 decay_tolerance=tol,
             )
         )
-    infeasible = np.flatnonzero(~trajectory.feasible)
     return AuditReport(
         constraints=tuple(audits),
-        infeasible_count=int(infeasible.size),
-        infeasible_times=tuple(
-            float(trajectory.times[i]) for i in infeasible[:_MAX_LOGGED_TIMES]
-        ),
+        infeasible_count=int(np.count_nonzero(~trajectory.feasible)),
     )

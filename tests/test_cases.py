@@ -166,14 +166,6 @@ class TestScaling:
         for raw, out in zip(records, scaled.scaled):
             assert out == pytest.approx(raw.cumulative_confirmed)
 
-    def test_zero_exponent_unchanged(self):
-        records = [
-            CaseRecord(dt.date(2020, 6, 1), 500.0, positivity_rate=0.05),
-            CaseRecord(dt.date(2020, 6, 2), 900.0, positivity_rate=0.4),
-        ]
-        scaled = scale_cases(records, exponent=0.0)
-        assert list(scaled.scaled) == [500.0, 900.0]
-
     def test_missing_positivity_rejected(self):
         unrated = CaseRecord(dt.date(2020, 6, 1), 500.0)
         with pytest.raises(CaseDataError, match="^no record has a positivity_rate$"):

@@ -111,6 +111,17 @@ class TestSimulate:
         assert captured.err.startswith("error: Unable to allocate ")
         assert captured.err.count("\n") == 1 and captured.out == ""
 
+    @pytest.mark.parametrize("mode", ["delayed", "predictor"])
+    def test_delay_longer_than_the_run_exits_cleanly(self, tmp_path, capsys, mode):
+        # every sample reads the prehistory, and no list of 1e301
+        # measurements is asked for
+        path = tmp_path / "far.scenario"
+        path.write_text(sir_doc(
+            (26e6, 1e5, 6.9e6), f"mode = {mode}\ntau = 1e300", ["compartment = I\nbound = 2e5\n"],
+        ))
+        assert main(["simulate", str(path)]) in DOCUMENTED_EXIT_CODES
+        assert capsys.readouterr().err == ""
+
     def test_comma_in_constraint_name_exits_2(self, tmp_path, capsys):
         # the name would add a column to the trajectory CSV header
         doc = sir_doc(
@@ -290,6 +301,24 @@ class TestAudit:
         audited = main(["audit", str(out / "floor_trajectory.csv"), str(path)])
         assert simulated == audited == 3
 
+    def test_non_finite_state_cell_exits_2(self, tmp_path, capsys):
+        # a breach at t = 50 exits 3; a NaN at t = 1 would make the worst
+        # margin NaN and hide it, so the file is refused instead
+        assert main(["simulate", "sir_fig2", "--mode", "instantaneous",
+                     "--out", str(tmp_path)]) == 0
+        path = tmp_path / "sir_fig2_trajectory.csv"
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        row_of = {row[0]: row for row in rows}
+        row_of["50"][2] = "3e5"
+        path.write_text("".join(",".join(row) + "\n" for row in rows))
+        audit = ["audit", str(path), "sir_fig2", "--mode", "instantaneous"]
+        assert main(audit) == 3
+        row_of["1"][2] = "nan"
+        path.write_text("".join(",".join(row) + "\n" for row in rows))
+        capsys.readouterr()
+        assert main(audit) == 2
+        assert capsys.readouterr().err == f"error: {path}: line 12: I = nan is not finite\n"
+
     def test_missing_file_is_validation_error(self, capsys):
         assert main(["audit", "/nonexistent.csv", "sir_delay_danger"]) == 2
 
@@ -363,6 +392,15 @@ class TestSweep:
         assert captured.err.startswith("error: Unable to allocate ")
         assert captured.err.count("\n") == 1 and captured.out == ""
         assert list(tmp_path.iterdir()) == []
+
+    def test_delays_longer_than_the_run_exit_cleanly(self, capsys):
+        # a list of one measurement per delay step would not fit in memory
+        # at 1e17 days, nor be indexable at 1e300
+        assert main([
+            "sweep", "sir_delay_danger", "--param", "tau", "--values", "1e17,1e300",
+        ]) in DOCUMENTED_EXIT_CODES
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.count("exit code: ") == 2
 
     def test_unknown_parameter_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -282,6 +282,31 @@ class TestTrajectoryCsv:
         with pytest.raises(TrajectoryFormatError, match=message):
             import_trajectory(path, short_run.scenario)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_import_refuses_a_non_finite_state_cell(self, short_run, tmp_path, cell):
+        # a NaN margin would hide a breach from the audit's worst margin;
+        # after a blank line, the cell is named by the line that holds it
+        path = export_trajectory(short_run, tmp_path / "t.csv")
+        lines = path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[2] = cell
+        lines[3] = ",".join(cells)
+        lines.insert(2, "")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TrajectoryFormatError, match=f"line 5: I = {cell} is not finite$"):
+            import_trajectory(path, short_run.scenario)
+
+    def test_import_reads_no_h_cell(self, short_run, tmp_path):
+        # the margins come from the states, so a NaN h cell is not refused
+        path = export_trajectory(short_run, tmp_path / "t.csv")
+        lines = path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[-2] = "nan"
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        back = import_trajectory(path, short_run.scenario)
+        assert np.isfinite(back.barriers).all()
+
     def test_import_counts_only_line_breaks(self, short_run, tmp_path):
         # a form feed closing line 3 ends no line: the extra field on line 5
         # is named as line 5

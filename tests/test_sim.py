@@ -524,6 +524,20 @@ class TestPrehistoryOverride:
         with pytest.raises(ValueError, match=r"^state must be finite, got \[nan, nan, nan\]$"):
             simulate(sc, prehistory=[1e200, 1e200, 0.0])
 
+    @pytest.mark.parametrize("mode", ["delayed", "predictor"])
+    def test_delay_longer_than_the_run_reads_the_prehistory(self, mode):
+        # no sample reads further back than the prehistory, so every delay
+        # of at least n_steps + 1 steps gives the same run, however long
+        sc = dataclasses.replace(load_preset("sir_delay_danger"), feedback_mode=mode)
+        past = [32.85e6, 4.5e4, 1.05e5]
+        runs = [
+            simulate(dataclasses.replace(sc, tau=tau), prehistory=past)
+            for tau in (1e300, 1000.0, (sc.n_steps + 1) * sc.dt)
+        ]
+        for traj in runs[1:]:
+            for name in ("states", "u_raw", "u", "active", "feasible", "disturbances"):
+                assert np.array_equal(getattr(traj, name), getattr(runs[0], name)), name
+
     def test_delayed_feedback_reads_the_row_a_delay_back(self):
         # sir_fig2 turns its law on at sample 100 < D = 110: samples 100 to
         # 109 see the prehistory, and from k = D on the row states[k - D]
