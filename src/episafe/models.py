@@ -13,12 +13,11 @@ u = 0 means no intervention, u = 1 means total isolation of infected
 individuals.  Time is measured in days, populations in persons, rates in
 1/day.
 
-Each model writes its formulas once, as source lines in a FormulaTable:
-f, g, q, r, the outflow Jacobians and the fused derivative.  A ModelSpec
-binds parameter values to a table and holds the derivative and constant
-Jacobians compiled from it; safety writes f, g, q and r into the control
-law it generates.  MODELS, the catalogue, maps each model kind to its
-rate class and table.
+Each model writes its dynamics once, as source lines in a FormulaTable.
+A ModelSpec binds parameter values to a table and compiles from it the
+derivative (f with each term scaled by 1 - u, then the outflow) and the
+constant Jacobians; safety writes the same f, g and outflow into the law
+it generates.  MODELS maps each model kind to its rate class and table.
 """
 
 from __future__ import annotations
@@ -178,23 +177,22 @@ class FormulaTable(NamedTuple):
     w and z name the compartments of each block, params the values a spec
     binds, in that order.  Each entry is a Python expression:
       f, g        one per w compartment, over w, the parameters and terms;
-      q           one per z compartment, over w and the parameters;
-      r           one per z compartment, over z and the parameters;
+      outflow     one per z compartment, over the state and the
+                  parameters: dz/dt = q(w) + r(z), which holds no u and
+                  which the outlet margins of safety read;
       dq_dw       rows over z, columns over w, and dr_dz (z by z), over the
                   parameters only: the outflows are linear, so their
-                  Jacobians are constants;
-      derivative  one per compartment of [w; z], over the whole state, the
-                  parameters, derivative_terms and the input u: f + g*u
-                  for w, and for z the outflow q + r, which holds no u
-                  and which the outlet margins of safety read.
-    constants, terms and derivative_terms are "name = expression" lines,
-    each defining one more name: constants over the parameters, computed
-    once per spec; terms over w, shared by f and g; derivative_terms over
-    the state and u.  The parameters include the constants.  Generated code
-    refers to every name the table defines through local, so a table may
-    use any name but u.  An entry that is zero whatever the state is
-    written "0.0": steered reads the input's authority from those entries.
-    Sizes and names are checked when the first spec compiles the table.
+                  Jacobians are constants.
+    constants and terms are "name = expression" lines, each defining one
+    more name: constants over the parameters, computed once per spec;
+    terms over w and the parameters, shared by f and g.  The input scales
+    each terms entry by (1 - u); f is linear in them, and g is the negated
+    sum of their parts of f.  The parameters include the constants.
+    Generated code refers to every name the table defines through local,
+    so a table may use any name but u.  An entry that is zero whatever the
+    state is written "0.0": steered reads the input's authority from those
+    entries.  Sizes and names are checked when the first spec compiles the
+    table.
     """
 
     w: tuple[str, ...]
@@ -202,20 +200,17 @@ class FormulaTable(NamedTuple):
     params: tuple[str, ...]
     f: tuple[str, ...]
     g: tuple[str, ...]
-    q: tuple[str, ...]
-    r: tuple[str, ...]
+    outflow: tuple[str, ...]
     dq_dw: tuple[tuple[str, ...], ...]
     dr_dz: tuple[tuple[str, ...], ...]
-    derivative: tuple[str, ...]
     constants: tuple[str, ...] = ()
     terms: tuple[str, ...] = ()
-    derivative_terms: tuple[str, ...] = ()
 
     @property
     def names(self) -> tuple[str, ...]:
         """Every name the table defines: compartments, parameters, and the
         left-hand sides of its lines."""
-        lines = self.constants + self.terms + self.derivative_terms
+        lines = self.constants + self.terms
         return self.w + self.z + self.params + tuple(s.split("=")[0].strip() for s in lines)
 
     def local(self, source: str) -> str:
@@ -245,8 +240,8 @@ def bind(values):
 
     def derivative_t(x, u):
         [{x}] = x
-{derivative_terms}
-        return [{derivative}]
+{terms}
+        return [{rows}]
 
     return dict(derivative_t=derivative_t, dq_dw={dq_dw}, dr_dz={dr_dz})
 """
@@ -256,9 +251,9 @@ def bind(values):
 def _binder(table: FormulaTable) -> Callable:
     """Compile the derivative of one table, the first time a spec uses it."""
     n, m = len(table.w), len(table.z)
-    sizes = (len(table.f), len(table.g), len(table.q), len(table.r), len(table.derivative))
+    sizes = (len(table.f), len(table.g), len(table.outflow))
     rows = [len(row) for row in table.dq_dw + table.dr_dz]
-    if not n or not m or sizes != (n, n, m, m, n + m) or rows != [n] * m + [m] * m:
+    if not n or not m or sizes != (n, n, m) or rows != [n] * m + [m] * m:
         raise ValueError("formula table entries do not match its compartments")
     names = table.names
     if len(set(names)) != len(names) or "u" in names or not all(map(str.isidentifier, names)):
@@ -273,12 +268,15 @@ def _binder(table: FormulaTable) -> Callable:
     def matrix(rows: Sequence[Sequence[str]]) -> str:
         return "(" + "".join(f"({each(row)},), " for row in rows) + ")"
 
+    # the input scales each term by (1 - u): f of the scaled terms is f + g*u
+    parts = (line.partition("=") for line in table.terms)
+    scaled = [f"{name}= ({value.strip()}) * (1.0 - u)" for name, _, value in parts]
     source = _MODEL_TEMPLATE.format(
         params=each(table.params), constants=lines(table.constants, "    "),
         dq_dw=matrix(table.dq_dw), dr_dz=matrix(table.dr_dz),
         x=each(table.w + table.z),
-        derivative_terms=lines(table.derivative_terms, "        "),
-        derivative=each(table.derivative),
+        terms=lines(scaled, "        "),
+        rows=each(table.f + table.outflow),
     )
     namespace: dict = {}
     exec(compile(source, f"<model derivative, {table.w + table.z}>", "exec"), namespace)
@@ -292,13 +290,13 @@ class ModelSpec:
     the two.  params is the rate object the spec was built from.
 
     derivative_t(x, u) takes the flat state [w; z] as a plain float
-    sequence and returns dx/dt, [f + g*u; q + r], as a list: the
+    sequence and returns dx/dt, [f + g*u; outflow], as a list: the
     fixed-step integrator calls it, where numpy call overhead on vectors
     this short would dominate.  Given numpy columns, one entry per sample,
     it returns arrays (a constant entry stays a float).  The outflows are
     linear, so their Jacobians dq_dw (m rows of n) and dr_dz (m by m) are
     constant tuples of tuples.  The control law that safety generates
-    writes the table's f, g, q and r into its own code.
+    writes the table's f, g and outflow into its own code.
     """
 
     kind: str
@@ -377,12 +375,9 @@ _register(
     terms=("t = beta0 * S * I / N",),
     f=("-t", "t - gamma * I"),
     g=("t", "-t"),
-    q=("gamma * I",),
-    r=("0.0",),
+    outflow=("gamma * I",),
     dq_dw=(("0.0", "gamma"),),
     dr_dz=(("0.0",),),
-    derivative_terms=("inflow = beta0 * S * I / N * (1.0 - u)",),
-    derivative=("-inflow", "inflow - gamma * I", "gamma * I"),
 )
 
 
@@ -401,12 +396,9 @@ _register(
     terms=("t = beta0 * S * I / N",),
     f=("-t", "t - sigma * E", "sigma * E - gamma * I"),
     g=("t", "-t", "0.0"),
-    q=("gamma * I",),
-    r=("0.0",),
+    outflow=("gamma * I",),
     dq_dw=(("0.0", "0.0", "gamma"),),
     dr_dz=(("0.0",),),
-    derivative_terms=("inflow = beta0 * S * I / N * (1.0 - u)",),
-    derivative=("-inflow", "inflow - sigma * E", "sigma * E - gamma * I", "gamma * I"),
 )
 
 
@@ -427,12 +419,9 @@ _register(
     terms=("t = beta0 * S * I / N",),
     f=("-t", "t - out * I"),
     g=("t", "-t"),
-    q=("lam * I", "gamma * I", "mu * I"),
-    r=("-nu * H", "nu * H", "0.0"),
+    outflow=("lam * I - nu * H", "gamma * I + nu * H", "mu * I"),
     dq_dw=(("0.0", "lam"), ("0.0", "gamma"), ("0.0", "mu")),
     dr_dz=(("-nu", "0.0", "0.0"), ("nu", "0.0", "0.0"), ("0.0", "0.0", "0.0")),
-    derivative_terms=("inflow = beta0 * S * I / N * (1.0 - u)",),
-    derivative=("-inflow", "inflow - out * I", "lam * I - nu * H", "gamma * I + nu * H", "mu * I"),
 )
 
 

@@ -212,9 +212,10 @@ def import_trajectory(path: str | Path, scenario: Scenario) -> Trajectory:
     per column is named by its line number.  The file must hold one row per
     sample of the scenario's time grid, each t within grid_steps's
     tolerance of its sample time (TrajectoryFormatError otherwise), so that
-    the audit's decay check uses the file's own step.  A state cell that is
-    not finite, which would hide a breach from the audit, is named by its
-    line; a file that cannot be read or is not UTF-8, by its path.
+    the audit's decay check uses the file's own step.  A state, u_raw, u
+    or d cell that is not finite, which would hide a breach or fake a
+    clamping event, is named by its line and column; a file that cannot be
+    read or is not UTF-8, by its path.
     """
     path = Path(path)
     try:
@@ -247,11 +248,12 @@ def import_trajectory(path: str | Path, scenario: Scenario) -> Trajectory:
             raise TrajectoryFormatError(f"{path}: line {number}: bad numeric cell: {exc}") from None
     data = np.array(rows).reshape(-1, width)  # a file without data rows too
     n_state = len(scenario.spec.labels)
-    bad = np.argwhere(~np.isfinite(data[:, 1 : 1 + n_state]))
+    read = [*range(1, 3 + n_state), width - 1]  # the states, u_raw, u and d
+    bad = np.argwhere(~np.isfinite(data[:, read]))
     if bad.size:  # the first, named by the line that holds it
         k, j = bad[0]
         number = [n for n, line in enumerate(lines[1:], 2) if line][k]
-        cell = f"{expected[1 + j]} = {data[k, 1 + j]}"
+        cell = f"{expected[read[j]]} = {data[k, read[j]]}"
         raise TrajectoryFormatError(f"{path}: line {number}: {cell} is not finite")
     n_rows = scenario.n_steps + 1
     if data.shape[0] != n_rows:
@@ -263,7 +265,8 @@ def import_trajectory(path: str | Path, scenario: Scenario) -> Trajectory:
     # grid_steps's rule for every row at once: sample k lies k steps after
     # t_start, to a relative tolerance of 1e-9, and never before it
     steps = (data[:, 0] - scenario.t_start) / scenario.dt
-    off = ~((steps >= 0.0) & (np.abs(steps - np.arange(n_rows)) <= 1e-9 * np.maximum(1.0, steps)))
+    near = np.abs(steps - np.arange(n_rows)) <= 1e-9 * np.maximum(1.0, steps)
+    off = ~((steps >= 0.0) & np.isfinite(steps) & near)
     if off.any():
         k = int(np.argmax(off))
         raise TrajectoryFormatError(

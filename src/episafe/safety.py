@@ -151,8 +151,8 @@ def _clamp01(v: float) -> float:
 # predictor evaluate it up to ~1e6 times per run.  It runs as straight-line
 # code generated from one source template per model formula table and
 # shape of constraint set (each constraint's kind and index), compiled the
-# first time the pair is seen.  The table's lines for f, g, q and r are
-# written into the code itself (the evaluate block below), so an
+# first time the pair is seen.  The table's lines for f, g and the outflow
+# are written into the code itself (the evaluate block below), so an
 # evaluation calls no model evaluator, slices no state and builds no
 # Jacobian tuple.  Each compiled template is a factory: called with a spec
 # and constraints, it binds the spec's parameter values, the Jacobian
@@ -167,7 +167,7 @@ def _clamp01(v: float) -> float:
 # The margins below also accept numpy columns, one entry per sample, and
 # then return arrays; _margins evaluates them on a matrix of states.  h_e
 # reads dz/dt from the outlet rows of the model derivative at u = 0: they
-# are q + r, which the input does not enter.
+# are the table's outflow rows, q + r, which the input does not enter.
 
 
 def _margin_t(c: SafetyConstraint, w: Sequence, z: Sequence) -> float:
@@ -280,8 +280,7 @@ def _law_factory(table: FormulaTable, shape: tuple[tuple[str, int], ...]):
     evaluate += [f"f{i} = {local(table.f[i])}" for i in used]
     evaluate += [f"g{i} = {local(table.g[i])}" for i in used]
     if outlets:
-        outflows = zip(table.q, table.r)
-        evaluate += [f"o{i} = ({local(q)}) + ({local(r)})" for i, (q, r) in enumerate(outflows)]
+        evaluate += [f"o{i} = {local(e)}" for i, e in enumerate(table.outflow)]
     constants, solve_steps = [], []
     for k, (kind, j) in enumerate(shape):
         if kind == OUTLET:

@@ -9,8 +9,9 @@ keys are rejected with file:line diagnostics, as are values violating the
 scenario invariants.
 
 Constraints name compartments by label; the parser resolves the label to
-the multiplicative or outlet block of the chosen model.  Margin gains
-default to one tenth of I's removal rate when omitted (see
+the multiplicative or outlet block of the chosen model, whose label is
+also the constraint's name unless it gives one; names must be unique.
+Margin gains default to one tenth of I's removal rate when omitted (see
 default_gains).
 """
 
@@ -290,9 +291,13 @@ def parse_scenario_text(text: str, origin: str = "<string>") -> Scenario:
         raise ScenarioParseError(f"[initial]: {exc}", origin, init.lineno) from exc
 
     settings = _settings(named, origin)
-    constraints = tuple(
-        _build_constraint(spec, s, origin) for s in sections if s.name == "constraint"
-    )
+    constraints = []
+    for sec in (s for s in sections if s.name == "constraint"):
+        c = _build_constraint(spec, sec, origin)
+        if c.name in (other.name for other in constraints):
+            message = f"[constraint] name {c.name!r} repeats an earlier one: give one a 'name'"
+            raise ScenarioParseError(message, origin, sec.lines.get("name", sec.lineno))
+        constraints.append(c)
 
     try:
         return Scenario(spec=spec, state0=state0, constraints=constraints, **settings)

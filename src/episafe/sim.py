@@ -88,7 +88,7 @@ class Scenario:
     feedback_mode is one of "instantaneous", "delayed", "predictor"; tau is
     the measurement delay used by the latter two.  disturbance_delta bounds
     the per-step uniform input disturbance (0 disables it; draws use seed,
-    a non-negative integer).
+    a non-negative integer); state0 must be finite.
     The controller is off (u = 0) before sample control_step.  The horizon,
     tau and control_start - t_start map to the step counts n_steps,
     delay_steps and control_step through grid_steps, and must each be a
@@ -137,6 +137,8 @@ class Scenario:
             )
         if self.state0.labels != self.spec.labels:
             raise ValueError("initial state labels do not match the model")
+        if not np.isfinite(self.state0.x).all():
+            raise ValueError(f"state0 must be finite, got {self.state0.x.tolist()}")
         for c in self.constraints:
             c.check_against(self.spec)
 

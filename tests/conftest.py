@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from episafe.models import SihrdParams, SirParams, build_sihrd, build_sir
+from episafe.models import FormulaTable, ModelSpec, SihrdParams, SirParams, build_sihrd, build_sir
+
+from oracles import DenseParams
 
 settings.register_profile(
     "ci",
@@ -79,3 +81,41 @@ def outlet_rows(spec, w, z):
     """The outlet rows of spec's derivative at [w; z]: q(w) + r(z), which
     the input does not enter."""
     return spec.derivative_t(np.concatenate([w, z]), 0.0)[spec.n :]
+
+
+def dense_linear_spec(rng, n=3, m=4):
+    """A linear model whose Jacobians have no zero entries, so the order of
+    every outlet dot product shows in the bits.  Each w compartment k has
+    its own transmission term t{k} = G{k} * I, so authority scales with I:
+    f = F w - t, g = t and outflow Q w + R z.  Its formula table names
+    every matrix entry as a parameter; its params hold the matrices for
+    oracles.reference_dense."""
+    F, Q, R = (
+        tuple(map(tuple, rng.uniform(-1.0, 1.0, size=shape).tolist()))
+        for shape in ((n, n), (m, n), (m, m))
+    )
+    G = tuple(rng.uniform(-100.0, 100.0, size=n).tolist())
+    w = ("S", "I", *(f"x{k}" for k in range(2, n)))
+    z = tuple(f"x{k}" for k in range(n, n + m))
+
+    def names(A, rows, cols):
+        return tuple(tuple(f"{A}{i}_{j}" for j in range(cols)) for i in range(rows))
+
+    def times(A, v, rows):
+        return tuple(
+            "0.0" + "".join(f" + {A}{i}_{j} * {x}" for j, x in enumerate(v)) for i in range(rows)
+        )
+
+    table = FormulaTable(
+        w=w, z=z,
+        params=sum(names("F", n, n) + names("Q", m, n) + names("R", m, m), ())
+        + tuple(f"G{k}" for k in range(n)),
+        terms=tuple(f"t{k} = G{k} * I" for k in range(n)),
+        f=tuple(f"({a}) - t{k}" for k, a in enumerate(times("F", w, n))),
+        g=tuple(f"t{k}" for k in range(n)),
+        outflow=tuple(f"({a}) + ({b})" for a, b in zip(times("Q", w, m), times("R", z, m))),
+        dq_dw=names("Q", m, n), dr_dz=names("R", m, m),
+    )
+    values = sum(F + Q + R, ()) + G
+    params = DenseParams(F, G, Q, R, N=SIR_US.N)
+    return ModelSpec("dense", table, values, params=params, g_tol=1e-12)

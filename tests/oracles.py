@@ -280,8 +280,8 @@ def reference_sihrd(params: SihrdParams) -> dict:
 
 
 class DenseParams(NamedTuple):
-    """The matrices of a linear model dw/dt = F w + (G * I) u, dz/dt = Q w
-    + R z, as tuples of rows, and a population scale N."""
+    """The matrices of a linear model dw/dt = F w - (G * I) (1 - u), dz/dt
+    = Q w + R z, as tuples of rows, and a population scale N."""
 
     F: Matrix
     G: Vector
@@ -293,11 +293,13 @@ class DenseParams(NamedTuple):
 def reference_dense(params: DenseParams) -> dict:
     """The linear model of params, each matrix product summed left to right
     from 0.0 by dot, as its formula table writes it; g is G times I, the
-    second w compartment."""
+    second w compartment, and f is F w - g, so the input scales g by
+    (1 - u) in the derivative."""
     F, G, Q, R = params.F, params.G, params.Q, params.R
+    n = len(F)
 
     def f_t(w: Vector) -> Vector:
-        return tuple(dot(row, w) for row in F)
+        return tuple(dot(row, w) - gk * w[1] for row, gk in zip(F, G))
 
     def g_t(w: Vector) -> Vector:
         return tuple(gk * w[1] for gk in G)
@@ -308,7 +310,16 @@ def reference_dense(params: DenseParams) -> dict:
     def r_t(z: Vector) -> Vector:
         return tuple(dot(row, z) for row in R)
 
-    return dict(f_t=f_t, g_t=g_t, q_t=q_t, r_t=r_t, dq_dw=Q, dr_dz=R)
+    def derivative_t(x: Sequence[float], u: float) -> list[float]:
+        w, z = x[:n], x[n:]
+        return [dot(row, w) - gk * w[1] * (1.0 - u) for row, gk in zip(F, G)] + [
+            dot(qrow, w) + dot(rrow, z) for qrow, rrow in zip(Q, R)
+        ]
+
+    return dict(
+        f_t=f_t, g_t=g_t, q_t=q_t, r_t=r_t,
+        derivative_t=derivative_t, dq_dw=Q, dr_dz=R,
+    )
 
 
 REFERENCE_MODELS = {

@@ -77,6 +77,20 @@ class TestPresets:
 
 
 class TestSimulate:
+    def test_unnamed_cap_and_floor_on_one_compartment_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "band.scenario"
+        path.write_text(sir_doc(
+            (26e6, 1e5, 6.9e6), "mode = instantaneous",
+            ["compartment = I\nbound = 2e5\n",
+             "compartment = I\nbound = 1e4\ndirection = lower\n"],
+        ))
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}:26: [constraint] name 'I' repeats an earlier one:"
+            " give one a 'name'\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_preset_run_ok(self, capsys, tmp_path):
         code = main(["simulate", "sir_delay_danger", "--out", str(tmp_path),
                      "--mode", "predictor"])
@@ -318,6 +332,19 @@ class TestAudit:
         capsys.readouterr()
         assert main(audit) == 2
         assert capsys.readouterr().err == f"error: {path}: line 12: I = nan is not finite\n"
+
+    def test_non_finite_input_cell_exits_2(self, tmp_path, capsys):
+        # a NaN u_raw at t = 1 read as u_raw <= 1 False: one clamping
+        # event and exit 4 on a clean run
+        assert main(["simulate", "sir_fig2", "--mode", "instantaneous",
+                     "--out", str(tmp_path)]) == 0
+        path = tmp_path / "sir_fig2_trajectory.csv"
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        {row[0]: row for row in rows}["1"][rows[0].index("u_raw")] = "nan"
+        path.write_text("".join(",".join(row) + "\n" for row in rows))
+        capsys.readouterr()
+        assert main(["audit", str(path), "sir_fig2", "--mode", "instantaneous"]) == 2
+        assert capsys.readouterr().err == f"error: {path}: line 12: u_raw = nan is not finite\n"
 
     def test_missing_file_is_validation_error(self, capsys):
         assert main(["audit", "/nonexistent.csv", "sir_delay_danger"]) == 2

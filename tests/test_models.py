@@ -37,6 +37,7 @@ from conftest import (
     SIHRD_US,
     SIR_US,
     central_difference_jacobian,
+    dense_linear_spec,
     outlet_rows,
     sample_sihrd_states,
     sample_sir_states,
@@ -393,9 +394,9 @@ def bits(value):
 
 
 class TestFormulaTables:
-    """The derivative and constant Jacobians each builder compiles from its
-    model's formula table, bit for bit against the hand-written reference
-    models in oracles."""
+    """The derivative and constant Jacobians each builder, and the dense
+    linear test model, compile from a formula table, bit for bit against
+    the hand-written reference models in oracles."""
 
     @staticmethod
     def states(spec, seed):
@@ -415,9 +416,16 @@ class TestFormulaTables:
                     out.append(x)
         return out
 
-    @pytest.mark.parametrize("model", ["sir", "seir", "sihrd"])
+    @staticmethod
+    def spec(model):
+        """The catalogue spec of model, or the dense linear test model."""
+        if model == "dense":
+            return dense_linear_spec(np.random.default_rng(33))
+        return {s.kind: s for s in all_specs()}[model]
+
+    @pytest.mark.parametrize("model", ["sir", "seir", "sihrd", "dense"])
     def test_scalar_evaluators_match_reference(self, model):
-        spec = {s.kind: s for s in all_specs()}[model]
+        spec = self.spec(model)
         ref = reference_model(spec)
         for name in ("dq_dw", "dr_dz"):
             assert bits(getattr(spec, name)) == bits(ref[name]), name
@@ -426,10 +434,10 @@ class TestFormulaTables:
                 got, want = spec.derivative_t(x, u), ref["derivative_t"](x, u)
                 assert bits(got) == bits(want), (x, u)
 
-    @pytest.mark.parametrize("model", ["sir", "seir", "sihrd"])
+    @pytest.mark.parametrize("model", ["sir", "seir", "sihrd", "dense"])
     def test_column_evaluators_match_reference(self, model):
         # the margin series evaluate whole state columns, one entry per sample
-        spec = {s.kind: s for s in all_specs()}[model]
+        spec = self.spec(model)
         ref = reference_model(spec)
         columns = list(np.array(self.states(spec, 32)).T)
         with np.errstate(invalid="ignore"):  # the NaN and inf rows
@@ -454,7 +462,7 @@ class TestFormulaTables:
     @pytest.mark.parametrize(
         "change, message",
         [
-            (dict(q=("gamma * I", "0.0")), "do not match"),
+            (dict(outflow=("gamma * I", "0.0")), "do not match"),
             (dict(dq_dw=(("0.0",),)), "do not match"),
             (dict(w=("S", "u")), "names"),
             (dict(params=("beta0", "gamma", "S")), "names"),
@@ -472,9 +480,7 @@ class TestFormulaTables:
             w=("x", "w"), z=("z",), params=("values", "jq"),
             terms=("f0 = values * x * w",),
             f=("-f0", "f0 - jq * w"), g=("f0", "-f0"),
-            q=("jq * w",), r=("0.0",), dq_dw=(("0.0", "jq"),), dr_dz=(("0.0",),),
-            derivative_terms=("inflow = values * x * w * (1.0 - u)",),
-            derivative=("-inflow", "inflow - jq * w", "jq * w"),
+            outflow=("jq * w",), dq_dw=(("0.0", "jq"),), dr_dz=(("0.0",),),
         )
         spec = build_sir(SirParams(beta0=0.5, gamma=0.25, N=1.0))
         ref = reference_model(spec)

@@ -296,6 +296,27 @@ class TestTrajectoryCsv:
         with pytest.raises(TrajectoryFormatError, match=f"line 5: I = {cell} is not finite$"):
             import_trajectory(path, short_run.scenario)
 
+    @pytest.mark.parametrize("column", ["u_raw", "u", "d"])
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_import_refuses_a_non_finite_input_cell(self, short_run, tmp_path, column, cell):
+        # a NaN u_raw would read as an infeasible step, a clamping event
+        path = export_trajectory(short_run, tmp_path / "t.csv")
+        lines = path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[lines[0].split(",").index(column)] = cell
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TrajectoryFormatError, match=f"line 4: {column} = {cell} is not finite$"):
+            import_trajectory(path, short_run.scenario)
+
+    def test_import_puts_an_infinite_time_off_the_grid(self, short_run, tmp_path):
+        path = export_trajectory(short_run, tmp_path / "t.csv")
+        lines = path.read_text().splitlines()
+        lines[3] = "inf" + lines[3][lines[3].index(","):]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TrajectoryFormatError, match="sample 2 has t = inf, off"):
+            import_trajectory(path, short_run.scenario)
+
     def test_import_reads_no_h_cell(self, short_run, tmp_path):
         # the margins come from the states, so a NaN h cell is not refused
         path = export_trajectory(short_run, tmp_path / "t.csv")

@@ -14,8 +14,6 @@ from hypothesis import strategies as st
 from episafe import safety
 from episafe.engine import make_input_fn
 from episafe.models import (
-    FormulaTable,
-    ModelSpec,
     SeirParams,
     SirParams,
     build_seir,
@@ -35,9 +33,14 @@ from episafe.safety import (
     validate_initial_condition,
 )
 
-from conftest import SIHRD_US, SIR_US, sample_sihrd_states, sample_sir_states
+from conftest import (
+    SIHRD_US,
+    SIR_US,
+    dense_linear_spec,
+    sample_sihrd_states,
+    sample_sir_states,
+)
 from oracles import (
-    DenseParams,
     closed_form_death_control,
     closed_form_hospitalization_control,
     closed_form_infection_control,
@@ -578,42 +581,6 @@ class TestQpOracle:
         dec = multiplicative_control(sir_spec, c, state)
         assert not dec.feasible and dec.u == 1.0
         assert qp_oracle(sir_spec, [c], state) is None
-
-
-def dense_linear_spec(rng, n=3, m=4):
-    """A linear model whose Jacobians have no zero entries, so the order of
-    every outlet dot product shows in the bits.  Authority scales with I.
-    Its formula table names every matrix entry as a parameter; its params
-    hold the matrices for oracles.reference_dense."""
-    F, Q, R = (
-        tuple(map(tuple, rng.uniform(-1.0, 1.0, size=shape).tolist()))
-        for shape in ((n, n), (m, n), (m, m))
-    )
-    G = tuple(rng.uniform(-100.0, 100.0, size=n).tolist())
-    w = ("S", "I", *(f"x{k}" for k in range(2, n)))
-    z = tuple(f"x{k}" for k in range(n, n + m))
-
-    def names(A, rows, cols):
-        return tuple(tuple(f"{A}{i}_{j}" for j in range(cols)) for i in range(rows))
-
-    def times(A, v, rows):
-        return tuple(
-            "0.0" + "".join(f" + {A}{i}_{j} * {x}" for j, x in enumerate(v)) for i in range(rows)
-        )
-
-    f, g = times("F", w, n), tuple(f"G{k} * I" for k in range(n))
-    q, r = times("Q", w, m), times("R", z, m)
-    table = FormulaTable(
-        w=w, z=z,
-        params=sum(names("F", n, n) + names("Q", m, n) + names("R", m, m), ())
-        + tuple(f"G{k}" for k in range(n)),
-        f=f, g=g, q=q, r=r, dq_dw=names("Q", m, n), dr_dz=names("R", m, m),
-        derivative=tuple(f"({a}) + ({b}) * u" for a, b in zip(f, g))
-        + tuple(f"({a}) + ({b})" for a, b in zip(q, r)),
-    )
-    values = sum(F + Q + R, ()) + G
-    params = DenseParams(F, G, Q, R, N=SIR_US.N)
-    return ModelSpec("dense", table, values, params=params, g_tol=1e-12)
 
 
 def solved(d):

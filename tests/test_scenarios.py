@@ -97,6 +97,19 @@ class TestParsing:
         with pytest.raises(ScenarioParseError, match="duplicate key 'gamma'"):
             parse_scenario_text(bad)
 
+    def test_repeated_constraint_name_rejected(self):
+        # a cap and a floor on I both default to the name I, which would
+        # head two h_I columns
+        floor = "\n[constraint]\ncompartment = I\nbound = 1e4\ndirection = lower\n"
+        repeated = r"\[constraint\] name 'I' repeats an earlier one: give one a 'name'$"
+        with pytest.raises(ScenarioParseError, match=":26: " + repeated):
+            parse_scenario_text(MINIMAL + floor)
+        # a repeated explicit name is named by its own line
+        with pytest.raises(ScenarioParseError, match=":30: " + repeated):
+            parse_scenario_text(MINIMAL + floor + "name = I\n")
+        sc = parse_scenario_text(MINIMAL + floor + "name = I_floor\n")
+        assert [c.name for c in sc.constraints] == ["I", "I_floor"]
+
     def test_bad_number_reports_key(self):
         bad = MINIMAL.replace("beta0 = 0.33", "beta0 = fast")
         with pytest.raises(ScenarioParseError, match="beta0"):

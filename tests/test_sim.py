@@ -79,6 +79,13 @@ class TestScenarioValidation:
         sc = sir_scenario(sir_spec, t_end=0.0)
         assert sc.n_steps == 0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_state0_rejected(self, sir_spec, bad):
+        # simulate would fail later with "non-finite state after step 0"
+        state0 = sir_spec.state([bad, 1e5, 6.9e6])
+        with pytest.raises(ValueError, match=r"^state0 must be finite, got \["):
+            sir_scenario(sir_spec, state0=state0)
+
     def test_negative_delta_rejected(self, sir_spec):
         with pytest.raises(ValueError, match="disturbance"):
             sir_scenario(sir_spec, disturbance_delta=-0.1)
