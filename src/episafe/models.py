@@ -15,9 +15,11 @@ individuals.  Time is measured in days, populations in persons, rates in
 
 Each model writes its dynamics once, as source lines in a FormulaTable.
 A ModelSpec binds parameter values to a table and compiles from it the
-derivative (f with each term scaled by 1 - u, then the outflow) and the
-constant Jacobians; safety writes the same f, g and outflow into the law
-it generates.  MODELS maps each model kind to its rate class and table.
+derivative (f with each term scaled by 1 - u, then the outflow); the
+outflow is linear, so the spec reads its constant Jacobians off the
+outflow rows at unit states, and no table writes them.  safety writes the
+same f, g and outflow into the law it generates.  MODELS maps each model
+kind to its rate class and table.
 """
 
 from __future__ import annotations
@@ -179,20 +181,18 @@ class FormulaTable(NamedTuple):
       f, g        one per w compartment, over w, the parameters and terms;
       outflow     one per z compartment, over the state and the
                   parameters: dz/dt = q(w) + r(z), which holds no u and
-                  which the outlet margins of safety read;
-      dq_dw       rows over z, columns over w, and dr_dz (z by z), over the
-                  parameters only: the outflows are linear, so their
-                  Jacobians are constants.
+                  which the outlet margins of safety read.  It is linear
+                  in the state, so a spec reads its Jacobians off it.
     constants and terms are "name = expression" lines, each defining one
     more name: constants over the parameters, computed once per spec;
     terms over w and the parameters, shared by f and g.  The input scales
     each terms entry by (1 - u); f is linear in them, and g is the negated
     sum of their parts of f.  The parameters include the constants.
     Generated code refers to every name the table defines through local,
-    so a table may use any name but u.  An entry that is zero whatever the
-    state is written "0.0": steered reads the input's authority from those
-    entries.  Sizes and names are checked when the first spec compiles the
-    table.
+    so a table may use any name but u.  A g entry that is zero whatever
+    the state is written "0.0": steered reads the input's authority from
+    those entries.  Sizes and names are checked when the first spec
+    compiles the table.
     """
 
     w: tuple[str, ...]
@@ -201,8 +201,6 @@ class FormulaTable(NamedTuple):
     f: tuple[str, ...]
     g: tuple[str, ...]
     outflow: tuple[str, ...]
-    dq_dw: tuple[tuple[str, ...], ...]
-    dr_dz: tuple[tuple[str, ...], ...]
     constants: tuple[str, ...] = ()
     terms: tuple[str, ...] = ()
 
@@ -224,15 +222,16 @@ class FormulaTable(NamedTuple):
 @lru_cache(maxsize=32)
 def steered(table: FormulaTable) -> tuple[str, ...]:
     """The compartments of table the input acts on: each w compartment whose
-    g entry is not "0.0", and each z compartment whose dq_dw row times g has
-    a term with neither factor "0.0"."""
+    g entry is not "0.0", and each z compartment whose outflow row names
+    one of those."""
     on_w = [entry != "0.0" for entry in table.g]
-    on_z = [any(g and d != "0.0" for g, d in zip(on_w, row)) for row in table.dq_dw]
+    acted = {name for name, on in zip(table.w, on_w) if on}
+    on_z = [not acted.isdisjoint(re.findall(r"\w+", row)) for row in table.outflow]
     return tuple(label for label, on in zip(table.w + table.z, on_w + on_z) if on)
 
 
-# bind(values) returns the derivative and constant Jacobians of ModelSpec by
-# name, with the parameter values bound.
+# bind(values) returns the derivative of ModelSpec, with the parameter
+# values bound.
 _MODEL_TEMPLATE = """\
 def bind(values):
     [{params}] = values
@@ -243,7 +242,7 @@ def bind(values):
 {terms}
         return [{rows}]
 
-    return dict(derivative_t=derivative_t, dq_dw={dq_dw}, dr_dz={dr_dz})
+    return derivative_t
 """
 
 
@@ -251,9 +250,7 @@ def bind(values):
 def _binder(table: FormulaTable) -> Callable:
     """Compile the derivative of one table, the first time a spec uses it."""
     n, m = len(table.w), len(table.z)
-    sizes = (len(table.f), len(table.g), len(table.outflow))
-    rows = [len(row) for row in table.dq_dw + table.dr_dz]
-    if not n or not m or sizes != (n, n, m) or rows != [n] * m + [m] * m:
+    if not n or not m or (len(table.f), len(table.g), len(table.outflow)) != (n, n, m):
         raise ValueError("formula table entries do not match its compartments")
     names = table.names
     if len(set(names)) != len(names) or "u" in names or not all(map(str.isidentifier, names)):
@@ -265,15 +262,11 @@ def _binder(table: FormulaTable) -> Callable:
     def lines(statements: Sequence[str], indent: str) -> str:
         return "\n".join(indent + table.local(s) for s in statements)
 
-    def matrix(rows: Sequence[Sequence[str]]) -> str:
-        return "(" + "".join(f"({each(row)},), " for row in rows) + ")"
-
     # the input scales each term by (1 - u): f of the scaled terms is f + g*u
     parts = (line.partition("=") for line in table.terms)
     scaled = [f"{name}= ({value.strip()}) * (1.0 - u)" for name, _, value in parts]
     source = _MODEL_TEMPLATE.format(
         params=each(table.params), constants=lines(table.constants, "    "),
-        dq_dw=matrix(table.dq_dw), dr_dz=matrix(table.dr_dz),
         x=each(table.w + table.z),
         terms=lines(scaled, "        "),
         rows=each(table.f + table.outflow),
@@ -295,8 +288,10 @@ class ModelSpec:
     this short would dominate.  Given numpy columns, one entry per sample,
     it returns arrays (a constant entry stays a float).  The outflows are
     linear, so their Jacobians dq_dw (m rows of n) and dr_dz (m by m) are
-    constant tuples of tuples.  The control law that safety generates
-    writes the table's f, g and outflow into its own code.
+    constant tuples of tuples, read off the outflow rows of derivative_t
+    at the n + m unit states: the value at unit state j is column j.  The
+    control law that safety generates writes the table's f, g and outflow
+    into its own code.
     """
 
     kind: str
@@ -317,9 +312,14 @@ class ModelSpec:
         table, values = self.formulas, tuple(self.values)
         if len(values) != len(table.params):
             raise ValueError(f"expected {len(table.params)} parameter values, got {len(values)}")
-        derived = _binder(table)(values)
-        derived.update(values=values, n=len(table.w), m=len(table.z), labels=table.w + table.z)
-        for name, value in derived.items():
+        labels, n = table.w + table.z, len(table.w)
+        derivative_t = _binder(table)(values)
+        # the outflow is linear: its value at unit state j is column j
+        rows = list(zip(*(derivative_t(x, 0.0)[n:] for x in np.eye(len(labels)).tolist())))
+        for name, value in dict(
+            values=values, n=n, m=len(table.z), labels=labels, derivative_t=derivative_t,
+            dq_dw=tuple(row[:n] for row in rows), dr_dz=tuple(row[n:] for row in rows),
+        ).items():
             object.__setattr__(self, name, value)
 
     def state(self, values: Sequence[float] | np.ndarray) -> ModelState:
@@ -376,8 +376,6 @@ _register(
     f=("-t", "t - gamma * I"),
     g=("t", "-t"),
     outflow=("gamma * I",),
-    dq_dw=(("0.0", "gamma"),),
-    dr_dz=(("0.0",),),
 )
 
 
@@ -397,8 +395,6 @@ _register(
     f=("-t", "t - sigma * E", "sigma * E - gamma * I"),
     g=("t", "-t", "0.0"),
     outflow=("gamma * I",),
-    dq_dw=(("0.0", "0.0", "gamma"),),
-    dr_dz=(("0.0",),),
 )
 
 
@@ -420,8 +416,6 @@ _register(
     f=("-t", "t - out * I"),
     g=("t", "-t"),
     outflow=("lam * I - nu * H", "gamma * I + nu * H", "mu * I"),
-    dq_dw=(("0.0", "lam"), ("0.0", "gamma"), ("0.0", "mu")),
-    dr_dz=(("-nu", "0.0", "0.0"), ("nu", "0.0", "0.0"), ("0.0", "0.0", "0.0")),
 )
 
 

@@ -155,12 +155,13 @@ def _clamp01(v: float) -> float:
 # are written into the code itself (the evaluate block below), so an
 # evaluation calls no model evaluator, slices no state and builds no
 # Jacobian tuple.  Each compiled template is a factory: called with a spec
-# and constraints, it binds the spec's parameter values, the Jacobian
-# entries and every constraint constant, and returns the law's one entry
-# point, solve(x) -> ControlDecision on the flat state [w; z] that
-# ModelSpec.flat returns, with active the constraint's position.  Every
-# public control function returns its decision (multiplicative_control and
-# outlet_control with active None); engine.make_input_fn reads u from it.
+# and constraints, it binds the spec's parameter values, its Jacobian
+# entries (read off the outflow rows, see ModelSpec) and every constraint
+# constant, and returns the law's one entry point, solve(x) ->
+# ControlDecision on the flat state [w; z] that ModelSpec.flat returns,
+# with active the constraint's position.  Every public control function
+# returns its decision (multiplicative_control and outlet_control with
+# active None); engine.make_input_fn reads u from it.
 # _solver memoizes solve; combined_control answers a plant loop's repeat
 # request from its last-used slot by identity, so a controlled sample
 # costs solve, ModelSpec.flat and the finiteness check.
@@ -211,9 +212,9 @@ def _margins(
 #   multiplicative j:  d = s*f_j - alpha*(s*(bound - w_j)),  a = s*g_j
 #   outlet j:          d = s*(dq_j.f + dr_j.o + (alpha + alpha_e)*o_j
 #                             - alpha_e*alpha*(bound - z_j)),  a = s*(dq_j.g)
-# where o = q + r is the outflow, dq_j and dr_j are row j of the outflow
-# Jacobians and each dot product is summed left to right from 0.0.  Every
-# product of a dot product is kept, one with a 0.0 Jacobian entry too:
+# where o = q + r is the outflow, dq_j and dr_j are row j of the spec's
+# dq_dw and dr_dz, and each dot product is summed left to right from 0.0.
+# Every product of a dot product is kept, one with a 0.0 Jacobian entry too:
 # 0.0 * inf is NaN.  For a lower bound (s = -1) both pieces flip sign with
 # the margin.  A condition bounds u from below by d / -a when a <= -g_tol,
 # from above by -d / a when a >= g_tol, and otherwise holds for every u iff
@@ -221,8 +222,8 @@ def _margins(
 # position of the constraint setting it (ties, and u_raw = 0, to the
 # lowest index), and feasible whether u_raw is at most 1 and every upper
 # bound and no zero-authority condition fails.  The parameter values,
-# Jacobian entries and constraint constants are bound as values when the
-# factory is called, never written into the source: a bound may be inf.
+# the spec's Jacobian entries and the constraint constants are bound as
+# values when the factory is called, never in the source: a bound may be inf.
 _LAW_TEMPLATE = """\
 def factory(spec, constraints):
     [{params}] = spec.values
@@ -288,8 +289,8 @@ def _law_factory(table: FormulaTable, shape: tuple[tuple[str, int], ...]):
                 f"s{k}, bound{k}, sum{k}, prod{k} = c{k}.sign, c{k}.bound, "
                 f"c{k}.alpha + c{k}.alpha_e, c{k}.alpha_e * c{k}.alpha"
             )
-            constants += [f"p{k}_{i} = {local(e)}" for i, e in enumerate(table.dq_dw[j])]
-            constants += [f"e{k}_{i} = {local(e)}" for i, e in enumerate(table.dr_dz[j])]
+            constants.append(f"[{', '.join(f'p{k}_{i}' for i in range(n))}] = spec.dq_dw[{j}]")
+            constants.append(f"[{', '.join(f'e{k}_{i}' for i in range(m))}] = spec.dr_dz[{j}]")
             drift = (
                 f"s{k} * ({dot(f'p{k}_', 'f', n)} + {dot(f'e{k}_', 'o', m)}"
                 f" + sum{k} * o{j} - prod{k} * (bound{k} - {local(table.z[j])}))"

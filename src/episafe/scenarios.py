@@ -335,7 +335,7 @@ def scenario_text(scenario: Scenario) -> str:
         if section in _REQUIRED_SECTIONS or any(v != s.default for s, v in rows):
             lines += ["", f"[{section}]"]
             lines += [f"{s.key} = {_fmt(v) if s.type is float else v}" for s, v in rows]
-    for c in scenario.constraints:
+    for k, c in enumerate(scenario.constraints):
         pos = c.index if c.kind == MULTIPLICATIVE else spec.n + c.index
         lines += [
             "",
@@ -348,8 +348,8 @@ def scenario_text(scenario: Scenario) -> str:
             lines.append(f"alpha_e = {_fmt(c.alpha_e)}")
         if c.direction != "upper":
             lines.append(f"direction = {c.direction}")
-        if c.name and c.name != spec.labels[pos]:
-            lines.append(f"name = {c.name}")
+        if c.label(k) != spec.labels[pos]:  # the parsed scenario heads the same columns
+            lines.append(f"name = {c.label(k)}")
     return "\n".join(lines) + "\n"
 
 

@@ -88,7 +88,8 @@ class Scenario:
     feedback_mode is one of "instantaneous", "delayed", "predictor"; tau is
     the measurement delay used by the latter two.  disturbance_delta bounds
     the per-step uniform input disturbance (0 disables it; draws use seed,
-    a non-negative integer); state0 must be finite.
+    a non-negative integer); state0 must be finite; no two constraints
+    share a label, which heads their CSV column.
     The controller is off (u = 0) before sample control_step.  The horizon,
     tau and control_start - t_start map to the step counts n_steps,
     delay_steps and control_step through grid_steps, and must each be a
@@ -139,8 +140,11 @@ class Scenario:
             raise ValueError("initial state labels do not match the model")
         if not np.isfinite(self.state0.x).all():
             raise ValueError(f"state0 must be finite, got {self.state0.x.tolist()}")
-        for c in self.constraints:
+        labels = [c.label(k) for k, c in enumerate(self.constraints)]
+        for k, c in enumerate(self.constraints):
             c.check_against(self.spec)
+            if labels[k] in labels[:k]:
+                raise ValueError(f"constraint label {labels[k]!r} repeats an earlier one")
 
     @property
     def n_steps(self) -> int:

@@ -114,7 +114,6 @@ def dense_linear_spec(rng, n=3, m=4):
         f=tuple(f"({a}) - t{k}" for k, a in enumerate(times("F", w, n))),
         g=tuple(f"t{k}" for k in range(n)),
         outflow=tuple(f"({a}) + ({b})" for a, b in zip(times("Q", w, m), times("R", z, m))),
-        dq_dw=names("Q", m, n), dr_dz=names("R", m, m),
     )
     values = sum(F + Q + R, ()) + G
     params = DenseParams(F, G, Q, R, N=SIR_US.N)

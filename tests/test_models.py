@@ -463,7 +463,7 @@ class TestFormulaTables:
         "change, message",
         [
             (dict(outflow=("gamma * I", "0.0")), "do not match"),
-            (dict(dq_dw=(("0.0",),)), "do not match"),
+            (dict(g=("0.0", "0.0", "0.0")), "do not match"),
             (dict(w=("S", "u")), "names"),
             (dict(params=("beta0", "gamma", "S")), "names"),
         ],
@@ -473,6 +473,25 @@ class TestFormulaTables:
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(sir_spec, formulas=table)
 
+    def test_table_without_jacobians(self):
+        # SEIR split with I as an outlet of the incubation stage: the table
+        # writes no Jacobians, the spec reads them off the outflow rows
+        seir = build_seir(SeirParams(beta0=0.33, gamma=0.2, N=33e6, sigma=0.25))
+        table = FormulaTable(
+            w=("S", "E"), z=("I", "R"), params=("beta0", "gamma", "N", "sigma"),
+            terms=("t = beta0 * S * I / N",),
+            f=("-t", "t - sigma * E"),
+            g=("t", "-t"),
+            outflow=("sigma * E - gamma * I", "gamma * I"),
+        )
+        split = dataclasses.replace(seir, formulas=table)
+        assert bits(split.dq_dw) == bits(((0.0, 0.25), (0.0, 0.0)))
+        assert bits(split.dr_dz) == bits(((-0.2, 0.0), (0.2, 0.0)))
+        assert steered(table) == ("S", "E", "I")
+        x = [30e6, 1e6, 3e6, 0.0]
+        for u in (0.0, 0.3, 1.0):
+            assert bits(split.derivative_t(x, u)) == bits(seir.derivative_t(x, u))
+
     def test_generated_code_keeps_its_own_names(self):
         # compartment, parameter and term names that are also names of the
         # generated derivative or law still mean the table's values
@@ -480,7 +499,7 @@ class TestFormulaTables:
             w=("x", "w"), z=("z",), params=("values", "jq"),
             terms=("f0 = values * x * w",),
             f=("-f0", "f0 - jq * w"), g=("f0", "-f0"),
-            outflow=("jq * w",), dq_dw=(("0.0", "jq"),), dr_dz=(("0.0",),),
+            outflow=("jq * w",),
         )
         spec = build_sir(SirParams(beta0=0.5, gamma=0.25, N=1.0))
         ref = reference_model(spec)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from episafe.models import MODELS, build_model
+from episafe.runner import _columns
 from episafe.safety import MULTIPLICATIVE, OUTLET
 from episafe.scenarios import (
     PRESETS,
@@ -297,6 +298,17 @@ class TestRoundTrip:
         )
         back = parse_scenario_text(scenario_text(sc))
         assert back == sc and back.constraints[0].name == name
+
+    def test_unnamed_constraints_keep_their_columns(self):
+        # an unnamed cap and floor on I head h_c0_w1 and h_c1_w1; written
+        # without a name, both would be parsed as 'I'
+        sc = load_preset("sir_delay_danger")
+        cap = dataclasses.replace(sc.constraints[0], name="")
+        floor = dataclasses.replace(cap, bound=1e4, direction="lower")
+        sc = dataclasses.replace(sc, constraints=(cap, floor))
+        back = parse_scenario_text(scenario_text(sc))
+        assert _columns(back) == _columns(sc)
+        assert _columns(sc)[-3:] == ["h_c0_w1", "h_c1_w1", "d"]
 
 
 class TestScenarioEquality:

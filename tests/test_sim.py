@@ -86,6 +86,16 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match=r"^state0 must be finite, got \["):
             sir_scenario(sir_spec, state0=state0)
 
+    def test_repeated_constraint_label_rejected(self, sir_spec):
+        # both would head an h_I column of the trajectory CSV
+        cap = SafetyConstraint(MULTIPLICATIVE, 1, 2e5, 0.02, name="I")
+        floor = dataclasses.replace(cap, bound=1e4, direction="lower")
+        with pytest.raises(ValueError, match="^constraint label 'I' repeats an earlier one$"):
+            sir_scenario(sir_spec, constraints=(cap, floor))
+        # unnamed constraints are labelled by their position
+        unnamed = (dataclasses.replace(cap, name=""), dataclasses.replace(floor, name=""))
+        assert sir_scenario(sir_spec, constraints=unnamed).constraints == unnamed
+
     def test_negative_delta_rejected(self, sir_spec):
         with pytest.raises(ValueError, match="disturbance"):
             sir_scenario(sir_spec, disturbance_delta=-0.1)
