@@ -23,9 +23,7 @@ _EXPORTS = {
         "SeirParams",
         "SihrdParams",
         "SirParams",
-        "build_seir",
-        "build_sihrd",
-        "build_sir",
+        "build_model",
     ),
     "safety": (
         "MULTIPLICATIVE",

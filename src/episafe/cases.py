@@ -75,7 +75,7 @@ def ingest_cases(path: str | Path) -> list[CaseRecord]:
     path = Path(path)
     origin = str(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc  # an OSError's text repeats the path
         raise CaseDataError(f"cannot read case data: {reason}", origin) from exc

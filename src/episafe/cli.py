@@ -146,7 +146,7 @@ def _cmd_ingest(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         stem = Path(args.cases).stem
         out_csv = out_dir / f"{stem}_scaled.csv"
-        with out_csv.open("w") as fh:
+        with out_csv.open("w", encoding="utf-8") as fh:
             if scaled is not None:
                 fh.write("date,cumulative_confirmed,positivity_rate,scaled_confirmed\n")
                 for r, value in zip(records, scaled.scaled):
@@ -161,7 +161,8 @@ def _cmd_ingest(args) -> int:
         print(f"wrote {out_csv}")
         if scaled is not None:
             meta_path = out_dir / f"{stem}_scaled.meta.json"
-            meta_path.write_text(json.dumps(scaled.metadata(), indent=2, sort_keys=True) + "\n")
+            meta = json.dumps(scaled.metadata(), indent=2, sort_keys=True) + "\n"
+            meta_path.write_text(meta, encoding="utf-8")
             print(f"wrote {meta_path}")
     return EXIT_OK
 
@@ -195,6 +196,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    # a report line the terminal's encoding cannot show must not turn a
+    # finished run into an error; stdout is None when the stream is closed
+    if sys.stdout is not None:
+        sys.stdout.reconfigure(errors="backslashreplace")
     sys.exit(main())
 
 

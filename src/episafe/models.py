@@ -19,7 +19,9 @@ derivative (f with each term scaled by 1 - u, then the outflow); the
 outflow is linear, so the spec reads its constant Jacobians off the
 outflow rows at unit states, and no table writes them.  safety writes the
 same f, g and outflow into the law it generates.  MODELS maps each model
-kind to its rate class and table.
+kind to its rate class and table, and build_model(params) reads the kind
+off the rate class: adding a model takes one rate class, one table and one
+catalogue entry, and no builder function.
 """
 
 from __future__ import annotations
@@ -42,9 +44,6 @@ __all__ = [
     "MODELS",
     "build_model",
     "steered",
-    "build_sir",
-    "build_seir",
-    "build_sihrd",
 ]
 
 # Integration drift may push a compartment a hair below zero; reject anything
@@ -353,7 +352,8 @@ class ModelSpec:
 
 # The model catalogue: kind -> (rate class, formula table), the table's
 # params being the rate class's fields.  Adding a model takes one rate class,
-# one table and one entry; scenarios read everything else from the table.
+# one table and one entry, and no builder function: build_model reads the
+# kind off the rate class; scenarios read everything else from the table.
 MODELS: dict[str, tuple[type, FormulaTable]] = {}
 
 
@@ -362,13 +362,18 @@ def _register(kind: str, rates: type, **formulas) -> None:
     MODELS[kind] = rates, FormulaTable(params=params, **formulas)
 
 
-def build_model(kind: str, params) -> ModelSpec:
-    """The spec of catalogue model kind, params an instance of its rates."""
-    _, table = MODELS[kind]
-    values = tuple(getattr(params, name) for name in table.params)
-    return ModelSpec(kind, table, values, params, g_tol=1e-12 * params.beta0)
+def build_model(params) -> ModelSpec:
+    """The spec of the catalogue model whose rate class is exactly
+    type(params)."""
+    for kind, (rates, table) in MODELS.items():
+        if type(params) is rates:
+            values = tuple(getattr(params, name) for name in table.params)
+            return ModelSpec(kind, table, values, params, g_tol=1e-12 * params.beta0)
+    raise ValueError(f"no catalogue model has rate class {type(params).__name__}")
 
 
+# SIR: transmission beta0*S*I/N is scaled by (1 - u); recovery drains I into
+# R at rate gamma.
 _register(
     "sir", SirParams,
     w=("S", "I"), z=("R",),
@@ -378,16 +383,9 @@ _register(
     outflow=("gamma * I",),
 )
 
-
-def build_sir(params: SirParams) -> ModelSpec:
-    """SIR with intervention: w = (S, I), z = (R,).
-
-    Transmission beta0*S*I/N is scaled by (1 - u); recovery drains I into R
-    at rate gamma.
-    """
-    return build_model("sir", params)
-
-
+# SEIR: new infections enter the exposed pool E and become infectious at rate
+# sigma.  The input has no direct effect on the I row, so only S and E admit
+# the first-order safety controller.
 _register(
     "seir", SeirParams,
     w=("S", "E", "I"), z=("R",),
@@ -397,17 +395,9 @@ _register(
     outflow=("gamma * I",),
 )
 
-
-def build_seir(params: SeirParams) -> ModelSpec:
-    """SEIR with intervention: w = (S, E, I), z = (R,).
-
-    New infections enter the exposed pool E and become infectious at rate
-    sigma.  The input has no direct effect on the I row, so only S and E
-    admit the first-order safety controller.
-    """
-    return build_model("seir", params)
-
-
+# SIHRD: infected individuals leave I at total rate gamma + lam + mu, split
+# into hospitalization (lam), direct recovery (gamma) and death (mu); the
+# hospitalized recover at rate nu.
 _register(
     "sihrd", SihrdParams,
     w=("S", "I"), z=("H", "R", "D"),
@@ -417,14 +407,3 @@ _register(
     g=("t", "-t"),
     outflow=("lam * I - nu * H", "gamma * I + nu * H", "mu * I"),
 )
-
-
-def build_sihrd(params: SihrdParams) -> ModelSpec:
-    """SIHRD with intervention: w = (S, I), z = (H, R, D).
-
-    Infected individuals leave I at total rate gamma + lam + mu, split into
-    hospitalization (lam), direct recovery (gamma) and death (mu); the
-    hospitalized recover at rate nu.
-    """
-    return build_model("sihrd", params)
-

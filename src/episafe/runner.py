@@ -192,7 +192,7 @@ def _lines(trajectory: Trajectory) -> list[str]:
 def export_trajectory(trajectory: Trajectory, path: str | Path) -> Path:
     """Write the trajectory CSV (see module docstring for the schema)."""
     path = Path(path)
-    with path.open("w") as fh:
+    with path.open("w", encoding="utf-8") as fh:
         fh.write(",".join(_columns(trajectory.scenario)) + "\n")
         fh.writelines(_lines(trajectory))
     return path
@@ -219,7 +219,8 @@ def import_trajectory(path: str | Path, scenario: Scenario) -> Trajectory:
     """
     path = Path(path)
     try:
-        lines = path.read_text().split("\n")  # not splitlines: a form feed ends no line
+        # not splitlines: a form feed ends no line
+        lines = path.read_text(encoding="utf-8").split("\n")
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc  # an OSError's text repeats the path
         raise TrajectoryFormatError(f"{path}: cannot read trajectory: {reason}") from exc
@@ -295,7 +296,7 @@ def write_long_table(trajectory: Trajectory, path: str | Path) -> Path:
     ).format
     # a line's cells are numbers, and no number holds a comma
     path = Path(path)
-    with path.open("w") as fh:
+    with path.open("w", encoding="utf-8") as fh:
         fh.write("t,series,value\n")
         fh.writelines(fill(*line[:-1].split(",")) for line in _lines(trajectory))
     return path

@@ -162,7 +162,7 @@ def _build_model(sec: _Section, origin: str) -> ModelSpec:
     _check_keys(sec, set(table.params) | {"kind"}, origin)
     params = {k: _value(sec, k, origin) for k in table.params}
     try:
-        return build_model(kind, rates(**params))
+        return build_model(rates(**params))
     except ValueError as exc:
         raise ScenarioParseError(str(exc), origin, sec.lineno) from exc
 
@@ -310,7 +310,7 @@ def parse_scenario(path: str | Path) -> Scenario:
     context on any problem."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc  # an OSError's text repeats the path
         raise ScenarioParseError(f"cannot read scenario: {reason}", str(path)) from exc
@@ -355,7 +355,7 @@ def scenario_text(scenario: Scenario) -> str:
 
 def write_scenario(scenario: Scenario, path: str | Path) -> Path:
     path = Path(path)
-    path.write_text(scenario_text(scenario))
+    path.write_text(scenario_text(scenario), encoding="utf-8")
     return path
 
 

@@ -16,6 +16,7 @@ recorded.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
@@ -93,7 +94,8 @@ class Scenario:
     The controller is off (u = 0) before sample control_step.  The horizon,
     tau and control_start - t_start map to the step counts n_steps,
     delay_steps and control_step through grid_steps, and must each be a
-    whole number of dt steps to its relative tolerance of 1e-9.
+    whole number of dt steps to its relative tolerance of 1e-9, and
+    n_steps + 1 float64 samples must fit in an address space.
     """
 
     spec: ModelSpec
@@ -117,10 +119,13 @@ class Scenario:
                 raise ValueError(f"{name} must be finite")
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
-        if grid_steps(self.t_end - self.t_start, self.dt) is None:
+        steps = grid_steps(self.t_end - self.t_start, self.dt)
+        if steps is None:
             raise ValueError(
                 "horizon t_end - t_start must be a non-negative multiple of dt"
             )
+        if (steps + 1) * 8 > sys.maxsize:
+            raise ValueError(f"horizon of {steps:g} steps of dt {self.dt:g} is too long to store")
         if self.feedback_mode not in MODES:
             raise ValueError(f"feedback_mode must be one of {MODES}")
         if grid_steps(self.tau, self.dt) is None:

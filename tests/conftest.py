@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from episafe.models import FormulaTable, ModelSpec, SihrdParams, SirParams, build_sihrd, build_sir
+from episafe.models import FormulaTable, ModelSpec, SihrdParams, SirParams, build_model
 
 from oracles import DenseParams
 
@@ -33,12 +33,12 @@ TAU_GRID_CASES = [
 
 @pytest.fixture(scope="session")
 def sir_spec():
-    return build_sir(SIR_US)
+    return build_model(SIR_US)
 
 
 @pytest.fixture(scope="session")
 def sihrd_spec():
-    return build_sihrd(SIHRD_US)
+    return build_model(SIHRD_US)
 
 
 def sample_sir_states(spec, count, seed, s_frac=(0.05, 1.0), i_frac=(1e-5, 0.5)):

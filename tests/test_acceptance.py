@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from episafe.delay import PredictorConfig, predict_state, prediction_error
-from episafe.models import build_sir
+from episafe.models import build_model
 from episafe.runner import export_trajectory, import_trajectory
 from episafe.safety import (
     MULTIPLICATIVE,
@@ -326,7 +326,7 @@ def test_criterion_5_delay_danger_demonstration():
 
 
 def _issf_runs():
-    spec = build_sir(SIR_US)
+    spec = build_model(SIR_US)
     rng = np.random.default_rng(606)
     runs = []
     deltas = (0.01, 0.05, 0.1)
@@ -404,12 +404,12 @@ def test_criterion_7_conservation_and_jacobians(sir_spec, sihrd_spec):
         assert drift < 1e-7, drift
         worst_drift = max(worst_drift, drift)
 
-    from episafe.models import SeirParams, build_seir
+    from episafe.models import SeirParams, build_model
 
     worst_jac = 0.0
     for spec in (
         sir_spec,
-        build_seir(SeirParams(beta0=0.33, gamma=0.2, N=33e6, sigma=0.2)),
+        build_model(SeirParams(beta0=0.33, gamma=0.2, N=33e6, sigma=0.2)),
         sihrd_spec,
     ):
         rng = np.random.default_rng(700)

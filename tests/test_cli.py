@@ -3,6 +3,7 @@
 import datetime as dt
 import hashlib
 import math
+import os
 import random
 import subprocess
 import sys
@@ -13,9 +14,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from episafe.cli import main
+from episafe.cli import entry, main
 from episafe.runner import exit_code
-from episafe.scenarios import load_preset, write_scenario
+from episafe.scenarios import PRESETS, load_preset, write_scenario
 from episafe.sim import safety_audit, simulate
 
 CASES_CSV = """\
@@ -40,6 +41,8 @@ def seeded_cases(rows: int, seed: int) -> str:
 
 
 DOCUMENTED_EXIT_CODES = (0, 2, 3, 4)
+
+TOO_LONG = "error: horizon of 1.9e+302 steps of dt 1e-300 is too long to store\n"
 
 
 def sir_doc(initial, feedback, constraints, t_end=30):
@@ -124,6 +127,11 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: Unable to allocate ")
         assert captured.err.count("\n") == 1 and captured.out == ""
+
+    def test_grid_too_long_for_any_array_exits_2(self, capsys):
+        # 1.9e302 steps: more float64 samples than an address space holds
+        assert main(["simulate", "sir_fig2", "--dt", "1e-300"]) == 2
+        assert capsys.readouterr() == ("", TOO_LONG)
 
     @pytest.mark.parametrize("mode", ["delayed", "predictor"])
     def test_delay_longer_than_the_run_exits_cleanly(self, tmp_path, capsys, mode):
@@ -366,6 +374,14 @@ class TestAudit:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "time grid" in err
 
+    def test_grid_too_long_for_any_array_exits_2(self, tmp_path, capsys):
+        # not a sample count of 303 digits
+        assert main(["simulate", "sir_fig2", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        traj = tmp_path / "sir_fig2_trajectory.csv"
+        assert main(["audit", str(traj), "sir_fig2", "--dt", "1e-300"]) == 2
+        assert capsys.readouterr() == ("", TOO_LONG)
+
     def test_matching_time_step_audit_unchanged(self, tmp_path, capsys):
         assert main(["simulate", "sir_delay_danger", "--out", str(tmp_path)]) == 0
         capsys.readouterr()
@@ -418,6 +434,13 @@ class TestSweep:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: Unable to allocate ")
         assert captured.err.count("\n") == 1 and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_grid_too_long_for_any_array_exits_2_before_any_run(self, tmp_path, capsys):
+        assert main([
+            "sweep", "sir_fig2", "--param", "dt", "--values", "0.1,1e-300", "--out", str(tmp_path),
+        ]) == 2
+        assert capsys.readouterr() == ("", TOO_LONG)
         assert list(tmp_path.iterdir()) == []
 
     def test_delays_longer_than_the_run_exit_cleanly(self, capsys):
@@ -554,6 +577,43 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "sir_fig2" in proc.stdout
+
+
+def test_console_entry_point_runs_with_stdout_closed(monkeypatch):
+    monkeypatch.setattr(sys, "stdout", None)
+    monkeypatch.setattr(sys, "argv", ["episafe", "presets", "list"])
+    with pytest.raises(SystemExit) as exc:
+        entry()
+    assert exc.value.code == 0
+
+
+def test_files_are_utf8_under_an_ascii_locale(tmp_path):
+    # the files are UTF-8 whatever the locale, and a report line that the
+    # terminal cannot show is escaped rather than failing the run
+    doc = PRESETS["sir_fig2"].replace("t_end = 190", "t_end = 20")
+    path = tmp_path / "u.scenario"
+    path.write_bytes((doc + "name = Intensivstation_über\n").encode("utf-8"))
+    locales = {
+        "utf8": {"PYTHONUTF8": "1"},
+        "ascii": {"PYTHONUTF8": "0", "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"},
+    }
+    written = {}
+    for name, overrides in locales.items():
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+        env.update(overrides)
+        out = tmp_path / name
+        for args in (["simulate", str(path), "--out", str(out)],
+                     ["audit", str(out / "u_trajectory.csv"), str(path)]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "episafe", *args], capture_output=True, env=env,
+            )
+            assert (proc.returncode, proc.stderr) == (0, b"")
+        written[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert b"Intensivstation_\\xfcber: min h" in proc.stdout
+    assert written["ascii"] == written["utf8"]
+    assert written["utf8"]["u_trajectory.csv"].startswith(
+        "t,S,I,R,u_raw,u,h_Intensivstation_über,d\n".encode("utf-8")
+    )
 
 
 _MODELS = {

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from episafe.engine import closed_loop_rollout, make_input_fn, rk4_flat
-from episafe.models import SeirParams, build_seir, build_sihrd, build_sir
+from episafe.models import SeirParams, build_model
 from episafe.safety import MULTIPLICATIVE, SafetyConstraint
 
 from conftest import SIHRD_US, SIR_US
@@ -55,9 +55,9 @@ def test_linear_deriv_bit_equal(n):
 @pytest.mark.parametrize(
     "spec",
     [
-        build_sir(SIR_US),
-        build_seir(SeirParams(beta0=0.33, gamma=0.2, N=33e6, sigma=0.2)),
-        build_sihrd(SIHRD_US),
+        build_model(SIR_US),
+        build_model(SeirParams(beta0=0.33, gamma=0.2, N=33e6, sigma=0.2)),
+        build_model(SIHRD_US),
     ],
     ids=lambda s: s.kind,
 )
@@ -73,7 +73,7 @@ def test_model_derivative_bit_equal(spec):
 
 
 def test_tuple_state_accepted():
-    spec = build_sir(SIR_US)
+    spec = build_model(SIR_US)
     x = (30e6, 1e5, 2e6)
     assert bits(rk4_flat(spec.derivative_t, x, 0.25, 0.1)) == bits(
         rk4_reference(spec.derivative_t, x, 0.25, 0.1)
@@ -84,7 +84,7 @@ I_CAP = SafetyConstraint(MULTIPLICATIVE, 1, 2e5, 0.02, name="I")
 
 
 def test_input_fn_same_at_every_step():
-    spec = build_sir(SIR_US)
+    spec = build_model(SIR_US)
     x = [26e6, 1e5, 6.9e6]
     law = make_input_fn(spec, (I_CAP,))
     assert law(0, x) > 0.0
@@ -94,7 +94,7 @@ def test_input_fn_same_at_every_step():
 
 
 def test_rollout_numbers_steps_from_k0():
-    spec = build_sir(SIR_US)
+    spec = build_model(SIR_US)
     seen = []
 
     def input_fn(k, x):

@@ -19,7 +19,7 @@ PUBLIC = {
     "delay": ("PredictorConfig", "predict_state", "prediction_error"),
     "models": (
         "FormulaTable", "ModelSpec", "ModelState", "SeirParams", "SihrdParams",
-        "SirParams", "build_seir", "build_sihrd", "build_sir",
+        "SirParams", "build_model",
     ),
     "safety": (
         "MULTIPLICATIVE", "OUTLET", "ControlDecision", "SafetyConstraint",

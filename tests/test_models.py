@@ -17,9 +17,6 @@ from episafe.models import (
     SeirParams,
     SirParams,
     build_model,
-    build_seir,
-    build_sihrd,
-    build_sir,
     steered,
 )
 from episafe.safety import (
@@ -47,9 +44,9 @@ from oracles import reference_model, reference_solver
 
 def all_specs():
     return [
-        build_sir(SIR_US),
-        build_seir(SeirParams(beta0=0.33, gamma=0.2, N=33e6, sigma=0.2)),
-        build_sihrd(SIHRD_US),
+        build_model(SIR_US),
+        build_model(SeirParams(beta0=0.33, gamma=0.2, N=33e6, sigma=0.2)),
+        build_model(SIHRD_US),
     ]
 
 
@@ -129,7 +126,7 @@ class TestSpecState:
 
 class TestBuildSir:
     def test_us_fit_parameters_accepted(self):
-        spec = build_sir(SIR_US)
+        spec = build_model(SIR_US)
         assert (spec.n, spec.m) == (2, 1)
         assert spec.labels == ("S", "I", "R")
 
@@ -144,12 +141,12 @@ class TestBuildSir:
     def test_derivative_frozen_value(self):
         # direct hand evaluation: beta0*S*I/N = 0.33*30e6*3e6/33e6 = 900000,
         # gamma*I = 600000
-        spec = build_sir(SIR_US)
+        spec = build_model(SIR_US)
         xdot = spec.derivative_t([30e6, 3e6, 0.0], 0.0)
         np.testing.assert_allclose(xdot, [-900000.0, 300000.0, 600000.0], rtol=1e-12)
 
     def test_jacobian_rows(self):
-        spec = build_sir(SIR_US)
+        spec = build_model(SIR_US)
         assert spec.dq_dw == ((0.0, 0.2),)
         assert spec.dr_dz == ((0.0,),)
 
@@ -161,7 +158,20 @@ class TestCatalogue:
             rates, table = MODELS[spec.kind]
             assert table.params == tuple(f.name for f in dataclasses.fields(rates))
             assert isinstance(spec.params, rates) and spec.formulas is table
-            assert build_model(spec.kind, spec.params) == spec
+            assert build_model(spec.params) == spec
+
+    def test_build_model_reads_the_kind_off_the_rate_class(self):
+        for kind, (rates, table) in MODELS.items():
+            spec = build_model(rates(*[0.3] * len(table.params)))
+            assert spec.kind == kind and spec.formulas is table
+
+        @dataclasses.dataclass(frozen=True)
+        class LocalSir(SirParams):
+            pass
+
+        for other, name in ((object(), "object"), (LocalSir(0.3, 0.1, 1e6), "LocalSir")):
+            with pytest.raises(ValueError, match=f"^no catalogue model has rate class {name}$"):
+                build_model(other)
 
     @pytest.mark.parametrize("kind", ["sir", "seir", "sihrd"])
     def test_every_rate_must_be_positive_and_finite(self, kind):
@@ -188,46 +198,46 @@ class TestCatalogue:
 class TestBuildSeir:
     def test_control_vector_has_zero_infectious_row(self):
         # g is the change of the w rows of the derivative from u = 0 to 1
-        spec = build_seir(SeirParams(beta0=0.33, gamma=0.2, N=33e6, sigma=0.2))
+        spec = build_model(SeirParams(beta0=0.33, gamma=0.2, N=33e6, sigma=0.2))
         x = [30e6, 1e6, 3e6, 0.0]
         g = np.subtract(spec.derivative_t(x, 1.0), spec.derivative_t(x, 0.0))[: spec.n]
         np.testing.assert_allclose(g, [900000.0, -900000.0, 0.0], rtol=1e-12)
 
     def test_disease_free_equilibrium(self):
         # f (at u = 0) and f + g (at u = 1) vanish
-        spec = build_seir(SeirParams(beta0=0.33, gamma=0.2, N=33e6, sigma=0.2))
+        spec = build_model(SeirParams(beta0=0.33, gamma=0.2, N=33e6, sigma=0.2))
         x = [33e6, 0.0, 0.0, 0.0]
         for u in (0.0, 1.0):
             assert np.all(np.asarray(spec.derivative_t(x, u)[: spec.n]) == 0.0)
 
     def test_exposed_derivative_frozen_value(self):
         # dE/dt = beta0*S*I/N - sigma*E = 900000 - 200000
-        spec = build_seir(SeirParams(beta0=0.33, gamma=0.2, N=33e6, sigma=0.2))
+        spec = build_model(SeirParams(beta0=0.33, gamma=0.2, N=33e6, sigma=0.2))
         xdot = spec.derivative_t([30e6, 1e6, 3e6, 0.0], 0.0)
         assert xdot[1] == pytest.approx(700000.0, rel=1e-12)
 
 
 class TestBuildSihrd:
     def test_us_fit_parameters_accepted(self):
-        spec = build_sihrd(SIHRD_US)
+        spec = build_model(SIHRD_US)
         assert (spec.n, spec.m) == (2, 3)
         assert spec.labels == ("S", "I", "H", "R", "D")
 
     def test_empty_outlet_inflow(self):
         # the outlet rows q + r vanish with I and H, whatever u
-        spec = build_sihrd(SIHRD_US)
+        spec = build_model(SIHRD_US)
         x = [1e6, 0.0, 0.0, 5.0, 5.0]
         for u in (0.0, 1.0):
             assert np.all(np.asarray(spec.derivative_t(x, u)[spec.n :]) == 0.0)
 
     def test_hospital_derivative_frozen_value(self):
         # dH/dt = lam*I - nu*H = 0.03e6 - 0.014e6
-        spec = build_sihrd(SIHRD_US)
+        spec = build_model(SIHRD_US)
         xdot = spec.derivative_t([10e6, 1e6, 1e5, 0.0, 0.0], 0.0)
         assert xdot[2] == pytest.approx(16000.0, rel=1e-12)
 
     def test_jacobian_structure(self):
-        spec = build_sihrd(SIHRD_US)
+        spec = build_model(SIHRD_US)
         assert spec.dq_dw == ((0.0, 0.03), (0.0, 0.14), (0.0, 0.01))
         assert spec.dr_dz == ((-0.14, 0.0, 0.0), (0.14, 0.0, 0.0), (0.0, 0.0, 0.0))
 
@@ -257,26 +267,26 @@ STATE_FUNCTIONS = {
 
 class TestFlat:
     def test_flat_is_w_then_z(self):
-        spec = build_sihrd(SIHRD_US)
+        spec = build_model(SIHRD_US)
         x = spec.flat(spec.state([10e6, 1e6, 1e5, 2e6, 1e4]))
         assert x == [10e6, 1e6, 1e5, 2e6, 1e4]
         assert all(type(v) is float for v in x)
 
     def test_flat_returns_a_fitting_list_uncopied(self):
-        spec = build_sihrd(SIHRD_US)
+        spec = build_model(SIHRD_US)
         x = [10e6, 1e6, 1e5, 2e6, -1e-3]  # a drift-sized negative passes
         assert spec.flat(x) is x
 
     @pytest.mark.parametrize("values", [[10e6, 1e6, 1e5, 2e6], [10e6, 1e6, 1e5, 2e6, 1e4, 0.0]])
     def test_flat_rejects_a_list_of_another_length(self, values):
-        spec = build_sihrd(SIHRD_US)
+        spec = build_model(SIHRD_US)
         message = f"state has {len(values)} entries, model has 5"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             spec.flat(values)
 
     def test_flat_rejects_a_list_under_the_floor_as_state_does(self):
         # the state an overshooting RK4 step leaves (see test_sim)
-        spec = build_sir(SirParams(beta0=40.0, gamma=0.1, N=1000.0))
+        spec = build_model(SirParams(beta0=40.0, gamma=0.1, N=1000.0))
         values = [-544.0462618039367, 1522.7801795513326, 21.26608225260417]
         with pytest.raises(ValueError) as want:
             spec.state(values)
@@ -288,7 +298,7 @@ class TestFlat:
     @pytest.mark.parametrize("name", sorted(STATE_FUNCTIONS))
     def test_every_state_function_rejects_a_state_of_another_model(self, name):
         # SIHRD shares SIR's two multiplicative compartments: only m differs
-        sir, sihrd = build_sir(SIR_US), build_sihrd(SIHRD_US)
+        sir, sihrd = build_model(SIR_US), build_model(SIHRD_US)
         state = sihrd.state([10e6, 1e6, 1e5, 2e6, 1e4])
         STATE_FUNCTIONS[name](sir, sir.state([30e6, 1e5, 2.9e6]))
         message = "state dimensions (2, 3) do not match model (2, 1)"
@@ -309,20 +319,20 @@ class TestEvalDynamics:
     calls, and the blockwise f, g, q and r of the hand-written models."""
 
     def test_total_isolation_freezes_susceptibles(self):
-        spec = build_sir(SIR_US)
+        spec = build_model(SIR_US)
         xdot = spec.derivative_t([20e6, 5e6, 8e6], 1.0)
         assert xdot[0] == 0.0
         assert xdot[1] == pytest.approx(-0.2 * 5e6, rel=1e-12)
 
     def test_dimension_mismatch_raises(self):
         # a state is checked against the model before any evaluator sees it
-        sir = build_sir(SIR_US)
+        sir = build_model(SIR_US)
         state5 = ModelState(w=[1.0, 2.0], z=[3.0, 4.0, 5.0], labels=tuple("abcde"))
         with pytest.raises(ValueError, match="dimensions"):
             sir.flat(state5)
 
     def test_conservation_sihrd(self):
-        spec = build_sihrd(SIHRD_US)
+        spec = build_model(SIHRD_US)
         xdot = spec.derivative_t([10e6, 1e6, 1e5, 2e6, 1e4], 0.0)
         assert abs(sum(xdot)) < 1e-9 * SIHRD_US.N
 
@@ -363,9 +373,9 @@ class TestJacobians:
     @pytest.mark.parametrize("model", ["sir", "seir", "sihrd"])
     def test_analytic_matches_central_differences(self, model):
         spec = {
-            "sir": build_sir(SIR_US),
-            "seir": build_seir(SeirParams(beta0=0.33, gamma=0.2, N=33e6, sigma=0.2)),
-            "sihrd": build_sihrd(SIHRD_US),
+            "sir": build_model(SIR_US),
+            "seir": build_model(SeirParams(beta0=0.33, gamma=0.2, N=33e6, sigma=0.2)),
+            "sihrd": build_model(SIHRD_US),
         }[model]
         rng = np.random.default_rng(11)
         N = spec.params.N
@@ -446,8 +456,8 @@ class TestFormulaTables:
                 assert bits(got) == bits(want), u
 
     def test_compiled_once_per_table(self):
-        a = build_sir(SIR_US)
-        b = build_sir(SirParams(beta0=0.4, gamma=0.1, N=1e6))
+        a = build_model(SIR_US)
+        b = build_model(SirParams(beta0=0.4, gamma=0.1, N=1e6))
         assert a.derivative_t.__code__ is b.derivative_t.__code__
         # each spec binds its own values
         assert a.derivative_t([5e5, 1e4, 0.0], 0.0) != b.derivative_t([5e5, 1e4, 0.0], 0.0)
@@ -476,7 +486,7 @@ class TestFormulaTables:
     def test_table_without_jacobians(self):
         # SEIR split with I as an outlet of the incubation stage: the table
         # writes no Jacobians, the spec reads them off the outflow rows
-        seir = build_seir(SeirParams(beta0=0.33, gamma=0.2, N=33e6, sigma=0.25))
+        seir = build_model(SeirParams(beta0=0.33, gamma=0.2, N=33e6, sigma=0.25))
         table = FormulaTable(
             w=("S", "E"), z=("I", "R"), params=("beta0", "gamma", "N", "sigma"),
             terms=("t = beta0 * S * I / N",),
@@ -501,7 +511,7 @@ class TestFormulaTables:
             f=("-f0", "f0 - jq * w"), g=("f0", "-f0"),
             outflow=("jq * w",),
         )
-        spec = build_sir(SirParams(beta0=0.5, gamma=0.25, N=1.0))
+        spec = build_model(SirParams(beta0=0.5, gamma=0.25, N=1.0))
         ref = reference_model(spec)
         renamed = dataclasses.replace(spec, formulas=table, values=(0.5, 0.25))
         x = [0.75, 0.125, 0.5]

@@ -16,9 +16,7 @@ from episafe.engine import make_input_fn
 from episafe.models import (
     SeirParams,
     SirParams,
-    build_seir,
-    build_sihrd,
-    build_sir,
+    build_model,
 )
 from episafe.safety import (
     MULTIPLICATIVE,
@@ -280,9 +278,9 @@ class TestExtendedBarrier:
         # compartment in turn +-0.0, NaN, +-inf and subnormal, and bounds
         # finite, inf and equal to z_j
         spec = {
-            "sir": build_sir(SIR_US),
-            "seir": build_seir(SeirParams(beta0=0.33, gamma=0.2, N=33e6, sigma=0.2)),
-            "sihrd": build_sihrd(SIHRD_US),
+            "sir": build_model(SIR_US),
+            "seir": build_model(SeirParams(beta0=0.33, gamma=0.2, N=33e6, sigma=0.2)),
+            "sihrd": build_model(SIHRD_US),
         }[kind]
         model = reference_model(spec)
         rng = np.random.default_rng(808)
@@ -624,7 +622,7 @@ class TestUnrolledOutletTerms:
     def test_solver_matches_sum_reference(self, sihrd_spec):
         rng = np.random.default_rng(515)
         specs = (
-            build_seir(SeirParams(beta0=0.33, gamma=0.2, N=33e6, sigma=0.2)),
+            build_model(SeirParams(beta0=0.33, gamma=0.2, N=33e6, sigma=0.2)),
             sihrd_spec,
             dense_linear_spec(rng),
         )
@@ -657,9 +655,9 @@ class TestGeneratedKernels:
         inf at every eleventh."""
         rng = np.random.default_rng(seed)
         specs = (
-            build_sir(SIR_US),
-            build_seir(SeirParams(beta0=0.33, gamma=0.2, N=33e6, sigma=0.2)),
-            build_sihrd(SIHRD_US),
+            build_model(SIR_US),
+            build_model(SeirParams(beta0=0.33, gamma=0.2, N=33e6, sigma=0.2)),
+            build_model(SIHRD_US),
             dense_linear_spec(rng),
         )
         for k in range(count):
@@ -729,9 +727,9 @@ class TestGeneratedKernels:
         # NaN; the law keeps every such product, as the reference does.
         rng = np.random.default_rng(618)
         specs = (
-            build_sir(SIR_US),
-            build_seir(SeirParams(beta0=0.33, gamma=0.2, N=33e6, sigma=0.2)),
-            build_sihrd(SIHRD_US),
+            build_model(SIR_US),
+            build_model(SeirParams(beta0=0.33, gamma=0.2, N=33e6, sigma=0.2)),
+            build_model(SIHRD_US),
             dense_linear_spec(rng),
         )
         for spec in specs:
@@ -761,7 +759,7 @@ class TestGeneratedKernels:
                         assert d.u.hex() == safety._clamp01(want[0]).hex(), (x, cons)
 
     def test_same_shape_shares_one_factory(self, sir_spec):
-        other = build_sir(SirParams(beta0=0.4, gamma=0.1, N=1e6))
+        other = build_model(SirParams(beta0=0.4, gamma=0.1, N=1e6))
         s_floor = SafetyConstraint(MULTIPLICATIVE, 0, 1e5, 0.3, direction="lower")
         a = (i_bound(), s_floor)
         b = (
@@ -793,7 +791,7 @@ sane_sir = st.tuples(
 @given(sane_sir)
 def test_relu_nonnegative_and_kink(params):
     s_frac, i_frac, bound, alpha = params
-    spec = build_sir(SIR_US)
+    spec = build_model(SIR_US)
     state = spec.state([s_frac * 33e6, i_frac * 33e6, 0.0])
     c = SafetyConstraint(MULTIPLICATIVE, 1, bound, alpha, name="I")
     dec = multiplicative_control(spec, c, state)
@@ -809,7 +807,7 @@ def test_relu_nonnegative_and_kink(params):
 @given(sane_sir)
 def test_safety_condition_certified_pointwise(params):
     s_frac, i_frac, bound, alpha = params
-    spec = build_sir(SIR_US)
+    spec = build_model(SIR_US)
     state = spec.state([s_frac * 33e6, i_frac * 33e6, 0.0])
     c = SafetyConstraint(MULTIPLICATIVE, 1, bound, alpha, name="I")
     dec = multiplicative_control(spec, c, state)
@@ -825,7 +823,7 @@ def test_safety_condition_certified_pointwise(params):
 @given(sane_sir)
 def test_stronger_decay_gain_never_raises_demand(params):
     s_frac, i_frac, bound, alpha = params
-    spec = build_sir(SIR_US)
+    spec = build_model(SIR_US)
     I = i_frac * 33e6
     state = spec.state([s_frac * 33e6, I, 0.0])
     if not bound - I > 0.0:  # property holds inside the safe set
@@ -841,7 +839,7 @@ def test_stronger_decay_gain_never_raises_demand(params):
 
 @given(st.floats(0.01, 0.99), st.floats(1e-4, 0.4))
 def test_outlet_safety_condition_certified(h_frac, i_frac):
-    spec = build_sihrd(SIHRD_US)
+    spec = build_model(SIHRD_US)
     N = SIHRD_US.N
     state = spec.state([0.8 * N, i_frac * N, h_frac * 0.02 * N, 0.0, 0.0])
     c = h_bound()

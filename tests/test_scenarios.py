@@ -211,7 +211,7 @@ class TestDefaultGains:
         rng = np.random.default_rng(17)
         for _ in range(300):
             values = rng.uniform(1e-4, 3.0, len(table.params)).tolist()
-            spec = build_model(kind, rates(*values))
+            spec = build_model(rates(*values))
             for pos in range(spec.n + spec.m):
                 where = (MULTIPLICATIVE, pos) if pos < spec.n else (OUTLET, pos - spec.n)
                 got = default_gains(spec, *where)

@@ -10,7 +10,7 @@ import pytest
 from episafe import engine, safety
 from episafe.delay import PredictorConfig
 from episafe.engine import rk4_flat
-from episafe.models import SirParams, build_sir
+from episafe.models import SirParams, build_model
 from episafe.runner import export_trajectory, import_trajectory
 from episafe.safety import (
     MULTIPLICATIVE,
@@ -376,7 +376,7 @@ class TestSimulate:
     def test_negative_feedback_state_rejected(self, mode):
         # beta0 40 at dt 0.5 overshoots: RK4 drives S far below zero, and
         # the law must refuse the first feedback state that carries it
-        spec = build_sir(SirParams(beta0=40.0, gamma=0.1, N=1000.0))
+        spec = build_model(SirParams(beta0=40.0, gamma=0.1, N=1000.0))
         sc = Scenario(
             spec=spec, state0=spec.state([990.0, 10.0, 0.0]), t_start=0.0,
             t_end=5.0, dt=0.5, feedback_mode=mode, tau=1.0,
@@ -447,9 +447,9 @@ class TestSafetyAudit:
 
 class TestOtherConstraintFamilies:
     def test_seir_exposed_bound_held(self):
-        from episafe.models import SeirParams, build_seir
+        from episafe.models import SeirParams, build_model
 
-        spec = build_seir(SeirParams(beta0=0.33, gamma=0.2, N=33e6, sigma=0.2))
+        spec = build_model(SeirParams(beta0=0.33, gamma=0.2, N=33e6, sigma=0.2))
         bound = 5e5
         sc = Scenario(
             spec=spec,
