@@ -22,20 +22,22 @@ a ModelState interface.
 ModelSpec.flat turns a ModelState into the flat list, and is the one check
 that a state, in either form, fits the model.
 
-rk4_flat runs a straight-line kernel generated from one source template
-the first time a state length is seen and kept for that length: the
-elementwise loops cost several times the model derivative on vectors this
-short.  It still makes one call per step and four calls of the derivative,
-because the benchmark in bench/ counts rollout steps and derivative
-evaluations at those calls; a batched predictor that advances every
-in-flight rollout at once waits on a change to those counts.
+rk4_flat takes one call per state-step.  A derivative compiled from a
+formula table carries a fused step, derivative_t.rk4, which writes the
+table's rows at each RK4 stage in place of four derivative calls and the
+lists they build and unpack; rk4_flat returns it.  Any other callable, such
+as a test's hand-written derivative or a wrapper that counts calls, runs a
+straight-line kernel generated the first time a state length is seen and
+kept for that length, which calls it exactly four times: the elementwise
+loops cost several times the model derivative on vectors this short.  Both
+are formatted from models.rk4_lines, so they give the same bits.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .models import ModelSpec
+from .models import ModelSpec, rk4_lines
 from .safety import SafetyConstraint, _solver
 
 __all__ = ["rk4_flat", "make_input_fn", "closed_loop_rollout"]
@@ -43,36 +45,18 @@ __all__ = ["rk4_flat", "make_input_fn", "closed_loop_rollout"]
 InputFn = Callable[[int, Sequence[float]], float]
 
 
-# One straight-line RK4 kernel per state length, generated on first use.
-# Each element is computed with the operations, and in the order, of the
-# elementwise formulas
-#   y = x + half*k1, x + half*k2, x + dt*k3;  x + s*(k1 + 2*(k2 + k3) + k4)
-# so a kernel's results are bit-identical to a loop over the elements.
-_RK4_TEMPLATE = """\
-def rk4(deriv, x, u, dt):
-    half = 0.5 * dt
-    [{x}] = x
-    [{a}] = deriv(x, u)
-    [{b}] = deriv([{xa}], u)
-    [{c}] = deriv([{xb}], u)
-    [{d}] = deriv([{xc}], u)
-    s = dt / 6.0
-    return [{out}]
-"""
+# One straight-line RK4 kernel per state length, generated on first use
+# from models.rk4_lines, which also writes each formula table's fused step.
 _RK4_KERNELS: dict[int, Callable] = {}
 
 
 def _rk4_kernel(n: int) -> Callable:
-    def each(expr: str) -> str:
-        return ", ".join(expr.format(i=i) for i in range(n))
+    def slopes(stage: list[str] | None, k: list[str]) -> list[str]:
+        y = "x" if stage is None else f"[{', '.join(stage)}]"
+        return [f"[{', '.join(k)}] = deriv({y}, u)"]
 
-    source = _RK4_TEMPLATE.format(
-        x=each("x{i}"), a=each("a{i}"), b=each("b{i}"), c=each("c{i}"), d=each("d{i}"),
-        xa=each("x{i} + half * a{i}"),
-        xb=each("x{i} + half * b{i}"),
-        xc=each("x{i} + dt * c{i}"),
-        out=each("x{i} + s * (a{i} + 2.0 * (b{i} + c{i}) + d{i})"),
-    )
+    body = "".join(f"    {line}\n" for line in rk4_lines(n, slopes))
+    source = "def rk4(deriv, x, u, dt):\n" + body
     namespace: dict = {}
     exec(compile(source, f"<rk4 kernel, {n} states>", "exec"), namespace)
     return namespace["rk4"]
@@ -86,7 +70,12 @@ def rk4_flat(
 ) -> list[float]:
     """One classical 4th-order Runge-Kutta step with u held constant.
 
-    Calls deriv exactly four times, through the kernel for len(x)."""
+    A derivative compiled from a formula table carries its fused step as
+    deriv.rk4, which gives the same bits without calling deriv; any other
+    callable is called exactly four times, through the kernel for len(x)."""
+    fused = getattr(deriv, "rk4", None)
+    if fused is not None:
+        return fused(x, u, dt)
     n = len(x)
     kernel = _RK4_KERNELS.get(n)
     if kernel is None:

@@ -17,8 +17,9 @@ Each model writes its dynamics once, as source lines in a FormulaTable.
 A ModelSpec binds parameter values to a table and compiles from it the
 derivative (f with each term scaled by 1 - u, then the outflow); the
 outflow is linear, so the spec reads its constant Jacobians off the
-outflow rows at unit states, and no table writes them.  safety writes the
-same f, g and outflow into the law it generates.  MODELS maps each model
+outflow rows at unit states, and no table writes them.  The spec also
+compiles a fused RK4 step that writes the table's lines at each stage.
+safety writes the same f, g and outflow into the law it generates.  MODELS maps each model
 kind to its rate class and table, and build_model(params) reads the kind
 off the rate class: adding a model takes one rate class, one table and one
 catalogue entry, and no builder function.
@@ -186,7 +187,9 @@ class FormulaTable(NamedTuple):
     more name: constants over the parameters, computed once per spec;
     terms over w and the parameters, shared by f and g.  The input scales
     each terms entry by (1 - u); f is linear in them, and g is the negated
-    sum of their parts of f.  The parameters include the constants.
+    sum of their parts of f.  A spec compiles the derivative and a fused
+    RK4 step from the table; the step writes the terms and the f and
+    outflow rows once per stage.  The parameters include the constants.
     Generated code refers to every name the table defines through local,
     so a table may use any name but u.  A g entry that is zero whatever
     the state is written "0.0": steered reads the input's authority from
@@ -229,8 +232,29 @@ def steered(table: FormulaTable) -> tuple[str, ...]:
     return tuple(label for label, on in zip(table.w + table.z, on_w + on_z) if on)
 
 
+def rk4_lines(n: int, slopes: Callable) -> list[str]:
+    """The body of one classical RK4 step of n states over x, u and dt,
+    the only copy of its arithmetic: both generated kernels, the
+    per-length kernel of engine.rk4_flat and the fused step of a formula
+    table, are formatted from it, so their elementwise operations and bits
+    are the same.  slopes(stage, k) returns the lines that set the names
+    in k to the derivative at a stage, given as its entries' expressions,
+    or None for x itself: the slopes a0, a1, ... at x, b at x + half*a,
+    c at x + half*b and d at x + dt*c."""
+
+    def each(expr: str) -> list[str]:
+        return [expr.format(i=i) for i in range(n)]
+
+    lines = ["half = 0.5 * dt", f"[{', '.join(each('x{i}'))}] = x"]
+    stages = (None, "x{i} + half * a{i}", "x{i} + half * b{i}", "x{i} + dt * c{i}")
+    for slope, stage in zip("abcd", stages):
+        lines += slopes(stage and each(stage), each(slope + "{i}"))
+    out = each("x{i} + s * (a{i} + 2.0 * (b{i} + c{i}) + d{i})")
+    return lines + ["s = dt / 6.0", f"return [{', '.join(out)}]"]
+
+
 # bind(values) returns the derivative of ModelSpec, with the parameter
-# values bound.
+# values bound and the fused RK4 step attached as its rk4.
 _MODEL_TEMPLATE = """\
 def bind(values):
     [{params}] = values
@@ -241,13 +265,18 @@ def bind(values):
 {terms}
         return [{rows}]
 
+    def rk4(x, u, dt):
+{step}
+
+    derivative_t.rk4 = rk4
     return derivative_t
 """
 
 
 @lru_cache(maxsize=32)
 def _binder(table: FormulaTable) -> Callable:
-    """Compile the derivative of one table, the first time a spec uses it."""
+    """Compile the derivative of one table and its fused RK4 step, the
+    first time a spec uses it."""
     n, m = len(table.w), len(table.z)
     if not n or not m or (len(table.f), len(table.g), len(table.outflow)) != (n, n, m):
         raise ValueError("formula table entries do not match its compartments")
@@ -255,20 +284,34 @@ def _binder(table: FormulaTable) -> Callable:
     if len(set(names)) != len(names) or "u" in names or not all(map(str.isidentifier, names)):
         raise ValueError("formula table names must be distinct identifiers other than u")
 
-    def each(entries: Sequence[str]) -> str:
-        return ", ".join(map(table.local, entries))
+    def local(entries: Sequence[str]) -> list[str]:
+        return list(map(table.local, entries))
 
-    def lines(statements: Sequence[str], indent: str) -> str:
-        return "\n".join(indent + table.local(s) for s in statements)
+    def lines(statements: list[str], indent: str) -> str:
+        return "\n".join(indent + s for s in statements)
 
     # the input scales each term by (1 - u): f of the scaled terms is f + g*u
     parts = (line.partition("=") for line in table.terms)
-    scaled = [f"{name}= ({value.strip()}) * (1.0 - u)" for name, _, value in parts]
+    terms = local([f"{name}= ({value.strip()}) * (1.0 - u)" for name, _, value in parts])
+    x, rows = local(table.w + table.z), local(table.f + table.outflow)
+
+    # the fused step writes the derivative's lines at each stage: its
+    # state names set to the stage, its terms, and its rows as the slopes
+    def slopes(stage: list[str] | None, k: list[str]) -> list[str]:
+        stage = stage or [f"x{i}" for i in range(n + m)]
+        return (
+            [f"{name} = {y}" for name, y in zip(x, stage)]
+            + terms
+            + [f"{ki} = {row}" for ki, row in zip(k, rows)]
+        )
+
     source = _MODEL_TEMPLATE.format(
-        params=each(table.params), constants=lines(table.constants, "    "),
-        x=each(table.w + table.z),
-        terms=lines(scaled, "        "),
-        rows=each(table.f + table.outflow),
+        params=", ".join(local(table.params)),
+        constants=lines(local(table.constants), "    "),
+        x=", ".join(x),
+        terms=lines(terms, "        "),
+        rows=", ".join(rows),
+        step=lines(rk4_lines(n + m, slopes), "        "),
     )
     namespace: dict = {}
     exec(compile(source, f"<model derivative, {table.w + table.z}>", "exec"), namespace)
@@ -288,7 +331,11 @@ class ModelSpec:
     it returns arrays (a constant entry stays a float).  The outflows are
     linear, so their Jacobians dq_dw (m rows of n) and dr_dz (m by m) are
     constant tuples of tuples, read off the outflow rows of derivative_t
-    at the n + m unit states: the value at unit state j is column j.  The
+    at the n + m unit states: the value at unit state j is column j.
+    derivative_t.rk4(x, u, dt) is one classical RK4 step with u held, which
+    writes the table's terms and rows at each of its four stages in place
+    of calling derivative_t; it gives the bits of engine.rk4_flat's
+    per-length kernel stepping derivative_t, and rk4_flat returns it.  The
     control law that safety generates writes the table's f, g and outflow
     into its own code.
     """

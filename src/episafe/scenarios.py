@@ -196,11 +196,12 @@ def _build_constraint(spec: ModelSpec, sec: _Section, origin: str) -> SafetyCons
     d_alpha, d_alpha_e = default_gains(spec, kind, index)
     alpha = _value(sec, "alpha", origin) if "alpha" in sec.values else d_alpha
     alpha_e = _value(sec, "alpha_e", origin) if "alpha_e" in sec.values else d_alpha_e
+    bound = _value(sec, "bound", origin)
     try:
         return SafetyConstraint(
             kind=kind,
             index=index,
-            bound=_value(sec, "bound", origin),
+            bound=bound,
             alpha=alpha,
             alpha_e=alpha_e if kind == OUTLET else None,
             direction=sec.values.get("direction", "upper"),

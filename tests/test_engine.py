@@ -1,6 +1,6 @@
-"""engine.rk4_flat: the generated per-length kernel against the elementwise
-RK4 it replaced; make_input_fn's law, the same at every step, and
-closed_loop_rollout."""
+"""engine.rk4_flat: the generated per-length kernel and each formula
+table's fused step against the elementwise RK4 they replaced;
+make_input_fn's law, the same at every step, and closed_loop_rollout."""
 
 from operator import mul
 
@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from episafe.engine import closed_loop_rollout, make_input_fn, rk4_flat
-from episafe.models import SeirParams, build_model
+from episafe.models import MODELS, SeirParams, build_model
 from episafe.safety import MULTIPLICATIVE, SafetyConstraint
 
-from conftest import SIHRD_US, SIR_US
+from conftest import SIHRD_US, SIR_US, dense_linear_spec
 from oracles import rk4_reference
 
 
@@ -70,6 +70,55 @@ def test_model_derivative_bit_equal(spec):
             x[spec.labels.index("I")] = 0.0
         dt = float(rng.choice([0.01, 0.05, 0.1, 0.25, 0.5]))
         assert_step_matches(spec.derivative_t, x, float(rng.uniform()), dt)
+
+
+# every catalogue model (a model without rates here fails the collection),
+# and dense linear models whose every Jacobian entry shows in the bits
+RATES = {
+    "sir": SIR_US,
+    "seir": SeirParams(beta0=0.33, gamma=0.2, N=33e6, sigma=0.2),
+    "sihrd": SIHRD_US,
+}
+FUSED_SPECS = [build_model(RATES[kind]) for kind in MODELS] + [
+    dense_linear_spec(np.random.default_rng(720 + n), n, m) for n, m in ((3, 4), (2, 1), (4, 3))
+]
+
+
+@pytest.mark.parametrize(
+    "spec", FUSED_SPECS, ids=lambda s: f"{s.kind}-{s.n}x{s.m}"
+)
+def test_fused_step_bit_equal(spec):
+    # the fused step, and rk4_flat given the compiled derivative, against
+    # the oracle stepping that derivative: on lists, tuples and np.float64
+    # entries, at I = 0 and at the ends of the input's range
+    rng = np.random.default_rng(730 + spec.n + spec.m)
+    deriv = spec.derivative_t
+    width = spec.n + spec.m
+    for k in range(2000):
+        x = rng.uniform(0.0, spec.params.N / width, size=width).tolist()
+        if k % 7 == 0:
+            x[spec.labels.index("I")] = 0.0
+        if k % 5 == 1:
+            x = tuple(x)
+        elif k % 5 == 2:
+            x = list(map(np.float64, x))
+        u = (0.0, 1.0, float(rng.uniform()))[k % 3]
+        dt = float(rng.choice([0.01, 0.05, 0.1, 0.25, 0.5]))
+        want = bits(rk4_reference(deriv, x, u, dt))
+        assert bits(deriv.rk4(x, u, dt)) == want, (x, u, dt)
+        assert bits(rk4_flat(deriv, x, u, dt)) == want, (x, u, dt)
+
+
+def test_fused_step_replaces_the_calls():
+    calls = []
+
+    def deriv(x, u):
+        calls.append(u)
+        return [0.0] * len(x)
+
+    deriv.rk4 = lambda x, u, dt: ("fused", x, u, dt)
+    assert rk4_flat(deriv, [1.0, 2.0], 0.5, 0.1) == ("fused", [1.0, 2.0], 0.5, 0.1)
+    assert calls == []
 
 
 def test_tuple_state_accepted():

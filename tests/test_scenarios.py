@@ -116,6 +116,16 @@ class TestParsing:
         with pytest.raises(ScenarioParseError, match="beta0"):
             parse_scenario_text(bad)
 
+    @pytest.mark.parametrize(
+        "bound, reason", [("inf", "non-finite value"), ("abc", "cannot parse 'abc' as a number")]
+    )
+    def test_bad_bound_names_the_file_once(self, tmp_path, bound, reason):
+        path = tmp_path / "x.scenario"
+        path.write_text(MINIMAL.replace("bound = 2e5", f"bound = {bound}"), encoding="utf-8")
+        with pytest.raises(ScenarioParseError) as err:
+            parse_scenario(path)
+        assert str(err.value) == f"{path}:24: key 'bound': {reason}"
+
     def test_unknown_compartment(self):
         bad = MINIMAL.replace("compartment = I", "compartment = X")
         with pytest.raises(ScenarioParseError, match="unknown compartment 'X'"):

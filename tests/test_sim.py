@@ -659,6 +659,39 @@ class TestLawPaths:
         simulate(sc)
         assert calls == sc.n_steps + 1 - sc.control_step
 
+    def test_fused_and_called_steps_give_the_same_run(self, monkeypatch):
+        # a wrapper of rk4_flat that hands it a counting copy of deriv, as a
+        # tracer would: the copy carries no fused step, so every state-step
+        # takes the per-length kernel, which calls the derivative 4 times
+        runs = [
+            dataclasses.replace(load_preset(name), feedback_mode="predictor", t_end=30.0)
+            for name in ("sir_fig2", "sihrd_fig3", "sir_delay_danger")
+        ]
+        fused = [simulate(sc) for sc in runs]
+        steps = calls = 0
+        original = engine.rk4_flat
+
+        def counting_rk4(deriv, x, u, dt):
+            nonlocal steps
+            steps += 1
+
+            def counting_deriv(xx, uu):
+                nonlocal calls
+                calls += 1
+                return deriv(xx, uu)
+
+            return original(counting_deriv, x, u, dt)
+
+        monkeypatch.setattr(engine, "rk4_flat", counting_rk4)
+        for sc, want in zip(runs, fused):
+            got = simulate(sc)
+            for series in ("states", "u_raw", "u"):
+                assert getattr(got, series).tobytes() == getattr(want, series).tobytes(), (
+                    sc.spec.kind, series,
+                )
+        assert steps > sum(sc.n_steps for sc in runs)  # the forecasts' steps too
+        assert calls == 4 * steps
+
     def test_plant_loop_asks_the_memo_once_per_run(self, monkeypatch):
         # combined_control answers the plant loop's repeat request from its
         # last-used slot: the memo is asked once, not once per sample
