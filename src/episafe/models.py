@@ -13,16 +13,16 @@ u = 0 means no intervention, u = 1 means total isolation of infected
 individuals.  Time is measured in days, populations in persons, rates in
 1/day.
 
-Each model writes its dynamics once, as source lines in a FormulaTable.
-A ModelSpec binds parameter values to a table and compiles from it the
-derivative (f with each term scaled by 1 - u, then the outflow); the
-outflow is linear, so the spec reads its constant Jacobians off the
-outflow rows at unit states, and no table writes them.  The spec also
-compiles a fused RK4 step that writes the table's lines at each stage.
-safety writes the same f, g and outflow into the law it generates.  MODELS maps each model
-kind to its rate class and table, and build_model(params) reads the kind
-off the rate class: adding a model takes one rate class, one table and one
-catalogue entry, and no builder function.
+Each model writes its dynamics once, as source lines in a FormulaTable:
+f, the terms the input scales by 1 - u, and the outflow.  g is read off f,
+and a table whose f is not affine in a term is refused.  A ModelSpec
+binds parameter values to a table and compiles from it the derivative (f
+with its terms scaled, then the outflow) and a fused RK4 step that writes
+the table's lines at each stage; it reads the linear outflow's Jacobians
+off the outflow rows.  safety writes the same f, g and outflow into the
+law it generates.  MODELS maps each model kind to its rate class and
+table, and build_model(params) reads the kind off the rate class: adding
+a model takes one rate class, one table and one catalogue entry.
 """
 
 from __future__ import annotations
@@ -178,33 +178,50 @@ class FormulaTable(NamedTuple):
 
     w and z name the compartments of each block, params the values a spec
     binds, in that order.  Each entry is a Python expression:
-      f, g        one per w compartment, over w, the parameters and terms;
+      f           one per w compartment, over w, the parameters and terms;
       outflow     one per z compartment, over the state and the
                   parameters: dz/dt = q(w) + r(z), which holds no u and
                   which the outlet margins of safety read.  It is linear
                   in the state, so a spec reads its Jacobians off it.
     constants and terms are "name = expression" lines, each defining one
     more name: constants over the parameters, computed once per spec;
-    terms over w and the parameters, shared by f and g.  The input scales
-    each terms entry by (1 - u); f is linear in them, and g is the negated
-    sum of their parts of f.  A spec compiles the derivative and a fused
-    RK4 step from the table; the step writes the terms and the f and
-    outflow rows once per stage.  The parameters include the constants.
-    Generated code refers to every name the table defines through local,
-    so a table may use any name but u.  A g entry that is zero whatever
-    the state is written "0.0": steered reads the input's authority from
-    those entries.  Sizes and names are checked when the first spec
-    compiles the table.
+    terms over w and the parameters.  The input scales each terms entry by
+    (1 - u), so f fixes g, which no table writes (see g).  A spec compiles
+    the derivative and a fused RK4 step from the table; the step writes the
+    terms and the f and outflow rows once per stage.  The parameters
+    include the constants.  Generated code refers to every name the table
+    defines through local, so a table may use any name but u.  Sizes, names
+    and the affine rule are checked when the first spec compiles the table.
     """
 
     w: tuple[str, ...]
     z: tuple[str, ...]
     params: tuple[str, ...]
     f: tuple[str, ...]
-    g: tuple[str, ...]
     outflow: tuple[str, ...]
     constants: tuple[str, ...] = ()
     terms: tuple[str, ...] = ()
+
+    @property
+    @lru_cache(maxsize=32)
+    def g(self) -> tuple[str, ...]:
+        """The input's authority, read off f: per w row, the negated
+        coefficient c of each term t, written "t" (c = -1), "-t" (c = 1) or
+        "{-c!r} * t", joined by " + ", or "0.0" for none.  With every other
+        name at 2.0, then at 3.0, the row must rise by c from t = 0 to 1 and
+        by 2c to 2, c finite; any other row is refused."""
+        g, scopes = [], [dict.fromkeys(self.names, other) for other in (2.0, 3.0)]
+        for i, row in enumerate(self.f):
+            code, parts = compile(row, f"f[{i}]", "eval"), []
+            for term in (line.split("=")[0].strip() for line in self.terms):
+                y = [[eval(code, {**at, term: t}) for t in (0.0, 1.0, 2.0)] for at in scopes]
+                c, *other = {v for y0, y1, y2 in y for v in (y1 - y0, (y2 - y0) / 2.0)}
+                if other or not math.isfinite(c):
+                    raise ValueError(f"formula table row f[{i}] = {row!r} is not affine in {term}")
+                if c:
+                    parts.append({-1.0: term, 1.0: "-" + term}.get(c, f"{-c!r} * {term}"))
+            g.append(" + ".join(parts) or "0.0")
+        return tuple(g)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -278,11 +295,12 @@ def _binder(table: FormulaTable) -> Callable:
     """Compile the derivative of one table and its fused RK4 step, the
     first time a spec uses it."""
     n, m = len(table.w), len(table.z)
-    if not n or not m or (len(table.f), len(table.g), len(table.outflow)) != (n, n, m):
+    if not n or not m or (len(table.f), len(table.outflow)) != (n, m):
         raise ValueError("formula table entries do not match its compartments")
     names = table.names
     if len(set(names)) != len(names) or "u" in names or not all(map(str.isidentifier, names)):
         raise ValueError("formula table names must be distinct identifiers other than u")
+    table.g  # refuses an f that is not affine in its terms
 
     def local(entries: Sequence[str]) -> list[str]:
         return list(map(table.local, entries))
@@ -426,7 +444,6 @@ _register(
     w=("S", "I"), z=("R",),
     terms=("t = beta0 * S * I / N",),
     f=("-t", "t - gamma * I"),
-    g=("t", "-t"),
     outflow=("gamma * I",),
 )
 
@@ -438,7 +455,6 @@ _register(
     w=("S", "E", "I"), z=("R",),
     terms=("t = beta0 * S * I / N",),
     f=("-t", "t - sigma * E", "sigma * E - gamma * I"),
-    g=("t", "-t", "0.0"),
     outflow=("gamma * I",),
 )
 
@@ -451,6 +467,5 @@ _register(
     constants=("out = gamma + lam + mu",),
     terms=("t = beta0 * S * I / N",),
     f=("-t", "t - out * I"),
-    g=("t", "-t"),
     outflow=("lam * I - nu * H", "gamma * I + nu * H", "mu * I"),
 )

@@ -87,7 +87,7 @@ def dense_linear_spec(rng, n=3, m=4):
     """A linear model whose Jacobians have no zero entries, so the order of
     every outlet dot product shows in the bits.  Each w compartment k has
     its own transmission term t{k} = G{k} * I, so authority scales with I:
-    f = F w - t, g = t and outflow Q w + R z.  Its formula table names
+    f = F w - t (so g = t) and outflow Q w + R z.  Its formula table names
     every matrix entry as a parameter; its params hold the matrices for
     oracles.reference_dense."""
     F, Q, R = (
@@ -112,7 +112,6 @@ def dense_linear_spec(rng, n=3, m=4):
         + tuple(f"G{k}" for k in range(n)),
         terms=tuple(f"t{k} = G{k} * I" for k in range(n)),
         f=tuple(f"({a}) - t{k}" for k, a in enumerate(times("F", w, n))),
-        g=tuple(f"t{k}" for k in range(n)),
         outflow=tuple(f"({a}) + ({b})" for a, b in zip(times("Q", w, m), times("R", z, m))),
     )
     values = sum(F + Q + R, ()) + G

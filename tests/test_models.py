@@ -191,7 +191,7 @@ class TestCatalogue:
             "sihrd": ("S", "I", "H", "R", "D"),
         }
         # an outlet fed only by a compartment the input does not reach
-        table = MODELS["sir"][1]._replace(g=("t", "0.0"))
+        table = MODELS["sir"][1]._replace(f=("-t", "-gamma * I"))
         assert steered(table) == ("S",)
 
 
@@ -473,7 +473,7 @@ class TestFormulaTables:
         "change, message",
         [
             (dict(outflow=("gamma * I", "0.0")), "do not match"),
-            (dict(g=("0.0", "0.0", "0.0")), "do not match"),
+            (dict(f=("-t",)), "do not match"),
             (dict(w=("S", "u")), "names"),
             (dict(params=("beta0", "gamma", "S")), "names"),
         ],
@@ -491,7 +491,6 @@ class TestFormulaTables:
             w=("S", "E"), z=("I", "R"), params=("beta0", "gamma", "N", "sigma"),
             terms=("t = beta0 * S * I / N",),
             f=("-t", "t - sigma * E"),
-            g=("t", "-t"),
             outflow=("sigma * E - gamma * I", "gamma * I"),
         )
         split = dataclasses.replace(seir, formulas=table)
@@ -508,7 +507,7 @@ class TestFormulaTables:
         table = FormulaTable(
             w=("x", "w"), z=("z",), params=("values", "jq"),
             terms=("f0 = values * x * w",),
-            f=("-f0", "f0 - jq * w"), g=("f0", "-f0"),
+            f=("-f0", "f0 - jq * w"),
             outflow=("jq * w",),
         )
         spec = build_model(SirParams(beta0=0.5, gamma=0.25, N=1.0))
@@ -527,6 +526,64 @@ class TestFormulaTables:
         assert (got.u_raw, got.active_constraint, got.feasible) == want
         assert got.u_raw > 0.0
 
+
+    @pytest.mark.parametrize("model", ["sir", "seir", "sihrd", (3, 4), (2, 1), (4, 3)], ids=str)
+    def test_g_is_read_off_f(self, model):
+        # the strings the tables wrote by hand before g was derived, and
+        # their values the change of the plant's w rows from u = 0 to 1
+        if isinstance(model, tuple):
+            spec = dense_linear_spec(np.random.default_rng(5), *model)
+            want = tuple(f"t{k}" for k in range(model[0]))
+        else:
+            spec = self.spec(model)
+            want = ("t", "-t", "0.0") if model == "seir" else ("t", "-t")
+        table = spec.formulas
+        assert table.g == want
+        for x in self.states(spec, 7)[:20]:
+            scope = dict(zip(table.params, spec.values)) | dict(zip(spec.labels, x))
+            for line in table.constants + table.terms:
+                exec(line, scope)
+            step = np.subtract(spec.derivative_t(x, 1.0), spec.derivative_t(x, 0.0))
+            np.testing.assert_allclose([eval(e, scope) for e in table.g], step[: spec.n], rtol=1e-9)
+
+    # not affine; a coefficient that reads the state, a parameter, the
+    # population; an infinite coefficient
+    @pytest.mark.parametrize("row", ["-t * t", "-t * S", "-beta0 * t", "-t / N", "-t * 1e308 * 10"])
+    def test_f_not_affine_in_a_term_is_refused(self, sir_spec, row):
+        table = sir_spec.formulas._replace(f=("-t", row))
+        message = f"^formula table row f\\[1\\] = {re.escape(repr(row))} is not affine in t$"
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(sir_spec, formulas=table)
+
+    def test_table_without_terms_has_no_authority(self, sir_spec):
+        table = sir_spec.formulas._replace(
+            terms=(), f=("-beta0 * S * I / N", "beta0 * S * I / N - gamma * I")
+        )
+        assert table.g == ("0.0", "0.0")
+        assert steered(table) == ()
+        spec = dataclasses.replace(sir_spec, formulas=table)
+        x = [26e6, 1.9e5, 6.9e6]
+        assert bits(spec.derivative_t(x, 1.0)) == bits(sir_spec.derivative_t(x, 0.0))
+
+    def test_scaled_term(self, sir_spec):
+        # f = 2.0 * t: the plant scales t by 1 - u, and the law's authority
+        # is that of SIR at twice beta0
+        table = sir_spec.formulas._replace(f=("-2.0 * t", "2.0 * t - gamma * I"))
+        assert table.g == ("2.0 * t", "-2.0 * t")
+        spec = dataclasses.replace(sir_spec, formulas=table)
+        p = SIR_US
+        for x in ([26e6, 1.9e5, 6.9e6], [30e6, 1e6, 2e6]):
+            for u in (0.0, 0.3, 1.0):
+                t = (p.beta0 * x[0] * x[1] / p.N) * (1.0 - u)
+                want = [-2.0 * t, 2.0 * t - p.gamma * x[1], p.gamma * x[1]]
+                assert bits(spec.derivative_t(x, u)) == bits(want)
+            doubled = build_model(dataclasses.replace(p, beta0=2.0 * p.beta0))
+            cons = (SafetyConstraint(MULTIPLICATIVE, 1, 2e5, 0.02),)
+            got = combined_control(spec, cons, x)
+            want_raw, active, feasible = reference_solver(doubled, cons)(x[:2], x[2:])
+            assert (got.active_constraint, got.feasible) == (active, feasible)
+            assert got.u_raw == pytest.approx(want_raw, rel=1e-9)
+            assert got.u_raw > 0.0
 
 def test_sampler_helpers_produce_valid_states(sir_spec, sihrd_spec):
     for s in sample_sir_states(sir_spec, 5, seed=1):
