@@ -5,9 +5,10 @@ dynamics up to a million times per run, and numpy call overhead on
 length-5 vectors would dominate the cost.  The plant loop in sim.simulate
 steps the same lists with rk4_flat and evaluates the feedback law through
 safety.combined_control, on the flat feedback list itself: no ModelState
-is built per sample.  ModelSpec.flat checks the list's length and
-population floor, combined_control that every entry is finite, and solve
-reads the list uncopied.  The model derivative and the law are both
+is built per sample.  The list's length, population floor and finiteness
+are checked (on the plant loop's repeat request by one straight-line
+check generated per state length, with ModelSpec.flat's messages), and
+solve reads the list uncopied.  The model derivative and the law are both
 compiled from the model's formula table (models.FormulaTable): the
 derivative once per table, the law once per table and shape of constraint
 set, with the table's formulas written into the law's own code, so a law

@@ -33,11 +33,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isfinite
 from numbers import Integral
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .models import FormulaTable, ModelSpec, ModelState, _check_finite
+from .models import FormulaTable, ModelSpec, ModelState, _check_finite, _check_floor
 
 __all__ = [
     "MULTIPLICATIVE",
@@ -163,8 +163,10 @@ def _clamp01(v: float) -> float:
 # returns its decision (multiplicative_control and outlet_control with
 # active None); engine.make_input_fn reads u from it.
 # _solver memoizes solve; combined_control answers a plant loop's repeat
-# request from its last-used slot by identity, so a controlled sample
-# costs solve, ModelSpec.flat and the finiteness check.
+# request from its last-used slot by identity, through a state check
+# generated for the state's length (_check, below), so a controlled sample
+# costs solve and one straight-line check of the list's length, floor and
+# finiteness.
 # The margins below also accept numpy columns, one entry per sample, and
 # then return arrays; _margins evaluates them on a matrix of states.  h_e
 # reads dz/dt from the outlet rows of the model derivative at u = 0: they
@@ -332,6 +334,54 @@ def _solver(spec: ModelSpec, constraints: tuple[SafetyConstraint, ...]):
     return _law_factory(spec.formulas, shape)(spec, constraints)
 
 
+# The state check of combined_control's repeat path: one straight-line
+# function per state length, generated on first use and kept for that
+# length.  make(flat, solve) returns checked(x), which runs ModelSpec.flat's
+# and combined_control's checks on x in their order, with their messages,
+# and then solve(x).  A list is unpacked once and its floor checked only
+# when an entry is negative; a list of another length goes through flat to
+# be named.  Anything else goes through flat, which checks the floor of a
+# sequence (a ModelState checked its own when it was built).  The
+# finiteness check runs only when the sum is not finite.
+_CHECK_TEMPLATE = """\
+def make(flat, solve):
+    def checked(x):
+        if type(x) is list:
+            try:
+                [{x}] = x
+            except ValueError:
+                flat(x)  # a list of another length: names both sizes
+                raise
+            if {negative}:
+                check_floor(x)
+        else:
+            x = flat(x)  # checks the size, and the floor of a sequence
+            [{x}] = x
+        if not isfinite({total}):  # a finite sum has only finite entries
+            check_finite(x)
+        return solve(x)
+
+    return checked
+"""
+
+
+@lru_cache(maxsize=16)
+def _check(n: int) -> Callable:
+    """make(flat, solve) of the state check for states of length n (see
+    above)."""
+    names = [f"x{i}" for i in range(n)]
+    source = _CHECK_TEMPLATE.format(
+        x=", ".join(names),
+        negative=" or ".join(f"{v} < 0.0" for v in names),
+        total=" + ".join(names),
+    )
+    namespace: dict = {
+        "isfinite": isfinite, "check_floor": _check_floor, "check_finite": _check_finite,
+    }
+    exec(compile(source, f"<state check, {n} states>", "exec"), namespace)
+    return namespace["make"]
+
+
 # -- public operations -------------------------------------------------------
 
 
@@ -382,8 +432,9 @@ def outlet_control(
     return combined_control(spec, (constraint,), state)._replace(active_constraint=None)
 
 
-# combined_control's last request, as one (spec, constraints, solve) tuple:
-# a repeat with the same objects skips hashing the constraints.  It is read
+# combined_control's last request, as one (spec, constraints, checked)
+# tuple: a repeat with the same objects skips hashing the constraints and
+# runs the state check of its length, then the memoized solve.  It is read
 # once and replaced whole, so concurrent callers never see a mix of two.
 _last = (None, None, None)
 
@@ -405,9 +456,15 @@ def combined_control(
     state is a ModelState or the flat [w; z] list of n + m floats that
     simulate holds; ModelSpec.flat checks either against the model, also
     without constraints, and passes a list to the law without a copy.  A
-    state holding NaN or an infinity is refused (ValueError).
+    state holding NaN or an infinity is refused (ValueError).  A repeat of
+    the last request (the same spec and constraint tuple objects) runs the
+    same checks, with the same messages, as generated code for the state's
+    length, and then solve.
     """
     global _last
+    last = _last
+    if last[0] is spec and last[1] is constraints:
+        return last[2](state)
     if not isinstance(constraints, tuple):
         constraints = tuple(constraints)
     x = spec.flat(state)
@@ -415,11 +472,8 @@ def combined_control(
         _check_finite(x)
     if not constraints:
         return ControlDecision(0.0, 0.0, True, None)
-    last = _last
-    if last[0] is spec and last[1] is constraints:
-        return last[2](x)
     solve = _solver(spec, constraints)
-    _last = (spec, constraints, solve)
+    _last = (spec, constraints, _check(spec.n + spec.m)(spec.flat, solve))
     return solve(x)
 
 

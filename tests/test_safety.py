@@ -546,6 +546,94 @@ class TestCombinedControl:
             assert all(k == want[i] for i, k in out)
 
 
+class TestRepeatRequest:
+    """combined_control's repeat path: a second request with the same spec
+    and constraint tuple objects runs the state check generated for the
+    state's length.  It must refuse what the first request refuses, with
+    the same message, and decide as solve does on the checked state."""
+
+    @staticmethod
+    def spec(kind):
+        if kind == "dense":
+            return dense_linear_spec(np.random.default_rng(31))
+        return {
+            "sir": lambda: build_model(SIR_US),
+            "seir": lambda: build_model(SeirParams(beta0=0.33, gamma=0.2, N=33e6, sigma=0.2)),
+            "sihrd": lambda: build_model(SIHRD_US),
+        }[kind]()
+
+    @staticmethod
+    def constraints(spec):
+        """A fresh tuple, so its first request misses the last-used slot."""
+        N = spec.params.N
+        return (
+            SafetyConstraint(MULTIPLICATIVE, 1, 0.01 * N, 0.02),
+            SafetyConstraint(OUTLET, 0, 0.4 * N, 0.1, alpha_e=0.2, direction="lower"),
+        )
+
+    @staticmethod
+    def refusal(spec, cons, state):
+        with pytest.raises(ValueError) as err:
+            combined_control(spec, cons, state)
+        return str(err.value)
+
+    @pytest.mark.parametrize("kind", ["sir", "seir", "sihrd", "dense"])
+    def test_repeat_refuses_as_the_first_request(self, kind):
+        spec = self.spec(kind)
+        size = spec.n + spec.m
+        good = [0.8 * spec.params.N] + [1e5] * (size - 1)
+        below = [-544.0462618039367, 1522.7801795513326, 21.26608225260417]
+        other = build_model(SIHRD_US if kind == "sir" else SIR_US)
+        floor = "negative population -544.046 in state (floor -2.08809e-06)"
+        cases = [
+            (good[:-1], f"state has {size - 1} entries, model has {size}"),
+            (good + [1.0], f"state has {size + 1} entries, model has {size}"),
+            (tuple(good[:-1]), f"state has {size - 1} entries, model has {size}"),
+            (below + [0.0] * (size - 3), floor),
+            (tuple(below + [0.0] * (size - 3)), floor),
+            (other.state([1e5] * (other.n + other.m)),
+             f"state dimensions ({other.n}, {other.m}) do not match model ({spec.n}, {spec.m})"),
+        ]
+        for bad in (
+            [math.nan, 1e5, 1e6],
+            [1e7, -math.inf, 1e6],
+            [1e7, 1e5, math.inf],
+            [math.inf, 1e5, -math.inf],
+        ):
+            x = bad + [1e5] * (size - 3)
+            cases.append((x, f"state must be finite, got {x}"))
+            cases.append((tuple(x), f"state must be finite, got {tuple(x)}"))
+        for state, message in cases:
+            cons = self.constraints(spec)
+            first = self.refusal(spec, cons, state)
+            combined_control(spec, cons, good)  # fills the slot
+            assert safety._last[0] is spec and safety._last[1] is cons
+            assert self.refusal(spec, cons, state) == first == message
+
+    @pytest.mark.parametrize("kind", ["sir", "seir", "sihrd", "dense"])
+    def test_repeat_decides_as_solve(self, kind):
+        def key(dec):
+            return dec.u_raw.hex(), dec.u.hex(), dec.feasible, dec.active_constraint
+
+        spec = self.spec(kind)
+        cons = self.constraints(spec)
+        solve = safety._solver(spec, cons)
+        rng = np.random.default_rng(32)
+        N, size = spec.params.N, spec.n + spec.m
+        for k in range(100):
+            x = [float(rng.uniform(0.05, 1.0)) * N]
+            x += rng.uniform(0.0, 0.02 * N, size=size - 1).tolist()
+            if k % 7 == 0:
+                x[spec.labels.index("I")] = 0.0
+            if k % 5 == 0:
+                x[-1] = -1e-3  # negative, but above the population floor
+            for state in (x, tuple(x), np.array([x, x])[1], spec.state(x)):
+                want = key(solve(spec.flat(state)))
+                assert key(combined_control(spec, cons, state)) == want, (state, cons)
+                assert safety._last[1] is cons
+                assert key(combined_control(spec, cons, state)) == want, (state, cons)
+
+
 class TestQpOracle:
     def test_inactive_constraint_gives_zero(self, sir_spec):
         state = sir_spec.state([32.9e6, 1000.0, 0.0])
