@@ -309,19 +309,28 @@ def _binder(table: FormulaTable) -> Callable:
         return "\n".join(indent + s for s in statements)
 
     # the input scales each term by (1 - u): f of the scaled terms is f + g*u
-    parts = (line.partition("=") for line in table.terms)
-    terms = local([f"{name}= ({value.strip()}) * (1.0 - u)" for name, _, value in parts])
+    parts = [line.partition("=")[::2] for line in local(table.terms)]
+
+    def scaled(by: str) -> list[str]:
+        return [f"{name}= ({value.strip()}) * {by}" for name, value in parts]
+
+    terms = scaled("(1.0 - u)")
     x, rows = local(table.w + table.z), local(table.f + table.outflow)
 
-    # the fused step writes the derivative's lines at each stage: its
-    # state names set to the stage, its terms, and its rows as the slopes
+    # the fused step writes the derivative's lines at each stage with
+    # 1 - u computed once, as free.  At x itself its terms and rows read
+    # x0, x1, ... directly; at b, c and d it sets the state names that a
+    # term or a row reads to the stage, then the terms, and the rows as
+    # the slopes.
+    read = set(re.findall(r"\w+", " ".join(terms + rows)))
+    at_x = dict(zip(x, (f"x{i}" for i in range(n + m))))
+
     def slopes(stage: list[str] | None, k: list[str]) -> list[str]:
-        stage = stage or [f"x{i}" for i in range(n + m)]
-        return (
-            [f"{name} = {y}" for name, y in zip(x, stage)]
-            + terms
-            + [f"{ki} = {row}" for ki, row in zip(k, rows)]
-        )
+        body = scaled("free") + [f"{ki} = {row}" for ki, row in zip(k, rows)]
+        if stage is None:
+            body = ["".join(at_x.get(w, w) for w in re.split(r"(\W+)", line)) for line in body]
+            return (["free = 1.0 - u"] if terms else []) + body
+        return [f"{name} = {y}" for name, y in zip(x, stage) if name in read] + body
 
     source = _MODEL_TEMPLATE.format(
         params=", ".join(local(table.params)),
@@ -401,7 +410,10 @@ class ModelSpec:
         state is a ModelState, or already such a list of n + m floats; a
         list is checked for its length and the population floor that
         ModelState applies, and returned as is, not copied: its readers
-        only read it."""
+        only read it.  A numpy row is checked and returned as its tolist(),
+        the same values as Python floats, whose sums raise no warning."""
+        if isinstance(state, np.ndarray):
+            state = state.tolist()
         if not isinstance(state, ModelState):
             if len(state) != self.n + self.m:
                 raise ValueError(f"state has {len(state)} entries, model has {self.n + self.m}")

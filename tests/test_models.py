@@ -39,7 +39,7 @@ from conftest import (
     sample_sihrd_states,
     sample_sir_states,
 )
-from oracles import reference_model, reference_solver
+from oracles import reference_model, reference_solver, rk4_reference
 
 
 def all_specs():
@@ -433,6 +433,23 @@ class TestFormulaTables:
             return dense_linear_spec(np.random.default_rng(33))
         return {s.kind: s for s in all_specs()}[model]
 
+    @staticmethod
+    def assert_fused_step(spec, seed, deriv=None):
+        """spec's fused RK4 step against the oracle stepping deriv (by
+        default the compiled derivative), bit for bit, at the ends of the
+        input's range and in between, with one compartment at 0 now and
+        then."""
+        rng = np.random.default_rng(seed)
+        size = spec.n + spec.m
+        for k in range(300):
+            x = rng.uniform(0.0, spec.params.N / size, size=size).tolist()
+            if k % 7 == 0:
+                x[k % size] = 0.0
+            u = (0.0, 1.0, float(rng.uniform()))[k % 3]
+            dt = float(rng.choice([0.01, 0.1, 0.5]))
+            want = rk4_reference(deriv or spec.derivative_t, x, u, dt)
+            assert bits(spec.derivative_t.rk4(x, u, dt)) == bits(want), (x, u, dt)
+
     @pytest.mark.parametrize("model", ["sir", "seir", "sihrd", "dense"])
     def test_scalar_evaluators_match_reference(self, model):
         spec = self.spec(model)
@@ -500,31 +517,53 @@ class TestFormulaTables:
         x = [30e6, 1e6, 3e6, 0.0]
         for u in (0.0, 0.3, 1.0):
             assert bits(split.derivative_t(x, u)) == bits(seir.derivative_t(x, u))
+        # the fused step, whose term reads I, a z compartment
+        self.assert_fused_step(split, 41)
+
+    def test_fused_step_sets_only_the_names_it_reads(self):
+        # a stage value of a compartment that no term or row reads is not
+        # stored: SIR's R, and SIHRD's R and D
+        sir, sihrd = (set(build_model(p).derivative_t.rk4.__code__.co_varnames)
+                      for p in (SIR_US, SIHRD_US))
+        assert "m_R" not in sir and {"m_S", "m_I", "free"} <= sir
+        assert sihrd.isdisjoint({"m_R", "m_D"}) and {"m_S", "m_I", "m_H", "free"} <= sihrd
 
     def test_generated_code_keeps_its_own_names(self):
         # compartment, parameter and term names that are also names of the
-        # generated derivative or law still mean the table's values
-        table = FormulaTable(
-            w=("x", "w"), z=("z",), params=("values", "jq"),
-            terms=("f0 = values * x * w",),
-            f=("-f0", "f0 - jq * w"),
-            outflow=("jq * w",),
+        # generated derivative, fused step or law still mean the table's
+        # values; the second table takes the fused step's own local names,
+        # with x0 not at index 0
+        tables = (
+            FormulaTable(
+                w=("x", "w"), z=("z",), params=("values", "jq"),
+                terms=("f0 = values * x * w",),
+                f=("-f0", "f0 - jq * w"),
+                outflow=("jq * w",),
+            ),
+            FormulaTable(
+                w=("free", "x0"), z=("s",), params=("a0", "half"),
+                terms=("x1 = a0 * free * x0",),
+                f=("-x1", "x1 - half * x0"),
+                outflow=("half * x0",),
+            ),
         )
         spec = build_model(SirParams(beta0=0.5, gamma=0.25, N=1.0))
         ref = reference_model(spec)
-        renamed = dataclasses.replace(spec, formulas=table, values=(0.5, 0.25))
         x = [0.75, 0.125, 0.5]
-        assert renamed.derivative_t(x, 0.3) == ref["derivative_t"](x, 0.3)
-        assert renamed.dq_dw == ref["dq_dw"]
-        # the law of the renamed spec, against the hand-written SIR model
         cons = (
             SafetyConstraint(MULTIPLICATIVE, 1, 0.15, 0.5),
             SafetyConstraint(OUTLET, 0, 0.75, 0.5, alpha_e=0.25),
         )
-        got = combined_control(renamed, cons, x)
-        want = reference_solver(renamed, cons)(x[:2], x[2:])
-        assert (got.u_raw, got.active_constraint, got.feasible) == want
-        assert got.u_raw > 0.0
+        for table in tables:
+            renamed = dataclasses.replace(spec, formulas=table, values=(0.5, 0.25))
+            assert renamed.derivative_t(x, 0.3) == ref["derivative_t"](x, 0.3)
+            assert renamed.dq_dw == ref["dq_dw"]
+            self.assert_fused_step(renamed, 43, ref["derivative_t"])
+            # the law of the renamed spec, against the hand-written SIR model
+            got = combined_control(renamed, cons, x)
+            want = reference_solver(renamed, cons)(x[:2], x[2:])
+            assert (got.u_raw, got.active_constraint, got.feasible) == want
+            assert got.u_raw > 0.0
 
 
     @pytest.mark.parametrize("model", ["sir", "seir", "sihrd", (3, 4), (2, 1), (4, 3)], ids=str)
@@ -564,6 +603,8 @@ class TestFormulaTables:
         spec = dataclasses.replace(sir_spec, formulas=table)
         x = [26e6, 1.9e5, 6.9e6]
         assert bits(spec.derivative_t(x, 1.0)) == bits(sir_spec.derivative_t(x, 0.0))
+        assert "free" not in spec.derivative_t.rk4.__code__.co_varnames
+        self.assert_fused_step(spec, 42)
 
     def test_scaled_term(self, sir_spec):
         # f = 2.0 * t: the plant scales t by 1 - u, and the law's authority

@@ -603,6 +603,9 @@ class TestRepeatRequest:
             x = bad + [1e5] * (size - 3)
             cases.append((x, f"state must be finite, got {x}"))
             cases.append((tuple(x), f"state must be finite, got {tuple(x)}"))
+            # a numpy row is refused as its list, with no warning on the
+            # way: +inf and -inf would make numpy's sum warn
+            cases.append((np.array(x), f"state must be finite, got {x}"))
         for state, message in cases:
             cons = self.constraints(spec)
             first = self.refusal(spec, cons, state)
