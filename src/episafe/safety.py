@@ -141,10 +141,6 @@ class ControlDecision(NamedTuple):
     active_constraint: int | None
 
 
-def _clamp01(v: float) -> float:
-    return 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)
-
-
 # -- scalar core -------------------------------------------------------------
 #
 # The law works on plain float lists: the fixed-step simulator and the
@@ -509,25 +505,31 @@ class InitialConditionReport:
 def validate_initial_condition(
     spec: ModelSpec,
     constraints: Sequence[SafetyConstraint],
-    state0: ModelState,
+    state0: ModelState | list[float],
 ) -> InitialConditionReport:
     """Check the hypotheses under which the controllers guarantee safety.
 
     Multiplicative constraints need the starting state inside the safe set
     (h >= 0).  Outlet constraints additionally need the differentiated
     margin non-negative at the start (h_e >= 0), since only its 0-superlevel
-    set is rendered invariant.
+    set is rendered invariant.  state0 is a ModelState or the flat [w; z]
+    list of floats that simulate holds (see ModelSpec.flat); the margins
+    carry the bits _margins gives, and no warning is raised.
     """
-    constraints = tuple(constraints)
-    rows = _margins(spec, constraints, np.array([spec.flat(state0)]))
-    margins, extended = (row[0].tolist() for row in rows)
+    x = spec.flat(state0)
+    w, z = x[: spec.n], x[spec.n :]
+    zdot = None
     checks = []
-    for k, (c, h, he) in enumerate(zip(constraints, margins, extended)):
+    for k, c in enumerate(constraints):
+        c.check_against(spec)
+        h = _margin_t(c, w, z)
         if c.kind == OUTLET:
+            if zdot is None:  # once, and only for an outlet constraint
+                zdot = spec.derivative_t(x, 0.0)[spec.n :]
+            he = _extended_margin_t(c, z, zdot)
             ok = h >= 0.0 and he >= 0.0
         else:
             he = None
             ok = h >= 0.0
         checks.append(ConstraintCheck(c.label(k), h, he, ok))
     return InitialConditionReport(tuple(checks))
-

@@ -31,7 +31,6 @@ from .models import ModelSpec, ModelState
 from .safety import (
     InitialConditionReport,
     SafetyConstraint,
-    _clamp01,
     _margins,
     combined_control,
     validate_initial_condition,
@@ -352,7 +351,7 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
         applied = 0.0
         if k >= first:
             if report is None:
-                report = validate_initial_condition(spec, cons, spec.state(x))
+                report = validate_initial_condition(spec, cons, x)
                 if not report.ok and scenario.guaranteed:
                     raise InitialConditionError(report)
             feedback = hist[k]
@@ -366,7 +365,8 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
             decisions.append(decision)
             applied = decision[1]  # in [0, 1]
             if offsets is not None:
-                applied = _clamp01(applied + offsets[k - first])
+                applied += offsets[k - first]
+                applied = 0.0 if applied < 0.0 else (1.0 if applied > 1.0 else applied)
 
         if k < n_steps:
             x = rk4(deriv, x, applied, dt)
@@ -377,16 +377,18 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
                     f"non-finite state after step {k} (t={t:g}): {x}"
                 )
 
-    u_raw, u, feasible, active = map(np.array, zip(*decisions))
+    # one pass: each flag and position is exact in float64 and cast back below
+    record = np.fromiter(chain.from_iterable(decisions), float, 4 * (n_steps + 1))
+    u_raw, u, feasible, active = record.reshape(n_steps + 1, 4).T
     width = len(x)
     states = np.fromiter(chain.from_iterable(hist[lag:]), float, (n_steps + 1) * width)
     return Trajectory(
         scenario=scenario,
         states=states.reshape(n_steps + 1, width),
-        u_raw=u_raw,
-        u=u,
-        active=active,
-        feasible=feasible,
+        u_raw=u_raw.copy(),  # columns of their own: the record is freed
+        u=u.copy(),
+        active=active.astype(np.int64),
+        feasible=feasible != 0.0,
         disturbances=dists,
         initial_report=report,
     )

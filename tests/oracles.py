@@ -41,6 +41,11 @@ def rk4_reference(deriv, x, u, dt):
     ]
 
 
+def clamp01(v: float) -> float:
+    """v clamped to [0, 1]; NaN and -0.0 pass through unchanged."""
+    return min(max(v, 0.0), 1.0)
+
+
 def dot(a, b):
     """a . b summed left to right from 0.0, one term at a time.  An explicit
     loop, not sum(): from CPython 3.12 sum() of floats is compensated and

@@ -5,6 +5,7 @@ import math
 import re
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from conftest import (
     sample_sir_states,
 )
 from oracles import (
+    clamp01,
     closed_form_death_control,
     closed_form_hospitalization_control,
     closed_form_infection_control,
@@ -373,6 +375,57 @@ class TestValidateInitialCondition:
             extended_barrier_value(sihrd_spec, c, state).hex() for c in cons[1:]
         ]
         assert math.isnan(report.checks[0].margin) and not report.ok
+
+    def test_flat_and_state_reports_match_the_matrix_margins(self, sir_spec, sihrd_spec):
+        # simulate passes its flat list; a caller may pass a ModelState.
+        # Either way the report carries the bits _margins gives on the
+        # one-row matrix, and raises no warning: also where entries near
+        # 1e308 or inf and inf bounds make margins of inf, -inf and NaN
+        rng = np.random.default_rng(734)
+        seen = set()
+        specs = (
+            sir_spec,
+            build_model(SeirParams(beta0=0.33, gamma=0.2, N=33e6, sigma=0.2)),
+            sihrd_spec,
+            dense_linear_spec(rng),
+        )
+        for case in range(800):
+            spec = specs[case % len(specs)]
+            N, size = spec.params.N, spec.n + spec.m
+            x = (rng.uniform(0.0, 1.0, size=size) * N).tolist()
+            if case % 3 == 0:
+                for i in rng.choice(size, size=int(rng.integers(1, size + 1)), replace=False):
+                    x[i] = math.inf if rng.random() < 0.2 else float(rng.uniform(0.5, 1.79)) * 1e308
+            cons = []
+            for _ in range(int(rng.integers(1, 5))):
+                kind = (MULTIPLICATIVE, OUTLET)[int(rng.integers(2))]
+                bound = float(rng.uniform(0.001, 0.6)) * N
+                cons.append(SafetyConstraint(
+                    kind, int(rng.integers(spec.n if kind == MULTIPLICATIVE else spec.m)),
+                    math.inf if rng.random() < 0.3 else bound,
+                    float(rng.uniform(1e-3, 1.0)),
+                    alpha_e=float(rng.uniform(1e-3, 1.0)) if kind == OUTLET else None,
+                    direction=("upper", "lower")[int(rng.integers(2))],
+                ))
+            barriers, extended = safety._margins(spec, cons, np.array([x]))
+            want = [
+                (c.label(k), h.hex(), None if c.kind != OUTLET else he.hex(),
+                 h >= 0.0 and (c.kind != OUTLET or he >= 0.0))
+                for k, (c, h, he) in enumerate(zip(cons, barriers[0].tolist(), extended[0].tolist()))
+            ]
+            seen.update(v for _, h, he, _ in want for v in (h, he) if v in ("inf", "-inf", "nan"))
+            for state in (x, spec.state(x)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    report = validate_initial_condition(spec, cons, state)
+                got = [
+                    (check.label, check.margin.hex(),
+                     None if check.extended_margin is None else check.extended_margin.hex(),
+                     check.ok)
+                    for check in report.checks
+                ]
+                assert got == want, (spec.kind, x, cons)
+        assert seen == {"inf", "-inf", "nan"}
 
 
 class TestSignAssumption:
@@ -805,12 +858,12 @@ class TestGeneratedKernels:
         for spec, x, cons in self.cases(1500, 619):
             d = safety._solver(spec, cons)(x)
             assert type(d) is ControlDecision, (spec.kind, x, cons)
-            assert d.u.hex() == safety._clamp01(d.u_raw).hex(), (spec.kind, x, cons)
+            assert d.u.hex() == clamp01(d.u_raw).hex(), (spec.kind, x, cons)
 
     def test_rollout_law_matches_reference(self):
         for spec, x, cons in self.cases(1500, 617):
             got = make_input_fn(spec, cons)(0, x)
-            want = safety._clamp01(reference_solver(spec, cons)(x[: spec.n], x[spec.n :])[0])
+            want = clamp01(reference_solver(spec, cons)(x[: spec.n], x[spec.n :])[0])
             assert got.hex() == want.hex(), (spec.kind, x, cons)
 
     def test_infinite_compartments_match_reference(self):
@@ -847,7 +900,7 @@ class TestGeneratedKernels:
                         d = safety._solver(spec, cons)(x)
                         got, want = solved(d), reference_solver(spec, cons)(w, z)
                         assert (got[0].hex(), got[1:]) == (want[0].hex(), want[1:]), (x, cons)
-                        assert d.u.hex() == safety._clamp01(want[0]).hex(), (x, cons)
+                        assert d.u.hex() == clamp01(want[0]).hex(), (x, cons)
 
     def test_same_shape_shares_one_factory(self, sir_spec):
         other = build_model(SirParams(beta0=0.4, gamma=0.1, N=1e6))

@@ -279,6 +279,26 @@ class TestSimulate:
         assert not err.value.report.ok
         assert str(err.value) == "initial condition fails controller hypotheses: I: h=-100000 [FAIL]"
 
+    @pytest.mark.parametrize("preset, change, message", [
+        # an outlet cap breached at the start, and one whose inflow is too fast
+        ("sihrd_fig3", {"state0": [14.0e6, 2e5, 5e4, 7e5, 5e4]},
+         "H: h=-10000, h_e=820 [FAIL]; D: h=350000, h_e=4300 [ok]"),
+        ("sihrd_fig3", {"state0": [14.9e6, 1e5, 1e4, 1e4, 1e3]},
+         "H: h=30000, h_e=-1060 [FAIL]; D: h=399000, h_e=6182 [ok]"),
+        # checked at the first controlled sample, t = 10, not at state0
+        ("sir_fig2", {"bound": 1e4}, "I: h=-169333 [FAIL]"),
+    ])
+    def test_initial_condition_refusal_text(self, preset, change, message):
+        sc = load_preset(preset)
+        if "state0" in change:
+            sc = dataclasses.replace(sc, state0=sc.spec.state(change["state0"]))
+        else:
+            cons = tuple(dataclasses.replace(c, bound=change["bound"]) for c in sc.constraints)
+            sc = dataclasses.replace(sc, constraints=cons)
+        with pytest.raises(InitialConditionError) as err:
+            simulate(sc)
+        assert str(err.value) == "initial condition fails controller hypotheses: " + message
+
     def test_delayed_mode_records_instead_of_refusing(self, sir_spec):
         sc = sir_scenario(
             sir_spec,
