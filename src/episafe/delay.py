@@ -64,16 +64,17 @@ def predict_state(
 ) -> ModelState:
     """Forecast the state one delay interval ahead of the measurement.
 
-    Integrates the delay-free closed loop (same integrator, step and law as
-    the simulator, which replays its sent commands) from the measured state,
-    with the law on at every step: for a forecast from sample k - D of
-    sim.simulate it replays the plant once k - D >= control_step.  measured
-    may also be the flat [w; z] list (see ModelSpec.flat); the forecast is
-    a ModelState at every delay, and at zero delay a ModelState comes back
-    as itself.  t_measured and every entry of measured must be finite
-    (ValueError).  The forecast no longer depends on t_measured; ROADMAP
-    item 3c removes it together with config.constraints once step 1a lets
-    the benchmark's probe change.
+    Integrates the delay-free closed loop from the measured state with the
+    simulator's integrator and step, engine.rk4_flat once per step, and
+    its law, make_input_fn's u evaluated at the state of every step (the
+    simulator replays the commands it sent instead): for a forecast from
+    sample k - D of sim.simulate it replays the plant once
+    k - D >= control_step.  measured may also be the flat [w; z] list
+    (see ModelSpec.flat); the forecast is a ModelState at every delay, and
+    at zero delay a ModelState comes back as itself.  t_measured and every
+    entry of measured must be finite (ValueError).  The forecast no longer
+    depends on t_measured; ROADMAP item 3c removes it together with
+    config.constraints once step 1a lets the benchmark's probe change.
     """
     x = spec.flat(measured)
     _check_finite(x)
@@ -82,7 +83,9 @@ def predict_state(
     if config.n_steps == 0:
         return measured if isinstance(measured, ModelState) else spec.state(x)
     input_fn = engine.make_input_fn(spec, config.constraints)
-    x = engine.closed_loop_rollout(spec, x, 0, config.n_steps, config.dt_pred, input_fn)
+    deriv, dt = spec.derivative_t, config.dt_pred
+    for k in range(config.n_steps):
+        x = engine.rk4_flat(deriv, x, input_fn(k, x), dt)
     return spec.state(x)
 
 

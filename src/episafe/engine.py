@@ -16,10 +16,11 @@ evaluation calls no model evaluator.  The law has one entry point,
 solve(x) -> ControlDecision on the flat state, memoized by safety._solver:
 combined_control returns its decision as is (answering the plant loop's
 repeat request from a last-used slot), and make_input_fn returns its u at
-every step.  A rollout takes its input per step from an input_fn:
-sim.simulate's replays the commands it sent, so its forecasts run no law;
-delay.predict_state passes make_input_fn's law, and wraps the rollout with
-a ModelState interface.
+every step.  closed_loop_rollout replays a list of commands, one per step:
+sim.simulate forecasts across the delay with the commands it sent, so its
+forecasts run no law and call nothing per step but rk4_flat.
+delay.predict_state steps rk4_flat itself, with make_input_fn's law
+evaluated at every step, behind a ModelState interface.
 ModelSpec.flat turns a ModelState into the flat list, and is the one check
 that a state, in either form, fits the model.
 
@@ -52,11 +53,11 @@ _RK4_KERNELS: dict[int, Callable] = {}
 
 
 def _rk4_kernel(n: int) -> Callable:
-    def slopes(stage: list[str] | None, k: list[str]) -> list[str]:
+    def slopes(stage: list[str] | None, k: list[str], _flipped: frozenset[int]) -> list[str]:
         y = "x" if stage is None else f"[{', '.join(stage)}]"
         return [f"[{', '.join(k)}] = deriv({y}, u)"]
 
-    body = "".join(f"    {line}\n" for line in rk4_lines(n, slopes))
+    body = "".join(f"    {line}\n" for line in rk4_lines(n, slopes, frozenset()))
     source = "def rk4(deriv, x, u, dt):\n" + body
     namespace: dict = {}
     exec(compile(source, f"<rk4 kernel, {n} states>", "exec"), namespace)
@@ -92,8 +93,9 @@ def make_input_fn(
     """Scalar feedback law u(k, x), the same at every step number k: the
     min-norm QP solution clamped to [0, 1], the u of the solve generated for
     the constraint set (zero without constraints).  It gives the bits of the
-    u the simulator commands at the same state, so delay.predict_state
-    forecasts as if those commands had been sent."""
+    u the simulator commands at the same state, so delay.predict_state,
+    which evaluates it at every step of its forecast, forecasts as if those
+    commands had been sent."""
     solve = _solver(spec, tuple(constraints))
 
     def input_fn(k: int, x: Sequence[float]) -> float:
@@ -108,13 +110,17 @@ def closed_loop_rollout(
     k0: int,
     n_steps: int,
     dt: float,
-    input_fn: InputFn,
+    commands: Sequence[float],
 ) -> list[float]:
-    """Integrate the closed loop for n_steps of size dt from step number k0;
-    returns the final state.  The input is re-evaluated once per step, as
-    input_fn(k0 + j, x) on step j, and held constant across it."""
+    """Integrate the plant for n_steps of size dt from step number k0,
+    replaying the commands sent: step j holds commands[k0 + j] constant.
+    Returns the final state, a new list even when n_steps is 0.  commands
+    must hold an entry for each of the steps (IndexError)."""
+    replayed = commands[k0 : k0 + n_steps]
+    if len(replayed) != n_steps:
+        raise IndexError(f"no command for step {k0 + len(replayed)}")
     x = list(x0)
-    deriv = spec.derivative_t
-    for k in range(k0, k0 + n_steps):
-        x = rk4_flat(deriv, x, input_fn(k, x), dt)
+    rk4, deriv = rk4_flat, spec.derivative_t
+    for u in replayed:
+        x = rk4(deriv, x, u, dt)
     return x

@@ -27,6 +27,7 @@ a model takes one rate class, one table and one catalogue entry.
 
 from __future__ import annotations
 
+import ast
 import math
 import re
 from dataclasses import dataclass, field, fields
@@ -249,25 +250,76 @@ def steered(table: FormulaTable) -> tuple[str, ...]:
     return tuple(label for label, on in zip(table.w + table.z, on_w + on_z) if on)
 
 
-def rk4_lines(n: int, slopes: Callable) -> list[str]:
+def rk4_lines(n: int, slopes: Callable, negated: frozenset[int]) -> list[str]:
     """The body of one classical RK4 step of n states over x, u and dt,
     the only copy of its arithmetic: both generated kernels, the
     per-length kernel of engine.rk4_flat and the fused step of a formula
     table, are formatted from it, so their elementwise operations and bits
-    are the same.  slopes(stage, k) returns the lines that set the names
-    in k to the derivative at a stage, given as its entries' expressions,
-    or None for x itself: the slopes a0, a1, ... at x, b at x + half*a,
-    c at x + half*b and d at x + dt*c."""
+    are the same.  slopes(stage, k, flipped) returns the lines that set
+    the names in k to the derivative at a stage, given as its entries'
+    expressions, or None for x itself, with the entries in flipped
+    negated: the slopes a0, a1, ... at x, b at x + half*a, c at x + half*b
+    and d at x + dt*c.  The entries in negated have their slopes a, b and
+    d stored negated, and c not: their stage lines subtract a and b, and
+    their sum of slopes is 2.0 * (c - b) - a - d, where IEEE arithmetic
+    defines y - z as y + (-z), so the bits are those of the plain sum.
+    With c negated too, (-b) + (-c) would become -(b + c), which differs
+    in the sign of an exact zero."""
 
-    def each(expr: str) -> list[str]:
-        return [expr.format(i=i) for i in range(n)]
+    def each(expr: str, flipped: str = "") -> list[str]:
+        return [(flipped if flipped and i in negated else expr).format(i=i) for i in range(n)]
 
     lines = ["half = 0.5 * dt", f"[{', '.join(each('x{i}'))}] = x"]
-    stages = (None, "x{i} + half * a{i}", "x{i} + half * b{i}", "x{i} + dt * c{i}")
-    for slope, stage in zip("abcd", stages):
-        lines += slopes(stage and each(stage), each(slope + "{i}"))
-    out = each("x{i} + s * (a{i} + 2.0 * (b{i} + c{i}) + d{i})")
+    stages = (
+        None,
+        each("x{i} + half * a{i}", "x{i} - half * a{i}"),
+        each("x{i} + half * b{i}", "x{i} - half * b{i}"),
+        each("x{i} + dt * c{i}"),
+    )
+    for slope, stage, flipped in zip("abcd", stages, (negated, negated, frozenset(), negated)):
+        lines += slopes(stage, each(slope + "{i}"), flipped)
+    out = each(
+        "x{i} + s * (a{i} + 2.0 * (b{i} + c{i}) + d{i})",
+        "x{i} + s * (2.0 * (c{i} - b{i}) - a{i} - d{i})",
+    )
     return lines + ["s = dt / 6.0", f"return [{', '.join(out)}]"]
+
+
+def _trimmed(rows: list[str]) -> tuple[list[str], list[str]]:
+    """(products, rows): the rows with each operation of +, - or * on
+    names and numbers that they hold more than once computed once, as the
+    products "p0 = ...", "p1 = ...", innermost first."""
+    trees = [ast.parse(row, mode="eval").body for row in rows]
+    products: list[str] = []
+
+    def leaf(node: ast.AST) -> bool:
+        return isinstance(node, ast.Name) or (
+            isinstance(node, ast.Constant) and type(node.value) in (int, float)
+        )
+
+    def innermost(node: ast.AST) -> bool:
+        return (
+            isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult))
+            and leaf(node.left) and leaf(node.right)
+        )
+
+    class Hoist(ast.NodeTransformer):
+        def visit(self, node: ast.AST) -> ast.AST:
+            name = shared.get(ast.dump(node))
+            return ast.Name(name, ast.Load()) if name else self.generic_visit(node)
+
+    while True:
+        found: dict[str, list[ast.AST]] = {}
+        for node in (node for tree in trees for node in ast.walk(tree) if innermost(node)):
+            found.setdefault(ast.dump(node), []).append(node)
+        shared = {}
+        for key, nodes in found.items():
+            if len(nodes) > 1:
+                shared[key] = f"p{len(products)}"
+                products.append(f"{shared[key]} = {ast.unparse(nodes[0])}")
+        if not shared:
+            return products, [ast.unparse(tree) for tree in trees]
+        trees = [Hoist().visit(tree) for tree in trees]
 
 
 # bind(values) returns the derivative of ModelSpec, with the parameter
@@ -320,13 +372,27 @@ def _binder(table: FormulaTable) -> Callable:
     # the fused step writes the derivative's lines at each stage with
     # 1 - u computed once, as free.  At x itself its terms and rows read
     # x0, x1, ... directly; at b, c and d it sets the state names that a
-    # term or a row reads to the stage, then the terms, and the rows as
-    # the slopes.
+    # term or a row reads to the stage, then the terms, the products and
+    # the rows as the slopes.  Two trims keep its bits.  An operation of
+    # +, - or * on names and numbers that the rows hold more than once is
+    # computed once per stage, as a product p0, p1, ... (_trimmed): the
+    # same operands in the same order give the same value, and these
+    # operations raise nothing on floats, so no exception moves earlier; a
+    # shared /, ** or call stays inline.  A row -name is stored as name
+    # at the stages where rk4_lines takes its slope negated (a, b and d):
+    # round to nearest is symmetric under negation, so x + h * (-t) is
+    # x - h * t.
     read = set(re.findall(r"\w+", " ".join(terms + rows)))
     at_x = dict(zip(x, (f"x{i}" for i in range(n + m))))
+    products, trimmed = _trimmed(rows)
+    negated = frozenset(
+        i for i, row in enumerate(trimmed) if row[:1] == "-" and row[1:].isidentifier()
+    )
 
-    def slopes(stage: list[str] | None, k: list[str]) -> list[str]:
-        body = scaled("free") + [f"{ki} = {row}" for ki, row in zip(k, rows)]
+    def slopes(stage: list[str] | None, k: list[str], flipped: frozenset[int]) -> list[str]:
+        body = scaled("free") + products + [
+            f"{ki} = {row[1:] if i in flipped else row}" for i, (ki, row) in enumerate(zip(k, trimmed))
+        ]
         if stage is None:
             body = ["".join(at_x.get(w, w) for w in re.split(r"(\W+)", line)) for line in body]
             return (["free = 1.0 - u"] if terms else []) + body
@@ -338,7 +404,7 @@ def _binder(table: FormulaTable) -> Callable:
         x=", ".join(x),
         terms=lines(terms, "        "),
         rows=", ".join(rows),
-        step=lines(rk4_lines(n + m, slopes), "        "),
+        step=lines(rk4_lines(n + m, slopes, negated), "        "),
     )
     namespace: dict = {}
     exec(compile(source, f"<model derivative, {table.w + table.z}>", "exec"), namespace)

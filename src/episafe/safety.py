@@ -513,10 +513,12 @@ def validate_initial_condition(
     (h >= 0).  Outlet constraints additionally need the differentiated
     margin non-negative at the start (h_e >= 0), since only its 0-superlevel
     set is rendered invariant.  state0 is a ModelState or the flat [w; z]
-    list of floats that simulate holds (see ModelSpec.flat); the margins
-    carry the bits _margins gives, and no warning is raised.
+    list that simulate holds (see ModelSpec.flat); the margins carry the
+    bits _margins gives, and no warning is raised.  They are computed on
+    Python floats, also for a list of numpy scalars, whose overflow would
+    warn.
     """
-    x = spec.flat(state0)
+    x = [*map(float, spec.flat(state0))]
     w, z = x[: spec.n], x[spec.n :]
     zdot = None
     checks = []

@@ -327,6 +327,7 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
         offsets = dists[first:].tolist()
     # (u_raw, u, feasible, active) per sample, at rest while the law is off
     decisions = [(0.0, 0.0, True, -1)] * first
+    commands = [0.0] * first  # the u sent at each sample, which the predictor replays
 
     lag = 0
     if scenario.feedback_mode != "instantaneous":
@@ -338,9 +339,6 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
             if not all(map(math.isfinite, prehistory)):
                 raise ValueError(f"prehistory must be finite, got {prehistory}")
     hist = [prehistory] * lag  # the measurement of sample k is hist[k]
-
-    def sent(j: int, _x: Sequence[float]) -> float:  # the command of sample j
-        return decisions[j][1]
 
     # bound once per run, after any wrapper the caller installed
     rk4, deriv, control = engine.rk4_flat, spec.derivative_t, combined_control
@@ -359,11 +357,12 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
                 # from the measurement, or from the start of the run
                 span = min(k, delay_steps)
                 feedback = engine.closed_loop_rollout(
-                    spec, feedback, k - span, span, dt, sent
+                    spec, feedback, k - span, span, dt, commands
                 )
             decision = control(spec, cons, feedback)
             decisions.append(decision)
             applied = decision[1]  # in [0, 1]
+            commands.append(applied)
             if offsets is not None:
                 applied += offsets[k - first]
                 applied = 0.0 if applied < 0.0 else (1.0 if applied > 1.0 else applied)

@@ -1,6 +1,7 @@
 """engine.rk4_flat: the generated per-length kernel and each formula
 table's fused step against the elementwise RK4 they replaced;
-make_input_fn's law, the same at every step, and closed_loop_rollout."""
+make_input_fn's law, the same at every step, and closed_loop_rollout's
+replay of the commands sent."""
 
 from operator import mul
 
@@ -143,12 +144,18 @@ def test_input_fn_same_at_every_step():
 
 
 def test_rollout_numbers_steps_from_k0():
+    # step j replays commands[k0 + j]: the same bits as stepping by hand
     spec = build_model(SIR_US)
-    seen = []
-
-    def input_fn(k, x):
-        seen.append(k)
-        return 0.0
-
-    closed_loop_rollout(spec, [26e6, 1e5, 6.9e6], 7, 4, 0.1, input_fn)
-    assert seen == [7, 8, 9, 10]
+    x0 = [26e6, 1e5, 6.9e6]
+    commands = np.random.default_rng(35).uniform(0.0, 1.0, 12).tolist()
+    x = x0
+    for u in commands[7:11]:
+        x = rk4_flat(spec.derivative_t, x, u, 0.1)
+    assert bits(closed_loop_rollout(spec, x0, 7, 4, 0.1, commands)) == bits(x)
+    assert x0 == [26e6, 1e5, 6.9e6]
+    # no step: an equal list of its own
+    got = closed_loop_rollout(spec, x0, 7, 0, 0.1, commands)
+    assert got == x0 and got is not x0
+    # a step with no command is refused
+    with pytest.raises(IndexError, match="^no command for step 12$"):
+        closed_loop_rollout(spec, x0, 10, 4, 0.1, commands)

@@ -1,6 +1,7 @@
 """Model construction, dynamics evaluation and Jacobian correctness."""
 
 import dataclasses
+import functools
 import math
 import re
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from episafe import models
 from episafe.delay import PredictorConfig, predict_state
 from episafe.models import (
     MODELS,
@@ -403,6 +405,14 @@ def bits(value):
     return type(value).__name__, float(value).hex()
 
 
+def step_outcome(step, x, u, dt):
+    """bits of step(x, u, dt), or the type and text of the error it raises."""
+    try:
+        return bits(step(x, u, dt))
+    except ArithmeticError as error:
+        return type(error).__name__, str(error)
+
+
 class TestFormulaTables:
     """The derivative and constant Jacobians each builder, and the dense
     linear test model, compile from a formula table, bit for bit against
@@ -434,21 +444,28 @@ class TestFormulaTables:
         return {s.kind: s for s in all_specs()}[model]
 
     @staticmethod
-    def assert_fused_step(spec, seed, deriv=None):
+    def assert_fused_step(spec, seed, deriv=None, states=()):
         """spec's fused RK4 step against the oracle stepping deriv (by
-        default the compiled derivative), bit for bit, at the ends of the
-        input's range and in between, with one compartment at 0 now and
-        then."""
+        default the compiled derivative): the same bits, or the same
+        error.  At the ends of the input's range and in between, with one
+        compartment now and then at 0.0 or -0.0, or at a value whose
+        products overflow to inf; then at each of states."""
         rng = np.random.default_rng(seed)
         size = spec.n + spec.m
+        cases = []
         for k in range(300):
             x = rng.uniform(0.0, spec.params.N / size, size=size).tolist()
             if k % 7 == 0:
-                x[k % size] = 0.0
+                x[k % size] = (0.0, -0.0)[k % 2]
+            if k % 5 == 0:
+                x[k // 5 % size] = float(rng.uniform(1.0, 1.79)) * 1e308
+            cases.append(x)
+        reference = functools.partial(rk4_reference, deriv or spec.derivative_t)
+        for k, x in enumerate(cases + list(states)):
             u = (0.0, 1.0, float(rng.uniform()))[k % 3]
             dt = float(rng.choice([0.01, 0.1, 0.5]))
-            want = rk4_reference(deriv or spec.derivative_t, x, u, dt)
-            assert bits(spec.derivative_t.rk4(x, u, dt)) == bits(want), (x, u, dt)
+            want = step_outcome(reference, x, u, dt)
+            assert step_outcome(spec.derivative_t.rk4, x, u, dt) == want, (x, u, dt)
 
     @pytest.mark.parametrize("model", ["sir", "seir", "sihrd", "dense"])
     def test_scalar_evaluators_match_reference(self, model):
@@ -519,6 +536,47 @@ class TestFormulaTables:
             assert bits(split.derivative_t(x, u)) == bits(seir.derivative_t(x, u))
         # the fused step, whose term reads I, a z compartment
         self.assert_fused_step(split, 41)
+
+    @pytest.mark.parametrize("model", ["sir", "seir", "sihrd", "dense"])
+    def test_fused_step_of_each_table(self, model):
+        # S = -0.0 among the states: the S row -t is stored unnegated, and
+        # its sum of slopes still gives the sign of a zero that the plain
+        # sum gives
+        self.assert_fused_step(self.spec(model), 45)
+
+    # each trim of the fused step, on the rows f + outflow: the products it
+    # computes once per stage, innermost first, and the rows that read
+    # them; a row -name is stored unnegated at stages a, b and d.  The last
+    # table shares a division, which stays inline: at S = -k with I ** 2.0
+    # overflowing, the I row raises OverflowError before any division by
+    # S + k = 0 would raise ZeroDivisionError.
+    @pytest.mark.parametrize(
+        "w, z, f, outflow, products, rows, states",
+        [
+            (("S", "I"), ("R",), ("gamma * R - t", "t - gamma * I"),
+             ("gamma * I - gamma * R",),
+             ["p0 = gamma * R", "p1 = gamma * I"], ["p0 - t", "t - p1", "p1 - p0"], []),
+            (("S", "I"), ("H", "R"), ("-t", "t - (gamma * I + k * H) * 2.0"),
+             ("(gamma * I + k * H) * 2.0 - k * H", "k * H"),
+             ["p0 = gamma * I", "p1 = k * H", "p2 = p0 + p1", "p3 = p2 * 2.0"],
+             ["-t", "t - p3", "p3 - p1", "p1"], []),
+            (("S", "I"), ("R",), ("-S", "t - gamma * I"), ("gamma * I + S",),
+             ["p0 = gamma * I"], ["-S", "t - p0", "p0 + S"], []),
+            (("S", "I"), ("R",), ("-t", "t - gamma * I ** 2.0 / N - I / (S + k)"),
+             ("gamma * I ** 2.0 / N + I / (S + k)",),
+             ["p0 = S + k"], ["-t", "t - gamma * I ** 2.0 / N - I / p0", "gamma * I ** 2.0 / N + I / p0"],
+             [[-0.05, 1e200, 0.0], [-0.05, 1e5, 0.0]]),
+        ],
+        ids=["term-row", "nested", "negated-state", "shared-division"],
+    )
+    def test_trims_keep_the_bits(self, sir_spec, w, z, f, outflow, products, rows, states):
+        assert models._trimmed(list(f + outflow)) == (products, rows)
+        table = FormulaTable(
+            w=w, z=z, params=("beta0", "gamma", "N", "k"),
+            terms=("t = beta0 * S * I / N",), f=f, outflow=outflow,
+        )
+        spec = dataclasses.replace(sir_spec, formulas=table, values=(*sir_spec.values, 0.05))
+        self.assert_fused_step(spec, 44, states=states)
 
     def test_fused_step_sets_only_the_names_it_reads(self):
         # a stage value of a compartment that no term or row reads is not

@@ -427,6 +427,18 @@ class TestValidateInitialCondition:
                 assert got == want, (spec.kind, x, cons)
         assert seen == {"inf", "-inf", "nan"}
 
+    def test_numpy_scalars_give_the_float_report(self, sihrd_spec):
+        # a list of numpy float64 scalars: the transmission term overflows
+        # to inf with no numpy warning, and the report is the one of the
+        # Python floats, which fails on h_e
+        x = [np.float64(1.7e308), np.float64(1.7e308), 1e4, 1e4, 1e3]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate_initial_condition(sihrd_spec, [h_bound()], x)
+        want = validate_initial_condition(sihrd_spec, [h_bound()], [*map(float, x)])
+        assert report == want
+        assert not report.ok and report.checks[0].margin > 0.0
+
 
 class TestSignAssumption:
     """The paper's max composition assumes every control coefficient is
