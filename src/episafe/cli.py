@@ -13,7 +13,9 @@ infeasible at some step and the input was clamped.  A sweep exits with the
 most severe code of its runs (runner.worst_exit_code: 3, then 4, then 0).
 
 Each command imports the modules it runs when it runs, so parsing the
-arguments loads no numerical code and ``ingest`` needs no numpy.
+arguments loads no numerical code.  No command loads numpy but a
+``simulate`` or ``sweep`` of a disturbed scenario, which draws its input
+offsets with numpy's generator.
 """
 
 from __future__ import annotations
@@ -188,8 +190,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return handlers[args.command](args)
     # scenario, case-data and trajectory-file errors are ValueErrors; an
-    # output directory that cannot be made or written is an OSError; numpy
-    # words the MemoryError of a run too long for its arrays
+    # output directory that cannot be made or written is an OSError;
+    # simulate refuses a run too long for the machine's memory with a
+    # SimulationError, but a run that passes its lower bound may still
+    # exhaust memory, a MemoryError
     except (ValueError, SimulationError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -30,11 +30,12 @@ from __future__ import annotations
 import ast
 import math
 import re
+import struct
+from array import array
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
+from operator import iadd
 from typing import Callable, NamedTuple, Sequence
-
-import numpy as np
 
 __all__ = [
     "ModelState",
@@ -55,7 +56,7 @@ _NEGATIVITY_TOL = 1e-9
 Matrix = tuple[tuple[float, ...], ...]
 
 
-def _check_floor(x: list[float]) -> None:
+def _check_floor(x: Sequence[float]) -> None:
     """Reject a flat state below the population floor, -_NEGATIVITY_TOL
     times the total population (at least one person): drift may leave tiny
     negatives."""
@@ -73,41 +74,95 @@ def _check_finite(x: list[float]) -> None:
         raise ValueError(f"state must be finite, got {x}")
 
 
-@dataclass(frozen=True, eq=False)
+_TYPECODES = {"float64": "d", "int64": "q", "bool": "b"}
+
+
+class ArrayField:
+    """A dataclass field kept as Python numbers and read as a numpy array.
+
+    Setting the field stores keep(values), by default tuple(values); a
+    numpy array is taken as its tolist().  With rows=True, values are
+    equal-length rows of floats, stored at once, row after row, in a
+    stdlib array.array: rows are the bulk of a record, and an array holds
+    a float in 8 bytes where a list holds it in 32.  The instance's
+    attribute "_" + name holds what was stored.  Reading the field returns
+    a read-only numpy array of dtype with the same values, one row per row
+    with rows=True, built on the first read, which imports numpy.  That
+    read also moves values kept in a tuple into an array.array, which the
+    numpy array shares: they stay readable, in a sequence of another
+    type, and are held once.  The field has no default.
+    """
+
+    def __init__(self, dtype: str, rows: bool = False, keep: Callable = tuple):
+        self.dtype, self.typecode, self.rows, self.keep = dtype, _TYPECODES[dtype], rows, keep
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name, self.kept = name, "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:  # a dataclass looking for a default: there is none
+            raise AttributeError(self.name)
+        view = obj.__dict__.get(self.name)
+        if view is None:
+            import numpy as np
+
+            kept = obj.__dict__[self.kept]
+            if self.rows:
+                view = np.frombuffer(kept, self.dtype).reshape(len(obj), -1)
+            else:
+                flat = obj.__dict__[self.kept] = array(self.typecode, kept)
+                view = np.frombuffer(flat, self.dtype)
+            view.setflags(write=False)
+            obj.__dict__[self.name] = view
+        return view
+
+    def __set__(self, obj, values) -> None:
+        if hasattr(values, "tolist"):  # a numpy array: its entries as Python numbers
+            values = values.tolist()
+        if self.rows:
+            flat = reduce(iadd, values, [])
+            # struct packs a list of floats about twice as fast as array() converts it
+            values = array(self.typecode, struct.pack(f"{len(flat)}{self.typecode}", *flat))
+        else:
+            values = self.keep(values)
+        obj.__dict__[self.kept] = values
+        obj.__dict__.pop(self.name, None)
+
+
+def _floats(values: Sequence[float]) -> tuple[float, ...]:
+    return tuple(map(float, values))
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class ModelState:
     """Partitioned population state: multiplicative block w, outlet block z.
 
     Entries are persons per compartment.  Labels name each entry of the
-    concatenated vector [w; z] and must be unique.  w and z are read-only
-    float64 copies of the blocks given, so no caller can write to them.
+    concatenated vector [w; z] and must be unique.  The blocks are kept as
+    tuples of Python floats, _w and _z, copied from the values given, so no
+    caller can change them; w, z and x ([w; z]) read as read-only float64
+    numpy arrays, each built the first time it is read (see ArrayField).
     States compare and hash by their labels and the values of w and z.
     """
 
-    w: np.ndarray
-    z: np.ndarray
+    w: Sequence[float] = ArrayField("float64", keep=_floats)
+    z: Sequence[float] = ArrayField("float64", keep=_floats)
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        w, z = (np.array(block, dtype=float, ndmin=1) for block in (self.w, self.z))
-        w.setflags(write=False)
-        z.setflags(write=False)
         labels = tuple(self.labels)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "z", z)
         object.__setattr__(self, "labels", labels)
-        if w.ndim != 1 or z.ndim != 1:
-            raise ValueError("state blocks must be one-dimensional")
-        size = w.size + z.size
-        if not w.size or not z.size:
+        size = self.n + self.m
+        if not self.n or not self.m:
             raise ValueError("need at least one multiplicative and one outlet compartment")
         if len(labels) != size:
             raise ValueError(f"expected {size} labels, got {len(labels)}")
         if len(set(labels)) != size:
             raise ValueError("compartment labels must be unique")
-        _check_floor(w.tolist() + z.tolist())
+        _check_floor([*self._w, *self._z])
 
     def _key(self) -> tuple:
-        return self.labels, tuple(self.w.tolist()), tuple(self.z.tolist())
+        return self.labels, tuple(self._w), tuple(self._z)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ModelState) and self._key() == other._key()
@@ -115,18 +170,25 @@ class ModelState:
     def __hash__(self) -> int:
         return hash(self._key())
 
+    def __repr__(self) -> str:
+        return f"ModelState(w={[*self._w]}, z={[*self._z]}, labels={self.labels})"
+
     @property
     def n(self) -> int:
-        return self.w.size
+        return len(self._w)
 
     @property
     def m(self) -> int:
-        return self.z.size
+        return len(self._z)
 
-    @property
-    def x(self) -> np.ndarray:
-        """Concatenated state vector [w; z]."""
-        return np.concatenate([self.w, self.z])
+    @cached_property
+    def x(self):
+        """Concatenated state vector [w; z], a read-only float64 array."""
+        import numpy as np
+
+        x = np.array([*self._w, *self._z])
+        x.setflags(write=False)
+        return x
 
 
 class _Rates:
@@ -135,7 +197,7 @@ class _Rates:
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
-            if not (value > 0.0) or not np.isfinite(value):
+            if not (value > 0.0) or not math.isfinite(value):
                 raise ValueError(f"parameter {name} must be strictly positive, got {value!r}")
 
 
@@ -454,20 +516,25 @@ class ModelSpec:
         labels, n = table.w + table.z, len(table.w)
         derivative_t = _binder(table)(values)
         # the outflow is linear: its value at unit state j is column j
-        rows = list(zip(*(derivative_t(x, 0.0)[n:] for x in np.eye(len(labels)).tolist())))
+        size = len(labels)
+        unit = [[float(i == j) for j in range(size)] for i in range(size)]
+        rows = list(zip(*(derivative_t(x, 0.0)[n:] for x in unit)))
         for name, value in dict(
             values=values, n=n, m=len(table.z), labels=labels, derivative_t=derivative_t,
             dq_dw=tuple(row[:n] for row in rows), dr_dz=tuple(row[n:] for row in rows),
         ).items():
             object.__setattr__(self, name, value)
 
-    def state(self, values: Sequence[float] | np.ndarray) -> ModelState:
-        """Build a ModelState from a concatenated [w; z] vector; ModelState
-        copies each block into its own read-only array."""
-        arr = np.asarray(values, dtype=float)
-        if arr.shape != (self.n + self.m,):
-            raise ValueError(f"expected {self.n + self.m} entries, got {arr.shape}")
-        return ModelState(w=arr[: self.n], z=arr[self.n :], labels=self.labels)
+    def state(self, values: Sequence[float]) -> ModelState:
+        """Build a ModelState from a concatenated [w; z] vector, a sequence
+        of numbers or a numpy row; ModelState copies each block into a
+        tuple of its own."""
+        shape = getattr(values, "shape", None)
+        if shape is None:
+            shape = (len(values),)
+        if shape != (self.n + self.m,):
+            raise ValueError(f"expected {self.n + self.m} entries, got {shape}")
+        return ModelState(w=values[: self.n], z=values[self.n :], labels=self.labels)
 
     def flat(self, state: ModelState | list[float]) -> list[float]:
         """The state as the flat [w; z] list the compiled derivative and
@@ -476,21 +543,22 @@ class ModelSpec:
         state is a ModelState, or already such a list of n + m floats; a
         list is checked for its length and the population floor that
         ModelState applies, and returned as is, not copied: its readers
-        only read it.  A numpy row is checked and returned as its tolist(),
-        the same values as Python floats, whose sums raise no warning."""
-        if isinstance(state, np.ndarray):
+        only read it.  A numpy row or a stdlib array is checked and
+        returned as its tolist(), the same values as Python floats, whose
+        sums raise no warning."""
+        if isinstance(state, ModelState):
+            if state.n != self.n or state.m != self.m:
+                raise ValueError(
+                    f"state dimensions ({state.n}, {state.m}) do not match "
+                    f"model ({self.n}, {self.m})"
+                )
+            return [*state._w, *state._z]
+        if hasattr(state, "tolist"):
             state = state.tolist()
-        if not isinstance(state, ModelState):
-            if len(state) != self.n + self.m:
-                raise ValueError(f"state has {len(state)} entries, model has {self.n + self.m}")
-            _check_floor(state)
-            return state
-        if state.n != self.n or state.m != self.m:
-            raise ValueError(
-                f"state dimensions ({state.n}, {state.m}) do not match "
-                f"model ({self.n}, {self.m})"
-            )
-        return state.w.tolist() + state.z.tolist()
+        if len(state) != self.n + self.m:
+            raise ValueError(f"state has {len(state)} entries, model has {self.n + self.m}")
+        _check_floor(state)
+        return state
 
 
 # The model catalogue: kind -> (rate class, formula table), the table's

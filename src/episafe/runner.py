@@ -8,7 +8,8 @@ identical bytes.  A long-format companion table (t, series, value) serves
 plotting tools directly.  Both files hold the same numbers, so each
 sample is formatted once, as one line of the trajectory CSV, and the long
 table is cut from those lines.  The lines of the last trajectory written are
-kept until another trajectory is written.
+kept until another trajectory is written.  The writers and the importer
+work on the series a Trajectory keeps and load no numpy.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count, repeat
+import math
 from pathlib import Path
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .contract import (
     EXIT_INFEASIBLE,
@@ -181,12 +182,19 @@ def _lines(trajectory: Trajectory) -> list[str]:
     every value to 15 significant digits.  The two writers of one
     trajectory share one formatting pass: the lines are kept for the
     trajectory last asked for, which hashes by identity."""
-    table = np.column_stack((
-        trajectory.times, trajectory.states, trajectory.u_raw, trajectory.u,
-        trajectory.barriers, trajectory.disturbances,
-    ))
-    template = ",".join(["%.15g"] * table.shape[1]) + "\n"
-    return [template % tuple(row) for row in table.tolist()]
+    scenario = trajectory.scenario
+    t_start, dt = scenario.t_start, scenario.dt
+    template = ",".join(["%.15g"] * len(_columns(scenario))) + "\n"
+    states, width = trajectory._states, len(scenario.spec.labels)
+    # zip(*margins) of no constraint would end the samples at once
+    margins = zip(*trajectory._h) if scenario.constraints else repeat(())
+    return [
+        template % (t_start + dt * k, *states[i : i + width], u_raw, u, *h, d)
+        for k, i, u_raw, u, h, d in zip(
+            count(), range(0, len(states), width), trajectory._u_raw, trajectory._u,
+            margins, trajectory._disturbances,
+        )
+    ]
 
 
 def export_trajectory(trajectory: Trajectory, path: str | Path) -> Path:
@@ -247,42 +255,44 @@ def import_trajectory(path: str | Path, scenario: Scenario) -> Trajectory:
             rows.append(list(map(float, cells)))
         except ValueError as exc:
             raise TrajectoryFormatError(f"{path}: line {number}: bad numeric cell: {exc}") from None
-    data = np.array(rows).reshape(-1, width)  # a file without data rows too
     n_state = len(scenario.spec.labels)
     read = [*range(1, 3 + n_state), width - 1]  # the states, u_raw, u and d
-    bad = np.argwhere(~np.isfinite(data[:, read]))
-    if bad.size:  # the first, named by the line that holds it
-        k, j = bad[0]
-        number = [n for n, line in enumerate(lines[1:], 2) if line][k]
-        cell = f"{expected[read[j]]} = {data[k, read[j]]}"
-        raise TrajectoryFormatError(f"{path}: line {number}: {cell} is not finite")
+    for k, row in enumerate(rows):
+        # a finite sum has only finite entries
+        if math.isfinite(sum(row[1 : 3 + n_state]) + row[-1]):
+            continue
+        for j in read:
+            if not math.isfinite(row[j]):  # the first, named by the line that holds it
+                number = [n for n, line in enumerate(lines[1:], 2) if line][k]
+                raise TrajectoryFormatError(
+                    f"{path}: line {number}: {expected[j]} = {row[j]} is not finite"
+                )
     n_rows = scenario.n_steps + 1
-    if data.shape[0] != n_rows:
+    if len(rows) != n_rows:
         raise TrajectoryFormatError(
-            f"{path}: {data.shape[0]} samples, but the scenario's time grid "
+            f"{path}: {len(rows)} samples, but the scenario's time grid "
             f"(t_start {scenario.t_start:g}, t_end {scenario.t_end:g}, dt "
             f"{scenario.dt:g}) has {n_rows}"
         )
-    # grid_steps's rule for every row at once: sample k lies k steps after
-    # t_start, to a relative tolerance of 1e-9, and never before it
-    steps = (data[:, 0] - scenario.t_start) / scenario.dt
-    near = np.abs(steps - np.arange(n_rows)) <= 1e-9 * np.maximum(1.0, steps)
-    off = ~((steps >= 0.0) & np.isfinite(steps) & near)
-    if off.any():
-        k = int(np.argmax(off))
-        raise TrajectoryFormatError(
-            f"{path}: sample {k} has t = {float(data[k, 0])!r}, off the scenario's "
-            f"time grid (t_start {scenario.t_start:g}, dt {scenario.dt:g})"
-        )
-    u_raw = data[:, 1 + n_state]
+    # grid_steps's rule for every row: sample k lies k steps after t_start,
+    # to a relative tolerance of 1e-9, and never before it
+    t_start, dt = scenario.t_start, scenario.dt
+    for k, row in enumerate(rows):
+        steps = (row[0] - t_start) / dt
+        if not (0.0 <= steps < math.inf and abs(steps - k) <= 1e-9 * max(1.0, steps)):
+            raise TrajectoryFormatError(
+                f"{path}: sample {k} has t = {row[0]!r}, off the scenario's "
+                f"time grid (t_start {scenario.t_start:g}, dt {scenario.dt:g})"
+            )
+    u_raw = [row[1 + n_state] for row in rows]
     return Trajectory(
         scenario=scenario,
-        states=data[:, 1 : 1 + n_state],
+        states=[row[1 : 1 + n_state] for row in rows],
         u_raw=u_raw,
-        u=data[:, 2 + n_state],
-        active=np.full(n_rows, -1),
-        feasible=u_raw <= 1.0,
-        disturbances=data[:, -1],
+        u=[row[2 + n_state] for row in rows],
+        active=[-1] * n_rows,
+        feasible=[v <= 1.0 for v in u_raw],
+        disturbances=[row[-1] for row in rows],
     )
 
 

@@ -31,11 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isfinite
+from math import isfinite, nan
 from numbers import Integral
 from typing import Callable, NamedTuple, Sequence
-
-import numpy as np
 
 from .models import FormulaTable, ModelSpec, ModelState, _check_finite, _check_floor
 
@@ -130,7 +128,7 @@ class ControlDecision(NamedTuple):
     containing such a step exits with code 4.  For a combined evaluation,
     active_constraint is the position of the constraint setting u_raw
     (ties, and u_raw = 0, to the lowest index).  simulate records the same
-    four values per step as arrays (see Trajectory); the margins at a
+    four values per step as series (see Trajectory); the margins at a
     state come from barrier_value and extended_barrier_value.  A named
     tuple: immutable and compared by value; _replace makes a changed copy.
     """
@@ -163,46 +161,43 @@ class ControlDecision(NamedTuple):
 # generated for the state's length (_check, below), so a controlled sample
 # costs solve and one straight-line check of the list's length, floor and
 # finiteness.
-# The margins below also accept numpy columns, one entry per sample, and
-# then return arrays; _margins evaluates them on a matrix of states.  h_e
+# _margins, below, is the one evaluator of the margins: of a trajectory's
+# states, and of the single state the public functions take.  h_e
 # reads dz/dt from the outlet rows of the model derivative at u = 0: they
 # are the table's outflow rows, q + r, which the input does not enter.
 
 
-def _margin_t(c: SafetyConstraint, w: Sequence, z: Sequence) -> float:
-    value = w[c.index] if c.kind == MULTIPLICATIVE else z[c.index]
-    return c.sign * (c.bound - value)
-
-
-def _extended_margin_t(c: SafetyConstraint, z: Sequence, zdot: Sequence) -> float:
-    j = c.index
-    return c.sign * (-zdot[j] + c.alpha * (c.bound - z[j]))
-
-
 def _margins(
-    spec: ModelSpec, constraints: Sequence[SafetyConstraint], states: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Margins of each constraint at every row of states, a matrix with one
-    column per compartment of [w; z], as (barriers, extended): h for every
-    constraint, h_e for outlet constraints and NaN for multiplicative ones.
-    Each constraint is checked against the model once, the derivative
-    runs at most once on the state columns (when an outlet constraint needs
-    it), and the scalar margin formulas once per constraint on whole
-    columns; an inf or NaN gives the value the scalar forms give, without
-    a warning."""
-    columns = list(states.T)
-    w, z = columns[: spec.n], columns[spec.n :]
-    barriers = np.empty((states.shape[0], len(constraints)))
-    extended = np.full_like(barriers, np.nan)
-    with np.errstate(all="ignore"):
-        if any(c.kind == OUTLET for c in constraints):
-            zdot = spec.derivative_t(columns, 0.0)[spec.n :]
-        for j, c in enumerate(constraints):
-            c.check_against(spec)
-            barriers[:, j] = _margin_t(c, w, z)
-            if c.kind == OUTLET:
-                extended[:, j] = _extended_margin_t(c, z, zdot)
-    return barriers, extended
+    spec: ModelSpec,
+    constraints: Sequence[SafetyConstraint],
+    states: Sequence[float],
+    extended: bool = False,
+) -> list[list[float]]:
+    """The margin of each constraint at every sample of states, the flat
+    states [w; z] of the samples one after another, as one list per
+    constraint: h, or with extended h_e, which is NaN for a multiplicative
+    constraint.  Each constraint is checked against the model before its
+    margins.  h reads every (n + m)-th entry; h_e runs the derivative once
+    per sample, and only when an outlet constraint needs it.  On Python
+    floats an inf or NaN gives its IEEE value, with no warning."""
+    n, width = spec.n, spec.n + spec.m
+    margins, xdots = [], None
+    for c in constraints:
+        c.check_against(spec)
+        s, bound, j = c.sign, c.bound, c.index if c.kind == MULTIPLICATIVE else n + c.index
+        if not extended:
+            margins.append([s * (bound - v) for v in states[j::width]])
+        elif c.kind == OUTLET:
+            if xdots is None:
+                deriv = spec.derivative_t
+                xdots = [deriv(states[i : i + width], 0.0) for i in range(0, len(states), width)]
+            alpha = c.alpha
+            margins.append(
+                [s * (-xdot[j] + alpha * (bound - v)) for v, xdot in zip(states[j::width], xdots)]
+            )
+        else:
+            margins.append([nan] * (len(states) // width))
+    return margins
 
 
 # Constraint k's condition on the input reads -d{k} - a{k} * u >= 0, with
@@ -383,13 +378,13 @@ def _check(n: int) -> Callable:
 
 def barrier_value(constraint: SafetyConstraint, state: ModelState) -> float:
     """Safety margin h at the state; non-negative means inside the safe set."""
-    block = state.w if constraint.kind == MULTIPLICATIVE else state.z
-    if constraint.index >= block.size:
+    block = state._w if constraint.kind == MULTIPLICATIVE else state._z
+    if constraint.index >= len(block):
         raise ValueError(
             f"{constraint.kind} index {constraint.index} out of range "
             f"for state with ({state.n}, {state.m}) compartments"
         )
-    return _margin_t(constraint, state.w.tolist(), state.z.tolist())
+    return constraint.sign * (constraint.bound - block[constraint.index])
 
 
 def extended_barrier_value(
@@ -399,8 +394,8 @@ def extended_barrier_value(
     if constraint.kind != OUTLET:
         raise ValueError("extended margin is defined for outlet constraints only")
     constraint.check_against(spec)
-    x = spec.flat(state)
-    return _extended_margin_t(constraint, x[spec.n :], spec.derivative_t(x, 0.0)[spec.n :])
+    [[he]] = _margins(spec, (constraint,), spec.flat(state), extended=True)
+    return he
 
 
 def multiplicative_control(
@@ -513,22 +508,17 @@ def validate_initial_condition(
     (h >= 0).  Outlet constraints additionally need the differentiated
     margin non-negative at the start (h_e >= 0), since only its 0-superlevel
     set is rendered invariant.  state0 is a ModelState or the flat [w; z]
-    list that simulate holds (see ModelSpec.flat); the margins carry the
-    bits _margins gives, and no warning is raised.  They are computed on
-    Python floats, also for a list of numpy scalars, whose overflow would
-    warn.
+    list that simulate holds (see ModelSpec.flat); the margins are the
+    ones _margins gives a trajectory at that state, and no warning is
+    raised.  They are computed on Python floats, also for a list of numpy
+    scalars, whose overflow would warn.
     """
     x = [*map(float, spec.flat(state0))]
-    w, z = x[: spec.n], x[spec.n :]
-    zdot = None
+    margins = _margins(spec, constraints, x)
+    extended = _margins(spec, constraints, x, extended=True)
     checks = []
-    for k, c in enumerate(constraints):
-        c.check_against(spec)
-        h = _margin_t(c, w, z)
+    for k, (c, [h], [he]) in enumerate(zip(constraints, margins, extended)):
         if c.kind == OUTLET:
-            if zdot is None:  # once, and only for an outlet constraint
-                zdot = spec.derivative_t(x, 0.0)[spec.n :]
-            he = _extended_margin_t(c, z, zdot)
             ok = h >= 0.0 and he >= 0.0
         else:
             he = None

@@ -330,7 +330,8 @@ def scenario_text(scenario: Scenario) -> str:
     lines = [f"schema_version = {SCHEMA_VERSION}", "", "[model]", f"kind = {spec.kind}"]
     lines += [f"{key} = {_fmt(value)}" for key, value in zip(spec.formulas.params, spec.values)]
     lines += ["", "[initial]"]
-    lines += [f"{lbl} = {_fmt(value)}" for lbl, value in zip(spec.labels, scenario.state0.x)]
+    x0 = spec.flat(scenario.state0)
+    lines += [f"{lbl} = {_fmt(value)}" for lbl, value in zip(spec.labels, x0)]
     for section, settings in _SETTING_SECTIONS.items():
         rows = [(s, getattr(scenario, s.field)) for s in settings]
         if section in _REQUIRED_SECTIONS or any(v != s.default for s, v in rows):

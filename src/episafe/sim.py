@@ -10,24 +10,26 @@ mode) followed by each recorded state, so sample k's measurement is entry k.
 MeasurementBuffer is a standalone delay buffer that simulate does not use.
 An optional bounded input disturbance, sampled per step from the scenario
 seed, is added to the applied input.  Everything a safety audit needs is
-recorded.
+recorded.  The loop works on lists, and the record is kept in a stdlib
+array and tuples: the audit and the CSV writer build no numpy array, and
+numpy is imported only to read a series as one (see Trajectory) and to
+draw a disturbed run's offsets.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
 from collections import deque
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
+from functools import cached_property
 from numbers import Integral
 from typing import Sequence
 
-import numpy as np
-
 from . import engine
 from .contract import MODES, SimulationError
-from .models import ModelSpec, ModelState
+from .models import ArrayField, ModelSpec, ModelState
 from .safety import (
     InitialConditionReport,
     SafetyConstraint,
@@ -142,8 +144,9 @@ class Scenario:
             )
         if self.state0.labels != self.spec.labels:
             raise ValueError("initial state labels do not match the model")
-        if not np.isfinite(self.state0.x).all():
-            raise ValueError(f"state0 must be finite, got {self.state0.x.tolist()}")
+        x0 = self.spec.flat(self.state0)
+        if not all(map(math.isfinite, x0)):
+            raise ValueError(f"state0 must be finite, got {x0}")
         labels = [c.label(k) for k, c in enumerate(self.constraints)]
         for k, c in enumerate(self.constraints):
             c.check_against(self.spec)
@@ -171,7 +174,10 @@ class Scenario:
             self.disturbance_delta == 0.0
         )
 
-    def times(self) -> np.ndarray:
+    def times(self):
+        """The sample times, a float64 array: sample k is at t_start + dt * k."""
+        import numpy as np
+
         return self.t_start + self.dt * np.arange(self.n_steps + 1)
 
 
@@ -218,69 +224,99 @@ class MeasurementBuffer:
         raise LookupError(f"no buffered measurement at t={t:g}")
 
 
+def _matrix(columns: list[list[float]], k: int):
+    """A read-only float64 array of k rows with one column per list."""
+    import numpy as np
+
+    matrix = np.array(columns, dtype=float).reshape(len(columns), k).T
+    matrix.setflags(write=False)
+    return matrix
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Recorded closed-loop run: the unit of audit and output.
 
-    All series share one length, one entry per sample, and are read-only.
-    states, one row per sample, is the record; times, barriers and extended
-    are computed from it and the scenario on construction: times is
-    scenario.times(), barriers and extended the per-constraint margins h
-    and h_e at each state (extended is NaN for multiplicative
-    constraints).  Replacing the scenario, its constraints for instance,
-    recomputes them.  u_raw, u, active and feasible record the control law
-    as evaluated on the feedback state: the unclamped output, its clamp to
-    [0, 1], the position of the constraint setting it (-1 while the
-    controller is off) and whether the QP was feasible.  disturbances holds
-    the sampled input offsets.  A trajectory is equal only to itself and
-    hashes by identity: its series are arrays, which have no single truth
-    value to compare by.
+    All series share one length, one entry per sample.  The record is
+    copied from the sequences or numpy arrays given: _states holds the
+    states row after row in a stdlib float array, and _u_raw, _u, _active,
+    _feasible and _disturbances are tuples of Python numbers.  Each series
+    reads as a read-only numpy array, built the first time it is read,
+    which then holds the series' values once (see ArrayField): states, one
+    row per sample, u_raw, u, active, feasible and disturbances.  times,
+    barriers and extended are computed from the states and the scenario on
+    first read: times is scenario.times(), barriers and extended the
+    per-constraint margins h and h_e at each state (extended is NaN for
+    multiplicative constraints).  Replacing the scenario, its constraints
+    for instance, recomputes them.  u_raw, u, active and feasible record
+    the control law as evaluated on the feedback state: the unclamped
+    output, its clamp to [0, 1], the position of the constraint setting it
+    (-1 while the controller is off) and whether the QP was feasible.
+    disturbances holds the sampled input offsets.  The audit and the CSV
+    writer read the kept series and _h, the margins h as one list per
+    constraint, and build no numpy array.  A trajectory is equal only to
+    itself and hashes by identity: its series read as numpy arrays, which
+    have no single truth value to compare by.
     """
 
     scenario: Scenario
-    states: np.ndarray
-    u_raw: np.ndarray
-    u: np.ndarray
-    active: np.ndarray
-    feasible: np.ndarray
-    disturbances: np.ndarray
+    states: Sequence[Sequence[float]] = ArrayField("float64", rows=True)
+    u_raw: Sequence[float] = ArrayField("float64")
+    u: Sequence[float] = ArrayField("float64")
+    active: Sequence[int] = ArrayField("int64")
+    feasible: Sequence[bool] = ArrayField("bool")
+    disturbances: Sequence[float] = ArrayField("float64")
     initial_report: InitialConditionReport | None = None
-    times: np.ndarray = field(init=False)
-    barriers: np.ndarray = field(init=False)
-    extended: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        scenario = self.scenario
-        barriers, extended = _margins(scenario.spec, scenario.constraints, self.states)
-        object.__setattr__(self, "times", scenario.times())
-        object.__setattr__(self, "barriers", barriers)
-        object.__setattr__(self, "extended", extended)
-        k = self.times.size
-        series = (
-            self.times, self.states, self.u_raw, self.u, self.active,
-            self.feasible, self.barriers, self.extended, self.disturbances,
-        )
-        if any(arr.shape[0] != k for arr in series):
+        k = self.scenario.n_steps + 1
+        kept = (self._u_raw, self._u, self._active, self._feasible, self._disturbances)
+        if len(self._states) != k * len(self.labels) or any(len(s) != k for s in kept):
             raise ValueError("trajectory series lengths differ")
-        for arr in series:
-            arr.setflags(write=False)
 
     def __len__(self) -> int:
-        return int(self.times.size)
+        return len(self._u_raw)
+
+    @cached_property
+    def times(self):
+        times = self.scenario.times()
+        times.setflags(write=False)
+        return times
+
+    @cached_property
+    def _h(self) -> list[list[float]]:
+        return _margins(self.scenario.spec, self.scenario.constraints, self._states)
+
+    @cached_property
+    def barriers(self):
+        return _matrix(self._h, len(self))
+
+    @cached_property
+    def extended(self):
+        sc = self.scenario
+        return _matrix(_margins(sc.spec, sc.constraints, self._states, True), len(self))
 
     @property
     def labels(self) -> tuple[str, ...]:
         return self.scenario.spec.labels
 
+    def _time(self, k: int) -> float:
+        """The time of sample k, the float times[k] holds."""
+        return self.scenario.t_start + self.scenario.dt * k
+
     def state_at(self, k: int) -> ModelState:
-        return self.scenario.spec.state(self.states[k])
+        width, k = len(self.labels), range(len(self))[k]  # k < 0 counts from the end
+        return self.scenario.spec.state(self._states[k * width : (k + 1) * width])
 
     def peak(self, label: str) -> tuple[float, float]:
-        """(max value, time of max) for a compartment, clamped at zero."""
-        col = self.labels.index(label)
-        series = np.maximum(self.states[:, col], 0.0)
-        k = int(np.argmax(series))
-        return float(series[k]), float(self.times[k])
+        """(max value, time of max) for a compartment, clamped at zero: the
+        first sample of the largest value, or (0.0, t_start) when no value
+        is positive.  simulate and import_trajectory keep finite states."""
+        column = self._states[self.labels.index(label) :: len(self.labels)]
+        top = max(column)
+        if not top > 0.0:  # np.maximum(column, 0.0) is 0.0 throughout, -0.0 included
+            return 0.0, self._time(0)
+        return top, self._time(column.index(top))
 
 
 def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> Trajectory:
@@ -306,6 +342,10 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
     times before t_start (defaults to the initial state).  In the delayed
     and predictor modes, which read it, it must have one finite entry per
     compartment and pass the same population check (ValueError).
+
+    A run whose states alone, one list of Python floats per sample, would
+    not fit in the machine's physical memory is refused before the loop
+    starts (SimulationError).
     """
     spec = scenario.spec
     cons = scenario.constraints
@@ -314,17 +354,27 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
     dt = scenario.dt
     predictor = scenario.feedback_mode == "predictor"
 
-    x = scenario.state0.x.tolist()
+    x = spec.flat(scenario.state0)
+    try:  # the machine's physical memory
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # a system that does not say
+        memory = sys.maxsize
+    # each sample keeps its state as a list of Python floats: at least 32
+    # bytes an entry, for the pointer and the float object
+    if (n_steps + 1) * 32 * len(x) > memory:
+        raise SimulationError(f"run of {n_steps + 1:g} samples is too long to hold in memory")
     # the law runs on every sample from control_step on
     first = scenario.control_step if cons else n_steps + 1
-    dists = np.zeros(n_steps + 1)
+    dists = [0.0] * (n_steps + 1)
     offsets = None  # sampled input disturbances from the first controlled sample
     if scenario.disturbance_delta > 0.0:
+        import numpy as np  # for its generator only: its draws fix every disturbed run's bits
+
         delta = scenario.disturbance_delta
-        dists[first:] = np.random.default_rng(scenario.seed).uniform(
+        offsets = np.random.default_rng(scenario.seed).uniform(
             -delta, delta, size=n_steps + 1 - first
-        )
-        offsets = dists[first:].tolist()
+        ).tolist()
+        dists[first:] = offsets
     # (u_raw, u, feasible, active) per sample, at rest while the law is off
     decisions = [(0.0, 0.0, True, -1)] * first
     commands = [0.0] * first  # the u sent at each sample, which the predictor replays
@@ -335,7 +385,7 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
         if prehistory is None:
             prehistory = x
         else:
-            prehistory = spec.state(prehistory).x.tolist()
+            prehistory = spec.flat(spec.state(prehistory))
             if not all(map(math.isfinite, prehistory)):
                 raise ValueError(f"prehistory must be finite, got {prehistory}")
     hist = [prehistory] * lag  # the measurement of sample k is hist[k]
@@ -371,23 +421,19 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
             x = rk4(deriv, x, applied, dt)
             # a finite sum has only finite entries
             if not isfinite(sum(x)) and not all(map(isfinite, x)):
-                t = scenario.times()[k]
+                t = scenario.t_start + dt * k  # the float times()[k] holds
                 raise IntegrationError(
                     f"non-finite state after step {k} (t={t:g}): {x}"
                 )
 
-    # one pass: each flag and position is exact in float64 and cast back below
-    record = np.fromiter(chain.from_iterable(decisions), float, 4 * (n_steps + 1))
-    u_raw, u, feasible, active = record.reshape(n_steps + 1, 4).T
-    width = len(x)
-    states = np.fromiter(chain.from_iterable(hist[lag:]), float, (n_steps + 1) * width)
+    u_raw, u, feasible, active = zip(*decisions)
     return Trajectory(
         scenario=scenario,
-        states=states.reshape(n_steps + 1, width),
-        u_raw=u_raw.copy(),  # columns of their own: the record is freed
-        u=u.copy(),
-        active=active.astype(np.int64),
-        feasible=feasible != 0.0,
+        states=hist[lag:],
+        u_raw=u_raw,
+        u=u,
+        active=active,
+        feasible=feasible,
         disturbances=dists,
         initial_report=report,
     )
@@ -438,42 +484,51 @@ class AuditReport:
 def safety_audit(trajectory: Trajectory) -> AuditReport:
     """Audit a trajectory's margins against its scenario's constraints.
 
-    The margins are the trajectory's barriers, computed from its states; to
-    audit against another constraint set, replace the trajectory's
-    scenario with one holding it (dataclasses.replace), which recomputes
-    them.  Reports, per constraint: the worst margin, the violation count,
-    and a discretized margin-decay check (h(t+dt) - h(t))/dt + alpha h(t)
-    >= -tol with tol = 1e-6 * alpha * bound, on each step from the
-    scenario's control_step on: before it the law is off and nothing is
-    guaranteed.  Without such a step the check reports 0 failures and a
-    worst value of inf.  The decay check is informational: holding the
-    input constant across a step shifts it by O(dt) even for a perfectly
-    safe run.
+    The margins are the trajectory's barriers, read as the lists it
+    computes from its states, with no numpy array built; to audit against
+    another constraint set, replace the trajectory's scenario with one
+    holding it (dataclasses.replace), which recomputes them.  Reports, per
+    constraint: the worst margin (at its first sample, as numpy's argmin
+    gives), the violation count, and a discretized margin-decay check
+    (h(t+dt) - h(t))/dt + alpha h(t) >= -tol with tol = 1e-6 * alpha *
+    bound, on each step from the scenario's control_step on: before it the
+    law is off and nothing is guaranteed.  Its worst value is NaN when any
+    value is, as numpy's min gives.  Without such a step the check reports
+    0 failures and a worst value of inf.  The decay check is
+    informational: holding the input constant across a step shifts it by
+    O(dt) even for a perfectly safe run.
     """
     scenario = trajectory.scenario
     dt = scenario.dt
     start = scenario.control_step
     audits = []
-    for c, series in zip(scenario.constraints, trajectory.barriers.T):
-        k_min = int(np.argmin(series))
-        tol = 1e-6 * c.alpha * c.bound
+    for c, series in zip(scenario.constraints, trajectory._h):
+        low = min(series)
+        k_min = series.index(low)  # the first sample of the lowest margin
+        alpha, tol = c.alpha, 1e-6 * c.alpha * c.bound
         controlled = series[start:]
-        with np.errstate(all="ignore"):  # alpha * h may overflow to inf
-            decay = np.diff(controlled) / dt + c.alpha * controlled[:-1]
-        failures = int(np.count_nonzero(decay < -tol))
-        worst = float(decay.min()) if decay.size else math.inf
+        # alpha * h may overflow to inf, and inf - inf is NaN, on Python
+        # floats without a warning
+        decay = [(b - a) / dt + alpha * a for a, b in zip(controlled, controlled[1:])]
+        worst = min(decay, default=math.inf)
+        # min() passes over a NaN that is not first; a NaN makes the sum
+        # NaN, and then the worst value is NaN, as numpy's min gives
+        if math.isnan(sum(decay)) and any(map(math.isnan, decay)):
+            worst = math.nan
         audits.append(
             ConstraintAudit(
                 label=c.label(),
-                min_margin=float(series[k_min]),
-                min_margin_time=float(trajectory.times[k_min]),
-                violation_count=int(np.count_nonzero(series < 0.0)),
-                decay_check_failures=failures,
+                min_margin=low,
+                min_margin_time=trajectory._time(k_min),
+                violation_count=len([h for h in series if h < 0.0]) if low < 0.0 else 0,
+                decay_check_failures=(
+                    len([d for d in decay if d < -tol]) if not worst >= -tol else 0
+                ),
                 decay_check_worst=worst,
                 decay_tolerance=tol,
             )
         )
     return AuditReport(
         constraints=tuple(audits),
-        infeasible_count=int(np.count_nonzero(~trajectory.feasible)),
+        infeasible_count=len(trajectory) - trajectory._feasible.count(True),
     )

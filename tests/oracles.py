@@ -448,3 +448,70 @@ def reference_csv_text(traj) -> tuple[str, str]:
         wide.append(",".join([t, *cells]))
         long += [f"{t},{name},{cell}" for name, cell in zip(names, cells)]
     return "\n".join(wide) + "\n", "\n".join(long) + "\n"
+
+
+# -- numpy's formulas for a run's record -------------------------------------
+#
+# A run keeps its record as Python lists, and the audit, the peaks and the
+# CSV importer read those lists.  The functions below are the numpy forms
+# they replaced, on the trajectory's arrays: their min, max and argmin
+# treat -0.0, ties and NaN as numpy does, and the list forms must agree.
+
+
+def numpy_margins(spec, constraints, states) -> tuple[np.ndarray, np.ndarray]:
+    """(barriers, extended) of a states matrix, each constraint's h and
+    h_e (NaN for a multiplicative constraint) evaluated on whole state
+    columns."""
+    columns = list(np.asarray(states, dtype=float).T)
+    w, z = columns[: spec.n], columns[spec.n :]
+    barriers = np.empty((len(columns[0]), len(constraints)))
+    extended = np.full_like(barriers, np.nan)
+    with np.errstate(all="ignore"):
+        zdot = spec.derivative_t(columns, 0.0)[spec.n :]
+        for j, c in enumerate(constraints):
+            value = w[c.index] if c.kind == MULTIPLICATIVE else z[c.index]
+            barriers[:, j] = c.sign * (c.bound - value)
+            if c.kind == OUTLET:
+                extended[:, j] = c.sign * (-zdot[c.index] + c.alpha * (c.bound - z[c.index]))
+    return barriers, extended
+
+
+def numpy_audit(traj) -> tuple[list[tuple], int]:
+    """Per constraint (min_margin, min_margin_time, violation_count,
+    decay_check_failures, decay_check_worst, decay_tolerance), and the
+    count of infeasible samples, from the trajectory's arrays."""
+    sc = traj.scenario
+    audits = []
+    for c, series in zip(sc.constraints, traj.barriers.T):
+        k_min = int(np.argmin(series))
+        tol = 1e-6 * c.alpha * c.bound
+        controlled = series[sc.control_step :]
+        with np.errstate(all="ignore"):
+            decay = np.diff(controlled) / sc.dt + c.alpha * controlled[:-1]
+        audits.append((
+            float(series[k_min]),
+            float(traj.times[k_min]),
+            int(np.count_nonzero(series < 0.0)),
+            int(np.count_nonzero(decay < -tol)),
+            float(decay.min()) if decay.size else float("inf"),
+            tol,
+        ))
+    return audits, int(np.count_nonzero(~traj.feasible))
+
+
+def numpy_peak(traj, label: str) -> tuple[float, float]:
+    """(max value, time of max) of a compartment clamped at zero."""
+    series = np.maximum(traj.states[:, traj.labels.index(label)], 0.0)
+    k = int(np.argmax(series))
+    return float(series[k]), float(traj.times[k])
+
+
+def numpy_off_grid(times, t_start: float, dt: float) -> int | None:
+    """The first sample whose time in the column times is not k steps after
+    t_start to a relative tolerance of 1e-9, or None."""
+    times = np.asarray(times, dtype=float)
+    with np.errstate(all="ignore"):
+        steps = (times - t_start) / dt
+        near = np.abs(steps - np.arange(times.size)) <= 1e-9 * np.maximum(1.0, steps)
+        off = ~((steps >= 0.0) & np.isfinite(steps) & near)
+    return int(np.argmax(off)) if off.any() else None

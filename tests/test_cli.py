@@ -1,5 +1,6 @@
 """Command-line interface contract: subcommands, exit codes, determinism."""
 
+import dataclasses
 import datetime as dt
 import hashlib
 import math
@@ -43,6 +44,7 @@ def seeded_cases(rows: int, seed: int) -> str:
 DOCUMENTED_EXIT_CODES = (0, 2, 3, 4)
 
 TOO_LONG = "error: horizon of 1.9e+302 steps of dt 1e-300 is too long to store\n"
+TOO_LONG_FOR_MEMORY = "error: run of 1.9e+17 samples is too long to hold in memory\n"
 
 
 def sir_doc(initial, feedback, constraints, t_end=30):
@@ -122,11 +124,19 @@ class TestSimulate:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_run_too_long_to_allocate_exits_2(self, capsys):
-        # 1.9e17 steps: numpy refuses the arrays at once
+        # 1.9e17 steps: refused before the loop starts
         assert main(["simulate", "sir_fig2", "--dt", "1e-15"]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: Unable to allocate ")
-        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert capsys.readouterr() == ("", TOO_LONG_FOR_MEMORY)
+
+    def test_run_too_long_to_allocate_from_its_first_sample_exits_2(self, tmp_path, capsys):
+        # the law runs from t_start on: no list of resting samples to
+        # allocate would stop the 1.9e17 steps before they start
+        sc = load_preset("sir_fig2")
+        path = write_scenario(
+            dataclasses.replace(sc, control_start=sc.t_start), tmp_path / "early.scenario"
+        )
+        assert main(["simulate", str(path), "--dt", "1e-15"]) == 2
+        assert capsys.readouterr() == ("", TOO_LONG_FOR_MEMORY)
 
     def test_grid_too_long_for_any_array_exits_2(self, capsys):
         # 1.9e302 steps: more float64 samples than an address space holds
@@ -432,8 +442,7 @@ class TestSweep:
             "sweep", "sir_fig2", "--param", "dt", "--values", "1e-15", "--out", str(tmp_path),
         ]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: Unable to allocate ")
-        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert (captured.out, captured.err) == ("", TOO_LONG_FOR_MEMORY)
         assert list(tmp_path.iterdir()) == []
 
     def test_grid_too_long_for_any_array_exits_2_before_any_run(self, tmp_path, capsys):

@@ -1,4 +1,6 @@
-"""The package re-exports lazily, and each CLI command imports what it runs."""
+"""The package re-exports lazily, and each CLI command imports what it runs:
+no command loads numpy but a run of a disturbed scenario, which draws its
+offsets with numpy's generator."""
 
 import ast
 import importlib
@@ -63,6 +65,50 @@ def test_ingest_loads_no_numpy(tmp_path):
     )
     assert "numpy" not in loaded
     assert "episafe.cases" in loaded
+
+
+def _cli_loaded(argv: list[str]) -> list[str]:
+    """The modules loaded by a fresh interpreter after episafe.cli.main(argv)
+    returns a documented run outcome."""
+    return _loaded_after(f"import episafe.cli\nassert episafe.cli.main({argv!r}) in (0, 3, 4)")
+
+
+def test_presets_list_loads_no_numpy():
+    assert "numpy" not in _cli_loaded(["presets", "list"])
+
+
+@pytest.mark.parametrize("mode", ["instantaneous", "delayed", "predictor"])
+def test_simulate_loads_no_numpy(mode, tmp_path):
+    loaded = _cli_loaded(["simulate", "sir_delay_danger", "--mode", mode, "--out", str(tmp_path)])
+    assert "numpy" not in loaded
+    assert {"episafe.sim", "episafe.runner"} <= set(loaded)
+    assert (tmp_path / "sir_delay_danger_long.csv").exists()
+
+
+def test_audit_loads_no_numpy(tmp_path):
+    from episafe.runner import export_trajectory
+    from episafe.scenarios import load_preset
+    from episafe.sim import simulate
+
+    csv = export_trajectory(simulate(load_preset("sir_delay_danger")), tmp_path / "t.csv")
+    loaded = _cli_loaded(["audit", str(csv), "sir_delay_danger", "--out", str(tmp_path)])
+    assert "numpy" not in loaded
+    assert (tmp_path / "sir_delay_danger_audit_long.csv").exists()
+
+
+def test_undisturbed_sweep_loads_no_numpy(tmp_path):
+    argv = ["sweep", "sir_delay_danger", "--param", "tau", "--values", "1,2"]
+    assert "numpy" not in _cli_loaded([*argv, "--out", str(tmp_path)])
+
+
+def test_disturbed_simulate_loads_numpy_for_its_draws(tmp_path):
+    import dataclasses
+
+    from episafe.scenarios import load_preset, write_scenario
+
+    sc = dataclasses.replace(load_preset("sir_delay_danger"), disturbance_delta=0.1, seed=3)
+    path = write_scenario(sc, tmp_path / "disturbed.scenario")
+    assert "numpy" in _cli_loaded(["simulate", str(path)])
 
 
 def test_public_names_resolve_to_their_module_objects():

@@ -300,8 +300,9 @@ class TestExtendedBarrier:
             return c.sign * (-outflow + c.alpha * (c.bound - z[c.index]))
 
         def check(cons, rows):
-            _, extended = safety._margins(spec, cons, np.array(rows))
-            for x, row in zip(rows, extended.tolist()):
+            flat = [v for x in rows for v in x]
+            extended = zip(*safety._margins(spec, cons, flat, extended=True))
+            for x, row in zip(rows, extended):
                 assert [v.hex() for v in row] == [want(c, x).hex() for c in cons], x
                 if not any(v < 0.0 for v in x):  # a state ModelState accepts
                     state = spec.state(x)
@@ -343,7 +344,7 @@ class TestValidateInitialCondition:
         assert "ok" in rep.describe()
 
     def test_margins_match_scalar_forms(self, sir_spec, sihrd_spec):
-        # the report's margins come from the matrix evaluator; they must
+        # the report's margins come from the list evaluator; they must
         # carry the bits of barrier_value and extended_barrier_value
         for spec, state, cons in random_cases(sir_spec, sihrd_spec):
             report = validate_initial_condition(spec, cons, state)
@@ -359,7 +360,7 @@ class TestValidateInitialCondition:
                     assert check.ok == (check.margin >= 0.0)
 
     def test_infinite_margins_match_scalar_forms(self, sihrd_spec):
-        # inf - inf is NaN in both forms, and the matrix form warns no more
+        # inf - inf is NaN in both forms, and the list form warns no more
         # than the scalar one (warnings fail the run)
         state = sihrd_spec.state([1e6, math.inf, math.inf, 0.0, 0.0])
         cons = (
@@ -379,7 +380,7 @@ class TestValidateInitialCondition:
     def test_flat_and_state_reports_match_the_matrix_margins(self, sir_spec, sihrd_spec):
         # simulate passes its flat list; a caller may pass a ModelState.
         # Either way the report carries the bits _margins gives on the
-        # one-row matrix, and raises no warning: also where entries near
+        # one-sample list, and raises no warning: also where entries near
         # 1e308 or inf and inf bounds make margins of inf, -inf and NaN
         rng = np.random.default_rng(734)
         seen = set()
@@ -407,11 +408,12 @@ class TestValidateInitialCondition:
                     alpha_e=float(rng.uniform(1e-3, 1.0)) if kind == OUTLET else None,
                     direction=("upper", "lower")[int(rng.integers(2))],
                 ))
-            barriers, extended = safety._margins(spec, cons, np.array([x]))
+            [barriers] = zip(*safety._margins(spec, cons, x))
+            [extended] = zip(*safety._margins(spec, cons, x, extended=True))
             want = [
                 (c.label(k), h.hex(), None if c.kind != OUTLET else he.hex(),
                  h >= 0.0 and (c.kind != OUTLET or he >= 0.0))
-                for k, (c, h, he) in enumerate(zip(cons, barriers[0].tolist(), extended[0].tolist()))
+                for k, (c, h, he) in enumerate(zip(cons, barriers, extended))
             ]
             seen.update(v for _, h, he, _ in want for v in (h, he) if v in ("inf", "-inf", "nan"))
             for state in (x, spec.state(x)):
