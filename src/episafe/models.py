@@ -34,6 +34,7 @@ import struct
 from array import array
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache, reduce
+from itertools import islice
 from operator import iadd
 from typing import Callable, NamedTuple, Sequence
 
@@ -75,6 +76,7 @@ def _check_finite(x: list[float]) -> None:
 
 
 _TYPECODES = {"float64": "d", "int64": "q", "bool": "b"}
+_PACKED_ROWS = 4096  # rows packed at a time, see ArrayField
 
 
 class ArrayField:
@@ -120,9 +122,13 @@ class ArrayField:
         if hasattr(values, "tolist"):  # a numpy array: its entries as Python numbers
             values = values.tolist()
         if self.rows:
-            flat = reduce(iadd, values, [])
-            # struct packs a list of floats about twice as fast as array() converts it
-            values = array(self.typecode, struct.pack(f"{len(flat)}{self.typecode}", *flat))
+            # struct packs a list of floats about twice as fast as array()
+            # converts it; rows are packed a block at a time, so a long
+            # record needs no flat copy of itself on the way
+            packed, rows = array(self.typecode), iter(values)
+            while flat := reduce(iadd, islice(rows, _PACKED_ROWS), []):
+                packed.frombytes(struct.pack(f"{len(flat)}{self.typecode}", *flat))
+            values = packed
         else:
             values = self.keep(values)
         obj.__dict__[self.kept] = values

@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count, repeat
 import math
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -165,7 +164,8 @@ def sweep(
 
 
 def _columns(scenario: Scenario) -> list[str]:
-    """Trajectory CSV header: t, then the series of the lines _lines gives."""
+    """Trajectory CSV header: the name of each value of a Trajectory.rows()
+    tuple."""
     return [
         "t",
         *scenario.spec.labels,
@@ -178,23 +178,12 @@ def _columns(scenario: Scenario) -> list[str]:
 
 @lru_cache(maxsize=1)
 def _lines(trajectory: Trajectory) -> list[str]:
-    """One CSV line per sample, "t,<series...>\\n" in _columns order, with
-    every value to 15 significant digits.  The two writers of one
+    """One CSV line per sample, "t,<series...>\\n": its Trajectory.rows()
+    tuple, every value to 15 significant digits.  The two writers of one
     trajectory share one formatting pass: the lines are kept for the
     trajectory last asked for, which hashes by identity."""
-    scenario = trajectory.scenario
-    t_start, dt = scenario.t_start, scenario.dt
-    template = ",".join(["%.15g"] * len(_columns(scenario))) + "\n"
-    states, width = trajectory._states, len(scenario.spec.labels)
-    # zip(*margins) of no constraint would end the samples at once
-    margins = zip(*trajectory._h) if scenario.constraints else repeat(())
-    return [
-        template % (t_start + dt * k, *states[i : i + width], u_raw, u, *h, d)
-        for k, i, u_raw, u, h, d in zip(
-            count(), range(0, len(states), width), trajectory._u_raw, trajectory._u,
-            margins, trajectory._disturbances,
-        )
-    ]
+    template = ",".join(["%.15g"] * len(_columns(trajectory.scenario))) + "\n"
+    return [template % row for row in trajectory.rows()]
 
 
 def export_trajectory(trajectory: Trajectory, path: str | Path) -> Path:

@@ -24,6 +24,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count, islice, repeat
 from numbers import Integral
 from typing import Sequence
 
@@ -174,11 +175,16 @@ class Scenario:
             self.disturbance_delta == 0.0
         )
 
+    def time(self, k):
+        """The time of sample k, t_start + dt * k; of every sample at once
+        when k is a numpy array of step numbers."""
+        return self.t_start + self.dt * k
+
     def times(self):
-        """The sample times, a float64 array: sample k is at t_start + dt * k."""
+        """The sample times, a float64 array: sample k is at time(k)."""
         import numpy as np
 
-        return self.t_start + self.dt * np.arange(self.n_steps + 1)
+        return self.time(np.arange(self.n_steps + 1))
 
 
 class MeasurementBuffer:
@@ -252,11 +258,11 @@ class Trajectory:
     the control law as evaluated on the feedback state: the unclamped
     output, its clamp to [0, 1], the position of the constraint setting it
     (-1 while the controller is off) and whether the QP was feasible.
-    disturbances holds the sampled input offsets.  The audit and the CSV
-    writer read the kept series and _h, the margins h as one list per
-    constraint, and build no numpy array.  A trajectory is equal only to
-    itself and hashes by identity: its series read as numpy arrays, which
-    have no single truth value to compare by.
+    disturbances holds the sampled input offsets.  The audit reads _h, the
+    margins h as one list per constraint, and the CSV writers read rows(),
+    the kept series sample by sample: neither builds a numpy array.  A
+    trajectory is equal only to itself and hashes by identity: its series
+    read as numpy arrays, which have no single truth value to compare by.
     """
 
     scenario: Scenario
@@ -300,10 +306,6 @@ class Trajectory:
     def labels(self) -> tuple[str, ...]:
         return self.scenario.spec.labels
 
-    def _time(self, k: int) -> float:
-        """The time of sample k, the float times[k] holds."""
-        return self.scenario.t_start + self.scenario.dt * k
-
     def state_at(self, k: int) -> ModelState:
         width, k = len(self.labels), range(len(self))[k]  # k < 0 counts from the end
         return self.scenario.spec.state(self._states[k * width : (k + 1) * width])
@@ -315,8 +317,23 @@ class Trajectory:
         column = self._states[self.labels.index(label) :: len(self.labels)]
         top = max(column)
         if not top > 0.0:  # np.maximum(column, 0.0) is 0.0 throughout, -0.0 included
-            return 0.0, self._time(0)
-        return top, self._time(column.index(top))
+            return 0.0, self.scenario.time(0)
+        return top, self.scenario.time(column.index(top))
+
+    def rows(self):
+        """An iterator of one tuple per sample: its time, the entries of its
+        state, u_raw, u, its margin h for each constraint and its
+        disturbance, the order of a trajectory CSV line."""
+        time, states, width = self.scenario.time, self._states, len(self.labels)
+        # zip(*margins) of no constraint would end the samples at once
+        margins = zip(*self._h) if self.scenario.constraints else repeat(())
+        return (
+            (time(k), *states[i : i + width], u_raw, u, *h, d)
+            for k, i, u_raw, u, h, d in zip(
+                count(), range(0, len(states), width), self._u_raw, self._u,
+                margins, self._disturbances,
+            )
+        )
 
 
 def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> Trajectory:
@@ -375,8 +392,11 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
             -delta, delta, size=n_steps + 1 - first
         ).tolist()
         dists[first:] = offsets
-    # (u_raw, u, feasible, active) per sample, at rest while the law is off
-    decisions = [(0.0, 0.0, True, -1)] * first
+    # u_raw, u, feasible, active of each sample, one after another, at rest
+    # while the law is off.  Kept as entries, not as each sample's tuple, a
+    # step leaves one new container (its state) for the cyclic garbage
+    # collector to count and traverse, not two
+    decisions = [0.0, 0.0, True, -1] * first
     commands = [0.0] * first  # the u sent at each sample, which the predictor replays
 
     lag = 0
@@ -410,7 +430,7 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
                     spec, feedback, k - span, span, dt, commands
                 )
             decision = control(spec, cons, feedback)
-            decisions.append(decision)
+            decisions += decision
             applied = decision[1]  # in [0, 1]
             commands.append(applied)
             if offsets is not None:
@@ -421,12 +441,11 @@ def simulate(scenario: Scenario, prehistory: Sequence[float] | None = None) -> T
             x = rk4(deriv, x, applied, dt)
             # a finite sum has only finite entries
             if not isfinite(sum(x)) and not all(map(isfinite, x)):
-                t = scenario.t_start + dt * k  # the float times()[k] holds
                 raise IntegrationError(
-                    f"non-finite state after step {k} (t={t:g}): {x}"
+                    f"non-finite state after step {k} (t={scenario.time(k):g}): {x}"
                 )
 
-    u_raw, u, feasible, active = zip(*decisions)
+    u_raw, u, feasible, active = (decisions[i::4] for i in range(4))
     return Trajectory(
         scenario=scenario,
         states=hist[lag:],
@@ -504,27 +523,34 @@ def safety_audit(trajectory: Trajectory) -> AuditReport:
     audits = []
     for c, series in zip(scenario.constraints, trajectory._h):
         low = min(series)
-        k_min = series.index(low)  # the first sample of the lowest margin
         alpha, tol = c.alpha, 1e-6 * c.alpha * c.bound
-        controlled = series[start:]
-        # alpha * h may overflow to inf, and inf - inf is NaN, on Python
-        # floats without a warning
-        decay = [(b - a) / dt + alpha * a for a, b in zip(controlled, controlled[1:])]
-        worst = min(decay, default=math.inf)
-        # min() passes over a NaN that is not first; a NaN makes the sum
-        # NaN, and then the worst value is NaN, as numpy's min gives
-        if math.isnan(sum(decay)) and any(map(math.isnan, decay)):
-            worst = math.nan
+        # one pass for the lowest value, the count below -tol and whether a
+        # value is NaN: alpha * h may overflow to inf, and inf - inf is NaN,
+        # on Python floats without a warning.  tol is NaN only when
+        # 1e-6 * alpha underflows to 0 and the bound is inf: then every
+        # margin is inf or -inf and every value NaN
+        limit, worst, failures, nan = -tol, math.inf, 0, False
+        a = series[start]
+        for b in islice(series, start + 1, None):
+            d = (b - a) / dt + alpha * a
+            a = b
+            if d >= limit:
+                if d < worst:
+                    worst = d
+            elif d < limit:
+                failures += 1
+                if d < worst:
+                    worst = d
+            else:
+                nan = True
         audits.append(
             ConstraintAudit(
                 label=c.label(),
                 min_margin=low,
-                min_margin_time=trajectory._time(k_min),
+                min_margin_time=scenario.time(series.index(low)),  # its first sample
                 violation_count=len([h for h in series if h < 0.0]) if low < 0.0 else 0,
-                decay_check_failures=(
-                    len([d for d in decay if d < -tol]) if not worst >= -tol else 0
-                ),
-                decay_check_worst=worst,
+                decay_check_failures=failures,
+                decay_check_worst=math.nan if nan else worst,
                 decay_tolerance=tol,
             )
         )

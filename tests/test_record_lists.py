@@ -113,6 +113,18 @@ def test_nan_after_the_first_decay_value_is_the_worst():
     assert audit_bits(safety_audit(traj)) == oracle_bits(traj)
 
 
+@pytest.mark.parametrize("alpha", [5e-324, 0.1, math.inf])
+@pytest.mark.parametrize("direction", ["upper", "lower"])
+def test_infinite_bound_decay_check_matches_numpy(alpha, direction):
+    # an inf bound makes every margin inf or -inf and every decay value NaN;
+    # at alpha 5e-324 the tolerance 1e-6 * alpha * bound is NaN too
+    cons = [SafetyConstraint(MULTIPLICATIVE, 1, math.inf, alpha, direction=direction)]
+    traj = hand_built([[26e6, h, 6.9e6] for h in (1.0, 2.0, 0.5)], cons)
+    audit = safety_audit(traj).constraints[0]
+    assert math.isnan(audit.decay_check_worst) and audit.decay_check_failures == 0
+    assert audit_bits(safety_audit(traj)) == oracle_bits(traj)
+
+
 def test_tied_margins_report_the_first_sample():
     # h = 4, 2, 2, 3 on I, and 2 throughout on S: the lowest margin first
     # falls at samples 1 and 0; a floor at S itself is -0.0 throughout

@@ -44,6 +44,7 @@ from oracles import (
     closed_form_death_control,
     closed_form_hospitalization_control,
     closed_form_infection_control,
+    numpy_margins,
     qp_oracle,
     reference_model,
     reference_solver,
@@ -379,9 +380,10 @@ class TestValidateInitialCondition:
 
     def test_flat_and_state_reports_match_the_matrix_margins(self, sir_spec, sihrd_spec):
         # simulate passes its flat list; a caller may pass a ModelState.
-        # Either way the report carries the bits _margins gives on the
-        # one-sample list, and raises no warning: also where entries near
-        # 1e308 or inf and inf bounds make margins of inf, -inf and NaN
+        # Either way the report carries the bits the matrix formulas of
+        # oracles.numpy_margins give on the one-row matrix, and raises no
+        # warning: also where entries near 1e308 or inf and inf bounds make
+        # margins of inf, -inf and NaN
         rng = np.random.default_rng(734)
         seen = set()
         specs = (
@@ -408,12 +410,11 @@ class TestValidateInitialCondition:
                     alpha_e=float(rng.uniform(1e-3, 1.0)) if kind == OUTLET else None,
                     direction=("upper", "lower")[int(rng.integers(2))],
                 ))
-            [barriers] = zip(*safety._margins(spec, cons, x))
-            [extended] = zip(*safety._margins(spec, cons, x, extended=True))
+            [barriers], [extended] = numpy_margins(spec, cons, [x])
             want = [
                 (c.label(k), h.hex(), None if c.kind != OUTLET else he.hex(),
                  h >= 0.0 and (c.kind != OUTLET or he >= 0.0))
-                for k, (c, h, he) in enumerate(zip(cons, barriers, extended))
+                for k, (c, h, he) in enumerate(zip(cons, barriers.tolist(), extended.tolist()))
             ]
             seen.update(v for _, h, he, _ in want for v in (h, he) if v in ("inf", "-inf", "nan"))
             for state in (x, spec.state(x)):
