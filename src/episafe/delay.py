@@ -11,7 +11,7 @@ far a forecast lies from the true state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,27 +33,27 @@ class PredictorConfig:
 
     tau is the delay (days, a multiple of dt_pred by sim.grid_steps); dt_pred
     the internal integration step, normally equal to the simulation step so
-    predictions replay the plant exactly.  constraints set the law
-    predict_state runs at every step in place of the inputs sent (none: the
-    open loop, u = 0).
+    predictions replay the plant exactly.  n_steps, the delay in steps of
+    dt_pred, is computed once when the config is built.  constraints set
+    the law predict_state runs at every step in place of the inputs sent
+    (none: the open loop, u = 0).
     """
 
     tau: float
     dt_pred: float
     constraints: tuple[SafetyConstraint, ...] = ()
+    n_steps: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "constraints", tuple(self.constraints))
         if not self.dt_pred > 0.0:
             raise ValueError("dt_pred must be positive")
-        if grid_steps(self.tau, self.dt_pred) is None:
+        n_steps = grid_steps(self.tau, self.dt_pred)
+        if n_steps is None:
             raise ValueError(
                 f"tau={self.tau} is not a non-negative multiple of dt_pred={self.dt_pred}"
             )
-
-    @property
-    def n_steps(self) -> int:
-        return grid_steps(self.tau, self.dt_pred)
+        object.__setattr__(self, "n_steps", n_steps)
 
 
 def predict_state(

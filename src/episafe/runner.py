@@ -33,6 +33,7 @@ from .sim import (
     AuditReport,
     Scenario,
     Trajectory,
+    grid_steps,
     safety_audit,
     simulate,
 )
@@ -205,14 +206,15 @@ def import_trajectory(path: str | Path, scenario: Scenario) -> Trajectory:
     not record other infeasible steps.  The h columns are written for
     readers and not read back: the Trajectory computes its margins from
     the states, and its times from the scenario.  The header must match
-    the scenario's, h columns included; a data line that is not one number
-    per column is named by its line number.  The file must hold one row per
-    sample of the scenario's time grid, each t within grid_steps's
-    tolerance of its sample time (TrajectoryFormatError otherwise), so that
-    the audit's decay check uses the file's own step.  A state, u_raw, u
-    or d cell that is not finite, which would hide a breach or fake a
-    clamping event, is named by its line and column; a file that cannot be
-    read or is not UTF-8, by its path.
+    the scenario's, h columns included.  One pass reads the data lines and
+    checks each as it is read, so the first faulty line is named: a line
+    that is not one number per column by its number, a state, u_raw, u or
+    d cell that is not finite, which would hide a breach or fake a
+    clamping event, by its line and column.  The file must then hold one
+    row per sample of the scenario's time grid, and grid_steps must map
+    each t - t_start to its sample's step number (TrajectoryFormatError
+    otherwise), so that the audit's decay check uses the file's own step.
+    A file that cannot be read or is not UTF-8 is named by its path.
     """
     path = Path(path)
     try:
@@ -230,8 +232,9 @@ def import_trajectory(path: str | Path, scenario: Scenario) -> Trajectory:
             f"{path}: header {','.join(header)!r} does not match scenario "
             f"(expected {','.join(expected)!r})"
         )
-    width = len(expected)
-    rows = []
+    width, n_state = len(expected), len(scenario.spec.labels)
+    read = [*range(1, 3 + n_state), width - 1]  # the states, u_raw, u and d
+    times, states, u_raw, u, d = [], [], [], [], []
     for number, line in enumerate(lines[1:], 2):
         if not line:
             continue
@@ -241,47 +244,42 @@ def import_trajectory(path: str | Path, scenario: Scenario) -> Trajectory:
                 f"{path}: line {number}: expected {width} fields, got {len(cells)}"
             )
         try:
-            rows.append(list(map(float, cells)))
+            row = list(map(float, cells))
         except ValueError as exc:
             raise TrajectoryFormatError(f"{path}: line {number}: bad numeric cell: {exc}") from None
-    n_state = len(scenario.spec.labels)
-    read = [*range(1, 3 + n_state), width - 1]  # the states, u_raw, u and d
-    for k, row in enumerate(rows):
         # a finite sum has only finite entries
-        if math.isfinite(sum(row[1 : 3 + n_state]) + row[-1]):
-            continue
-        for j in read:
-            if not math.isfinite(row[j]):  # the first, named by the line that holds it
-                number = [n for n, line in enumerate(lines[1:], 2) if line][k]
-                raise TrajectoryFormatError(
-                    f"{path}: line {number}: {expected[j]} = {row[j]} is not finite"
-                )
+        if not math.isfinite(sum(row[1 : 3 + n_state]) + row[-1]):
+            for j in read:
+                if not math.isfinite(row[j]):  # the first, named by its column
+                    raise TrajectoryFormatError(
+                        f"{path}: line {number}: {expected[j]} = {row[j]} is not finite"
+                    )
+        times.append(row[0])
+        states.append(row[1 : 1 + n_state])
+        u_raw.append(row[1 + n_state])
+        u.append(row[2 + n_state])
+        d.append(row[-1])
     n_rows = scenario.n_steps + 1
-    if len(rows) != n_rows:
+    if len(times) != n_rows:
         raise TrajectoryFormatError(
-            f"{path}: {len(rows)} samples, but the scenario's time grid "
+            f"{path}: {len(times)} samples, but the scenario's time grid "
             f"(t_start {scenario.t_start:g}, t_end {scenario.t_end:g}, dt "
             f"{scenario.dt:g}) has {n_rows}"
         )
-    # grid_steps's rule for every row: sample k lies k steps after t_start,
-    # to a relative tolerance of 1e-9, and never before it
-    t_start, dt = scenario.t_start, scenario.dt
-    for k, row in enumerate(rows):
-        steps = (row[0] - t_start) / dt
-        if not (0.0 <= steps < math.inf and abs(steps - k) <= 1e-9 * max(1.0, steps)):
+    for k, t in enumerate(times):
+        if grid_steps(t - scenario.t_start, scenario.dt) != k:
             raise TrajectoryFormatError(
-                f"{path}: sample {k} has t = {row[0]!r}, off the scenario's "
+                f"{path}: sample {k} has t = {t!r}, off the scenario's "
                 f"time grid (t_start {scenario.t_start:g}, dt {scenario.dt:g})"
             )
-    u_raw = [row[1 + n_state] for row in rows]
     return Trajectory(
         scenario=scenario,
-        states=[row[1 : 1 + n_state] for row in rows],
+        states=states,
         u_raw=u_raw,
-        u=[row[2 + n_state] for row in rows],
+        u=u,
         active=[-1] * n_rows,
         feasible=[v <= 1.0 for v in u_raw],
-        disturbances=[row[-1] for row in rows],
+        disturbances=d,
     )
 
 

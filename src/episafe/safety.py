@@ -110,11 +110,12 @@ class SafetyConstraint:
                 f"{spec.kind!r} ({size} compartments)"
             )
 
-    def label(self, k: int | None = None) -> str:
+    def label(self, k: int) -> str:
+        """The name, or c<k>_w<index> (z for an outlet), k its position in its set."""
         if self.name:
             return self.name
         prefix = "w" if self.kind == MULTIPLICATIVE else "z"
-        return f"{prefix}{self.index}" if k is None else f"c{k}_{prefix}{self.index}"
+        return f"c{k}_{prefix}{self.index}"
 
 
 class ControlDecision(NamedTuple):
@@ -156,11 +157,11 @@ class ControlDecision(NamedTuple):
 # with active the constraint's position.  Every public control function
 # returns its decision (multiplicative_control and outlet_control with
 # active None); engine.make_input_fn reads u from it.
-# _solver memoizes solve; combined_control answers a plant loop's repeat
-# request from its last-used slot by identity, through a state check
-# generated for the state's length (_check, below), so a controlled sample
-# costs solve and one straight-line check of the list's length, floor and
-# finiteness.
+# _solver memoizes solve; combined_control checks every state through one
+# check generated for the state's length (_check, below), bound to solve
+# and kept in its last-used slot, which answers a plant loop's repeat
+# request by identity: a controlled sample costs solve and one
+# straight-line check of the list's length, floor and finiteness.
 # _margins, below, is the one evaluator of the margins: of a trajectory's
 # states, and of the single state the public functions take.  h_e
 # reads dz/dt from the outlet rows of the model derivative at u = 0: they
@@ -325,11 +326,11 @@ def _solver(spec: ModelSpec, constraints: tuple[SafetyConstraint, ...]):
     return _law_factory(spec.formulas, shape)(spec, constraints)
 
 
-# The state check of combined_control's repeat path: one straight-line
-# function per state length, generated on first use and kept for that
-# length.  make(flat, solve) returns checked(x), which runs ModelSpec.flat's
-# and combined_control's checks on x in their order, with their messages,
-# and then solve(x).  A list is unpacked once and its floor checked only
+# combined_control's one state check: one straight-line function per
+# state length, generated on first use and kept for that length.
+# make(flat, solve) returns checked(x), which runs ModelSpec.flat's checks
+# and the finiteness check on x in that order, with their messages, and
+# then solve(x).  A list is unpacked once and its floor checked only
 # when an entry is negative; a list of another length goes through flat to
 # be named.  Anything else goes through flat, which checks the floor of a
 # sequence (a ModelState checked its own when it was built).  The
@@ -430,6 +431,10 @@ def outlet_control(
 _last = (None, None, None)
 
 
+def _rest(x: list[float]) -> ControlDecision:  # the solve of no constraint
+    return ControlDecision(0.0, 0.0, True, None)
+
+
 def combined_control(
     spec: ModelSpec,
     constraints: Sequence[SafetyConstraint],
@@ -445,12 +450,12 @@ def combined_control(
     index for reproducible audits.
 
     state is a ModelState or the flat [w; z] list of n + m floats that
-    simulate holds; ModelSpec.flat checks either against the model, also
-    without constraints, and passes a list to the law without a copy.  A
-    state holding NaN or an infinity is refused (ValueError).  A repeat of
-    the last request (the same spec and constraint tuple objects) runs the
-    same checks, with the same messages, as generated code for the state's
-    length, and then solve.
+    simulate holds.  Every request, also without constraints, checks it
+    with the one check generated for the model's state length (ModelSpec.
+    flat's checks, then finiteness: ValueError) and passes a list to the
+    law without a copy; a first request checks its constraints against the
+    model before the state.  A repeat of the last request (the same spec
+    and constraint tuple objects) reuses the check bound to its solve.
     """
     global _last
     last = _last
@@ -458,14 +463,10 @@ def combined_control(
         return last[2](state)
     if not isinstance(constraints, tuple):
         constraints = tuple(constraints)
-    x = spec.flat(state)
-    if not isfinite(sum(x)):  # a finite sum has only finite entries
-        _check_finite(x)
-    if not constraints:
-        return ControlDecision(0.0, 0.0, True, None)
-    solve = _solver(spec, constraints)
-    _last = (spec, constraints, _check(spec.n + spec.m)(spec.flat, solve))
-    return solve(x)
+    solve = _solver(spec, constraints) if constraints else _rest
+    checked = _check(spec.n + spec.m)(spec.flat, solve)
+    _last = (spec, constraints, checked)
+    return checked(state)  # not _last's: another caller may have replaced it
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import math
 import os
 import sys
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count, islice, repeat
 from numbers import Integral
@@ -74,7 +74,9 @@ def grid_steps(span: float, dt: float) -> int | None:
     """Number of dt steps in span, or None unless span is finite and
     non-negative, dt finite and positive, and span a whole number of steps
     to a relative tolerance of 1e-9: the one rule that maps times to step
-    numbers."""
+    numbers.  Scenario and delay.PredictorConfig count their steps with it
+    when they are built, and runner.import_trajectory checks each sample
+    time of a file with it."""
     if not (0.0 <= span < math.inf and 0.0 < dt < math.inf):
         return None
     k = span / dt
@@ -91,13 +93,15 @@ class Scenario:
     feedback_mode is one of "instantaneous", "delayed", "predictor"; tau is
     the measurement delay used by the latter two.  disturbance_delta bounds
     the per-step uniform input disturbance (0 disables it; draws use seed,
-    a non-negative integer); state0 must be finite; no two constraints
-    share a label, which heads their CSV column.
+    a non-negative integer), and its draw range 2 * delta must be finite;
+    state0 must be finite; no two constraints share a label, which heads
+    their CSV column.
     The controller is off (u = 0) before sample control_step.  The horizon,
     tau and control_start - t_start map to the step counts n_steps,
     delay_steps and control_step through grid_steps, and must each be a
     whole number of dt steps to its relative tolerance of 1e-9, and
-    n_steps + 1 float64 samples must fit in an address space.
+    n_steps + 1 float64 samples must fit in an address space.  The counts
+    are computed once, when the scenario is built.
     """
 
     spec: ModelSpec
@@ -111,6 +115,9 @@ class Scenario:
     disturbance_delta: float = 0.0
     seed: int = 0
     control_start: float | None = None
+    n_steps: int = field(init=False, repr=False, compare=False)
+    delay_steps: int = field(init=False, repr=False, compare=False)
+    control_step: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "constraints", tuple(self.constraints))
@@ -130,16 +137,17 @@ class Scenario:
             raise ValueError(f"horizon of {steps:g} steps of dt {self.dt:g} is too long to store")
         if self.feedback_mode not in MODES:
             raise ValueError(f"feedback_mode must be one of {MODES}")
-        if grid_steps(self.tau, self.dt) is None:
+        delay_steps = grid_steps(self.tau, self.dt)
+        if delay_steps is None:
             raise ValueError("tau must be a non-negative multiple of dt")
         if self.disturbance_delta < 0.0:
             raise ValueError("disturbance_delta must be non-negative")
+        if not math.isfinite(2.0 * self.disturbance_delta):  # the width of the draw range
+            raise ValueError(f"disturbance_delta must be at most {sys.float_info.max / 2!r}")
         if not (isinstance(self.seed, Integral) and self.seed >= 0):
             raise ValueError("seed must be a non-negative integer")
-        if (
-            grid_steps(self.control_start - self.t_start, self.dt) is None
-            or self.control_start > self.t_end
-        ):
+        control_step = grid_steps(self.control_start - self.t_start, self.dt)
+        if control_step is None or self.control_start > self.t_end:
             raise ValueError(
                 "control_start must fall on the dt grid within [t_start, t_end]"
             )
@@ -153,18 +161,9 @@ class Scenario:
             c.check_against(self.spec)
             if labels[k] in labels[:k]:
                 raise ValueError(f"constraint label {labels[k]!r} repeats an earlier one")
-
-    @property
-    def n_steps(self) -> int:
-        return grid_steps(self.t_end - self.t_start, self.dt)
-
-    @property
-    def delay_steps(self) -> int:
-        return grid_steps(self.tau, self.dt)
-
-    @property
-    def control_step(self) -> int:
-        return grid_steps(self.control_start - self.t_start, self.dt)
+        object.__setattr__(self, "n_steps", steps)
+        object.__setattr__(self, "delay_steps", delay_steps)
+        object.__setattr__(self, "control_step", control_step)
 
     @property
     def guaranteed(self) -> bool:
@@ -521,7 +520,7 @@ def safety_audit(trajectory: Trajectory) -> AuditReport:
     dt = scenario.dt
     start = scenario.control_step
     audits = []
-    for c, series in zip(scenario.constraints, trajectory._h):
+    for k, (c, series) in enumerate(zip(scenario.constraints, trajectory._h)):
         low = min(series)
         alpha, tol = c.alpha, 1e-6 * c.alpha * c.bound
         # one pass for the lowest value, the count below -tol and whether a
@@ -545,7 +544,7 @@ def safety_audit(trajectory: Trajectory) -> AuditReport:
                 nan = True
         audits.append(
             ConstraintAudit(
-                label=c.label(),
+                label=c.label(k),
                 min_margin=low,
                 min_margin_time=scenario.time(series.index(low)),  # its first sample
                 violation_count=len([h for h in series if h < 0.0]) if low < 0.0 else 0,

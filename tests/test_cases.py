@@ -145,6 +145,20 @@ class TestIngest:
             ingest_cases(write(tmp_path, text))
 
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", ": empty file"),
+            ("date,cumulative_confirmed\n2020-13-01,100\n", ":2: bad date '2020-13-01' (need ISO-8601)"),
+            ("date,cumulative_confirmed\n\n", ": no data rows"),
+        ],
+    )
+    def test_whole_file_diagnostics(self, tmp_path, text, message):
+        path = write(tmp_path, text)
+        with pytest.raises(CaseDataError) as exc:
+            ingest_cases(path)
+        assert str(exc.value) == f"{path}{message}"
+
 class TestScaling:
     def test_two_row_example(self):
         records = [
@@ -183,3 +197,8 @@ class TestScaling:
         assert meta["exponent"] == pytest.approx(1.0 / 3.0)
         assert meta["reference_positivity"] == pytest.approx(0.05)
         assert "formula" in meta
+
+    def test_no_records_rejected(self):
+        with pytest.raises(CaseDataError) as exc:
+            scale_cases([])
+        assert str(exc.value) == "no records to scale"

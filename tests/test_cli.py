@@ -45,6 +45,7 @@ DOCUMENTED_EXIT_CODES = (0, 2, 3, 4)
 
 TOO_LONG = "error: horizon of 1.9e+302 steps of dt 1e-300 is too long to store\n"
 TOO_LONG_FOR_MEMORY = "error: run of 1.9e+17 samples is too long to hold in memory\n"
+DRAW_RANGE = "disturbance_delta must be at most 8.988465674311579e+307\n"
 
 
 def sir_doc(initial, feedback, constraints, t_end=30):
@@ -142,6 +143,17 @@ class TestSimulate:
         # 1.9e302 steps: more float64 samples than an address space holds
         assert main(["simulate", "sir_fig2", "--dt", "1e-300"]) == 2
         assert capsys.readouterr() == ("", TOO_LONG)
+
+    def test_disturbance_whose_draw_range_overflows_exits_2(self, tmp_path, capsys):
+        # 2 * delta is inf: numpy's uniform would raise OverflowError
+        path = tmp_path / "big.scenario"
+        path.write_text(PRESETS["sir_delay_danger"] + "\n[disturbance]\ndelta = 8.99e307\n")
+        assert main(["simulate", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: {DRAW_RANGE}")
+        # the largest delta whose range is finite still runs
+        path.write_text(PRESETS["sir_delay_danger"] + "\n[disturbance]\ndelta = 8.988465674311579e307\n")
+        assert main(["simulate", str(path)]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("mode", ["delayed", "predictor"])
     def test_delay_longer_than_the_run_exits_cleanly(self, tmp_path, capsys, mode):
@@ -450,6 +462,14 @@ class TestSweep:
             "sweep", "sir_fig2", "--param", "dt", "--values", "0.1,1e-300", "--out", str(tmp_path),
         ]) == 2
         assert capsys.readouterr() == ("", TOO_LONG)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_disturbance_whose_draw_range_overflows_exits_2(self, tmp_path, capsys):
+        assert main([
+            "sweep", "sir_delay_danger", "--param", "delta", "--values", "1e308",
+            "--out", str(tmp_path),
+        ]) == 2
+        assert capsys.readouterr() == ("", f"error: {DRAW_RANGE}")
         assert list(tmp_path.iterdir()) == []
 
     def test_delays_longer_than_the_run_exit_cleanly(self, capsys):

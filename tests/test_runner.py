@@ -353,6 +353,36 @@ class TestTrajectoryCsv:
         assert str(err.value).startswith(f"{path}: cannot read trajectory: ")
         assert str(err.value).count(str(path)) == 1
 
+    def test_import_names_the_first_faulty_line(self, short_run, tmp_path):
+        # a nan state cell on line 5 and a non-number on line 10: the lines
+        # are checked in one pass, so the earlier one is named
+        path = export_trajectory(short_run, tmp_path / "t.csv")
+        lines = path.read_text().splitlines()
+        for number, cell in ((5, "nan"), (10, "x")):
+            cells = lines[number - 1].split(",")
+            cells[2] = cell
+            lines[number - 1] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TrajectoryFormatError, match="line 5: I = nan is not finite$"):
+            import_trajectory(path, short_run.scenario)
+
+    def test_import_accepts_finite_cells_whose_sum_overflows(self, short_run, tmp_path):
+        path = export_trajectory(short_run, tmp_path / "t.csv")
+        lines = path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[1:3] = ["1e308", "1e308"]
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        traj = import_trajectory(path, short_run.scenario)
+        assert traj.state_at(2).x.tolist()[:2] == [1e308, 1e308]
+
+    def test_import_names_an_empty_file(self, short_run, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("")
+        with pytest.raises(TrajectoryFormatError) as exc:
+            import_trajectory(path, short_run.scenario)
+        assert str(exc.value) == f"{path}: empty trajectory file"
+
     def test_import_time_check_matches_grid_steps(self, short_run, tmp_path):
         # the importer checks every row at once; grid_steps, row by row, is
         # the reference

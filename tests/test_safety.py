@@ -142,6 +142,14 @@ class TestSafetyConstraint:
     def test_index_accepts_numpy_integers(self):
         assert SafetyConstraint(MULTIPLICATIVE, np.int64(1), 2e5, 0.02).index == 1
 
+    def test_label_needs_its_position(self):
+        # an unnamed constraint is labelled by its place in its set
+        c = SafetyConstraint(OUTLET, 0, 1e4, 0.1, alpha_e=0.1)
+        assert c.label(3) == "c3_z0"
+        assert dataclasses.replace(c, name="H").label(3) == "H"
+        with pytest.raises(TypeError):
+            c.label()
+
     def test_index_range_check(self, sir_spec):
         c = SafetyConstraint(MULTIPLICATIVE, 5, 1e4, 0.1)
         with pytest.raises(ValueError, match="out of range"):
@@ -680,6 +688,23 @@ class TestRepeatRequest:
             combined_control(spec, cons, good)  # fills the slot
             assert safety._last[0] is spec and safety._last[1] is cons
             assert self.refusal(spec, cons, state) == first == message
+
+    def test_first_request_names_the_constraint_before_the_state(self):
+        # the constraints are checked against the model as solve is built,
+        # before the state reaches the one state check
+        spec = build_model(SIR_US)
+        cons = (SafetyConstraint(MULTIPLICATIVE, 5, 1e4, 0.1),)
+        message = "multiplicative index 5 out of range for model 'sir' (2 compartments)"
+        assert self.refusal(spec, cons, [1e5, 1e5]) == message
+
+    def test_request_without_constraints_checks_its_state(self):
+        # the first request and its repeat refuse alike, then rest at u = 0
+        spec, cons = build_model(SIR_US), ()
+        x = [math.nan, 1e5, 1e6]
+        for _ in range(2):
+            assert self.refusal(spec, cons, x) == f"state must be finite, got {x}"
+            assert safety._last[0] is spec and safety._last[1] is cons
+        assert combined_control(spec, cons, [1e7, 1e5, 1e6]) == (0.0, 0.0, True, None)
 
     @pytest.mark.parametrize("kind", ["sir", "seir", "sihrd", "dense"])
     def test_repeat_decides_as_solve(self, kind):

@@ -153,6 +153,41 @@ class TestParsing:
         with pytest.raises(ScenarioParseError, match="empty"):
             parse_scenario(p)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda t: t.replace("kind = sir\n", ""), "3: [model] section needs a 'kind'"),
+            (
+                lambda t: t.replace("kind = sir", "kind = sirs"),
+                "4: unknown model kind 'sirs' (choose from ['seir', 'sihrd', 'sir'])",
+            ),
+            (lambda t: t.replace("gamma = 0.2\n", ""), "3: [model] missing parameter(s) ['gamma']"),
+            (
+                lambda t: t.replace("gamma = 0.2", "gamma = 0"),
+                "3: parameter gamma must be strictly positive, got 0.0",
+            ),
+            (lambda t: t.replace("compartment = I\n", ""), "23: [constraint] needs a 'compartment'"),
+            (lambda t: t.replace("bound = 5e4\n", ""), "23: [constraint] on I: missing 'bound'"),
+            (lambda t: t.replace("dt = 0.1\n", ""), "14: [time] missing 'dt'"),
+            (lambda t: t + "\n[time]\n", "28: duplicate section [time]"),
+            (lambda t: t.replace("mode = delayed", "mode"), "20: expected 'key = value', got 'mode'"),
+            (lambda t: t.replace("tau = 20", "tau ="), "21: malformed assignment 'tau ='"),
+            (
+                lambda t: t.replace("[initial]\nS = 32.9e6\nI = 2000\nR = 97998\n", ""),
+                " missing section [initial]",
+            ),
+            (
+                lambda t: t.replace("I = 2000", "I = -2000"),
+                "9: [initial]: negative population -2000 in state (floor -0.033)",
+            ),
+        ],
+    )
+    def test_diagnostic_names_its_line(self, edit, message):
+        # one edit of sir_delay_danger each; message follows "x.scenario:"
+        with pytest.raises(ScenarioParseError) as exc:
+            parse_scenario_text(edit(PRESETS["sir_delay_danger"]), origin="x.scenario")
+        assert str(exc.value) == "x.scenario:" + message
+
     def test_undecodable_file_named(self, tmp_path):
         p = tmp_path / "latin1.scenario"
         p.write_bytes(MINIMAL.replace("kind = sir", "kind = sir  # caf\xe9").encode("latin-1"))
@@ -359,6 +394,13 @@ class TestPresets:
         gains = {c.name: (c.alpha, c.alpha_e) for c in sc.constraints}
         assert gains["H"] == (0.018, 0.014)
         assert gains["D"] == (0.018, 0.018)
+
+    def test_unknown_preset(self):
+        with pytest.raises(ScenarioParseError) as exc:
+            load_preset("nope")
+        assert str(exc.value) == (
+            "unknown preset 'nope' (available: sihrd_fig3, sir_delay_danger, sir_fig2)"
+        )
 
     def test_resolve_prefers_presets_then_files(self, tmp_path):
         name, sc = resolve_scenario("sir_fig2")

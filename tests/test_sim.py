@@ -3,11 +3,12 @@
 import dataclasses
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
 
-from episafe import engine, safety
+from episafe import delay, engine, safety, sim
 from episafe.delay import PredictorConfig
 from episafe.engine import rk4_flat
 from episafe.models import SirParams, build_model
@@ -99,6 +100,32 @@ class TestScenarioValidation:
     def test_negative_delta_rejected(self, sir_spec):
         with pytest.raises(ValueError, match="disturbance"):
             sir_scenario(sir_spec, disturbance_delta=-0.1)
+
+    def test_delta_whose_draw_range_overflows_rejected(self, sir_spec):
+        # numpy's uniform(-delta, delta) raises OverflowError once 2 * delta
+        # is inf, also for a run whose law never draws
+        half = sys.float_info.max / 2
+        for delta in (8.99e307, math.nextafter(half, math.inf)):
+            with pytest.raises(ValueError) as err:
+                sir_scenario(sir_spec, disturbance_delta=delta)
+            assert str(err.value) == "disturbance_delta must be at most 8.988465674311579e+307"
+        traj = simulate(sir_scenario(sir_spec, t_end=1.0, disturbance_delta=half))
+        assert all(abs(d) <= half for d in traj.disturbances.tolist())
+
+    def test_step_counts_are_computed_once(self, sir_spec, monkeypatch):
+        sc = sir_scenario(
+            sir_spec, t_start=5.0, t_end=45.0, control_start=7.5, feedback_mode="delayed", tau=2.0
+        )
+        config = PredictorConfig(tau=2.0, dt_pred=0.1)
+        # a read that ran grid_steps again would fail
+        monkeypatch.setattr(sim, "grid_steps", None)
+        monkeypatch.setattr(delay, "grid_steps", None)
+        assert (sc.n_steps, sc.delay_steps, sc.control_step, config.n_steps) == (400, 20, 25, 20)
+        monkeypatch.undo()
+        # not part of the repr or the comparison, and recomputed on replace
+        assert "n_steps" not in repr(sc) and "n_steps" not in repr(config)
+        assert dataclasses.replace(sc, t_end=10.0).n_steps == 50
+        assert dataclasses.replace(config, tau=0.5).n_steps == 5
 
     @pytest.mark.parametrize("seed", [-3, 2.5])
     def test_seed_must_be_a_non_negative_integer(self, sir_spec, seed):
@@ -455,6 +482,20 @@ class TestSafetyAudit:
         audit = safety_audit(dataclasses.replace(traj, scenario=scenario)).constraints[0]
         assert audit.decay_check_worst == math.inf
         assert audit.decay_check_failures == 0
+
+    def test_unnamed_constraints_labelled_by_position(self, sir_spec, tmp_path):
+        # an unnamed cap and floor on I: the audit names them as the CSV
+        # columns and the initial-condition report do
+        cap = SafetyConstraint(MULTIPLICATIVE, 1, 2e5, 0.02)
+        floor = dataclasses.replace(cap, bound=1e4, direction="lower")
+        traj = simulate(sir_scenario(sir_spec, t_end=2.0, constraints=(cap, floor)))
+        report = safety_audit(traj)
+        labels = ["c0_w1", "c1_w1"]
+        assert [c.label for c in report.constraints] == labels
+        assert [line.split(":")[0] for line in report.describe().splitlines()[:2]] == labels
+        assert [c.label for c in traj.initial_report.checks] == labels
+        header = export_trajectory(traj, tmp_path / "t.csv").read_text().splitlines()[0]
+        assert header.split(",")[-3:-1] == ["h_" + label for label in labels]
 
     def test_audit_with_explicit_constraints(self, sir_spec):
         traj = simulate(sir_scenario(sir_spec, t_end=20.0))
