@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .contract import LocatedError, read_text
+
 __all__ = [
     "EXPONENT",
     "CaseRecord",
@@ -32,11 +34,8 @@ _COLUMNS = ("date", "cumulative_confirmed", "positivity_rate", "mobility_index")
 EXPONENT = 1.0 / 3.0  # the damping exponent of scale_cases
 
 
-class CaseDataError(ValueError):
-    def __init__(self, message: str, origin: str = "", line: int | None = None):
-        where = origin if line is None else f"{origin}:{line}"
-        super().__init__(f"{where}: {message}" if where else message)
-        self.line = line
+class CaseDataError(LocatedError):
+    pass
 
 
 @dataclass(frozen=True)
@@ -70,77 +69,67 @@ def ingest_cases(path: str | Path) -> list[CaseRecord]:
     cumulative counts must be non-decreasing.  A mobility_index cell must
     be numeric when present, but is not kept.  Offending rows are reported
     by line number, a field the csv module refuses included; a file that
-    cannot be read or is not UTF-8 is reported by its path.
+    cannot be read or is not UTF-8 is reported by its path (see
+    contract.read_text, which also drops a leading byte-order mark).
     """
     path = Path(path)
     origin = str(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        reason = getattr(exc, "strerror", None) or exc  # an OSError's text repeats the path
-        raise CaseDataError(f"cannot read case data: {reason}", origin) from exc
+    text = read_text(path, "case data", CaseDataError)
     if not text:  # any other text has a first row, if only an empty one
         raise CaseDataError("empty file", origin)
     # one stream, so that a quoted field keeps its line breaks; each row is
     # numbered by the physical line it ends on
     reader = csv.reader(io.StringIO(text, newline=""))
+
+    def fault(message: str) -> CaseDataError:  # at the row last read
+        return CaseDataError(message, origin, reader.line_num)
+
     records: list[CaseRecord] = []
     try:
         header = tuple(h.strip() for h in next(reader))
         if header not in {_COLUMNS[:k] for k in (2, 3, 4)}:
-            raise CaseDataError(
+            raise fault(
                 f"unexpected header {','.join(header)!r}; expected "
-                "date,cumulative_confirmed[,positivity_rate][,mobility_index]",
-                origin,
-                reader.line_num,
+                "date,cumulative_confirmed[,positivity_rate][,mobility_index]"
             )
         # the header is a prefix of _COLUMNS, so cell k is column _COLUMNS[k];
         # a column the header lacks reads as an empty cell
         for row in reader:
-            lineno = reader.line_num
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != len(header):
-                raise CaseDataError(
-                    f"expected {len(header)} fields, got {len(row)}", origin, lineno
-                )
+                raise fault(f"expected {len(header)} fields, got {len(row)}")
             date, count, positivity, mobility = ([cell.strip() for cell in row] + ["", ""])[:4]
             try:
                 day = dt.date.fromisoformat(date)
             except ValueError:
-                raise CaseDataError(
-                    f"bad date {date!r} (need ISO-8601)", origin, lineno
-                ) from None
+                raise fault(f"bad date {date!r} (need ISO-8601)") from None
             try:
                 cumulative = float(count)
                 rate = float(positivity) if positivity else None
                 if mobility:
                     float(mobility)
             except ValueError as exc:
-                raise CaseDataError(f"bad numeric field: {exc}", origin, lineno) from None
+                raise fault(f"bad numeric field: {exc}") from None
             try:
                 record = CaseRecord(day, cumulative, rate)
             except ValueError as exc:
-                raise CaseDataError(str(exc), origin, lineno) from exc
+                raise fault(str(exc)) from exc
             if records:
                 if record.date <= records[-1].date:
-                    raise CaseDataError(
+                    raise fault(
                         f"dates must be strictly increasing "
-                        f"({record.date} after {records[-1].date})",
-                        origin,
-                        lineno,
+                        f"({record.date} after {records[-1].date})"
                     )
                 if record.cumulative_confirmed < records[-1].cumulative_confirmed:
-                    raise CaseDataError(
+                    raise fault(
                         f"cumulative count decreases "
                         f"({record.cumulative_confirmed:g} after "
-                        f"{records[-1].cumulative_confirmed:g})",
-                        origin,
-                        lineno,
+                        f"{records[-1].cumulative_confirmed:g})"
                     )
             records.append(record)
     except csv.Error as exc:  # a field over csv.field_size_limit(), say
-        raise CaseDataError(str(exc), origin, reader.line_num) from None
+        raise fault(str(exc)) from None
     if not records:
         raise CaseDataError("no data rows", origin)
     return records

@@ -72,11 +72,13 @@ def predict_state(
     k - D >= control_step.  measured may also be the flat [w; z] list
     (see ModelSpec.flat); the forecast is a ModelState at every delay, and
     at zero delay a ModelState comes back as itself.  t_measured and every
-    entry of measured must be finite (ValueError).  The forecast no longer
-    depends on t_measured; ROADMAP item 3c removes it together with
-    config.constraints once step 1a lets the benchmark's probe change.
+    entry of measured must be finite (ValueError).  The forecast is computed
+    on Python floats, also from a list of numpy scalars, whose overflow
+    would warn.  It no longer depends on t_measured; ROADMAP item 3c
+    removes it together with config.constraints once step 1a lets the
+    benchmark's probe change.
     """
-    x = spec.flat(measured)
+    x = [*map(float, spec.flat(measured))]
     _check_finite(x)
     if not math.isfinite(t_measured):
         raise ValueError(f"t_measured must be finite, got {t_measured!r}")

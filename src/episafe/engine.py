@@ -2,27 +2,13 @@
 
 States travel as plain float lists here: the rollouts evaluate the
 dynamics up to a million times per run, and numpy call overhead on
-length-5 vectors would dominate the cost.  The plant loop in sim.simulate
-steps the same lists with rk4_flat and evaluates the feedback law through
-safety.combined_control, on the flat feedback list itself: no ModelState
-is built per sample.  The list's length, population floor and finiteness
-are checked (on the plant loop's repeat request by one straight-line
-check generated per state length, with ModelSpec.flat's messages), and
-solve reads the list uncopied.  The model derivative and the law are both
-compiled from the model's formula table (models.FormulaTable): the
-derivative once per table, the law once per table and shape of constraint
-set, with the table's formulas written into the law's own code, so a law
-evaluation calls no model evaluator.  The law has one entry point,
-solve(x) -> ControlDecision on the flat state, memoized by safety._solver:
-combined_control returns its decision as is (answering the plant loop's
-repeat request from a last-used slot), and make_input_fn returns its u at
-every step.  closed_loop_rollout replays a list of commands, one per step:
-sim.simulate forecasts across the delay with the commands it sent, so its
-forecasts run no law and call nothing per step but rk4_flat.
-delay.predict_state steps rk4_flat itself, with make_input_fn's law
-evaluated at every step, behind a ModelState interface.
-ModelSpec.flat turns a ModelState into the flat list, and is the one check
-that a state, in either form, fits the model.
+length-5 vectors would dominate the cost.  ModelSpec.flat turns a
+ModelState into the flat list.  make_input_fn returns the u of the law
+that safety compiles for a constraint set, solve(x), as u(k, x):
+delay.predict_state steps rk4_flat with it, evaluated at every step.
+closed_loop_rollout replays a list of commands, one per step: sim.simulate
+forecasts across the delay with the commands it sent, so its forecasts run
+no law and call nothing per step but rk4_flat.
 
 rk4_flat takes one call per state-step.  A derivative compiled from a
 formula table carries a fused step, derivative_t.rk4, which writes the

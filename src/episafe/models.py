@@ -217,23 +217,17 @@ class SirParams(_Rates):
 
 
 @dataclass(frozen=True)
-class SeirParams(_Rates):
+class SeirParams(SirParams):
     """SEIR rates: SIR parameters plus inverse latency sigma (1/day)."""
 
-    beta0: float
-    gamma: float
-    N: float
     sigma: float
 
 
 @dataclass(frozen=True)
-class SihrdParams(_Rates):
+class SihrdParams(SirParams):
     """SIHRD rates: SIR parameters plus hospitalization lam, hospital
     recovery nu and death rate mu (all 1/day)."""
 
-    beta0: float
-    gamma: float
-    N: float
     lam: float
     nu: float
     mu: float

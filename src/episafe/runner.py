@@ -27,6 +27,8 @@ from .contract import (
     EXIT_VALIDATION,
     EXIT_VIOLATION,
     SWEEP_PARAMETERS,
+    LocatedError,
+    read_text,
 )
 from .scenarios import SETTINGS
 from .sim import (
@@ -65,7 +67,7 @@ VIOLATION_TOL = 1e-6
 _SEVERITY = (EXIT_VIOLATION, EXIT_INFEASIBLE, EXIT_OK)
 
 
-class TrajectoryFormatError(ValueError):
+class TrajectoryFormatError(LocatedError):
     pass
 
 
@@ -214,23 +216,21 @@ def import_trajectory(path: str | Path, scenario: Scenario) -> Trajectory:
     row per sample of the scenario's time grid, and grid_steps must map
     each t - t_start to its sample's step number (TrajectoryFormatError
     otherwise), so that the audit's decay check uses the file's own step.
-    A file that cannot be read or is not UTF-8 is named by its path.
+    A file that cannot be read or is not UTF-8 is named by its path, and a
+    leading byte-order mark is dropped (see contract.read_text).
     """
     path = Path(path)
-    try:
-        # not splitlines: a form feed ends no line
-        lines = path.read_text(encoding="utf-8").split("\n")
-    except (OSError, UnicodeDecodeError) as exc:
-        reason = getattr(exc, "strerror", None) or exc  # an OSError's text repeats the path
-        raise TrajectoryFormatError(f"{path}: cannot read trajectory: {reason}") from exc
+    origin = str(path)
+    # not splitlines: a form feed ends no line
+    lines = read_text(path, "trajectory", TrajectoryFormatError).split("\n")
     if lines == [""]:
-        raise TrajectoryFormatError(f"{path}: empty trajectory file")
+        raise TrajectoryFormatError("empty trajectory file", origin)
     expected = _columns(scenario)
     header = lines[0].split(",")
     if header != expected:
         raise TrajectoryFormatError(
-            f"{path}: header {','.join(header)!r} does not match scenario "
-            f"(expected {','.join(expected)!r})"
+            f"header {','.join(header)!r} does not match scenario "
+            f"(expected {','.join(expected)!r})", origin
         )
     width, n_state = len(expected), len(scenario.spec.labels)
     read = [*range(1, 3 + n_state), width - 1]  # the states, u_raw, u and d
@@ -241,18 +241,18 @@ def import_trajectory(path: str | Path, scenario: Scenario) -> Trajectory:
         cells = line.split(",")
         if len(cells) != width:
             raise TrajectoryFormatError(
-                f"{path}: line {number}: expected {width} fields, got {len(cells)}"
+                f"line {number}: expected {width} fields, got {len(cells)}", origin
             )
         try:
             row = list(map(float, cells))
         except ValueError as exc:
-            raise TrajectoryFormatError(f"{path}: line {number}: bad numeric cell: {exc}") from None
+            raise TrajectoryFormatError(f"line {number}: bad numeric cell: {exc}", origin) from None
         # a finite sum has only finite entries
         if not math.isfinite(sum(row[1 : 3 + n_state]) + row[-1]):
             for j in read:
                 if not math.isfinite(row[j]):  # the first, named by its column
                     raise TrajectoryFormatError(
-                        f"{path}: line {number}: {expected[j]} = {row[j]} is not finite"
+                        f"line {number}: {expected[j]} = {row[j]} is not finite", origin
                     )
         times.append(row[0])
         states.append(row[1 : 1 + n_state])
@@ -262,15 +262,15 @@ def import_trajectory(path: str | Path, scenario: Scenario) -> Trajectory:
     n_rows = scenario.n_steps + 1
     if len(times) != n_rows:
         raise TrajectoryFormatError(
-            f"{path}: {len(times)} samples, but the scenario's time grid "
+            f"{len(times)} samples, but the scenario's time grid "
             f"(t_start {scenario.t_start:g}, t_end {scenario.t_end:g}, dt "
-            f"{scenario.dt:g}) has {n_rows}"
+            f"{scenario.dt:g}) has {n_rows}", origin
         )
     for k, t in enumerate(times):
         if grid_steps(t - scenario.t_start, scenario.dt) != k:
             raise TrajectoryFormatError(
-                f"{path}: sample {k} has t = {t!r}, off the scenario's "
-                f"time grid (t_start {scenario.t_start:g}, dt {scenario.dt:g})"
+                f"sample {k} has t = {t!r}, off the scenario's "
+                f"time grid (t_start {scenario.t_start:g}, dt {scenario.dt:g})", origin
             )
     return Trajectory(
         scenario=scenario,

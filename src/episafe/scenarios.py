@@ -22,6 +22,7 @@ import math
 from pathlib import Path
 from typing import NamedTuple
 
+from .contract import LocatedError, read_text
 from .models import MODELS, ModelSpec, build_model, steered
 from .safety import MULTIPLICATIVE, OUTLET, SafetyConstraint
 from .sim import Scenario
@@ -79,22 +80,23 @@ _REQUIRED_SECTIONS = ("model", "initial") + tuple(
 _CONSTRAINT_KEYS = {"compartment", "bound", "alpha", "alpha_e", "direction", "name"}
 
 
-class ScenarioParseError(ValueError):
-    def __init__(self, message: str, origin: str = "", line: int | None = None):
-        where = origin if line is None else f"{origin}:{line}"
-        super().__init__(f"{where}: {message}" if where else message)
-        self.origin = origin
-        self.line = line
+class ScenarioParseError(LocatedError):
+    pass
 
 
 class _Section:
     """One parsed section: raw values plus the line each key came from."""
 
-    def __init__(self, name: str, lineno: int):
+    def __init__(self, name: str, lineno: int | None, origin: str):
         self.name = name
-        self.lineno = lineno
+        self.lineno = lineno  # of the header; None for the top level, which has none
+        self.origin = origin
         self.values: dict[str, str] = {}
         self.lines: dict[str, int] = {}
+
+    def fault(self, message: str, key: str | None = None) -> ScenarioParseError:
+        """The error at key's line, or at the header's when key is absent."""
+        return ScenarioParseError(message, self.origin, self.lines.get(key, self.lineno))
 
 
 def default_gains(spec: ModelSpec, kind: str, index: int) -> tuple[float, float | None]:
@@ -117,7 +119,7 @@ def default_gains(spec: ModelSpec, kind: str, index: int) -> tuple[float, float 
     return alpha, own_rate / 10.0 if own_rate > 0.0 else alpha
 
 
-def _value(sec: _Section, key: str, origin: str, type_: type = float):
+def _value(sec: _Section, key: str, type_: type = float):
     """The value of key as type_: float (finite), int or str."""
     raw = sec.values[key]
     if type_ is str:
@@ -126,77 +128,60 @@ def _value(sec: _Section, key: str, origin: str, type_: type = float):
         v = type_(raw)
     except ValueError:
         noun = "a number" if type_ is float else "an integer"
-        raise ScenarioParseError(
-            f"key {key!r}: cannot parse {raw!r} as {noun}", origin, sec.lines.get(key)
-        ) from None
+        raise sec.fault(f"key {key!r}: cannot parse {raw!r} as {noun}", key) from None
     if type_ is float and not math.isfinite(v):
-        raise ScenarioParseError(f"key {key!r}: non-finite value", origin, sec.lines.get(key))
+        raise sec.fault(f"key {key!r}: non-finite value", key)
     return v
 
 
-def _check_keys(sec: _Section, allowed: set[str], origin: str) -> None:
+def _check_keys(sec: _Section, allowed: set[str]) -> None:
     where = f"[{sec.name}]" if sec.name else "top-level"
     for key in sec.values:
         if key not in allowed:
-            raise ScenarioParseError(
-                f"unknown {where} key {key!r}", origin, sec.lines.get(key)
-            )
+            raise sec.fault(f"unknown {where} key {key!r}", key)
 
 
-def _build_model(sec: _Section, origin: str) -> ModelSpec:
+def _build_model(sec: _Section) -> ModelSpec:
     kind = sec.values.get("kind")
     if kind is None:
-        raise ScenarioParseError("[model] section needs a 'kind'", origin, sec.lineno)
+        raise sec.fault("[model] section needs a 'kind'")
     if kind not in MODELS:
-        raise ScenarioParseError(
-            f"unknown model kind {kind!r} (choose from {sorted(MODELS)})",
-            origin,
-            sec.lines.get("kind"),
-        )
+        raise sec.fault(f"unknown model kind {kind!r} (choose from {sorted(MODELS)})", "kind")
     rates, table = MODELS[kind]
     missing = [k for k in table.params if k not in sec.values]
     if missing:
-        raise ScenarioParseError(
-            f"[model] missing parameter(s) {missing}", origin, sec.lineno
-        )
-    _check_keys(sec, set(table.params) | {"kind"}, origin)
-    params = {k: _value(sec, k, origin) for k in table.params}
+        raise sec.fault(f"[model] missing parameter(s) {missing}")
+    _check_keys(sec, set(table.params) | {"kind"})
+    params = {k: _value(sec, k) for k in table.params}
     try:
         return build_model(rates(**params))
     except ValueError as exc:
-        raise ScenarioParseError(str(exc), origin, sec.lineno) from exc
+        raise sec.fault(str(exc)) from exc
 
 
-def _build_constraint(spec: ModelSpec, sec: _Section, origin: str) -> SafetyConstraint:
-    _check_keys(sec, _CONSTRAINT_KEYS, origin)
+def _build_constraint(spec: ModelSpec, sec: _Section) -> SafetyConstraint:
+    _check_keys(sec, _CONSTRAINT_KEYS)
     label = sec.values.get("compartment")
     if label is None:
-        raise ScenarioParseError("[constraint] needs a 'compartment'", origin, sec.lineno)
+        raise sec.fault("[constraint] needs a 'compartment'")
     if label not in spec.labels:
-        raise ScenarioParseError(
-            f"unknown compartment {label!r} for model {spec.kind!r}",
-            origin,
-            sec.lines.get("compartment"),
-        )
+        raise sec.fault(f"unknown compartment {label!r} for model {spec.kind!r}", "compartment")
     if "bound" not in sec.values:
-        raise ScenarioParseError(
-            f"[constraint] on {label}: missing 'bound'", origin, sec.lineno
-        )
+        raise sec.fault(f"[constraint] on {label}: missing 'bound'")
     acted_on = steered(spec.formulas)
     if label not in acted_on:
-        raise ScenarioParseError(
+        raise sec.fault(
             f"the input has no authority over {label} in the {spec.kind} model "
             f"(bound {' or '.join(acted_on)} instead)",
-            origin,
-            sec.lines.get("compartment"),
+            "compartment",
         )
     pos = spec.labels.index(label)
     kind = MULTIPLICATIVE if pos < spec.n else OUTLET
     index = pos if pos < spec.n else pos - spec.n
     d_alpha, d_alpha_e = default_gains(spec, kind, index)
-    alpha = _value(sec, "alpha", origin) if "alpha" in sec.values else d_alpha
-    alpha_e = _value(sec, "alpha_e", origin) if "alpha_e" in sec.values else d_alpha_e
-    bound = _value(sec, "bound", origin)
+    alpha = _value(sec, "alpha") if "alpha" in sec.values else d_alpha
+    alpha_e = _value(sec, "alpha_e") if "alpha_e" in sec.values else d_alpha_e
+    bound = _value(sec, "bound")
     try:
         return SafetyConstraint(
             kind=kind,
@@ -208,33 +193,33 @@ def _build_constraint(spec: ModelSpec, sec: _Section, origin: str) -> SafetyCons
             name=sec.values.get("name", label),
         )
     except ValueError as exc:
-        raise ScenarioParseError(
-            f"[constraint] on {label}: {exc}", origin, sec.lineno
-        ) from exc
+        raise sec.fault(f"[constraint] on {label}: {exc}") from exc
 
 
-def _settings(named: dict[str, _Section], origin: str) -> dict[str, object]:
+def _settings(named: dict[str, _Section]) -> dict[str, object]:
     """SETTINGS by Scenario field.  Per section: check the keys, then look
     for the required ones, then parse.  An absent section requires none."""
     values = {}
     for section, rows in _SETTING_SECTIONS.items():
-        sec = named.get(section, _Section(section, 0))
-        _check_keys(sec, {s.key for s in rows}, origin)
+        sec = named.get(section) or _Section(section, None, "")  # no keys: raises nothing
+        _check_keys(sec, {s.key for s in rows})
         for s in rows:
             if s.default is _REQUIRED and s.key not in sec.values:
-                raise ScenarioParseError(f"[{section}] missing {s.key!r}", origin, sec.lineno)
+                raise sec.fault(f"[{section}] missing {s.key!r}")
         for s in rows:
-            values[s.field] = (
-                _value(sec, s.key, origin, s.type) if s.key in sec.values else s.default
-            )
+            values[s.field] = _value(sec, s.key, s.type) if s.key in sec.values else s.default
     return values
 
 
 def parse_scenario_text(text: str, origin: str = "<string>") -> Scenario:
     """Parse and fully validate a scenario document."""
     known = {"model", "initial", "constraint", *_SETTING_SECTIONS}
-    top = _Section("", 0)
+    top = _Section("", None, origin)
     sections: list[_Section] = [top]
+
+    def fault(message: str) -> ScenarioParseError:  # at the line being read
+        return ScenarioParseError(message, origin, lineno)
+
     # lines end at \n, \r\n or \r alone, not at a form feed or U+2028 as in splitlines
     for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -243,78 +228,70 @@ def parse_scenario_text(text: str, origin: str = "<string>") -> Scenario:
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
             if name not in known:
-                raise ScenarioParseError(f"unknown section [{name}]", origin, lineno)
+                raise fault(f"unknown section [{name}]")
             if name != "constraint" and any(s.name == name for s in sections):
-                raise ScenarioParseError(f"duplicate section [{name}]", origin, lineno)
-            sections.append(_Section(name, lineno))
+                raise fault(f"duplicate section [{name}]")
+            sections.append(_Section(name, lineno, origin))
             continue
         if "=" not in line:
-            raise ScenarioParseError(
-                f"expected 'key = value', got {line!r}", origin, lineno
-            )
+            raise fault(f"expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if not key or not value:
-            raise ScenarioParseError(f"malformed assignment {line!r}", origin, lineno)
+            raise fault(f"malformed assignment {line!r}")
         sec = sections[-1]
         if key in sec.values:
-            raise ScenarioParseError(f"duplicate key {key!r}", origin, lineno)
+            raise fault(f"duplicate key {key!r}")
         sec.values[key] = value
         sec.lines[key] = lineno
 
-    _check_keys(top, {"schema_version"}, origin)
+    _check_keys(top, {"schema_version"})
     if "schema_version" not in top.values:
-        raise ScenarioParseError("missing mandatory 'schema_version'", origin)
-    version = _value(top, "schema_version", origin, int)
+        raise top.fault("missing mandatory 'schema_version'")
+    version = _value(top, "schema_version", int)
     if version != SCHEMA_VERSION:
-        raise ScenarioParseError(
+        raise top.fault(
             f"schema_version {version} not supported (expected {SCHEMA_VERSION})",
-            origin,
-            top.lines.get("schema_version"),
+            "schema_version",
         )
 
     named = {s.name: s for s in sections if s.name != "constraint"}
     for required in _REQUIRED_SECTIONS:
         if required not in named:
-            raise ScenarioParseError(f"missing section [{required}]", origin)
+            raise top.fault(f"missing section [{required}]")
 
-    spec = _build_model(named["model"], origin)
+    spec = _build_model(named["model"])
 
     init = named["initial"]
-    _check_keys(init, set(spec.labels), origin)
+    _check_keys(init, set(spec.labels))
     missing = [lbl for lbl in spec.labels if lbl not in init.values]
     if missing:
-        raise ScenarioParseError(
-            f"[initial] missing compartment(s) {missing}", origin, init.lineno
-        )
+        raise init.fault(f"[initial] missing compartment(s) {missing}")
     try:
-        state0 = spec.state([_value(init, lbl, origin) for lbl in spec.labels])
+        state0 = spec.state([_value(init, lbl) for lbl in spec.labels])
     except ValueError as exc:
-        raise ScenarioParseError(f"[initial]: {exc}", origin, init.lineno) from exc
+        raise init.fault(f"[initial]: {exc}") from exc
 
-    settings = _settings(named, origin)
+    settings = _settings(named)
     constraints = []
     for sec in (s for s in sections if s.name == "constraint"):
-        c = _build_constraint(spec, sec, origin)
+        c = _build_constraint(spec, sec)
         if c.name in (other.name for other in constraints):
             message = f"[constraint] name {c.name!r} repeats an earlier one: give one a 'name'"
-            raise ScenarioParseError(message, origin, sec.lines.get("name", sec.lineno))
+            raise sec.fault(message, "name")
         constraints.append(c)
 
     try:
         return Scenario(spec=spec, state0=state0, constraints=constraints, **settings)
     except ValueError as exc:
-        raise ScenarioParseError(str(exc), origin) from exc
+        raise top.fault(str(exc)) from exc
 
 
 def parse_scenario(path: str | Path) -> Scenario:
     """Parse a scenario file; raises ScenarioParseError with file:line
-    context on any problem."""
+    context on any problem.  A leading byte-order mark is dropped (see
+    contract.read_text)."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        reason = getattr(exc, "strerror", None) or exc  # an OSError's text repeats the path
-        raise ScenarioParseError(f"cannot read scenario: {reason}", str(path)) from exc
+    text = read_text(path, "scenario", ScenarioParseError)
     if not text.strip():
         raise ScenarioParseError("empty scenario file", str(path))
     return parse_scenario_text(text, origin=str(path))

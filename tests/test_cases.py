@@ -1,5 +1,6 @@
 """Case-data ingestion and positivity scaling."""
 
+import codecs
 import datetime as dt
 
 import pytest
@@ -114,6 +115,18 @@ class TestIngest:
             ingest_cases(p)
         assert str(err.value).startswith(f"{p}: cannot read case data: ")
         assert str(err.value).count(str(p)) == 1
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        # a spreadsheet's "CSV UTF-8" export begins the file with one
+        plain = write(tmp_path, WELL_FORMED)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        assert ingest_cases(marked) == ingest_cases(plain)
+        # rows are still numbered by their line
+        marked.write_bytes(codecs.BOM_UTF8 + MULTI_LINE.encode())
+        with pytest.raises(CaseDataError) as err:
+            ingest_cases(marked)
+        assert (err.value.origin, err.value.line) == (str(marked), 4)
 
     def test_padded_cells_blank_lines_and_crlf(self, tmp_path):
         # every record field by field; blank lines, a row of blank cells and

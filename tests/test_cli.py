@@ -1,5 +1,6 @@
 """Command-line interface contract: subcommands, exit codes, determinism."""
 
+import codecs
 import dataclasses
 import datetime as dt
 import hashlib
@@ -63,6 +64,19 @@ def sir_doc(initial, feedback, constraints, t_end=30):
     return "\n".join(parts)
 
 
+def run_plain_and_marked(tmp_path, monkeypatch, capsys, name, data, argv):
+    """(exit code, captured output) of main(argv) run in a directory that
+    holds data as the file name, then in one where the file begins with
+    the UTF-8 byte-order mark."""
+    results = []
+    for folder, mark in (("plain", b""), ("marked", codecs.BOM_UTF8)):
+        (tmp_path / folder).mkdir()
+        (tmp_path / folder / name).write_bytes(mark + data)
+        monkeypatch.chdir(tmp_path / folder)
+        results.append((main(argv), capsys.readouterr()))
+    return results
+
+
 def _assert_invalid_choice(captured, command, option, value, choices):
     """argparse's usage error for a value outside an option's choices."""
     assert captured.out == ""
@@ -83,6 +97,26 @@ class TestPresets:
 
 
 class TestSimulate:
+    def test_byte_order_mark_in_scenario_ignored(self, tmp_path, monkeypatch, capsys):
+        data = PRESETS["sir_delay_danger"].encode()
+        plain, marked = run_plain_and_marked(
+            tmp_path, monkeypatch, capsys, "x.scenario", data, ["simulate", "x.scenario"]
+        )
+        assert marked == plain
+        assert plain[1].err == "" and "run: x\n" in plain[1].out
+
+    def test_non_finite_state_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "overflow.scenario"
+        path.write_text(
+            "schema_version = 1\n[model]\nkind = sir\nbeta0 = 1e300\ngamma = 0.2\nN = 1\n"
+            "[initial]\nS = 1e10\nI = 1e10\nR = 0\n[time]\nt_start = 0\nt_end = 1\n"
+            "dt = 0.1\n[feedback]\nmode = instantaneous\n"
+        )
+        assert main(["simulate", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: non-finite state after step 0 (t=0): [nan, nan, nan]\n"
+        )
+
     def test_unnamed_cap_and_floor_on_one_compartment_exit_2(self, capsys, tmp_path):
         path = tmp_path / "band.scenario"
         path.write_text(sir_doc(
@@ -316,6 +350,18 @@ bound = 5e4
 
 
 class TestAudit:
+    def test_byte_order_mark_in_trajectory_ignored(self, tmp_path, monkeypatch, capsys):
+        argv = ["--mode", "instantaneous"]
+        assert main(["simulate", "sir_delay_danger", "--out", str(tmp_path), *argv]) == 0
+        data = (tmp_path / "sir_delay_danger_trajectory.csv").read_bytes()
+        capsys.readouterr()
+        plain, marked = run_plain_and_marked(
+            tmp_path, monkeypatch, capsys, "t.csv", data,
+            ["audit", "t.csv", "sir_delay_danger", *argv],
+        )
+        assert marked == plain
+        assert plain[0] == 0 and plain[1].err == ""
+
     def test_clean_audit_exits_0(self, tmp_path, capsys):
         assert main(["simulate", "sir_delay_danger", "--mode", "predictor",
                      "--out", str(tmp_path)]) == 0
@@ -509,6 +555,17 @@ class TestSweep:
 
 
 class TestIngest:
+    def test_byte_order_mark_in_case_data_ignored(self, tmp_path, monkeypatch, capsys):
+        plain, marked = run_plain_and_marked(
+            tmp_path, monkeypatch, capsys, "cases.csv", CASES_CSV.encode(),
+            ["ingest", "cases.csv", "--out", "out"],
+        )
+        assert marked == plain
+        assert plain[0] == 0 and plain[1].err == ""
+        assert (tmp_path / "marked/out/cases_scaled.csv").read_bytes() == (
+            tmp_path / "plain/out/cases_scaled.csv"
+        ).read_bytes()
+
     def test_ingest_and_scale(self, tmp_path, capsys):
         cases = tmp_path / "cases.csv"
         cases.write_text(CASES_CSV)

@@ -132,8 +132,25 @@ class TestPredictState:
         pred = predict_state(sir_spec, state, cfg, t_measured=5.0)
         np.testing.assert_array_equal(pred.x, state.x)
 
+    @pytest.mark.parametrize(
+        "x", [[26e6, 1e5, 6.9e6], [1.7e308, 1.7e308, 1e4]], ids=["fig2_start", "overflowing"]
+    )
+    def test_numpy_scalars_forecast_as_floats(self, x):
+        # the same forecast, with no warning, from numpy float64 entries,
+        # whose overflow would warn (and fail under -W error)
+        sc = load_preset("sir_fig2")
+        cfg = PredictorConfig(1.0, 0.1, sc.constraints)
+        want = predict_state(sc.spec, x, cfg)
+        got = predict_state(sc.spec, [*map(np.float64, x)], cfg)
+        assert repr(got) == repr(want)
+
 
 class TestPredictionError:
+    def test_states_of_other_models_rejected(self, sir_spec):
+        sihrd = load_preset("sihrd_fig3").state0
+        with pytest.raises(ValueError, match="^states must share compartment layout$"):
+            prediction_error(sir_spec.state([1e6, 1e3, 0.0]), sihrd)
+
     def test_identical_states(self, sir_spec):
         s = sir_spec.state([1e6, 1e3, 0.0])
         assert prediction_error(s, s) == 0.0

@@ -71,6 +71,12 @@ class TestModelState:
         with pytest.raises(ValueError, match="unique"):
             ModelState(w=[1.0, 2.0], z=[3.0], labels=("S", "S", "R"))
 
+    @pytest.mark.parametrize("w, z", [([1.0, 2.0], []), ([], [1.0, 2.0])])
+    def test_rejects_an_empty_block(self, w, z):
+        message = "^need at least one multiplicative and one outlet compartment$"
+        with pytest.raises(ValueError, match=message):
+            ModelState(w=w, z=z, labels=("S", "I"))
+
     def test_rejects_label_count_mismatch(self):
         with pytest.raises(ValueError, match="labels"):
             ModelState(w=[1.0, 2.0], z=[3.0], labels=("S", "I"))
@@ -174,6 +180,14 @@ class TestCatalogue:
         for other, name in ((object(), "object"), (LocalSir(0.3, 0.1, 1e6), "LocalSir")):
             with pytest.raises(ValueError, match=f"^no catalogue model has rate class {name}$"):
                 build_model(other)
+
+    def test_rate_classes_list_their_fields_after_sirs(self):
+        # positional construction, repr and equality follow the field order
+        seir = SeirParams(0.3, 0.1, 1e6, 0.2)
+        assert repr(seir) == "SeirParams(beta0=0.3, gamma=0.1, N=1000000.0, sigma=0.2)"
+        assert MODELS["sihrd"][1].params == ("beta0", "gamma", "N", "lam", "nu", "mu")
+        assert seir == SeirParams(0.3, 0.1, 1e6, 0.2) != SirParams(0.3, 0.1, 1e6)
+        assert SirParams(0.3, 0.1, 1e6) != seir
 
     @pytest.mark.parametrize("kind", ["sir", "seir", "sihrd"])
     def test_every_rate_must_be_positive_and_finite(self, kind):

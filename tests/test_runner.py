@@ -1,5 +1,6 @@
 """Run orchestration: reports, sweeps, trajectory CSV round-trips."""
 
+import codecs
 import dataclasses
 import sys
 import threading
@@ -352,6 +353,16 @@ class TestTrajectoryCsv:
             import_trajectory(path, short_run.scenario)
         assert str(err.value).startswith(f"{path}: cannot read trajectory: ")
         assert str(err.value).count(str(path)) == 1
+
+    def test_import_drops_a_byte_order_mark(self, short_run, tmp_path):
+        plain = export_trajectory(short_run, tmp_path / "t.csv")
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        got = import_trajectory(marked, short_run.scenario)
+        want = import_trajectory(plain, short_run.scenario)
+        assert list(got.rows()) == list(want.rows())
+        assert got.feasible.tolist() == want.feasible.tolist()
+        assert safety_audit(got).describe() == safety_audit(want).describe()
 
     def test_import_names_the_first_faulty_line(self, short_run, tmp_path):
         # a nan state cell on line 5 and a non-number on line 10: the lines

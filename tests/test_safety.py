@@ -118,6 +118,16 @@ class TestSafetyConstraint:
         with pytest.raises(ValueError, match="alpha_e"):
             SafetyConstraint(OUTLET, 0, 1e4, 0.1)
 
+    def test_rejects_unknown_direction(self):
+        with pytest.raises(ValueError) as err:
+            SafetyConstraint(MULTIPLICATIVE, 1, 2e5, 0.02, direction="up")
+        assert str(err.value) == "unknown direction 'up'"
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.02, math.nan])
+    def test_rejects_non_positive_alpha(self, alpha):
+        with pytest.raises(ValueError, match="^alpha must be strictly positive$"):
+            SafetyConstraint(MULTIPLICATIVE, 1, 2e5, alpha)
+
     @pytest.mark.parametrize(
         "name", ["cap,I", ",", "cap\nI", "cap\r", "cap\x0bI", "cap#1", " I ", "I\t", " "]
     )
@@ -237,6 +247,11 @@ class TestMultiplicativeControl:
 
 
 class TestOutletControl:
+    def test_rejects_a_multiplicative_constraint(self, sir_spec):
+        state = sir_spec.state([26e6, 1e5, 6.9e6])
+        with pytest.raises(ValueError, match="^constraint is not an outlet constraint$"):
+            outlet_control(sir_spec, i_bound(), state)
+
     def test_matches_hospital_closed_form(self, sihrd_spec):
         for state in sample_sihrd_states(sihrd_spec, 1000, seed=43):
             S, I, H = float(state.w[0]), float(state.w[1]), float(state.z[0])

@@ -1,5 +1,6 @@
 """Scenario document parsing, serialization round-trips, presets."""
 
+import codecs
 import dataclasses
 import hashlib
 
@@ -199,6 +200,20 @@ class TestParsing:
             parse_scenario(tmp_path)
         assert str(err.value).startswith(f"{tmp_path}: cannot read scenario: ")
         assert str(err.value).count(str(tmp_path)) == 1
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        # Windows Notepad and spreadsheet "UTF-8" exports begin the file with one
+        plain = tmp_path / "plain.scenario"
+        plain.write_text(MINIMAL, encoding="utf-8")
+        marked = tmp_path / "marked.scenario"
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        assert parse_scenario(marked) == parse_scenario(plain)
+        # a fault in the marked file is located as in the plain one
+        marked.write_bytes(codecs.BOM_UTF8 + b"schema_version = 2\n")
+        with pytest.raises(ScenarioParseError) as err:
+            parse_scenario(marked)
+        assert str(err.value) == f"{marked}:1: schema_version 2 not supported (expected 1)"
+        assert (err.value.origin, err.value.line) == (str(marked), 1)
 
     def test_seir_infectious_bound_rejected(self):
         doc = MINIMAL.replace("kind = sir", "kind = seir\nsigma = 0.2").replace(

@@ -11,7 +11,7 @@ import pytest
 from episafe import delay, engine, safety, sim
 from episafe.delay import PredictorConfig
 from episafe.engine import rk4_flat
-from episafe.models import SirParams, build_model
+from episafe.models import ModelState, SirParams, build_model
 from episafe.runner import export_trajectory, import_trajectory
 from episafe.safety import (
     MULTIPLICATIVE,
@@ -24,8 +24,10 @@ from episafe.safety import (
 from episafe.scenarios import load_preset, preset_names
 from episafe.sim import (
     InitialConditionError,
+    IntegrationError,
     MeasurementBuffer,
     Scenario,
+    Trajectory,
     grid_steps,
     safety_audit,
     simulate,
@@ -79,6 +81,18 @@ class TestScenarioValidation:
     def test_zero_length_horizon_allowed(self, sir_spec):
         sc = sir_scenario(sir_spec, t_end=0.0)
         assert sc.n_steps == 0
+
+    def test_unknown_feedback_mode_rejected(self, sir_spec):
+        with pytest.raises(ValueError) as err:
+            sir_scenario(sir_spec, feedback_mode="forecast")
+        assert str(err.value) == (
+            "feedback_mode must be one of ('instantaneous', 'delayed', 'predictor')"
+        )
+
+    def test_initial_state_of_other_labels_rejected(self, sir_spec):
+        state0 = ModelState(w=[26e6, 1e5], z=[6.9e6], labels=("S", "E", "R"))
+        with pytest.raises(ValueError, match="^initial state labels do not match the model$"):
+            sir_scenario(sir_spec, state0=state0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_state0_rejected(self, sir_spec, bad):
@@ -258,6 +272,31 @@ class TestRk4Step:
 
 
 class TestSimulate:
+    def test_non_finite_state_raises_integration_error(self):
+        # beta0 * S * I / N overflows in the first RK4 stage
+        spec = build_model(SirParams(beta0=1e300, gamma=0.2, N=1.0))
+        sc = Scenario(
+            spec=spec, state0=spec.state([1e10, 1e10, 0.0]), t_start=0.0, t_end=1.0, dt=0.1
+        )
+        with pytest.raises(IntegrationError) as err:
+            simulate(sc)
+        assert str(err.value) == "non-finite state after step 0 (t=0): [nan, nan, nan]"
+
+    def test_series_of_other_lengths_rejected(self, sir_spec):
+        traj = simulate(sir_scenario(sir_spec, t_end=1.0))
+        series = dict(
+            states=[list(row) for row in traj.states.tolist()],
+            u_raw=traj.u_raw.tolist(),
+            u=traj.u.tolist(),
+            active=traj.active.tolist(),
+            feasible=traj.feasible.tolist(),
+            disturbances=traj.disturbances.tolist(),
+        )
+        for name in series:
+            short = dict(series, **{name: series[name][:-1]})
+            with pytest.raises(ValueError, match="^trajectory series lengths differ$"):
+                Trajectory(scenario=traj.scenario, **short)
+
     def test_zero_length_horizon(self, sir_spec):
         traj = simulate(sir_scenario(sir_spec, t_end=0.0))
         assert len(traj) == 1
