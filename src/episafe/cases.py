@@ -94,12 +94,13 @@ def ingest_cases(path: str | Path) -> list[CaseRecord]:
             )
         # the header is a prefix of _COLUMNS, so cell k is column _COLUMNS[k];
         # a column the header lacks reads as an empty cell
+        width = len(header)
         for row in reader:
-            if not row or all(not cell.strip() for cell in row):
+            if not any(map(str.strip, row)):  # no cells, or only blank ones
                 continue
-            if len(row) != len(header):
-                raise fault(f"expected {len(header)} fields, got {len(row)}")
-            date, count, positivity, mobility = ([cell.strip() for cell in row] + ["", ""])[:4]
+            if len(row) != width:
+                raise fault(f"expected {width} fields, got {len(row)}")
+            date, count, positivity, mobility = [*map(str.strip, row), "", ""][:4]
             try:
                 day = dt.date.fromisoformat(date)
             except ValueError:
@@ -116,18 +117,14 @@ def ingest_cases(path: str | Path) -> list[CaseRecord]:
             except ValueError as exc:
                 raise fault(str(exc)) from exc
             if records:
-                if record.date <= records[-1].date:
+                if day <= last_day:
+                    raise fault(f"dates must be strictly increasing ({day} after {last_day})")
+                if cumulative < last_count:
                     raise fault(
-                        f"dates must be strictly increasing "
-                        f"({record.date} after {records[-1].date})"
-                    )
-                if record.cumulative_confirmed < records[-1].cumulative_confirmed:
-                    raise fault(
-                        f"cumulative count decreases "
-                        f"({record.cumulative_confirmed:g} after "
-                        f"{records[-1].cumulative_confirmed:g})"
+                        f"cumulative count decreases ({cumulative:g} after {last_count:g})"
                     )
             records.append(record)
+            last_day, last_count = day, cumulative
     except csv.Error as exc:  # a field over csv.field_size_limit(), say
         raise fault(str(exc)) from None
     if not records:
@@ -164,16 +161,16 @@ def scale_cases(records: list[CaseRecord]) -> ScaledSeries:
     """
     if not records:
         raise CaseDataError("no records to scale")
-    missing = [k for k, r in enumerate(records) if r.positivity_rate is None]
-    if len(missing) == len(records):
-        raise CaseDataError("no record has a positivity_rate")
-    if missing:
-        k = missing[0]
+    rates = [r.positivity_rate for r in records]
+    if None in rates:
+        if rates.count(None) == len(rates):
+            raise CaseDataError("no record has a positivity_rate")
+        k = rates.index(None)
         raise CaseDataError(f"record {k} ({records[k].date}) has no positivity_rate")
-    reference = min(r.positivity_rate for r in records)
+    reference = min(rates)
     scaled = tuple(
-        r.cumulative_confirmed * (r.positivity_rate / reference) ** EXPONENT
-        for r in records
+        r.cumulative_confirmed * (rate / reference) ** EXPONENT
+        for r, rate in zip(records, rates)
     )
     if not all(map(math.isfinite, scaled)):
         k = next(k for k, value in enumerate(scaled) if not math.isfinite(value))

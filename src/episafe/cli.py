@@ -24,6 +24,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from operator import attrgetter
 from pathlib import Path
 
 from .contract import EXIT_OK, EXIT_VALIDATION, MODES, SWEEP_PARAMETERS, SimulationError
@@ -148,18 +149,18 @@ def _cmd_ingest(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         stem = Path(args.cases).stem
         out_csv = out_dir / f"{stem}_scaled.csv"
+        # a date prints as its ISO-8601 form
+        dates = map(attrgetter("date"), records)
+        counts = map(attrgetter("cumulative_confirmed"), records)
         with out_csv.open("w", encoding="utf-8") as fh:
             if scaled is not None:
                 fh.write("date,cumulative_confirmed,positivity_rate,scaled_confirmed\n")
-                for r, value in zip(records, scaled.scaled):
-                    fh.write(
-                        f"{r.date.isoformat()},{r.cumulative_confirmed:.15g},"
-                        f"{r.positivity_rate:.15g},{value:.15g}\n"
-                    )
+                rates = map(attrgetter("positivity_rate"), records)
+                rows = zip(dates, counts, rates, scaled.scaled)
+                fh.writelines(map("%s,%.15g,%.15g,%.15g\n".__mod__, rows))
             else:
                 fh.write("date,cumulative_confirmed\n")
-                for rec in records:
-                    fh.write(f"{rec.date.isoformat()},{rec.cumulative_confirmed:.15g}\n")
+                fh.writelines(map("%s,%.15g\n".__mod__, zip(dates, counts)))
         print(f"wrote {out_csv}")
         if scaled is not None:
             meta_path = out_dir / f"{stem}_scaled.meta.json"

@@ -18,7 +18,7 @@ import numpy as np
 from . import engine
 from .models import ModelSpec, ModelState, _check_finite
 from .safety import SafetyConstraint
-from .sim import grid_steps
+from .sim import IntegrationError, grid_steps
 
 __all__ = [
     "PredictorConfig",
@@ -72,11 +72,12 @@ def predict_state(
     k - D >= control_step.  measured may also be the flat [w; z] list
     (see ModelSpec.flat); the forecast is a ModelState at every delay, and
     at zero delay a ModelState comes back as itself.  t_measured and every
-    entry of measured must be finite (ValueError).  The forecast is computed
-    on Python floats, also from a list of numpy scalars, whose overflow
-    would warn.  It no longer depends on t_measured; ROADMAP item 3c
-    removes it together with config.constraints once step 1a lets the
-    benchmark's probe change.
+    entry of measured must be finite (ValueError).  A forecast step that
+    leaves the finite range raises sim.IntegrationError naming the step, as
+    a step of sim.simulate does.  The forecast is computed on Python
+    floats, also from a list of numpy scalars, whose overflow would warn.
+    It no longer depends on t_measured; ROADMAP item 3c removes it together
+    with config.constraints once step 1a lets the benchmark's probe change.
     """
     x = [*map(float, spec.flat(measured))]
     _check_finite(x)
@@ -88,6 +89,9 @@ def predict_state(
     deriv, dt = spec.derivative_t, config.dt_pred
     for k in range(config.n_steps):
         x = engine.rk4_flat(deriv, x, input_fn(k, x), dt)
+        # a finite sum has only finite entries
+        if not math.isfinite(sum(x)) and not all(map(math.isfinite, x)):
+            raise IntegrationError(f"non-finite forecast after step {k}: {x}")
     return spec.state(x)
 
 

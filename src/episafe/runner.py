@@ -8,8 +8,11 @@ identical bytes.  A long-format companion table (t, series, value) serves
 plotting tools directly.  Both files hold the same numbers, so each
 sample is formatted once, as one line of the trajectory CSV, and the long
 table is cut from those lines.  The lines of the last trajectory written are
-kept until another trajectory is written.  The writers and the importer
-work on the series a Trajectory keeps and load no numpy.
+kept until another trajectory is written.  The importer converts every
+cell of a file in one pass and checks each column it reads in another; a
+file that these passes refuse is scanned line by line to name its first
+faulty line.  The writers and the importer work on the series a
+Trajectory keeps and load no numpy.
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
-import math
+from itertools import chain, count, islice, repeat
+from math import isfinite
+from operator import eq, ge, sub
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -208,11 +213,13 @@ def import_trajectory(path: str | Path, scenario: Scenario) -> Trajectory:
     not record other infeasible steps.  The h columns are written for
     readers and not read back: the Trajectory computes its margins from
     the states, and its times from the scenario.  The header must match
-    the scenario's, h columns included.  One pass reads the data lines and
-    checks each as it is read, so the first faulty line is named: a line
-    that is not one number per column by its number, a state, u_raw, u or
-    d cell that is not finite, which would hide a breach or fake a
-    clamping event, by its line and column.  The file must then hold one
+    the scenario's, h columns included.  Blank lines are skipped.  One pass
+    over every cell of the data lines checks that each line holds one
+    number per column and that each state, u_raw, u and d cell is finite:
+    a non-finite one would hide a breach or fake a clamping event.  A file
+    that this pass refuses is scanned line by line to name its first
+    faulty line: a line that is not one number per column by its number, a
+    non-finite cell by its line and column.  The file must then hold one
     row per sample of the scenario's time grid, and grid_steps must map
     each t - t_start to its sample's step number (TrajectoryFormatError
     otherwise), so that the audit's decay check uses the file's own step.
@@ -234,53 +241,66 @@ def import_trajectory(path: str | Path, scenario: Scenario) -> Trajectory:
         )
     width, n_state = len(expected), len(scenario.spec.labels)
     read = [*range(1, 3 + n_state), width - 1]  # the states, u_raw, u and d
-    times, states, u_raw, u, d = [], [], [], [], []
-    for number, line in enumerate(lines[1:], 2):
+    data = [*filter(None, islice(lines, 1, None))]  # blank lines are skipped
+    values = None  # every cell, row after row, once each line is one number per column
+    if all(map((width - 1).__eq__, map(str.count, data, repeat(",")))):
+        try:
+            values = [*map(float, chain.from_iterable(map(str.split, data, repeat(","))))]
+        except ValueError:
+            pass
+    if values is None or not all(all(map(isfinite, values[j::width])) for j in read):
+        _raise_first_fault(lines, expected, read, origin)
+    n_rows = scenario.n_steps + 1
+    if len(data) != n_rows:
+        raise TrajectoryFormatError(
+            f"{len(data)} samples, but the scenario's time grid "
+            f"(t_start {scenario.t_start:g}, t_end {scenario.t_end:g}, dt "
+            f"{scenario.dt:g}) has {n_rows}", origin
+        )
+    times = values[::width]
+    steps = map(grid_steps, map(sub, times, repeat(scenario.t_start)), repeat(scenario.dt))
+    on_grid = [*map(eq, steps, count())]
+    if not all(on_grid):
+        k = on_grid.index(False)
+        raise TrajectoryFormatError(
+            f"sample {k} has t = {times[k]!r}, off the scenario's "
+            f"time grid (t_start {scenario.t_start:g}, dt {scenario.dt:g})", origin
+        )
+    u_raw = values[1 + n_state :: width]
+    return Trajectory(
+        scenario=scenario,
+        states=zip(*(values[j::width] for j in range(1, 1 + n_state))),
+        u_raw=u_raw,
+        u=values[2 + n_state :: width],
+        active=[-1] * n_rows,
+        feasible=map(ge, repeat(1.0), u_raw),
+        disturbances=values[width - 1 :: width],
+    )
+
+
+def _raise_first_fault(
+    lines: list[str], expected: list[str], read: list[int], origin: str
+) -> None:
+    """Raise the fault of the first data line that is not one number per
+    column, or that holds a non-finite cell in a column of read (the first
+    such column, named)."""
+    for number, line in enumerate(islice(lines, 1, None), 2):
         if not line:
             continue
         cells = line.split(",")
-        if len(cells) != width:
+        if len(cells) != len(expected):
             raise TrajectoryFormatError(
-                f"line {number}: expected {width} fields, got {len(cells)}", origin
+                f"line {number}: expected {len(expected)} fields, got {len(cells)}", origin
             )
         try:
             row = list(map(float, cells))
         except ValueError as exc:
             raise TrajectoryFormatError(f"line {number}: bad numeric cell: {exc}", origin) from None
-        # a finite sum has only finite entries
-        if not math.isfinite(sum(row[1 : 3 + n_state]) + row[-1]):
-            for j in read:
-                if not math.isfinite(row[j]):  # the first, named by its column
-                    raise TrajectoryFormatError(
-                        f"line {number}: {expected[j]} = {row[j]} is not finite", origin
-                    )
-        times.append(row[0])
-        states.append(row[1 : 1 + n_state])
-        u_raw.append(row[1 + n_state])
-        u.append(row[2 + n_state])
-        d.append(row[-1])
-    n_rows = scenario.n_steps + 1
-    if len(times) != n_rows:
-        raise TrajectoryFormatError(
-            f"{len(times)} samples, but the scenario's time grid "
-            f"(t_start {scenario.t_start:g}, t_end {scenario.t_end:g}, dt "
-            f"{scenario.dt:g}) has {n_rows}", origin
-        )
-    for k, t in enumerate(times):
-        if grid_steps(t - scenario.t_start, scenario.dt) != k:
-            raise TrajectoryFormatError(
-                f"sample {k} has t = {t!r}, off the scenario's "
-                f"time grid (t_start {scenario.t_start:g}, dt {scenario.dt:g})", origin
-            )
-    return Trajectory(
-        scenario=scenario,
-        states=states,
-        u_raw=u_raw,
-        u=u,
-        active=[-1] * n_rows,
-        feasible=[v <= 1.0 for v in u_raw],
-        disturbances=d,
-    )
+        for j in read:
+            if not isfinite(row[j]):
+                raise TrajectoryFormatError(
+                    f"line {number}: {expected[j]} = {row[j]} is not finite", origin
+                )
 
 
 def write_long_table(trajectory: Trajectory, path: str | Path) -> Path:

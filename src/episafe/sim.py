@@ -24,7 +24,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import count, islice, repeat
+from itertools import islice
 from numbers import Integral
 from typing import Sequence
 
@@ -322,16 +322,14 @@ class Trajectory:
     def rows(self):
         """An iterator of one tuple per sample: its time, the entries of its
         state, u_raw, u, its margin h for each constraint and its
-        disturbance, the order of a trajectory CSV line."""
+        disturbance, the order of a trajectory CSV line.  It is one zip over
+        the kept series, with each state entry a strided slice of the
+        states; a run without constraints has no h to zip."""
         time, states, width = self.scenario.time, self._states, len(self.labels)
-        # zip(*margins) of no constraint would end the samples at once
-        margins = zip(*self._h) if self.scenario.constraints else repeat(())
-        return (
-            (time(k), *states[i : i + width], u_raw, u, *h, d)
-            for k, i, u_raw, u, h, d in zip(
-                count(), range(0, len(states), width), self._u_raw, self._u,
-                margins, self._disturbances,
-            )
+        return zip(
+            map(time, range(len(self))),
+            *(states[j::width] for j in range(width)),
+            self._u_raw, self._u, *self._h, self._disturbances,
         )
 
 

@@ -11,13 +11,17 @@ from the table to the law.
 
 from __future__ import annotations
 
+import math
 from operator import add
+from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from episafe.models import ModelSpec, ModelState, SeirParams, SihrdParams, SirParams
+from episafe.runner import TrajectoryFormatError
 from episafe.safety import MULTIPLICATIVE, OUTLET, SafetyConstraint
+from episafe.sim import grid_steps
 
 Vector = tuple[float, ...]
 Matrix = tuple[tuple[float, ...], ...]
@@ -448,6 +452,58 @@ def reference_csv_text(traj) -> tuple[str, str]:
         wide.append(",".join([t, *cells]))
         long += [f"{t},{name},{cell}" for name, cell in zip(names, cells)]
     return "\n".join(wide) + "\n", "\n".join(long) + "\n"
+
+
+def reference_import(path, scenario) -> tuple[list, list, list, list, list]:
+    """(times, states, u_raw, u, d) of a trajectory CSV whose header is
+    right, read line by line as runner.import_trajectory read it before it
+    took one pass over every cell: each line is split, converted and
+    checked as it is read, then the sample count and the time grid are
+    checked.  Raises the TrajectoryFormatError the importer must raise."""
+    origin = str(path)
+    lines = Path(path).read_text(encoding="utf-8-sig").split("\n")
+    expected = lines[0].split(",")
+    width, n_state = len(expected), len(scenario.spec.labels)
+    read = [*range(1, 3 + n_state), width - 1]  # the states, u_raw, u and d
+    times, states, u_raw, u, d = [], [], [], [], []
+    for number, line in enumerate(lines[1:], 2):
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != width:
+            raise TrajectoryFormatError(
+                f"line {number}: expected {width} fields, got {len(cells)}", origin
+            )
+        try:
+            row = list(map(float, cells))
+        except ValueError as exc:
+            raise TrajectoryFormatError(f"line {number}: bad numeric cell: {exc}", origin) from None
+        # a finite sum has only finite entries
+        if not math.isfinite(sum(row[1 : 3 + n_state]) + row[-1]):
+            for j in read:
+                if not math.isfinite(row[j]):  # the first, named by its column
+                    raise TrajectoryFormatError(
+                        f"line {number}: {expected[j]} = {row[j]} is not finite", origin
+                    )
+        times.append(row[0])
+        states.append(row[1 : 1 + n_state])
+        u_raw.append(row[1 + n_state])
+        u.append(row[2 + n_state])
+        d.append(row[-1])
+    n_rows = scenario.n_steps + 1
+    if len(times) != n_rows:
+        raise TrajectoryFormatError(
+            f"{len(times)} samples, but the scenario's time grid "
+            f"(t_start {scenario.t_start:g}, t_end {scenario.t_end:g}, dt "
+            f"{scenario.dt:g}) has {n_rows}", origin
+        )
+    for k, t in enumerate(times):
+        if grid_steps(t - scenario.t_start, scenario.dt) != k:
+            raise TrajectoryFormatError(
+                f"sample {k} has t = {t!r}, off the scenario's "
+                f"time grid (t_start {scenario.t_start:g}, dt {scenario.dt:g})", origin
+            )
+    return times, states, u_raw, u, d
 
 
 # -- numpy's formulas for a run's record -------------------------------------

@@ -10,7 +10,7 @@ from episafe.delay import PredictorConfig, predict_state, prediction_error
 from episafe.models import ModelState
 from episafe.safety import MULTIPLICATIVE, SafetyConstraint
 from episafe.scenarios import load_preset
-from episafe.sim import Scenario, simulate
+from episafe.sim import IntegrationError, Scenario, simulate
 
 from conftest import SIR_US, TAU_GRID_CASES
 from oracles import qp_oracle, rk4_reference
@@ -136,13 +136,29 @@ class TestPredictState:
         "x", [[26e6, 1e5, 6.9e6], [1.7e308, 1.7e308, 1e4]], ids=["fig2_start", "overflowing"]
     )
     def test_numpy_scalars_forecast_as_floats(self, x):
-        # the same forecast, with no warning, from numpy float64 entries,
-        # whose overflow would warn (and fail under -W error)
+        # the same outcome, with no warning, from numpy float64 entries,
+        # whose overflow would warn (and fail under -W error): the same
+        # forecast, or the same refusal of a forecast that overflows
         sc = load_preset("sir_fig2")
         cfg = PredictorConfig(1.0, 0.1, sc.constraints)
-        want = predict_state(sc.spec, x, cfg)
-        got = predict_state(sc.spec, [*map(np.float64, x)], cfg)
-        assert repr(got) == repr(want)
+
+        def outcome(state):
+            try:
+                return repr(predict_state(sc.spec, state, cfg))
+            except IntegrationError as exc:
+                return str(exc)
+
+        assert outcome([*map(np.float64, x)]) == outcome(x)
+
+    def test_non_finite_forecast_raises_integration_error(self):
+        # a finite measurement whose first forecast step overflows: refused
+        # at that step, as simulate refuses a plant step
+        sc = load_preset("sir_fig2")
+        cfg = PredictorConfig(1.0, 0.1, sc.constraints)
+        with pytest.raises(
+            IntegrationError, match=r"^non-finite forecast after step 0: \[nan, nan, nan\]$"
+        ):
+            predict_state(sc.spec, [1.7e308, 1.7e308, 1e4], cfg)
 
 
 class TestPredictionError:

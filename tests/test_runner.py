@@ -7,6 +7,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from episafe.runner import (
     TrajectoryFormatError,
@@ -20,12 +22,20 @@ from episafe.runner import (
 from episafe.scenarios import load_preset
 from episafe import runner, sim
 from episafe.sim import grid_steps, safety_audit, simulate
-from oracles import reference_csv_text
+from oracles import reference_csv_text, reference_import
 
 
 @pytest.fixture(scope="module")
 def danger():
     return load_preset("sir_delay_danger")
+
+
+@pytest.fixture(scope="module")
+def fig2_lines(tmp_path_factory):
+    """sir_fig2 and the lines of its exported trajectory CSV."""
+    sc = load_preset("sir_fig2")
+    path = export_trajectory(simulate(sc), tmp_path_factory.mktemp("fig2") / "t.csv")
+    return sc, path.read_text().split("\n")
 
 
 @pytest.fixture(scope="module")
@@ -417,6 +427,67 @@ class TestTrajectoryCsv:
             assert accepted == on_grid, (k, t)
             outcomes.add(on_grid)
         assert outcomes == {True, False}
+
+    def test_run_without_constraints_round_trips(self, tmp_path):
+        # no h column: each row is the state, u_raw, u and d
+        sc = dataclasses.replace(load_preset("sir_fig2"), constraints=())
+        traj = simulate(sc)
+        path = export_trajectory(traj, tmp_path / "free.csv")
+        lines = path.read_text().splitlines()
+        assert lines[0] == "t,S,I,R,u_raw,u,d"
+        assert len(lines) == sc.n_steps + 2
+        back = import_trajectory(path, sc)
+        for name in ("u_raw", "u", "disturbances"):
+            assert getattr(back, name).tobytes() == getattr(traj, name).tobytes()
+        np.testing.assert_allclose(back.states, traj.states, rtol=1e-12, atol=0.0)
+        assert export_trajectory(back, tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_import_agrees_with_the_line_by_line_reader(self, fig2_lines, tmp_path_factory, data):
+        # one random edit to a data line of an exported sir_fig2 CSV: the
+        # importer raises the reference's fault, or returns its series
+        sc, lines = fig2_lines
+        lines = list(lines)
+        last = len(lines) - 2  # lines[-1] is the empty tail after the final line break
+        number = data.draw(st.integers(1, last), label="line")
+        line = lines[number]
+        edit = data.draw(st.sampled_from(
+            ["drop comma", "add comma", "cell", "blank", "spaces", "swap"]
+        ), label="edit")
+        if edit == "drop comma":
+            at = data.draw(st.sampled_from([i for i, c in enumerate(line) if c == ","]))
+            lines[number] = line[:at] + line[at + 1 :]
+        elif edit == "add comma":
+            at = data.draw(st.integers(0, len(line)))
+            lines[number] = line[:at] + "," + line[at:]
+        elif edit == "cell":
+            cells = line.split(",")
+            cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(
+                st.sampled_from(["x", "nan", "inf", "-inf", ""])
+            )
+            lines[number] = ",".join(cells)
+        elif edit == "blank":
+            lines[number] = ""
+        elif edit == "spaces":
+            lines[number] = " " * data.draw(st.integers(1, 3))
+        else:
+            other = data.draw(st.integers(1, last))
+            lines[number], lines[other] = lines[other], line
+        path = tmp_path_factory.mktemp("edited") / "t.csv"
+        path.write_text("\n".join(lines))
+        try:
+            want = reference_import(path, sc)
+        except TrajectoryFormatError as exc:
+            with pytest.raises(TrajectoryFormatError) as got:
+                import_trajectory(path, sc)
+            assert str(got.value) == str(exc)
+            return
+        got = import_trajectory(path, sc)
+        _, states, u_raw, u, d = want
+        assert got.states.tobytes() == np.array(states, dtype=float).tobytes()
+        for series, values in ((got.u_raw, u_raw), (got.u, u), (got.disturbances, d)):
+            assert series.tobytes() == np.array(values, dtype=float).tobytes()
 
     def test_long_table_series_complete(self, short_run, tmp_path):
         path = write_long_table(short_run, tmp_path / "long.csv")
