@@ -5,9 +5,9 @@ high-positivity periods they also under-count actual infections.  The
 scaling here inflates the cumulative series by (positivity / reference)
 raised to a damping exponent, EXPONENT (a cube root, to scale less
 aggressively), with the reference chosen as the series minimum so the
-best-surveilled period is left untouched.  ingest_cases reads a file in
-one pass into CaseRecords; scale_cases returns a ScaledSeries that holds
-one scaled count per record, in the records' order.
+best-surveilled period is left untouched.  ingest_cases reads a file in one
+pass into CaseRecords, scale_cases returns a ScaledSeries of one scaled
+count per record, and write_scaled_table writes both out.
 """
 
 from __future__ import annotations
@@ -15,8 +15,10 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import json
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 from .contract import LocatedError, read_text
@@ -28,6 +30,7 @@ __all__ = [
     "ScaledSeries",
     "ingest_cases",
     "scale_cases",
+    "write_scaled_table",
 ]
 
 _COLUMNS = ("date", "cumulative_confirmed", "positivity_rate", "mobility_index")
@@ -65,11 +68,11 @@ def ingest_cases(path: str | Path) -> list[CaseRecord]:
     """Read and validate a case-data CSV.
 
     Expected header: date,cumulative_confirmed[,positivity_rate]
-    [,mobility_index].  Dates must be ISO-8601 and strictly increasing;
-    cumulative counts must be non-decreasing.  A mobility_index cell must
-    be numeric when present, but is not kept.  Offending rows are reported
-    by line number, a field the csv module refuses included; a file that
-    cannot be read or is not UTF-8 is reported by its path (see
+    [,mobility_index].  Dates must be YYYY-MM-DD (ISO-8601) and strictly
+    increasing; cumulative counts must be non-decreasing.  A mobility_index
+    cell must be numeric when present, but is not kept.  Offending rows are
+    reported by line number, a field the csv module refuses included; a file
+    that cannot be read or is not UTF-8 is reported by its path (see
     contract.read_text, which also drops a leading byte-order mark).
     """
     path = Path(path)
@@ -101,8 +104,8 @@ def ingest_cases(path: str | Path) -> list[CaseRecord]:
             if len(row) != width:
                 raise fault(f"expected {width} fields, got {len(row)}")
             date, count, positivity, mobility = [*map(str.strip, row), "", ""][:4]
-            try:
-                day = dt.date.fromisoformat(date)
+            try:  # YYYY-MM-DD only: Python 3.11 also reads 20200325 and 2020-W13-4
+                day = dt.date.fromisoformat(date if len(date) == 10 and date[7] == "-" else "")
             except ValueError:
                 raise fault(f"bad date {date!r} (need ISO-8601)") from None
             try:
@@ -178,3 +181,24 @@ def scale_cases(records: list[CaseRecord]) -> ScaledSeries:
                             f"that is not finite ({scaled[k]!r})")
     return ScaledSeries(scaled, reference)
 
+
+def write_scaled_table(
+    records: list[CaseRecord], scaled: ScaledSeries | None, out_dir: str | Path, stem: str
+) -> list[Path]:
+    """Write the records to <stem>_scaled.csv in out_dir, made if missing,
+    with their rates and scaled counts when scaled is their scale_cases
+    result, then its metadata to <stem>_scaled.meta.json; return the paths."""
+    paths = [Path(out_dir, f"{stem}_scaled.csv")]
+    paths[0].parent.mkdir(parents=True, exist_ok=True)
+    names = _COLUMNS[:2] if scaled is None else (*_COLUMNS[:3], "scaled_confirmed")
+    columns = [map(attrgetter(name), records) for name in names[:3]]  # a record's fields
+    if scaled is not None:
+        columns.append(scaled.scaled)
+    with paths[0].open("w", encoding="utf-8") as fh:  # a date prints as its ISO form
+        fh.write(",".join(names) + "\n")
+        fh.writelines(map(("%s" + ",%.15g" * (len(names) - 1) + "\n").__mod__, zip(*columns)))
+    if scaled is not None:
+        paths.append(paths[0].with_suffix(".meta.json"))
+        meta = json.dumps(scaled.metadata(), indent=2, sort_keys=True) + "\n"
+        paths[1].write_text(meta, encoding="utf-8")
+    return paths

@@ -22,9 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
-from operator import attrgetter
 from pathlib import Path
 
 from .contract import EXIT_OK, EXIT_VALIDATION, MODES, SWEEP_PARAMETERS, SimulationError
@@ -131,11 +129,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    from .cases import EXPONENT, CaseDataError, ingest_cases, scale_cases
+    from .cases import EXPONENT, CaseDataError, ingest_cases, scale_cases, write_scaled_table
 
     records = ingest_cases(args.cases)
-    print(f"{len(records)} valid case records "
-          f"({records[0].date} .. {records[-1].date})")
+    print(f"{len(records)} valid case records ({records[0].date} .. {records[-1].date})")
     try:
         scaled = scale_cases(records)
     except CaseDataError as exc:
@@ -145,28 +142,8 @@ def _cmd_ingest(args) -> int:
         print(f"positivity scaling: exponent {EXPONENT:g}, "
               f"reference {scaled.reference_positivity:g}")
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        stem = Path(args.cases).stem
-        out_csv = out_dir / f"{stem}_scaled.csv"
-        # a date prints as its ISO-8601 form
-        dates = map(attrgetter("date"), records)
-        counts = map(attrgetter("cumulative_confirmed"), records)
-        with out_csv.open("w", encoding="utf-8") as fh:
-            if scaled is not None:
-                fh.write("date,cumulative_confirmed,positivity_rate,scaled_confirmed\n")
-                rates = map(attrgetter("positivity_rate"), records)
-                rows = zip(dates, counts, rates, scaled.scaled)
-                fh.writelines(map("%s,%.15g,%.15g,%.15g\n".__mod__, rows))
-            else:
-                fh.write("date,cumulative_confirmed\n")
-                fh.writelines(map("%s,%.15g\n".__mod__, zip(dates, counts)))
-        print(f"wrote {out_csv}")
-        if scaled is not None:
-            meta_path = out_dir / f"{stem}_scaled.meta.json"
-            meta = json.dumps(scaled.metadata(), indent=2, sort_keys=True) + "\n"
-            meta_path.write_text(meta, encoding="utf-8")
-            print(f"wrote {meta_path}")
+        for path in write_scaled_table(records, scaled, args.out, Path(args.cases).stem):
+            print(f"wrote {path}")
     return EXIT_OK
 
 

@@ -14,15 +14,16 @@ rk4_flat takes one call per state-step.  A derivative compiled from a
 formula table carries a fused step, derivative_t.rk4, which writes the
 table's rows at each RK4 stage in place of four derivative calls and the
 lists they build and unpack; rk4_flat returns it.  Any other callable, such
-as a test's hand-written derivative or a wrapper that counts calls, runs a
-straight-line kernel generated the first time a state length is seen and
-kept for that length, which calls it exactly four times: the elementwise
+as a test's hand-written derivative or a wrapper that counts calls, runs
+_rk4_kernel's straight-line step for the state length, memoized like the
+other generated code, which calls it exactly four times: the elementwise
 loops cost several times the model derivative on vectors this short.  Both
 are formatted from models.rk4_lines, so they give the same bits.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .models import ModelSpec, rk4_lines
@@ -33,11 +34,7 @@ __all__ = ["rk4_flat", "make_input_fn", "closed_loop_rollout"]
 InputFn = Callable[[int, Sequence[float]], float]
 
 
-# One straight-line RK4 kernel per state length, generated on first use
-# from models.rk4_lines, which also writes each formula table's fused step.
-_RK4_KERNELS: dict[int, Callable] = {}
-
-
+@lru_cache(maxsize=16)
 def _rk4_kernel(n: int) -> Callable:
     def slopes(stage: list[str] | None, k: list[str], _flipped: frozenset[int]) -> list[str]:
         y = "x" if stage is None else f"[{', '.join(stage)}]"
@@ -64,12 +61,7 @@ def rk4_flat(
     fused = getattr(deriv, "rk4", None)
     if fused is not None:
         return fused(x, u, dt)
-    n = len(x)
-    kernel = _RK4_KERNELS.get(n)
-    if kernel is None:
-        # Concurrent first calls may build it twice; both copies are equal.
-        kernel = _RK4_KERNELS[n] = _rk4_kernel(n)
-    return kernel(deriv, x, u, dt)
+    return _rk4_kernel(len(x))(deriv, x, u, dt)
 
 
 def make_input_fn(

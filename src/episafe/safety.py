@@ -60,15 +60,15 @@ OUTLET = "outlet"
 class SafetyConstraint:
     """One population bound to enforce.
 
-    kind selects the controller family ("multiplicative" or "outlet");
-    index addresses the compartment inside its block (0-based).  direction
-    "upper" keeps the compartment below bound (margin h = bound - value),
-    "lower" keeps it above (h = value - bound).  alpha is the margin decay
-    gain; alpha_e is the extra gain for the differentiated margin and is
-    required for outlet constraints.  name, when given, labels the
-    constraint in reports and heads its CSV column, and scenario files hold
-    it verbatim: it may not contain a comma, '#' or a line break, nor start
-    or end with whitespace.
+    kind selects the controller family ("multiplicative" or "outlet"); index
+    addresses the compartment inside its block (0-based), and position(spec)
+    its entry in a model's flat state.  direction "upper" keeps the
+    compartment below bound (margin h = bound - value), "lower" keeps it
+    above (h = value - bound).  alpha is the margin decay gain; alpha_e is
+    the extra gain for the differentiated margin and is required for outlet
+    constraints.  name, when given, labels the constraint in reports and
+    heads its CSV column, and scenario files hold it verbatim: it may not
+    contain a comma, '#' or a line break, nor start or end with whitespace.
     """
 
     kind: str
@@ -102,13 +102,16 @@ class SafetyConstraint:
     def sign(self) -> float:
         return 1.0 if self.direction == "upper" else -1.0
 
-    def check_against(self, spec: ModelSpec) -> None:
+    def position(self, spec: ModelSpec) -> int:
+        """The compartment's entry in spec's flat state [w; z]: index, or
+        spec.n + index for an outlet.  ValueError when it is out of range."""
         size = spec.n if self.kind == MULTIPLICATIVE else spec.m
         if self.index >= size:
             raise ValueError(
                 f"{self.kind} index {self.index} out of range for model "
                 f"{spec.kind!r} ({size} compartments)"
             )
+        return self.index if self.kind == MULTIPLICATIVE else spec.n + self.index
 
     def label(self, k: int) -> str:
         """The name, or c<k>_w<index> (z for an outlet), k its position in its set."""
@@ -177,15 +180,14 @@ def _margins(
     """The margin of each constraint at every sample of states, the flat
     states [w; z] of the samples one after another, as one list per
     constraint: h, or with extended h_e, which is NaN for a multiplicative
-    constraint.  Each constraint is checked against the model before its
-    margins.  h reads every (n + m)-th entry; h_e runs the derivative once
-    per sample, and only when an outlet constraint needs it.  On Python
-    floats an inf or NaN gives its IEEE value, with no warning."""
-    n, width = spec.n, spec.n + spec.m
+    constraint.  Each constraint's position checks it against the model
+    before its margins.  h reads every (n + m)-th entry; h_e runs the
+    derivative once per sample, and only when an outlet constraint needs
+    it.  On Python floats an inf or NaN gives its IEEE value, with no warning."""
+    width = spec.n + spec.m
     margins, xdots = [], None
     for c in constraints:
-        c.check_against(spec)
-        s, bound, j = c.sign, c.bound, c.index if c.kind == MULTIPLICATIVE else n + c.index
+        s, bound, j = c.sign, c.bound, c.position(spec)
         if not extended:
             margins.append([s * (bound - v) for v in states[j::width]])
         elif c.kind == OUTLET:
@@ -321,7 +323,7 @@ def _solver(spec: ModelSpec, constraints: tuple[SafetyConstraint, ...]):
     on the first request only; every caller of the law shares the memo,
     keyed by the values of spec and constraints."""
     for c in constraints:
-        c.check_against(spec)
+        c.position(spec)
     shape = tuple((c.kind, c.index) for c in constraints)
     return _law_factory(spec.formulas, shape)(spec, constraints)
 
@@ -394,7 +396,6 @@ def extended_barrier_value(
     """Differentiated margin h_e = dh/dt + alpha*h for an outlet constraint."""
     if constraint.kind != OUTLET:
         raise ValueError("extended margin is defined for outlet constraints only")
-    constraint.check_against(spec)
     [[he]] = _margins(spec, (constraint,), spec.flat(state), extended=True)
     return he
 

@@ -315,7 +315,7 @@ def scenario_text(scenario: Scenario) -> str:
             lines += ["", f"[{section}]"]
             lines += [f"{s.key} = {_fmt(v) if s.type is float else v}" for s, v in rows]
     for k, c in enumerate(scenario.constraints):
-        pos = c.index if c.kind == MULTIPLICATIVE else spec.n + c.index
+        pos = c.position(spec)
         lines += [
             "",
             "[constraint]",

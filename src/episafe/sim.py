@@ -158,7 +158,7 @@ class Scenario:
             raise ValueError(f"state0 must be finite, got {x0}")
         labels = [c.label(k) for k, c in enumerate(self.constraints)]
         for k, c in enumerate(self.constraints):
-            c.check_against(self.spec)
+            c.position(self.spec)
             if labels[k] in labels[:k]:
                 raise ValueError(f"constraint label {labels[k]!r} repeats an earlier one")
         object.__setattr__(self, "n_steps", steps)
@@ -178,12 +178,6 @@ class Scenario:
         """The time of sample k, t_start + dt * k; of every sample at once
         when k is a numpy array of step numbers."""
         return self.t_start + self.dt * k
-
-    def times(self):
-        """The sample times, a float64 array: sample k is at time(k)."""
-        import numpy as np
-
-        return self.time(np.arange(self.n_steps + 1))
 
 
 class MeasurementBuffer:
@@ -250,7 +244,7 @@ class Trajectory:
     which then holds the series' values once (see ArrayField): states, one
     row per sample, u_raw, u, active, feasible and disturbances.  times,
     barriers and extended are computed from the states and the scenario on
-    first read: times is scenario.times(), barriers and extended the
+    first read: times[k] is scenario.time(k), barriers and extended the
     per-constraint margins h and h_e at each state (extended is NaN for
     multiplicative constraints).  Replacing the scenario, its constraints
     for instance, recomputes them.  u_raw, u, active and feasible record
@@ -284,7 +278,9 @@ class Trajectory:
 
     @cached_property
     def times(self):
-        times = self.scenario.times()
+        import numpy as np
+
+        times = self.scenario.time(np.arange(len(self)))
         times.setflags(write=False)
         return times
 

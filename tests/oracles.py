@@ -131,7 +131,7 @@ def qp_oracle(
     grid = np.linspace(0.0, 1.0, steps + 1)
     feasible = np.ones_like(grid, dtype=bool)
     for c in constraints:
-        c.check_against(spec)
+        c.position(spec)
     model = reference_model(spec)
     f, g = model["f_t"](w), model["g_t"](w)
     for c in constraints:

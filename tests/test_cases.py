@@ -163,6 +163,11 @@ class TestIngest:
         [
             ("", ": empty file"),
             ("date,cumulative_confirmed\n2020-13-01,100\n", ":2: bad date '2020-13-01' (need ISO-8601)"),
+            # forms Python 3.11's date.fromisoformat reads and 3.10's refuses:
+            # only YYYY-MM-DD, the form the scaled table writes, is taken
+            ("date,cumulative_confirmed\n20200325,100\n", ":2: bad date '20200325' (need ISO-8601)"),
+            ("date,cumulative_confirmed\n2020-W13-4,100\n", ":2: bad date '2020-W13-4' (need ISO-8601)"),
+            ("date,cumulative_confirmed\n2020W134,100\n", ":2: bad date '2020W134' (need ISO-8601)"),
             ("date,cumulative_confirmed\n\n", ": no data rows"),
         ],
     )

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from episafe.cases import ingest_cases, scale_cases, write_scaled_table
 from episafe.cli import entry, main
 from episafe.runner import exit_code
 from episafe.scenarios import PRESETS, load_preset, write_scenario
@@ -639,6 +640,14 @@ class TestIngest:
         assert main(["ingest", str(cases), "--out", str(tmp_path)]) == 0
         written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
         assert written == digests
+        # cases.write_scaled_table, called directly, writes the same bytes
+        records = ingest_cases(cases)
+        scaled = None if blank_row is not None else scale_cases(records)
+        paths = write_scaled_table(records, scaled, tmp_path / "direct", "seeded")
+        assert [p.name for p in paths] == [name for name in digests if name != "seeded.csv"]
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths} == {
+            name: digest for name, digest in digests.items() if name != "seeded.csv"
+        }
 
     def test_bad_rows_exit_2(self, tmp_path, capsys):
         cases = tmp_path / "bad.csv"

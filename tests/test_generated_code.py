@@ -51,7 +51,7 @@ def generated_sources() -> dict[str, str]:
         for _, table in MODELS.values():
             size = len(table.w + table.z)
             models._binder.__wrapped__(table)
-            engine._rk4_kernel(size)
+            engine._rk4_kernel.__wrapped__(size)
             safety._check.__wrapped__(size)
             single = [(MULTIPLICATIVE, j) for j in range(len(table.w))]
             single += [(OUTLET, j) for j in range(len(table.z))]

@@ -15,9 +15,11 @@ from hypothesis import strategies as st
 from episafe import safety
 from episafe.engine import make_input_fn
 from episafe.models import (
+    MODELS,
     SeirParams,
     SirParams,
     build_model,
+    steered,
 )
 from episafe.safety import (
     MULTIPLICATIVE,
@@ -160,10 +162,23 @@ class TestSafetyConstraint:
         with pytest.raises(TypeError):
             c.label()
 
-    def test_index_range_check(self, sir_spec):
-        c = SafetyConstraint(MULTIPLICATIVE, 5, 1e4, 0.1)
-        with pytest.raises(ValueError, match="out of range"):
-            c.check_against(sir_spec)
+    def test_index_range_check(self):
+        # position is a compartment's entry in the flat state, for every
+        # compartment of each catalogue model that takes a constraint; one
+        # past the end of either block is refused with its block's size
+        for model, (rates, table) in MODELS.items():
+            spec = build_model(rates(**{p: 1e6 if p == "N" else 0.1 for p in table.params}))
+            for label in steered(table):
+                kind, block = (MULTIPLICATIVE, table.w) if label in table.w else (OUTLET, table.z)
+                c = SafetyConstraint(kind, block.index(label), 1e4, 0.1, alpha_e=0.1)
+                assert c.position(spec) == spec.labels.index(label), (model, label)
+            for kind, size in ((MULTIPLICATIVE, spec.n), (OUTLET, spec.m)):
+                c = SafetyConstraint(kind, size, 1e4, 0.1, alpha_e=0.1)
+                message = (
+                    f"{kind} index {size} out of range for model {model!r} ({size} compartments)"
+                )
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    c.position(spec)
 
 
 class TestBarrierValue:

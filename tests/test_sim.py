@@ -307,6 +307,13 @@ class TestSimulate:
         assert len(traj) == 51
         steps = np.diff(traj.times)
         np.testing.assert_allclose(steps, 0.1, rtol=1e-12)
+        # times[k] is scenario.time(k) to the bit, also once the scenario
+        # is replaced by one that starts later
+        late = dataclasses.replace(traj.scenario, t_start=0.3, t_end=5.3, control_start=0.3)
+        for run in (traj, dataclasses.replace(traj, scenario=late)):
+            times = [t.hex() for t in run.times.tolist()]
+            assert times == [run.scenario.time(k).hex() for k in range(len(run))]
+        assert times[1] == (0.3 + 0.1).hex()
 
     def test_determinism_bitwise(self, sir_spec):
         sc = sir_scenario(sir_spec, disturbance_delta=0.05, seed=123)
